@@ -27,7 +27,6 @@ from . import factors
 from .rel import (
     Carrier,
     Relation,
-    bottom,
     compose,
     converse,
     identity,
@@ -207,56 +206,6 @@ def classify(r: Relation) -> PredicateReport:
     assert rep.bijection == (rep.functional and rep.injective)
     assert not rep.coreflexive or rep.per
     return rep
-
-
-# -- bundled single-instance law probes ---------------------------------------
-
-
-def domain_law_suite(
-    r: Relation,
-    s: Relation | None = None,
-    p: Relation | None = None,
-) -> dict[str, bool]:
-    """Evaluate the domain-operator laws on one instance.
-
-    `s` must compose on the right of `r` (defaults to R°); `p` must be a
-    coreflexive over R's target carrier (defaults to R>). Every value in a
-    healthy algebra is True; the quantified versions live in the law suite.
-    """
-    if s is None:
-        s = converse(r)
-    if p is None:
-        p = rdom(r)
-    if r.dst != s.src:
-        raise ValueError(f"s must have source carrier {r.dst.name!r}, got {s.src.name!r}")
-    if not (p.src == p.dst == r.dst and is_coreflexive(p)):
-        raise ValueError(f"p must be a coreflexive over {r.dst.name!r}")
-
-    bot = bottom(r.src, r.dst)
-    tp = top(r.dst, r.dst)
-    lumped: dict[str, bool] = {}
-    lumped["R<∘R = R"] = compose(ldom(r), r) == r
-    lumped["R∘R> = R"] = compose(r, rdom(r)) == r
-    lumped["(R°)> = R<"] = rdom(converse(r)) == ldom(r)
-    lumped["(R°)< = R>"] = ldom(converse(r)) == rdom(r)
-    lumped["(R< = ⊥) ≡ (R = ⊥) ≡ (R> = ⊥)"] = (
-        (not ldom(r)) == (r == bot) == (not rdom(r))
-    )
-    lumped["R = R∘p ≡ R> = R>∘p"] = (r == compose(r, p)) == (rdom(r) == compose(rdom(r), p))
-    lumped["R> ⊆ p ≡ R ⊆ ⊤∘p ≡ R ⊆ R∘p"] = (
-        is_subset(rdom(r), p)
-        == is_subset(r, compose(top(r.src, r.dst), p))
-        == is_subset(r, compose(r, p))
-    )
-    lumped["⊤∘R> = ⊤∘R"] = compose(tp, rdom(r)) == compose(top(r.dst, r.src), r)
-    lumped["(R∘S)> = (R>∘S)>"] = rdom(compose(r, s)) == rdom(compose(rdom(r), s))
-    lumped["R≺∘R = R = R∘R≻"] = compose(per_ldom(r), r) == r == compose(r, per_rdom(r))
-    lumped["R≻ = R>∘(R\\\\R)"] = per_rdom(r) == compose(rdom(r), factors.sym_right_div(r, r))
-    lumped["R≻ = (R\\\\R)∘R>"] = per_rdom(r) == compose(factors.sym_right_div(r, r), rdom(r))
-    lumped["(R≻)< = R> = (R≻)>"] = ldom(per_rdom(r)) == rdom(r) == rdom(per_rdom(r))
-    lumped["R≻ is a per"] = is_per(per_rdom(r))
-    lumped["R≺ is a per"] = is_per(per_ldom(r))
-    return lumped
 
 
 # -- typed enumeration helpers -------------------------------------------------

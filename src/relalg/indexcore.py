@@ -22,17 +22,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from . import factors
 from .domains import (
     is_core_relation,
-    is_difunctional,
-    is_per,
     ldom,
     per_ldom,
     per_rdom,
     rdom,
 )
-from .isomorph import IsoWitness, verify_witness
 from .rel import (
     Carrier,
     EnumerationLimit,
@@ -228,89 +224,3 @@ def core_of(r: Relation, mode: str = "same-type", policy: str = "min", seed: int
     bad = [k for k, v in dec.verify().items() if not v]
     assert not bad, f"core decomposition failed its own equations: {bad}"
     return dec
-
-
-# -- bundled theorem probes ----------------------------------------------------
-
-
-def core_theorem_suite(r: Relation, policy: str = "min", seed: int = 0, enumerate_all: bool | None = None) -> dict[str, bool]:
-    """Evaluate the index/core theorems on one relation.
-
-    With enumerate_all (default: auto, on for relations with ≤ 12 pairs) the
-    suite also quantifies over *every* index of R — uniqueness-by-domains and
-    pairwise isomorphism — which is exponential in the pair count.
-    """
-    cert = relation_index(r, policy, seed)
-    j = cert.index
-    lpd, rpd = per_ldom(r), per_rdom(r)
-    jl, jr = ldom(j), rdom(j)
-    sandwich = compose(compose(lpd, jl), lpd)
-
-    out: dict[str, bool] = {}
-    out["constructed index verifies"] = cert.ok
-    out["index is its own index"] = verify_index(j, j).ok
-    out["index is a core relation"] = is_core_relation(j)
-    out["J≺ ⊆ R≺ and J≻ ⊆ R≻"] = is_subset(per_ldom(j), lpd) and is_subset(per_rdom(j), rpd)
-    out["J = J<∘R∘J>"] = j == compose(compose(jl, r), jr)
-    out["R∘J°∘R = R∘R°∘R"] = compose(compose(r, converse(j)), r) == compose(compose(r, converse(r)), r)
-    out["R≺∘J<∘R≺ = R≺"] = sandwich == lpd
-    out["R≺∘J<∘R≺ is a per"] = is_per(sandwich)
-    out["(R≺∘J<∘R≺)< = R<"] = ldom(sandwich) == ldom(r)
-    out["J< indexes R≺"] = verify_index(lpd, jl).ok
-    out["J> indexes R≻"] = verify_index(rpd, jr).ok
-
-    dec = core_of(r, "same-type", policy, seed)
-    out["same-type core equals the index"] = dec.core == j
-    out["same-type decomposition verifies"] = all(dec.verify().values())
-    quot = core_of(r, "quotient", policy, seed)
-    out["quotient decomposition verifies"] = all(quot.verify().values())
-    out["quotient core isomorphic to index"] = verify_witness(
-        quot.core, j, IsoWitness(compose(quot.lam, jl), compose(quot.rho, jr))
-    )
-
-    if enumerate_all is None:
-        enumerate_all = r.bit_count() <= 12
-    if enumerate_all:
-        all_idx = candidate_indexes(r)
-        out["at least one index exists"] = bool(all_idx)
-        out["indexes determined by their domains"] = all(
-            (a == b) == (ldom(a) == ldom(b) and rdom(a) == rdom(b))
-            for a in all_idx
-            for b in all_idx
-        )
-        out["all indexes pairwise isomorphic"] = all(
-            verify_witness(a, b, IsoWitness(compose(compose(ldom(a), lpd), ldom(b)),
-                                            compose(compose(rdom(a), rpd), rdom(b))))
-            for a in all_idx
-            for b in all_idx
-        )
-    return out
-
-
-def difunction_index_suite(r: Relation, policy: str = "min", seed: int = 0) -> dict[str, bool]:
-    """Evaluate the difunction/index theorems on one relation.
-
-    Implications guarded by difunctionality are vacuously true for
-    non-difunctional input; the equivalences are checked on everything.
-    """
-    cert = relation_index(r, policy, seed)
-    j = cert.index
-    d = is_difunctional(r)
-    rc = converse(r)
-    out: dict[str, bool] = {}
-    out["R difunctional ≡ index difunctional"] = d == is_difunctional(j)
-    out["R∘J°∘R = R ≡ R difunctional"] = (compose(compose(r, converse(j)), r) == r) == d
-    if d:
-        out["index is a bijection"] = (
-            compose(j, converse(j)) == ldom(j) and compose(converse(j), j) == rdom(j)
-        )
-        out["J ⊆ R"] = is_subset(j, r)
-        out["R∘J°∘R = R"] = compose(compose(r, converse(j)), r) == r
-        out["J<∘R∘R°∘J< = J<"] = compose(compose(ldom(j), compose(r, rc)), ldom(j)) == ldom(j)
-        out["J>∘R°∘R∘J> = J>"] = compose(compose(rdom(j), compose(rc, r)), rdom(j)) == rdom(j)
-        out["R≻ = R>∘(R\\R)"] = per_rdom(r) == compose(rdom(r), factors.left_residual(r, r))
-        out["R≺ = (R/R)∘R<"] = per_ldom(r) == compose(factors.right_residual(r, r), ldom(r))
-    else:
-        out["index is a bijection"] = True
-        out["J ⊆ R"] = is_subset(j, r)
-    return out

@@ -92,7 +92,6 @@ class Law:
     check: Callable[[tuple[Relation, ...], dict[str, Carrier]], bool]
     cost: int = 1  # rough per-instance op count, weighs the exhaustive/sampled choice
     extra_tvs: tuple[str, ...] = ()
-    tags: tuple[str, ...] = ()
 
     def type_vars(self) -> tuple[str, ...]:
         seen: list[str] = []
@@ -176,9 +175,9 @@ REGISTRY: dict[str, Law] = {}
 
 
 def _law(law_id: str, statement: str, vars: tuple[Var, ...], check, cost: int = 1,
-         extra_tvs: tuple[str, ...] = (), tags: tuple[str, ...] = ()) -> None:
+         extra_tvs: tuple[str, ...] = ()) -> None:
     assert law_id not in REGISTRY, f"duplicate law id {law_id}"
-    REGISTRY[law_id] = Law(law_id, statement, vars, check, cost, extra_tvs, tags)
+    REGISTRY[law_id] = Law(law_id, statement, vars, check, cost, extra_tvs)
 
 
 # -- plain algebra -------------------------------------------------------------
@@ -1383,7 +1382,8 @@ def shrink(law: Law, carriers: dict[str, Carrier], args: tuple[Relation, ...]) -
     def fails(cs: dict[str, Carrier], ar: tuple[Relation, ...]) -> bool:
         return _args_valid(law, ar) and not law.check(ar, cs)
 
-    assert fails(carriers, args), "shrink must start from a failing instance"
+    if not fails(carriers, args):
+        raise ValueError("shrink must start from a failing instance")
     improved = True
     while improved:
         improved = False
@@ -1431,6 +1431,12 @@ def shrink(law: Law, carriers: dict[str, Carrier], args: tuple[Relation, ...]) -
     )
 
 
+def _check_samples(samples: int) -> None:
+    # a sampled size tuple with no samples would check nothing and still pass
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+
+
 def run_law(
     law: Law,
     max_size: int = 3,
@@ -1438,6 +1444,7 @@ def run_law(
     seed: int = 42,
     budget: int = EXHAUSTIVE_BUDGET,
 ) -> LawReport:
+    _check_samples(samples)
     modes_seen: set[str] = set()
     instances = 0
     failures: list[Counterexample] = []
@@ -1491,6 +1498,7 @@ def run_suite(
     """
     if not 1 <= max_size <= MAX_CARRIER_SIZE:
         raise ValueError(f"max_size must be between 1 and {MAX_CARRIER_SIZE}")
+    _check_samples(samples)
     if registry is None:
         registry = REGISTRY
     chosen = [

@@ -9,14 +9,16 @@ load_model validates everything the type itself promises: shapes and name
 resolution, the order being a partial order with all binary meets and joins,
 composition a monoid with 𝕀 unit and ⊥ zero that distributes over joins, and
 converse an involutive order-isomorphism reversing composition — each failure
-a distinct diagnostic naming the first offending elements. The axioms under
-investigation — the modular (Dedekind) law, the cone rule, existence of
-indexes for pers, all-or-nothing, extensionality (saturation by points), and
-the universal-choice variant — are *evaluated*, never assumed, by
-check_axioms, which reports per-axiom verdicts plus a first counterexample
-for each failure (it re-verifies the structural laws too, for models built
-directly rather than loaded). recheck re-evaluates a stored counterexample so
-reports stay honest.
+a distinct diagnostic naming the first offending elements. That ⊥ and ⊤ bound
+the order and that meets distribute over joins is left to check_axioms'
+lattice flag. The axioms under investigation — the modular (Dedekind) law,
+the cone rule, existence of indexes for pers, all-or-nothing, extensionality
+(saturation by points), and the universal-choice variant — are *evaluated*,
+never assumed, by check_axioms, which reports per-axiom verdicts plus a first
+counterexample for each failure (it re-verifies the structural laws too, for
+models built directly rather than loaded). recheck answers whether a stored
+counterexample is one of the axiom's violations on a model, so reports stay
+honest.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 
 class ModelFormatError(ValueError):
@@ -232,9 +234,9 @@ def load_model(source: str | Path | dict, name: str | None = None) -> AbstractMo
     # Structural invariants of the type itself. These are data errors, not
     # axioms under investigation, so they refuse the load — one distinct
     # category per law, message naming the first offending elements.
-    mv = _first_monoid_violation(model)
+    mv = next(_monoid_violations(model), None)
     if mv is not None:
-        tag, *names = mv
+        tag, *names = _names(model, mv)
         category = {
             "unit": "identity",
             "zero": "zero",
@@ -243,14 +245,137 @@ def load_model(source: str | Path | dict, name: str | None = None) -> AbstractMo
             "join-right": "distributivity",
         }[tag]
         _fail(category, f"{tag} law fails at ({', '.join(names)})")
-    cv = _first_converse_violation(model)
+    cv = next(_converse_violations(model), None)
     if cv is not None:
-        tag, *names = cv
-        _fail("converse", f"{tag} fails at ({', '.join(names) or elements[ident]})")
+        tag, *names = _names(model, cv)
+        _fail("converse", f"{tag} fails at ({', '.join(names)})")
     return model
 
 
 # -- axiom checking -------------------------------------------------------------
+#
+# Each axiom is one generator of its refuting instances, as tuples of element
+# indexes in search order; where an axiom bundles several laws the tuple
+# starts with the failing law's tag. check_axioms reports the first instance,
+# recheck looks a stored one up among them, and load_model refuses a model on
+# the first monoid or converse violation.
+
+
+def _lattice_violations(m: AbstractModel) -> Iterator[tuple]:
+    n = len(m.elements)
+    for x in range(n):
+        if not (m.leq[m.bot][x] and m.leq[x][m.top]):
+            yield ("bounds", x)
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if m.meets[x][m.joins[y][z]] != m.joins[m.meets[x][y]][m.meets[x][z]]:
+                    yield ("meet-over-join", x, y, z)
+
+
+def _monoid_violations(m: AbstractModel) -> Iterator[tuple]:
+    n = len(m.elements)
+    for x in range(n):
+        if m.comp[m.ident][x] != x or m.comp[x][m.ident] != x:
+            yield ("unit", x)
+        if m.comp[m.bot][x] != m.bot or m.comp[x][m.bot] != m.bot:
+            yield ("zero", x)
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if m.comp[m.comp[x][y]][z] != m.comp[x][m.comp[y][z]]:
+                    yield ("assoc", x, y, z)
+                if m.comp[x][m.joins[y][z]] != m.joins[m.comp[x][y]][m.comp[x][z]]:
+                    yield ("join-left", x, y, z)
+                if m.comp[m.joins[y][z]][x] != m.joins[m.comp[y][x]][m.comp[z][x]]:
+                    yield ("join-right", x, y, z)
+
+
+def _converse_violations(m: AbstractModel) -> Iterator[tuple]:
+    n = len(m.elements)
+    if m.conv[m.ident] != m.ident:
+        yield ("identity", m.ident)
+    for x in range(n):
+        if m.conv[m.conv[x]] != x:
+            yield ("involution", x)
+        for y in range(n):
+            if m.leq[x][y] and not m.leq[m.conv[x]][m.conv[y]]:
+                yield ("monotonic", x, y)
+            if m.conv[m.comp[x][y]] != m.comp[m.conv[y]][m.conv[x]]:
+                yield ("contravariance", x, y)
+
+
+def _dedekind_violations(m: AbstractModel) -> Iterator[tuple]:
+    n = len(m.elements)
+    for r in range(n):
+        for s in range(n):
+            for t in range(n):
+                lhs = m.meets[m.comp[r][s]][t]
+                if not (
+                    m.leq[lhs][m.comp[r][m.meets[s][m.comp[m.conv[r]][t]]]]
+                    and m.leq[lhs][m.comp[m.meets[r][m.comp[t][m.conv[s]]]][s]]
+                ):
+                    yield (r, s, t)
+
+
+def _cone_violations(m: AbstractModel) -> Iterator[tuple]:
+    for r in range(len(m.elements)):
+        if r != m.bot and m.comp[m.comp[m.top][r]][m.top] != m.top:
+            yield (r,)
+
+
+def _choice_violations(m: AbstractModel) -> Iterator[tuple]:
+    for p in m.pers():
+        if m.index_of_per(p) is None:
+            yield (p,)
+
+
+def _all_or_nothing_violations(m: AbstractModel) -> Iterator[tuple]:
+    n = len(m.elements)
+    pts = m.points()
+    for a in pts:
+        for b in pts:
+            full = m.comp[m.comp[a][m.top]][b]
+            for r in range(n):
+                squeezed = m.comp[m.comp[a][r]][b]
+                if squeezed != m.bot and squeezed != full:
+                    yield (a, b, r)
+
+
+def _extensional_violations(m: AbstractModel) -> Iterator[tuple]:
+    pts = m.points()
+    for p in m.coreflexives():
+        if p != m.join_all(q for q in pts if m.leq[q][p]):
+            yield (p,)
+
+
+def _universal_choice_violations(m: AbstractModel) -> Iterator[tuple]:
+    n = len(m.elements)
+    for r in range(n):
+        rd = m.rdom(r)
+        if not any(
+            m.leq[f][r] and m.leq[m.comp[f][m.conv[f]]][m.ident] and m.rdom(f) == rd
+            for f in range(n)
+        ):
+            yield (r,)
+
+
+_VIOLATIONS: dict[str, Callable[[AbstractModel], Iterator[tuple]]] = {
+    "lattice": _lattice_violations,
+    "monoid": _monoid_violations,
+    "converse": _converse_violations,
+    "dedekind": _dedekind_violations,
+    "cone": _cone_violations,
+    "choice": _choice_violations,
+    "all_or_nothing": _all_or_nothing_violations,
+    "extensional": _extensional_violations,
+    "universal_choice": _universal_choice_violations,
+}
+
+
+def _names(m: AbstractModel, instance: tuple) -> tuple[str, ...]:
+    """An instance with its element indexes replaced by names (tags stay)."""
+    return tuple(m.elements[x] if isinstance(x, int) else x for x in instance)
 
 
 @dataclass(frozen=True)
@@ -270,17 +395,7 @@ class AxiomReport:
     universal_choice: bool
     counterexamples: dict[str, tuple[str, ...]] = field(default_factory=dict, compare=False)
 
-    AXIOMS = (
-        "lattice",
-        "monoid",
-        "converse",
-        "dedekind",
-        "cone",
-        "choice",
-        "all_or_nothing",
-        "extensional",
-        "universal_choice",
-    )
+    AXIOMS = tuple(_VIOLATIONS)
 
     def flags(self) -> dict[str, bool]:
         return {a: getattr(self, a) for a in self.AXIOMS}
@@ -290,206 +405,23 @@ class AxiomReport:
         return all(self.flags().values())
 
 
-def _first_lattice_violation(m: AbstractModel) -> tuple[str, ...] | None:
-    n = len(m.elements)
-    for x in range(n):
-        if not (m.leq[m.bot][x] and m.leq[x][m.top]):
-            return ("bounds", m.elements[x])
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if m.meets[x][m.joins[y][z]] != m.joins[m.meets[x][y]][m.meets[x][z]]:
-                    return ("meet-over-join", m.elements[x], m.elements[y], m.elements[z])
-    return None
-
-
-def _first_monoid_violation(m: AbstractModel) -> tuple[str, ...] | None:
-    n = len(m.elements)
-    for x in range(n):
-        if m.comp[m.ident][x] != x or m.comp[x][m.ident] != x:
-            return ("unit", m.elements[x])
-        if m.comp[m.bot][x] != m.bot or m.comp[x][m.bot] != m.bot:
-            return ("zero", m.elements[x])
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if m.comp[m.comp[x][y]][z] != m.comp[x][m.comp[y][z]]:
-                    return ("assoc", m.elements[x], m.elements[y], m.elements[z])
-                if m.comp[x][m.joins[y][z]] != m.joins[m.comp[x][y]][m.comp[x][z]]:
-                    return ("join-left", m.elements[x], m.elements[y], m.elements[z])
-                if m.comp[m.joins[y][z]][x] != m.joins[m.comp[y][x]][m.comp[z][x]]:
-                    return ("join-right", m.elements[x], m.elements[y], m.elements[z])
-    return None
-
-
-def _first_converse_violation(m: AbstractModel) -> tuple[str, ...] | None:
-    n = len(m.elements)
-    if m.conv[m.ident] != m.ident:
-        return ("identity", m.elements[m.ident])
-    for x in range(n):
-        if m.conv[m.conv[x]] != x:
-            return ("involution", m.elements[x])
-        for y in range(n):
-            if m.leq[x][y] and not m.leq[m.conv[x]][m.conv[y]]:
-                return ("monotonic", m.elements[x], m.elements[y])
-            if m.conv[m.comp[x][y]] != m.comp[m.conv[y]][m.conv[x]]:
-                return ("contravariance", m.elements[x], m.elements[y])
-    return None
-
-
-def _dedekind_holds(m: AbstractModel, r: int, s: int, t: int) -> bool:
-    lhs = m.meets[m.comp[r][s]][t]
-    rhs = m.comp[r][m.meets[s][m.comp[m.conv[r]][t]]]
-    if not m.leq[lhs][rhs]:
-        return False
-    rhs2 = m.comp[m.meets[r][m.comp[t][m.conv[s]]]][s]
-    return m.leq[lhs][rhs2]
-
-
-def _first_dedekind_violation(m: AbstractModel) -> tuple[str, ...] | None:
-    n = len(m.elements)
-    for r in range(n):
-        for s in range(n):
-            for t in range(n):
-                if not _dedekind_holds(m, r, s, t):
-                    return (m.elements[r], m.elements[s], m.elements[t])
-    return None
-
-
-def _cone_holds(m: AbstractModel, r: int) -> bool:
-    return r == m.bot or m.comp[m.comp[m.top][r]][m.top] == m.top
-
-
-def _aon_holds(m: AbstractModel, a: int, b: int, r: int) -> bool:
-    squeezed = m.comp[m.comp[a][r]][b]
-    return squeezed == m.bot or squeezed == m.comp[m.comp[a][m.top]][b]
-
-
-def _extensional_holds(m: AbstractModel, p: int) -> bool:
-    return p == m.join_all(q for q in m.points() if m.leq[q][p])
-
-
-def _universal_choice_holds(m: AbstractModel, r: int) -> bool:
-    n = len(m.elements)
-    for f in range(n):
-        if (
-            m.leq[f][r]
-            and m.leq[m.comp[f][m.conv[f]]][m.ident]
-            and m.rdom(f) == m.rdom(r)
-        ):
-            return True
-    return False
-
-
 def check_axioms(m: AbstractModel) -> AxiomReport:
-    n = len(m.elements)
     flags: dict[str, bool] = {}
     ces: dict[str, tuple[str, ...]] = {}
-
-    for axiom, finder in (
-        ("lattice", _first_lattice_violation),
-        ("monoid", _first_monoid_violation),
-        ("converse", _first_converse_violation),
-        ("dedekind", _first_dedekind_violation),
-    ):
-        ce = finder(m)
-        flags[axiom] = ce is None
-        if ce is not None:
-            ces[axiom] = ce
-
-    flags["cone"] = True
-    for r in range(n):
-        if not _cone_holds(m, r):
-            flags["cone"] = False
-            ces["cone"] = (m.elements[r],)
-            break
-
-    flags["choice"] = True
-    for p in m.pers():
-        if m.index_of_per(p) is None:
-            flags["choice"] = False
-            ces["choice"] = (m.elements[p],)
-            break
-
-    flags["all_or_nothing"] = True
-    pts = m.points()
-    for a in pts:
-        for b in pts:
-            for r in range(n):
-                if not _aon_holds(m, a, b, r):
-                    flags["all_or_nothing"] = False
-                    ces["all_or_nothing"] = (m.elements[a], m.elements[b], m.elements[r])
-                    break
-            if "all_or_nothing" in ces:
-                break
-        if "all_or_nothing" in ces:
-            break
-
-    flags["extensional"] = True
-    for p in m.coreflexives():
-        if not _extensional_holds(m, p):
-            flags["extensional"] = False
-            ces["extensional"] = (m.elements[p],)
-            break
-
-    flags["universal_choice"] = True
-    for r in range(n):
-        if not _universal_choice_holds(m, r):
-            flags["universal_choice"] = False
-            ces["universal_choice"] = (m.elements[r],)
-            break
-
+    for axiom, violations in _VIOLATIONS.items():
+        first = next(violations(m), None)
+        flags[axiom] = first is None
+        if first is not None:
+            ces[axiom] = _names(m, first)
     return AxiomReport(counterexamples=ces, **flags)
 
 
 def recheck(m: AbstractModel, axiom: str, counterexample: tuple[str, ...]) -> bool:
-    """True iff the stored counterexample still refutes the axiom on this model."""
-    if axiom in ("lattice", "monoid", "converse"):
-        tag, *names = counterexample
-        xs = [m.idx(x) for x in names]
-        if axiom == "lattice":
-            if tag == "bounds":
-                (x,) = xs
-                return not (m.leq[m.bot][x] and m.leq[x][m.top])
-            x, y, z = xs
-            return m.meets[x][m.joins[y][z]] != m.joins[m.meets[x][y]][m.meets[x][z]]
-        if axiom == "monoid":
-            if tag == "unit":
-                (x,) = xs
-                return m.comp[m.ident][x] != x or m.comp[x][m.ident] != x
-            if tag == "zero":
-                (x,) = xs
-                return m.comp[m.bot][x] != m.bot or m.comp[x][m.bot] != m.bot
-            x, y, z = xs
-            if tag == "assoc":
-                return m.comp[m.comp[x][y]][z] != m.comp[x][m.comp[y][z]]
-            if tag == "join-left":
-                return m.comp[x][m.joins[y][z]] != m.joins[m.comp[x][y]][m.comp[x][z]]
-            return m.comp[m.joins[y][z]][x] != m.joins[m.comp[y][x]][m.comp[z][x]]
-        if tag == "identity":
-            return m.conv[m.ident] != m.ident
-        if tag == "involution":
-            (x,) = xs
-            return m.conv[m.conv[x]] != x
-        x, y = xs
-        if tag == "monotonic":
-            return m.leq[x][y] and not m.leq[m.conv[x]][m.conv[y]]
-        return m.conv[m.comp[x][y]] != m.comp[m.conv[y]][m.conv[x]]
-
-    xs = [m.idx(x) for x in counterexample]
-    if axiom == "dedekind":
-        return not _dedekind_holds(m, *xs)
-    if axiom == "cone":
-        return not _cone_holds(m, xs[0])
-    if axiom == "choice":
-        return m.index_of_per(xs[0]) is None
-    if axiom == "all_or_nothing":
-        return not _aon_holds(m, *xs)
-    if axiom == "extensional":
-        return not _extensional_holds(m, xs[0])
-    if axiom == "universal_choice":
-        return not _universal_choice_holds(m, xs[0])
-    raise ValueError(f"unknown axiom {axiom!r}")
+    """True iff the stored counterexample is one of the axiom's violations on this model."""
+    if axiom not in _VIOLATIONS:
+        raise ValueError(f"unknown axiom {axiom!r}")
+    stored = tuple(counterexample)
+    return any(_names(m, v) == stored for v in _VIOLATIONS[axiom](m))
 
 
 # -- bundled models --------------------------------------------------------------
@@ -538,6 +470,11 @@ _EXPECTED: dict[str, dict] = {
                    choice=False, all_or_nothing=True, extensional=False, universal_choice=True),
         counterexamples={"choice": ("E",), "extensional": ("id",)},
     ),
+    "product_two_two": dict(
+        flags=dict(lattice=True, monoid=True, converse=True, dedekind=True, cone=False,
+                   choice=True, all_or_nothing=True, extensional=True, universal_choice=True),
+        counterexamples={"cone": ("bot|top",)},
+    ),
 }
 
 BUNDLED_NAMES = tuple(_EXPECTED)
@@ -548,8 +485,8 @@ def _data_path(name: str):
 
 
 def load_bundled(name: str) -> AbstractModel:
-    if name not in _EXPECTED and name != "product_two_two":
-        raise KeyError(f"no bundled model {name!r}; have {', '.join(BUNDLED_NAMES)} and product_two_two")
+    if name not in _EXPECTED:
+        raise KeyError(f"no bundled model {name!r}; have {', '.join(BUNDLED_NAMES)}")
     with resources.as_file(_data_path(name)) as path:
         return load_model(path, name=name)
 

@@ -23,7 +23,6 @@ from .rel import (
     converse,
     coreflexive,
     is_coreflexive,
-    is_subset,
     top,
 )
 
@@ -132,70 +131,3 @@ def decompose_to_pairs(r: Relation) -> list[tuple[Relation, Relation]]:
 def union_all(rels: Iterable[Relation], src: Carrier, dst: Carrier) -> Relation:
     """Union of a (possibly empty) family; the empty union is ⊥."""
     return reduce(lambda x, y: x | y, rels, bottom(src, dst))
-
-
-# -- carrier-level law probes --------------------------------------------------
-
-
-def point_law_suite(carrier: Carrier) -> dict[str, bool]:
-    """Point facts over one carrier; quantifies over coreflexives, so keep it small."""
-    pts = points(carrier)
-    ident_rows = tuple(1 << i for i in range(carrier.size))
-    out: dict[str, bool] = {}
-    out["every point passes is_point"] = all(is_point(a) for a in pts)
-    out["point count is carrier size"] = len(pts) == carrier.size
-    out["distinct points compose to ⊥"] = all(
-        bool(compose(a, b)) == (a == b) for a in pts for b in pts
-    )
-    out["𝕀 is the union of all points"] = (
-        union_all(pts, carrier, carrier).rows == ident_rows
-    )
-    sat = True
-    for mask in range(1 << carrier.size):
-        p = coreflexive(carrier, [i for i in range(carrier.size) if mask >> i & 1])
-        below = [a for a in pts if is_subset(a, p)]
-        if union_all(below, carrier, carrier) != p:
-            sat = False
-            break
-    out["every coreflexive is the union of its points"] = sat
-    return out
-
-
-def particle_point_equivalence(carrier: Carrier) -> dict[str, bool]:
-    """particle ≡ point ≡ symmetric pair, quantified over all homogeneous relations."""
-    from .rel import enumerate_relations
-
-    particle_iff_point = True
-    particle_iff_sym_pair = True
-    for z in enumerate_relations(carrier, carrier):
-        part = is_particle(z)
-        pt = bool(z) and is_coreflexive(z) and is_point(z)
-        sym_pair = converse(z) == z and is_pair(z)
-        particle_iff_point &= part == pt
-        particle_iff_sym_pair &= part == sym_pair
-    return {
-        "particle ≡ point": particle_iff_point,
-        "particle ≡ symmetric pair": particle_iff_sym_pair,
-    }
-
-
-def atom_pair_equivalence(src: Carrier, dst: Carrier) -> dict[str, bool]:
-    """pair ≡ proper atom ≡ point sandwich, quantified over all src~dst relations."""
-    from .rel import enumerate_relations
-
-    pair_iff_atom = True
-    pair_iff_sandwich = True
-    pair_domains = True
-    pts_a, pts_b = points(src), points(dst)
-    for z in enumerate_relations(src, dst):
-        pr = is_pair(z)
-        pair_iff_atom &= pr == (bool(z) and is_atom(z, "relations"))
-        sandwich = any(pair_rel(a, b) == z for a in pts_a for b in pts_b)
-        pair_iff_sandwich &= pr == sandwich
-        if pr:
-            pair_domains &= is_particle(ldom(z)) and is_particle(rdom(z))
-    return {
-        "pair ≡ proper atom": pair_iff_atom,
-        "pair ≡ a∘⊤∘b for some points": pair_iff_sandwich,
-        "pair domains are particles": pair_domains,
-    }

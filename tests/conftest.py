@@ -4,6 +4,7 @@ import pytest
 from hypothesis import strategies as st
 
 from relalg import Carrier, Relation, from_pairs
+from relalg.laws import KIND_VALIDATORS, REGISTRY
 
 
 def pack(na: int, nb: int, pairs, src: str = "A", dst: str = "B") -> Relation:
@@ -14,6 +15,25 @@ def pack(na: int, nb: int, pairs, src: str = "A", dst: str = "B") -> Relation:
 def unpack(r: Relation) -> frozenset:
     """Project a package relation down to the oracle representation."""
     return frozenset(r.pairs())
+
+
+def failing_laws(law_ids, *args: Relation) -> list[str]:
+    """The registry laws among law_ids that fail on this one instance.
+
+    Each law takes the arguments in its variable order; its carriers are read
+    off the arguments, which must have the kinds the law declares.
+    """
+    failed = []
+    for law_id in law_ids:
+        law = REGISTRY[law_id]
+        carriers: dict[str, Carrier] = {}
+        for v, r in zip(law.vars, args, strict=True):
+            assert KIND_VALIDATORS[v.kind](r), (law_id, v.kind, r)
+            for tv, c in ((v.src, r.src), (v.dst, r.dst)):
+                assert carriers.setdefault(tv, c) == c, (law_id, tv)
+        if not law.check(args, carriers):
+            failed.append(law_id)
+    return failed
 
 
 @st.composite

@@ -168,6 +168,15 @@ def test_laws_rejects_oversize(capsys):
     assert "max_size" in err
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_laws_rejects_nonpositive_samples(capsys, samples):
+    code, out, err = run_cli(
+        capsys, "laws", "--samples", samples, "--max-size", "3", "--filter", "compose-assoc"
+    )
+    assert code == 2 and out == ""
+    assert "samples must be at least 1" in err
+
+
 # -- model ------------------------------------------------------------------------------
 
 
@@ -184,6 +193,14 @@ def test_model_bundled_failures_exit_one(capsys):
     assert code == 1 and not payload["ok"]
     assert payload["axioms"]["choice"] is False
     assert payload["counterexamples"]["choice"] == ["top"]
+
+
+def test_model_bundled_product(capsys):
+    code, out, _ = run_cli(capsys, "model", "product_two_two")
+    payload = json.loads(out)
+    assert code == 1 and not payload["ok"]
+    assert [a for a, v in payload["axioms"].items() if not v] == ["cone"]
+    assert payload["counterexamples"] == {"cone": ["bot|top"]}
 
 
 def test_model_pretty_marks_failures(capsys):

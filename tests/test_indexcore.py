@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles as o
-from conftest import homogeneous_relations, pack, relations, unpack
+from conftest import failing_laws, homogeneous_relations, pack, relations, unpack
 from relalg import (
     Carrier,
     CoreDecomposition,
@@ -28,7 +28,6 @@ from relalg import (
     top,
     verify_index,
 )
-from relalg.indexcore import core_theorem_suite, difunction_index_suite
 
 
 def _all(na, nb, src="A", dst="B"):
@@ -215,30 +214,54 @@ def test_core_decomposition_is_frozen(block):
         dec.core = dec.relation  # type: ignore[misc]
 
 
-# -- bundled theorem suites ------------------------------------------------------------
+# -- the index and core theorems of the registry on one instance ------------------------
+
+CORE_THEOREMS = (
+    "relation-index-policies",
+    "index-of-itself",
+    "index-is-core-relation",
+    "index-via-own-domains",
+    "index-compose-sandwich",
+    "per-sandwich-per",
+    "index-ldom-indexes-per",
+    "core-decomposition-valid",
+    "core-quotient-valid",
+    "core-isomorphic-index",
+    "index-determined-by-domains",
+    "indexes-pairwise-isomorphic",
+)
+
+
+def _core_theorems_fail(r):
+    assert relation_index(r).index in candidate_indexes(r)
+    return failing_laws(CORE_THEOREMS, r)
 
 
 def test_core_theorem_suite_exhaustive_at_2x2():
     for r in _all(2, 2):
-        suite = core_theorem_suite(r)
-        assert all(suite.values()), {k: v for k, v in suite.items() if not v}
+        assert not _core_theorems_fail(r), r
 
 
 @settings(max_examples=40)
 @given(relations(max_size=3))
 def test_core_theorem_suite_sampled(r):
-    suite = core_theorem_suite(r)
-    assert all(suite.values()), {k: v for k, v in suite.items() if not v}
+    assert not _core_theorems_fail(r)
 
 
 def test_core_theorem_suite_on_empty_relation():
-    suite = core_theorem_suite(pack(2, 3, []))
-    assert all(suite.values())
+    assert not _core_theorems_fail(pack(2, 3, []))
+
+
+def _difunction_index_laws_fail(r):
+    # the bijection law is stated for difunctions only; the others for all R
+    laws = ["difunction-index-equiv", "difunctional-strong-domains", "relation-index-policies"]
+    if is_difunctional(r):
+        laws.append("difunction-index-bijection")
+    return failing_laws(laws, r)
 
 
 def test_difunction_index_suite_on_block(block):
-    suite = difunction_index_suite(block)
-    assert all(suite.values()), {k: v for k, v in suite.items() if not v}
+    assert not _difunction_index_laws_fail(block)
     j = relation_index(block).index
     assert is_bijection(j)
 
@@ -257,10 +280,9 @@ def test_unique_index_of_lower_triangle_is_not_difunctional():
     cert = relation_index(r)
     assert cert.index == r
     assert not is_difunctional(cert.index)
-    assert all(difunction_index_suite(r).values())
+    assert not _difunction_index_laws_fail(r)
 
 
 @given(relations(max_size=3))
 def test_difunction_index_suite_everywhere(r):
-    suite = difunction_index_suite(r)
-    assert all(suite.values()), {k: v for k, v in suite.items() if not v}
+    assert not _difunction_index_laws_fail(r)

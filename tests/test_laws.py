@@ -90,6 +90,8 @@ def test_run_suite_rejects_silly_sizes():
         run_suite(max_size=0)
     with pytest.raises(ValueError, match="max_size"):
         run_suite(max_size=5)
+    with pytest.raises(ValueError, match="samples"):
+        run_law(REGISTRY["cone-rule"], samples=0)
 
 
 def test_law_filter_globs():
@@ -200,5 +202,5 @@ def test_shrink_insists_on_a_failing_start():
         check=lambda args, cs: True,
     )
     c = Carrier("A", 2)
-    with pytest.raises(AssertionError, match="failing instance"):
+    with pytest.raises(ValueError, match="failing instance"):
         shrink(truth, {"A": c}, (top(c, c),))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -42,6 +43,9 @@ EXPECTED_FLAGS = {
     "desharnais13": dict(lattice=True, monoid=True, converse=True, dedekind=True,
                          cone=True, choice=False, all_or_nothing=True,
                          extensional=False, universal_choice=True),
+    "product_two_two": dict(lattice=True, monoid=True, converse=True, dedekind=True,
+                            cone=False, choice=True, all_or_nothing=True,
+                            extensional=True, universal_choice=True),
 }
 
 
@@ -55,6 +59,7 @@ def test_bundled_names_and_sizes():
         "three_element_unit_top": 3,
         "four_element_point": 4,
         "desharnais13": 13,
+        "product_two_two": 4,
     }
 
 
@@ -99,6 +104,28 @@ def test_recheck_is_negative_on_healthy_instances():
     m = load_bundled("two_element")
     assert not recheck(m, "cone", ("top",))
     assert not recheck(m, "dedekind", ("top", "top", "top"))
+
+
+# two_element is bot < top with top = 𝕀; each change below breaks one
+# structural law, which load_model would refuse, so the models are built directly
+@pytest.mark.parametrize(
+    "axiom,changes,tag",
+    [
+        ("lattice", dict(bot=1), "bounds"),
+        ("monoid", dict(comp=((0, 0), (0, 0))), "unit"),
+        ("converse", dict(conv=(1, 0)), "identity"),
+    ],
+    ids=["lattice", "monoid", "converse"],
+)
+def test_structural_axiom_counterexamples_replay(axiom, changes, tag):
+    healthy = load_bundled("two_element")
+    broken = dataclasses.replace(healthy, **changes)
+    rep = check_axioms(broken)
+    assert not rep.flags()[axiom]
+    ce = rep.counterexamples[axiom]
+    assert ce[0] == tag
+    assert recheck(broken, axiom, ce)
+    assert not recheck(healthy, axiom, ce)
 
 
 def test_report_flags_and_ok():

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 import oracles as o
-from conftest import pack, relations, unpack
+from conftest import failing_laws, pack, relations, unpack
 from relalg import (
     Carrier,
     all_or_nothing,
@@ -10,7 +10,9 @@ from relalg import (
     compose,
     converse,
     decompose_to_pairs,
+    enumerate_coreflexives,
     enumerate_relations,
+    identity,
     is_atom,
     is_pair,
     is_particle,
@@ -18,12 +20,7 @@ from relalg import (
     pair_rel,
     union_all,
 )
-from relalg.points import (
-    atom_pair_equivalence,
-    particle_point_equivalence,
-    point_law_suite,
-    points,
-)
+from relalg.points import points
 
 A3 = Carrier("A", 3)
 B3 = Carrier("B", 3)
@@ -164,17 +161,33 @@ def test_union_all_of_nothing_is_bottom():
 
 def test_point_law_suite_small_carriers():
     for n in (1, 2, 3):
-        suite = point_law_suite(Carrier("A", n))
-        assert all(suite.values()), {k: v for k, v in suite.items() if not v}
+        carrier = Carrier("A", n)
+        pts = points(carrier)
+        assert len(pts) == carrier.size
+        assert union_all(pts, carrier, carrier) == identity(carrier)
+        for a in pts:
+            for b in pts:
+                assert not failing_laws(("point-compose",), a, b), (a, b)
+        for p in enumerate_coreflexives(carrier):
+            assert not failing_laws(("point-saturation",), p), p
 
 
 def test_particle_point_equivalence_small_carriers():
     for n in (1, 2, 3):
-        suite = particle_point_equivalence(Carrier("A", n))
-        assert all(suite.values()), {k: v for k, v in suite.items() if not v}
+        carrier = Carrier("A", n)
+        for z in enumerate_relations(carrier, carrier):
+            assert not failing_laws(("particle-point",), z), z
+            assert is_particle(z) == (converse(z) == z and is_pair(z)), z
 
 
 @pytest.mark.parametrize("na,nb", [(1, 1), (2, 2), (2, 3), (3, 3)])
 def test_atom_pair_equivalence(na, nb):
-    suite = atom_pair_equivalence(Carrier("A", na), Carrier("B", nb))
-    assert all(suite.values()), {k: v for k, v in suite.items() if not v}
+    src, dst = Carrier("A", na), Carrier("B", nb)
+    pts_a, pts_b = points(src), points(dst)
+    for a in pts_a:
+        for b in pts_b:
+            assert not failing_laws(("pair-point-sandwich",), a, b), (a, b)
+    for z in enumerate_relations(src, dst):
+        assert not failing_laws(("pair-characterization", "pair-domains"), z), z
+        if is_pair(z):
+            assert any(pair_rel(a, b) == z for a in pts_a for b in pts_b), z
