@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import indexcore, isomorph, laws, models
-from .domains import classify, ldom, per_ldom, per_rdom, rdom
+from .domains import classify, per_ldom, per_rdom
 from .points import points as carrier_points
 from .rel import (
     CarrierMismatch,
@@ -92,26 +92,22 @@ def _cmd_classify(args) -> int:
 def _dot_bipartite(r: Relation, index: Relation) -> str:
     """Bipartite drawing: one cluster per per-domain class, index edges bold."""
     out = ["digraph relation {", "  rankdir=LR;", "  node [shape=circle];"]
-    lpd, rpd = per_ldom(r), per_rdom(r)
 
-    def side(prefix: str, carrier: Carrier, per_rows) -> None:
-        classes: dict[int, list[int]] = {}
-        for i in range(carrier.size):
-            if per_rows[i]:
-                classes.setdefault(per_rows[i], []).append(i)
-        for n, (_, members) in enumerate(sorted(classes.items(), key=lambda kv: kv[1][0])):
-            label = "{" + ",".join(carrier.labels[i] for i in members) + "}"
+    def side(prefix: str, per: Relation) -> None:
+        labels = per.src.labels
+        for n, members in enumerate(indexcore._per_classes(per)):
+            label = "{" + ",".join(labels[i] for i in members) + "}"
             out.append(f"  subgraph cluster_{prefix}{n} {{")
             out.append(f'    label="{label}";')
             for i in members:
-                out.append(f'    {prefix}{i} [label="{carrier.labels[i]}"];')
+                out.append(f'    {prefix}{i} [label="{labels[i]}"];')
             out.append("  }")
-        for i in range(carrier.size):
-            if not per_rows[i]:
-                out.append(f'  {prefix}{i} [label="{carrier.labels[i]}", style=dashed];')
+        for i in range(per.src.size):
+            if (i, i) not in per:
+                out.append(f'  {prefix}{i} [label="{labels[i]}", style=dashed];')
 
-    side("s", r.src, lpd.rows)
-    side("t", r.dst, rpd.rows)
+    side("s", per_ldom(r))
+    side("t", per_rdom(r))
     for i, j in r.pairs():
         style = ' [color=crimson, penwidth=2.0]' if (i, j) in index else ""
         out.append(f"  s{i} -> t{j}{style};")
@@ -172,9 +168,7 @@ def _cmd_iso(args) -> int:
     s = _load_relation(args.right)
     try:
         w = isomorph.find_isomorphism(r, s)
-    except isomorph.SearchSpaceExceeded as exc:
-        raise _UsageError(str(exc)) from exc
-    except CarrierMismatch as exc:
+    except (isomorph.SearchSpaceExceeded, CarrierMismatch) as exc:
         raise _UsageError(str(exc)) from exc
     if w is None:
         _emit({"isomorphic": False}, args.pretty)

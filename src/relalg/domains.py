@@ -25,16 +25,8 @@ from typing import Iterator
 
 from . import factors
 from .rel import (
-    Carrier,
-    Relation,
-    compose,
-    converse,
-    identity,
-    intersect,
-    is_coreflexive,
-    is_subset,
-    register_cache,
-    top,
+    Carrier, Relation, _diagonal, _make, compose, converse, identity, intersect, is_coreflexive,
+    is_subset, register_cache, top,
 )
 
 
@@ -42,34 +34,43 @@ from .rel import (
 @lru_cache(maxsize=1 << 15)
 def ldom(r: Relation) -> Relation:
     """R< : sub-identity on sources with nonempty row."""
-    return Relation(r.src, r.src, tuple((1 << i) if row else 0 for i, row in enumerate(r.rows)))
+    n, k = r.src.size, r.dst.size
+    full = (1 << k) - 1
+    code = 0
+    for i in range(n):
+        if r.code >> (i * k) & full:
+            code |= 1 << (i * n + i)
+    return _make(r.src, r.src, code)
 
 
 @register_cache
 @lru_cache(maxsize=1 << 15)
 def rdom(r: Relation) -> Relation:
     """R> : sub-identity on targets with nonempty column."""
-    mask = 0
-    for row in r.rows:
-        mask |= row
-    return Relation(r.dst, r.dst, tuple(mask & (1 << j) for j in range(r.dst.size)))
+    k = r.dst.size
+    full = (1 << k) - 1
+    mask, code = 0, r.code
+    while code:
+        mask |= code & full
+        code >>= k
+    return _make(r.dst, r.dst, _diagonal(mask, k))
 
 
 @register_cache
 @lru_cache(maxsize=1 << 15)
 def per_ldom(r: Relation) -> Relation:
     """R≺ : relate two sources exactly when their rows agree and are nonempty."""
+    rows = r.rows
+    members: dict[int, int] = {}
+    for i, row in enumerate(rows):
+        if row:
+            members[row] = members.get(row, 0) | 1 << i
     n = r.src.size
-    out = [0] * n
-    for i, row in enumerate(r.rows):
-        if not row:
-            continue
-        bits = 0
-        for i2, row2 in enumerate(r.rows):
-            if row2 == row:
-                bits |= 1 << i2
-        out[i] = bits
-    return Relation(r.src, r.src, out)
+    code = 0
+    for i, row in enumerate(rows):
+        if row:
+            code |= members[row] << (i * n)
+    return _make(r.src, r.src, code)
 
 
 @register_cache
@@ -218,13 +219,11 @@ def enumerate_pers(carrier: Carrier) -> Iterator[Relation]:
     cells = [(i, j) for i in range(n) for j in range(i, n)]
     assert len(cells) <= 16, "per enumeration is meant for tiny carriers"
     for mask in range(1 << len(cells)):
-        rows = [0] * n
-        m = mask
+        code = 0
         for i, j in cells:
-            if m & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            m >>= 1
-        q = Relation(carrier, carrier, rows)
+            if mask & 1:
+                code |= 1 << (i * n + j) | 1 << (j * n + i)
+            mask >>= 1
+        q = _make(carrier, carrier, code)
         if is_subset(compose(q, q), q):
             yield q

@@ -14,48 +14,33 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .rel import CarrierMismatch, Relation, converse, intersect, register_cache
+from .rel import _compose_code, _converse_code, _full, _make
 
 
 @register_cache
 @lru_cache(maxsize=1 << 16)
 def left_residual(r: Relation, s: Relation) -> Relation:
-    """R\\S : the b-row is the intersection of the S-rows of R's column at b."""
-    if r.src != s.src:
+    """R\\S = ¬(R°∘¬S) : (b,c) present iff no a has a R b without a S c."""
+    if r.src is not s.src and r.src != s.src:
         raise CarrierMismatch(
             f"left_residual: source carriers disagree ({r.src.name} vs {s.src.name})"
         )
-    full = (1 << s.dst.size) - 1
-    srows = s.rows
-    out = []
-    for b in range(r.dst.size):
-        bit = 1 << b
-        acc = full
-        for a, row in enumerate(r.rows):
-            if row & bit:
-                acc &= srows[a]
-        out.append(acc)
-    return Relation(r.dst, s.dst, out)
+    na, nb, nc = r.src.size, r.dst.size, s.dst.size
+    bad = _compose_code(_converse_code(r.code, na, nb), s.code ^ _full(na, nc), nb, na, nc)
+    return _make(r.dst, s.dst, bad ^ _full(nb, nc))
 
 
 @register_cache
 @lru_cache(maxsize=1 << 16)
 def right_residual(r: Relation, s: Relation) -> Relation:
-    """R/S : (a,c) present iff S's row at c is contained in R's row at a."""
-    if r.dst != s.dst:
+    """R/S = ¬(¬R∘S°) : (a,b) present iff no c has b S c without a R c."""
+    if r.dst is not s.dst and r.dst != s.dst:
         raise CarrierMismatch(
             f"right_residual: target carriers disagree ({r.dst.name} vs {s.dst.name})"
         )
-    srows = s.rows
-    out = []
-    for row in r.rows:
-        acc = 0
-        bit = 1
-        for c in range(s.src.size):
-            if srows[c] & ~row == 0:
-                acc |= bit
-            bit <<= 1
-        out.append(acc)
-    return Relation(r.src, s.src, out)
+    na, nb, nc = r.src.size, s.src.size, r.dst.size
+    bad = _compose_code(r.code ^ _full(na, nc), _converse_code(s.code, nb, nc), na, nc, nb)
+    return _make(r.src, s.src, bad ^ _full(na, nb))
 
 
 @register_cache

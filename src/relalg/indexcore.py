@@ -21,23 +21,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import product
 
-from .domains import (
-    is_core_relation,
-    ldom,
-    per_ldom,
-    per_rdom,
-    rdom,
-)
+from .domains import is_core_relation, ldom, per_ldom, per_rdom, rdom
 from .rel import (
-    Carrier,
-    EnumerationLimit,
-    Relation,
-    compose,
-    converse,
-    coreflexive,
-    from_pairs,
-    is_subset,
+    Carrier, EnumerationLimit, Relation, compose, converse, coreflexive, is_subset, relation_at,
+    relation_code,
 )
 
 POLICIES = ("min", "max", "random")
@@ -109,12 +98,12 @@ def verify_index(r: Relation, j: Relation) -> IndexCertificate:
         raise ValueError(
             f"index candidate has type {j.src.name}~{j.dst.name}, relation has {r.src.name}~{r.dst.name}"
         )
-    lpd, rpd = per_ldom(r), per_rdom(r)
+    lpd, rpd, jl, jr = per_ldom(r), per_rdom(r), ldom(j), rdom(j)
     checks = {
         "J ⊆ R": is_subset(j, r),
         "R≺∘J∘R≻ = R": compose(compose(lpd, j), rpd) == r,
-        "J<∘R≺∘J< = J<": compose(compose(ldom(j), lpd), ldom(j)) == ldom(j),
-        "J>∘R≻∘J> = J>": compose(compose(rdom(j), rpd), rdom(j)) == rdom(j),
+        "J<∘R≺∘J< = J<": compose(compose(jl, lpd), jl) == jl,
+        "J>∘R≻∘J> = J>": compose(compose(jr, rpd), jr) == jr,
     }
     return IndexCertificate(relation=r, index=j, checks=checks)
 
@@ -134,23 +123,38 @@ def relation_index(r: Relation, policy: str = "min", seed: int = 0) -> IndexCert
     return cert
 
 
-def candidate_indexes(r: Relation, max_bits: int = 12) -> list[Relation]:
-    """Every subset of R that verifies as an index, in little-endian subset order.
+def candidate_indexes(r: Relation, max_bits: int = 16) -> list[Relation]:
+    """Every subset of R that verifies as an index, in relation_code order.
 
-    Exponential in R's pair count; refuses relations with more than max_bits
-    pairs. This is the package-side enumerator used by the law suite (the test
-    suite cross-checks it against an independently coded oracle).
+    Conditions (b)-(d) force J< to pick exactly one element of each R≺-class
+    and J> one of each R≻-class: (c) allows at most one per class, (b) needs
+    at least one. With J ⊆ R this gives J = J<∘J∘J> ⊆ J<∘R∘J>. So every
+    subset of every sandwich Jl∘R∘Jr, over all such transversals Jl and Jr,
+    is checked with verify_index; the subsets are still brute-forced, so a
+    law about all indexes is tested, not assumed. Refuses a relation with a
+    sandwich of more than max_bits pairs, which never happens on carriers of
+    at most 4 elements. This is the package-side enumerator used by the law
+    suite (the test suite cross-checks it against an independent oracle).
     """
-    pairs = list(r.pairs())
-    if len(pairs) > max_bits:
-        raise EnumerationLimit(f"relation has {len(pairs)} pairs; refusing 2**{len(pairs)} subsets")
+    sandwiches = [
+        compose(compose(coreflexive(r.src, left), r), coreflexive(r.dst, right)).code
+        for left in product(*_per_classes(per_ldom(r)))
+        for right in product(*_per_classes(per_rdom(r)))
+    ]
+    widest = max(code.bit_count() for code in sandwiches)
+    if widest > max_bits:
+        raise EnumerationLimit(f"index sandwich has {widest} pairs; refusing 2**{widest} subsets")
     found = []
-    for mask in range(1 << len(pairs)):
-        chosen = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
-        j = from_pairs(r.src, r.dst, chosen)
-        if verify_index(r, j).ok:
-            found.append(j)
-    return found
+    for code in sandwiches:
+        sub = code
+        while True:  # every subset of the sandwich, the empty one last
+            j = relation_at(r.src, r.dst, sub)
+            if verify_index(r, j).ok:
+                found.append(j)
+            if not sub:
+                break
+            sub = (sub - 1) & code
+    return sorted(found, key=relation_code)
 
 
 def splitting(p: Relation, policy: str = "min", seed: int = 0) -> Relation:
@@ -190,16 +194,9 @@ class CoreDecomposition:
 def _quotient_leg(per: Relation, carrier_name: str) -> Relation:
     """λ : X~A with X the classes of a per on A, row x = the class's members."""
     classes = _per_classes(per)
-    src_labels = per.src.labels
-    labels = ["{" + ",".join(src_labels[i] for i in members) + "}" for members in classes]
+    labels = ["{" + ",".join(per.src.labels[i] for i in members) + "}" for members in classes]
     x = Carrier(carrier_name, len(classes), labels)
-    rows = []
-    for members in classes:
-        row = 0
-        for i in members:
-            row |= 1 << i
-        rows.append(row)
-    return Relation(x, per.src, rows)
+    return Relation(x, per.src, [sum(1 << i for i in members) for members in classes])
 
 
 def core_of(r: Relation, mode: str = "same-type", policy: str = "min", seed: int = 0) -> CoreDecomposition:

@@ -26,51 +26,18 @@ from typing import Callable
 
 from . import factors, indexcore, isomorph
 from .points import (
-    all_or_nothing,
-    decompose_to_pairs,
-    is_atom,
-    is_pair,
-    is_particle,
-    is_point,
-    pair_rel,
-    points,
+    all_or_nothing, decompose_to_pairs, is_atom, is_pair, is_particle, is_point, pair_rel, points,
     union_all,
 )
 from .domains import (
-    classify,
-    difunctional_characterizations,
-    enumerate_pers,
-    is_bijection,
-    is_core_relation,
-    is_coreflexive,
-    is_difunctional,
-    is_functional,
-    is_injective,
-    is_per,
-    is_rectangle,
-    is_square,
-    ldom,
-    per_characterizations,
-    per_ldom,
-    per_rdom,
-    rdom,
+    classify, difunctional_characterizations, enumerate_pers, is_bijection, is_core_relation,
+    is_coreflexive, is_difunctional, is_functional, is_injective, is_per, is_rectangle, is_square,
+    ldom, per_characterizations, per_ldom, per_rdom, rdom,
 )
 from .rel import (
-    Carrier,
-    Relation,
-    bottom,
-    complement,
-    compose,
-    converse,
-    dedekind_check,
-    enumerate_coreflexives,
-    enumerate_relations,
-    from_pairs,
-    identity,
-    intersect,
-    is_subset,
-    top,
-    union,
+    Carrier, Relation, bottom, complement, compose, converse, dedekind_check,
+    enumerate_coreflexives, enumerate_relations, from_pairs, identity, intersect, is_subset,
+    relation_at, top, union,
 )
 
 EXHAUSTIVE_BUDGET = 10_000_000
@@ -1354,25 +1321,12 @@ def _args_valid(law: Law, args: tuple[Relation, ...]) -> bool:
 
 
 def _drop_element(r: Relation, carrier: Carrier, smaller: Carrier, e: int) -> Relation | None:
-    """Remove element e from one side (or both) of r, renumbering above it."""
-    src = smaller if r.src == carrier else r.src
-    dst = smaller if r.dst == carrier else r.dst
-    if src is r.src and dst is r.dst:
-        return r
-    pairs = []
-    for i, j in r.pairs():
-        if r.src == carrier:
-            if i == e:
-                return None
-            if i > e:
-                i -= 1
-        if r.dst == carrier:
-            if j == e:
-                return None
-            if j > e:
-                j -= 1
-        pairs.append((i, j))
-    return from_pairs(src, dst, pairs)
+    """Remove element e from one side (or both) of r, renumbering above it;
+    None when r relates e to anything."""
+    skip = from_pairs(smaller, carrier, [(i, i + (i >= e)) for i in range(smaller.size)])
+    out = compose(skip, r) if r.src == carrier else r
+    out = compose(out, converse(skip)) if r.dst == carrier else out
+    return out if out.bit_count() == r.bit_count() else None
 
 
 def shrink(law: Law, carriers: dict[str, Carrier], args: tuple[Relation, ...]) -> Counterexample:
@@ -1390,9 +1344,8 @@ def shrink(law: Law, carriers: dict[str, Carrier], args: tuple[Relation, ...]) -
         # try removing a single pair from a single argument
         for k, r in enumerate(args):
             for i, j in list(r.pairs()):
-                rows = list(r.rows)
-                rows[i] &= ~(1 << j)
-                cand = args[:k] + (Relation(r.src, r.dst, rows),) + args[k + 1:]
+                fewer = relation_at(r.src, r.dst, r.code & ~(1 << (i * r.dst.size + j)))
+                cand = args[:k] + (fewer,) + args[k + 1:]
                 if fails(carriers, cand):
                     args = cand
                     improved = True
@@ -1506,6 +1459,9 @@ def run_suite(
         for law_id, law in sorted(registry.items())
         if law_filter is None or fnmatch(law_id, law_filter)
     ]
+    if not chosen:
+        # an empty run would report ok while checking nothing
+        raise ValueError(f"no law matches the filter {law_filter!r}")
     reports = [run_law(law, max_size, samples, seed, budget) for law in chosen]
     return SuiteReport(max_size=max_size, samples=samples, seed=seed, reports=reports)
 

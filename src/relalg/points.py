@@ -16,14 +16,7 @@ from typing import Iterable
 
 from .domains import ldom, rdom
 from .rel import (
-    Carrier,
-    Relation,
-    bottom,
-    compose,
-    converse,
-    coreflexive,
-    is_coreflexive,
-    top,
+    Carrier, Relation, bottom, compose, converse, coreflexive, is_coreflexive, relation_at, top,
 )
 
 
@@ -44,20 +37,14 @@ def is_atom(r: Relation, lattice: str = "relations") -> bool:
         raise ValueError(f"unknown lattice {lattice!r}")
     if lattice == "coreflexives" and not is_coreflexive(r):
         raise ValueError("is_atom over the coreflexive lattice needs a coreflexive input")
-    n = r.bit_count()
-    if n > 2:
+    if r.bit_count() > 2:
         return False
-    pairs = list(r.pairs())
-    for mask in range(1 << n):
-        chosen = [pairs[k] for k in range(n) if mask >> k & 1]
-        rows = [0] * r.src.size
-        for i, j in chosen:
-            rows[i] |= 1 << j
-        q = Relation(r.src, r.dst, rows)
-        if lattice == "coreflexives" and not is_coreflexive(q):
-            continue
-        if not (q == r or not q):
+    sub = r.code
+    while sub:  # every nonempty sub-relation q of r
+        q = relation_at(r.src, r.dst, sub)
+        if q != r and (lattice == "relations" or is_coreflexive(q)):
             return False
+        sub = (sub - 1) & r.code
     return True
 
 

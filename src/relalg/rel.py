@@ -1,20 +1,24 @@
-"""Finite binary relations as packed bit matrices.
+"""Finite binary relations as packed integer codes.
 
-A Relation is an immutable boolean matrix between two named finite carriers.
-Row ``i`` is a Python int whose bit ``j`` is the entry ``(i, j)``; operations
-are mostly word-parallel bit fiddling, which is what makes exhaustive law
-sweeps over all relations of small carriers affordable.
+A Relation is an immutable boolean matrix between two named finite carriers,
+stored as one Python int, its code: over carriers of sizes ``m`` and ``k``,
+pair ``(i, j)`` is present iff bit ``i*k + j`` of the code is set, so row ``i``
+is the ``k``-bit field at bit ``i*k``. Union, meet, complement and inclusion
+are single int operations; composition, converse and the domain operators
+shift and mask rows out of the code. That is what makes exhaustive law sweeps
+over all relations of small carriers affordable.
 
-Enumeration order is little-endian: relation number ``n`` over carriers of
-sizes ``m`` and ``k`` has pair ``(i, j)`` present iff bit ``i*k + j`` of ``n``
-is set. Carrier equality is nominal (name and size); labels are presentation
-only and never participate in equality or hashing.
+Enumeration order is code order: relation number ``n`` is the one with code
+``n``. Carriers are interned, so carrier equality is mostly an identity test;
+it is nominal (name and size), and labels are presentation only and never
+participate in equality or hashing.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from typing import Iterable, Iterator
+from weakref import WeakValueDictionary
 
 
 class CarrierMismatch(TypeError):
@@ -42,36 +46,39 @@ class Carrier:
 
     Two carriers are interchangeable iff they agree on name and size; this is
     deliberate so that relations loaded from different files compose exactly
-    when their endpoint declarations match.
+    when their endpoint declarations match. Construction interns: equal
+    arguments give the same object.
     """
 
-    __slots__ = ("name", "size", "labels", "_hash")
+    __slots__ = ("name", "size", "labels", "_hash", "__weakref__")
+    _interned: WeakValueDictionary = WeakValueDictionary()
 
-    def __init__(self, name: str, size: int, labels: Iterable[str] | None = None):
+    def __new__(cls, name: str, size: int, labels: Iterable[str] | None = None):
         if not isinstance(size, int) or size < 0:
             raise ValueError(f"carrier {name!r}: size must be a non-negative int, got {size!r}")
-        if labels is None:
-            labels = tuple(str(i) for i in range(size))
-        else:
+        if labels is not None:
             labels = tuple(labels)
             if len(labels) != size:
                 raise ValueError(f"carrier {name!r}: {len(labels)} labels for size {size}")
             if len(set(labels)) != len(labels):
                 raise ValueError(f"carrier {name!r}: labels must be pairwise distinct")
-        self.name = str(name)
-        self.size = size
-        self.labels = labels
-        self._hash = hash((self.name, size))
+        key = (str(name), size, labels)
+        self = cls._interned.get(key)
+        if self is None:
+            self = super().__new__(cls)
+            self.name, self.size = key[0], size
+            self.labels = tuple(str(i) for i in range(size)) if labels is None else labels
+            self._hash = hash(key[:2])
+            cls._interned[key] = self
+        return self
+
+    def __getnewargs__(self) -> tuple:
+        return self.name, self.size, self.labels
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Carrier)
-            and self.name == other.name
-            and self.size == other.size
+        return self is other or (
+            isinstance(other, Carrier) and self.name == other.name and self.size == other.size
         )
-
-    def __ne__(self, other: object) -> bool:
-        return not self.__eq__(other)
 
     def __hash__(self) -> int:
         return self._hash
@@ -81,36 +88,40 @@ class Carrier:
 
 
 class Relation:
-    """An immutable relation between two carriers, stored as packed bit rows."""
+    """An immutable relation between two carriers, stored as one int code."""
 
-    __slots__ = ("src", "dst", "rows", "_hash")
+    __slots__ = ("src", "dst", "code", "_hash")
 
     def __init__(self, src: Carrier, dst: Carrier, rows: Iterable[int]):
+        """Validating constructor from one k-bit int per source element."""
         rows = tuple(rows)
-        # internal constructor: callers are trusted, malformed input is a bug
-        assert len(rows) == src.size, (len(rows), src)
-        full = (1 << dst.size) - 1
-        assert all(0 <= r <= full for r in rows), rows
-        self.src = src
-        self.dst = dst
-        self.rows = rows
-        self._hash = hash((src._hash, dst._hash, rows))
+        if len(rows) != src.size:
+            raise ValueError(f"{len(rows)} rows for source carrier {src.name!r} of size {src.size}")
+        k = dst.size
+        code = 0
+        for i, row in enumerate(rows):
+            if not 0 <= row < 1 << k:
+                raise ValueError(f"row {i} = {row!r} does not fit target carrier {dst.name!r} of size {k}")
+            code |= row << (i * k)
+        self.src, self.dst, self.code = src, dst, code
+        self._hash = None
 
     # -- identity ---------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Relation)
-            and self.rows == other.rows
-            and self.src == other.src
-            and self.dst == other.dst
+            and self.code == other.code
+            and (self.src is other.src or self.src == other.src)
+            and (self.dst is other.dst or self.dst == other.dst)
         )
 
-    def __ne__(self, other: object) -> bool:
-        return not self.__eq__(other)
-
     def __hash__(self) -> int:
-        return self._hash
+        # computed on first use: most relations of an enumerated pool are never hashed
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.code, self.src._hash, self.dst._hash))
+        return h
 
     def __repr__(self) -> str:
         pts = ",".join(f"({i},{j})" for i, j in self.pairs())
@@ -118,22 +129,30 @@ class Relation:
 
     # -- queries ----------------------------------------------------------
 
+    @property
+    def rows(self) -> tuple[int, ...]:
+        """Row i as a k-bit int whose bit j is the entry (i, j)."""
+        k = self.dst.size
+        full = (1 << k) - 1
+        return tuple(self.code >> (i * k) & full for i in range(self.src.size))
+
     def pairs(self) -> Iterator[tuple[int, int]]:
-        for i, row in enumerate(self.rows):
-            while row:
-                low = row & -row
-                yield i, low.bit_length() - 1
-                row ^= low
+        code, k = self.code, self.dst.size
+        while code:
+            low = code & -code
+            yield divmod(low.bit_length() - 1, k)
+            code ^= low
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
         i, j = pair
-        return 0 <= i < self.src.size and 0 <= j < self.dst.size and bool(self.rows[i] >> j & 1)
+        k = self.dst.size
+        return 0 <= i < self.src.size and 0 <= j < k and bool(self.code >> (i * k + j) & 1)
 
     def __bool__(self) -> bool:
-        return any(self.rows)
+        return self.code != 0
 
     def bit_count(self) -> int:
-        return sum(r.bit_count() for r in self.rows)
+        return self.code.bit_count()
 
     def is_homogeneous(self) -> bool:
         return self.src == self.dst
@@ -156,38 +175,118 @@ class Relation:
         return is_subset(self, other)
 
     def __lt__(self, other: "Relation") -> bool:
-        return is_subset(self, other) and self.rows != other.rows
+        return is_subset(self, other) and self.code != other.code
 
     def __ge__(self, other: "Relation") -> bool:
         return is_subset(other, self)
 
     def __gt__(self, other: "Relation") -> bool:
-        return is_subset(other, self) and self.rows != other.rows
+        return is_subset(other, self) and self.code != other.code
 
     @property
     def conv(self) -> "Relation":
         return converse(self)
 
 
+_new = object.__new__
+
+
+def _make(src: Carrier, dst: Carrier, code: int) -> Relation:
+    """The trusted constructor: every kernel result is built here, unchecked."""
+    r = _new(Relation)
+    r.src, r.dst, r.code = src, dst, code
+    r._hash = None
+    return r
+
+
+# -- code arithmetic -------------------------------------------------------------
+
+
+def _full(n: int, k: int) -> int:
+    return (1 << (n * k)) - 1
+
+
+def _restride(code: int, n: int, width: int, old: int, new: int) -> int:
+    """Move n rows of the given width from stride old to stride new."""
+    full = (1 << width) - 1
+    out = 0
+    for i in range(n):
+        out |= (code >> (i * old) & full) << (i * new)
+    return out
+
+
+def _compose_code(rc: int, sc: int, n: int, m: int, p: int) -> int:
+    """Code of R∘S from the codes of R (n×m) and S (m×p).
+
+    Column j of R as a selector with one bit per row at the row's start,
+    times row j of S, copies that row into every selected row of the result.
+    The copies never overlap, so the product is their union. Rows are laid
+    out at stride q = max(m, p) while multiplying.
+    """
+    q = m if m > p else p
+    if q == 0:
+        return 0
+    if m < q:
+        rc = _restride(rc, n, m, m, q)
+    sel = _full(n, q) // ((1 << q) - 1)
+    full = (1 << p) - 1
+    out = 0
+    for j in range(m):
+        row = sc >> (j * p) & full
+        if row:
+            out |= (rc >> j & sel) * row
+    return out if p == q else _restride(out, n, p, q, p)
+
+
+@lru_cache(maxsize=None)
+def _spread(n: int) -> tuple[int, ...]:
+    """For each 4-bit x, x with bit j moved to bit j*n (16 entries per n)."""
+    return tuple(sum(1 << (j * n) for j in range(4) if x >> j & 1) for x in range(16))
+
+
+def _converse_code(code: int, n: int, k: int) -> int:
+    """Code of R° (k×n) from the code of R (n×k): row i spreads into column i."""
+    spread = _spread(n)
+    full = (1 << k) - 1
+    out = 0
+    for i in range(n):
+        row = code >> (i * k) & full
+        shift = i
+        while row:
+            out |= spread[row & 15] << shift
+            row >>= 4
+            shift += 4 * n
+    return out
+
+
+def _diagonal(mask: int, n: int) -> int:
+    """Code of the sub-identity on n elements whose members are mask's bits."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= low << ((low.bit_length() - 1) * n)
+        mask ^= low
+    return out
+
+
 # -- constructors -----------------------------------------------------------
 
 
 def bottom(src: Carrier, dst: Carrier) -> Relation:
-    return Relation(src, dst, (0,) * src.size)
+    return _make(src, dst, 0)
 
 
 def top(src: Carrier, dst: Carrier) -> Relation:
-    full = (1 << dst.size) - 1
-    return Relation(src, dst, (full,) * src.size)
+    return _make(src, dst, _full(src.size, dst.size))
 
 
 def identity(carrier: Carrier) -> Relation:
-    return Relation(carrier, carrier, tuple(1 << i for i in range(carrier.size)))
+    return _make(carrier, carrier, _diagonal((1 << carrier.size) - 1, carrier.size))
 
 
 def from_pairs(src: Carrier, dst: Carrier, pairs: Iterable[tuple[int, int]]) -> Relation:
     """Validating constructor: pairs must be in range and duplicate-free."""
-    rows = [0] * src.size
+    code = 0
     for n, pair in enumerate(pairs):
         try:
             i, j = pair
@@ -201,36 +300,32 @@ def from_pairs(src: Carrier, dst: Carrier, pairs: Iterable[tuple[int, int]]) -> 
             raise RelationFormatError(
                 f"pairs[{n}]", f"target index {j!r} out of range for carrier {dst.name!r} of size {dst.size}"
             )
-        if rows[i] >> j & 1:
+        bit = 1 << (i * dst.size + j)
+        if code & bit:
             raise RelationFormatError(f"pairs[{n}]", f"duplicate pair [{i}, {j}]")
-        rows[i] |= 1 << j
-    return Relation(src, dst, rows)
+        code |= bit
+    return _make(src, dst, code)
 
 
 def coreflexive(carrier: Carrier, members: Iterable[int]) -> Relation:
     """The sub-identity with the given diagonal members."""
-    rows = [0] * carrier.size
+    mask = 0
     for i in members:
         if not 0 <= i < carrier.size:
             raise ValueError(f"member {i} out of range for carrier {carrier.name!r} of size {carrier.size}")
-        rows[i] = 1 << i
-    return Relation(carrier, carrier, rows)
+        mask |= 1 << i
+    return _make(carrier, carrier, _diagonal(mask, carrier.size))
 
 
 def relation_code(r: Relation) -> int:
     """Little-endian integer code of a relation (inverse of relation_at)."""
-    k = r.dst.size
-    n = 0
-    for i, row in enumerate(r.rows):
-        n |= row << (i * k)
-    return n
+    return r.code
 
 
 def relation_at(src: Carrier, dst: Carrier, code: int) -> Relation:
-    k = dst.size
-    full = (1 << k) - 1
-    assert 0 <= code < 1 << (src.size * k), code
-    return Relation(src, dst, tuple(code >> (i * k) & full for i in range(src.size)))
+    if not 0 <= code <= _full(src.size, dst.size):
+        raise ValueError(f"code {code} out of range for a {src.size}x{dst.size} relation")
+    return _make(src, dst, code)
 
 
 def enumerate_relations(src: Carrier, dst: Carrier, max_bits: int = DEFAULT_ENUM_BITS) -> Iterator[Relation]:
@@ -245,7 +340,7 @@ def enumerate_relations(src: Carrier, dst: Carrier, max_bits: int = DEFAULT_ENUM
             f"refusing to enumerate 2**{bits} relations (limit {max_bits} bits)"
         )
     for code in range(1 << bits):
-        yield relation_at(src, dst, code)
+        yield _make(src, dst, code)
 
 
 def enumerate_coreflexives(carrier: Carrier, max_bits: int = DEFAULT_ENUM_BITS) -> Iterator[Relation]:
@@ -254,7 +349,7 @@ def enumerate_coreflexives(carrier: Carrier, max_bits: int = DEFAULT_ENUM_BITS) 
     if n > max_bits:
         raise EnumerationLimit(f"carrier {carrier.name!r} has {n} diagonal bits (limit {max_bits})")
     for mask in range(1 << n):
-        yield Relation(carrier, carrier, tuple((mask >> i & 1) << i for i in range(n)))
+        yield _make(carrier, carrier, _diagonal(mask, n))
 
 
 # -- lattice and monoid operations -------------------------------------------
@@ -275,7 +370,7 @@ def cache_clear() -> None:
 
 
 def _require_same_type(r: Relation, s: Relation, what: str) -> None:
-    if r.src != s.src or r.dst != s.dst:
+    if not ((r.src is s.src or r.src == s.src) and (r.dst is s.dst or r.dst == s.dst)):
         raise CarrierMismatch(
             f"{what}: operands have types {r.src.name}~{r.dst.name} and {s.src.name}~{s.dst.name}"
         )
@@ -284,64 +379,48 @@ def _require_same_type(r: Relation, s: Relation, what: str) -> None:
 @register_cache
 @lru_cache(maxsize=1 << 17)
 def compose(r: Relation, s: Relation) -> Relation:
-    if r.dst != s.src:
+    if r.dst is not s.src and r.dst != s.src:
         raise CarrierMismatch(
             f"compose: middle carriers disagree ({r.src.name}~{r.dst.name} then {s.src.name}~{s.dst.name})"
         )
-    srows = s.rows
-    out = []
-    for row in r.rows:
-        acc = 0
-        while row:
-            low = row & -row
-            acc |= srows[low.bit_length() - 1]
-            row ^= low
-        out.append(acc)
-    return Relation(r.src, s.dst, out)
+    return _make(r.src, s.dst, _compose_code(r.code, s.code, r.src.size, r.dst.size, s.dst.size))
 
 
 @register_cache
 @lru_cache(maxsize=1 << 15)
 def converse(r: Relation) -> Relation:
-    out = [0] * r.dst.size
-    for i, row in enumerate(r.rows):
-        bit = 1 << i
-        while row:
-            low = row & -row
-            out[low.bit_length() - 1] |= bit
-            row ^= low
-    return Relation(r.dst, r.src, out)
+    return _make(r.dst, r.src, _converse_code(r.code, r.src.size, r.dst.size))
 
 
 def union(r: Relation, s: Relation) -> Relation:
     _require_same_type(r, s, "union")
-    return Relation(r.src, r.dst, tuple(a | b for a, b in zip(r.rows, s.rows)))
+    return _make(r.src, r.dst, r.code | s.code)
 
 
 def intersect(r: Relation, s: Relation) -> Relation:
     _require_same_type(r, s, "intersect")
-    return Relation(r.src, r.dst, tuple(a & b for a, b in zip(r.rows, s.rows)))
+    return _make(r.src, r.dst, r.code & s.code)
 
 
 @register_cache
 @lru_cache(maxsize=1 << 15)
 def complement(r: Relation) -> Relation:
-    full = (1 << r.dst.size) - 1
-    return Relation(r.src, r.dst, tuple(row ^ full for row in r.rows))
+    return _make(r.src, r.dst, r.code ^ _full(r.src.size, r.dst.size))
 
 
 def is_subset(r: Relation, s: Relation) -> bool:
     _require_same_type(r, s, "is_subset")
-    return all(a & ~b == 0 for a, b in zip(r.rows, s.rows))
+    return not r.code & ~s.code
 
 
 def equals(r: Relation, s: Relation) -> bool:
     _require_same_type(r, s, "equals")
-    return r.rows == s.rows
+    return r.code == s.code
 
 
 def is_coreflexive(r: Relation) -> bool:
-    return r.src == r.dst and all(row & ~(1 << i) == 0 for i, row in enumerate(r.rows))
+    n = r.src.size
+    return r.src == r.dst and not r.code & ~_diagonal((1 << n) - 1, n)
 
 
 # -- the two axioms that distinguish relation algebras from lattices ---------

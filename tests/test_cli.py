@@ -162,6 +162,12 @@ def test_laws_filter(capsys):
     assert [r["law"] for r in payload["reports"]] == ["cone-rule"]
 
 
+def test_laws_filter_matching_nothing_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "laws", "--max-size", "1", "--filter", "no-such-law")
+    assert code == 2 and out == ""
+    assert "no law matches" in err
+
+
 def test_laws_rejects_oversize(capsys):
     code, _, err = run_cli(capsys, "laws", "--max-size", "9")
     assert code == 2

@@ -1,6 +1,5 @@
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 import oracles as o
 from conftest import failing_laws, homogeneous_relations, pack, relations, unpack

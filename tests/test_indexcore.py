@@ -1,13 +1,14 @@
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import oracles as o
-from conftest import failing_laws, homogeneous_relations, pack, relations, unpack
+from conftest import failing_laws, pack, relations, unpack
 from relalg import (
     Carrier,
     CoreDecomposition,
+    EnumerationLimit,
     candidate_indexes,
+    complement,
     compose,
     converse,
     core_of,
@@ -17,12 +18,7 @@ from relalg import (
     is_bijection,
     is_difunctional,
     is_functional,
-    is_per,
-    ldom,
     per_index,
-    per_ldom,
-    per_rdom,
-    rdom,
     relation_index,
     splitting,
     top,
@@ -147,6 +143,27 @@ def test_candidate_indexes_match_oracle():
         for r in _all(na, nb):
             got = {unpack(j) for j in candidate_indexes(r)}
             assert got == set(o.oindexes(unpack(r), na, nb))
+
+
+@pytest.mark.parametrize("pairs", [
+    # 13 pairs: all rows and all columns distinct, so one sandwich of 13 pairs
+    [(i, j) for i in range(4) for j in range(4) if (i, j) not in {(0, 0), (1, 1), (2, 2)}],
+    # 13 pairs with repeated rows and columns: several transversals
+    [(i, j) for i in range(4) for j in range(4) if (i, j) not in {(0, 0), (1, 0), (2, 3)}],
+])
+def test_candidate_indexes_of_dense_4x4_match_oracle(pairs):
+    r = pack(4, 4, pairs)
+    want = o.oindexes(unpack(r), 4, 4)
+    got = candidate_indexes(r)
+    assert [unpack(j) for j in got] == sorted(want, key=lambda j: sum(1 << (4 * a + b) for a, b in j))
+
+
+def test_candidate_indexes_refuses_a_wide_sandwich():
+    # rows and columns of the complement of 𝕀 are pairwise distinct: the only
+    # sandwich is the relation itself, 20 pairs
+    r = complement(identity(Carrier("A", 5)))
+    with pytest.raises(EnumerationLimit, match="20 pairs"):
+        candidate_indexes(r)
 
 
 # -- splitting ----------------------------------------------------------------------

@@ -1,6 +1,5 @@
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import oracles as o
 from conftest import pack, relations, unpack

@@ -6,7 +6,6 @@ import oracles as o
 from conftest import unpack
 from relalg import Carrier, compose, converse, from_dict, top
 from relalg.laws import (
-    EXHAUSTIVE_BUDGET,
     KIND_VALIDATORS,
     OUT_OF_SCOPE,
     REGISTRY,
@@ -98,8 +97,8 @@ def test_law_filter_globs():
     suite = run_suite(max_size=1, samples=5, law_filter="*residual*")
     assert suite.reports
     assert all("residual" in r.law_id for r in suite.reports)
-    empty = run_suite(max_size=1, samples=5, law_filter="no-such-law-*")
-    assert empty.reports == [] and empty.ok
+    with pytest.raises(ValueError, match="no law matches"):
+        run_suite(max_size=1, samples=5, law_filter="no-such-law-*")
 
 
 # -- deliberate falsification (the harness must be able to fail) --------------------

@@ -1,8 +1,7 @@
 import pytest
-from hypothesis import given, settings
 
 import oracles as o
-from conftest import failing_laws, pack, relations, unpack
+from conftest import failing_laws, pack, unpack
 from relalg import (
     Carrier,
     all_or_nothing,

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +32,12 @@ from relalg import (
     identity,
     intersect,
     is_subset,
+    ldom,
+    left_residual,
+    per_ldom,
+    per_rdom,
+    rdom,
+    right_residual,
     to_dict,
     top,
     union,
@@ -216,6 +226,41 @@ def test_enumeration_order_matches_relation_code():
         assert relation_at(a, b, code) == r
 
 
+def test_relation_constructor_raises_on_malformed_input():
+    a, b = Carrier("A", 2), Carrier("B", 2)
+    assert Relation(a, b, [0b01, 0b10]) == relation_at(a, b, 0b1001)
+    with pytest.raises(ValueError, match="rows"):
+        Relation(a, b, [1])
+    with pytest.raises(ValueError, match="does not fit"):
+        Relation(a, b, [0b100, 0])
+    with pytest.raises(ValueError, match="does not fit"):
+        Relation(a, b, [-1, 0])
+    with pytest.raises(ValueError, match="out of range"):
+        relation_at(a, b, 16)
+    with pytest.raises(ValueError, match="out of range"):
+        relation_at(a, b, -1)
+
+
+def test_constructor_checks_hold_under_python_O():
+    script = (
+        "from relalg import Carrier, Relation\n"
+        "from relalg.rel import relation_at\n"
+        "assert False, 'asserts must be off'\n"
+        "a = Carrier('A', 2)\n"
+        "for bad in (lambda: Relation(a, a, [1]), lambda: Relation(a, a, [4, 0]),\n"
+        "            lambda: relation_at(a, a, 16)):\n"
+        "    try:\n"
+        "        bad()\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit('accepted malformed input')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_enumeration_refuses_large_carriers():
     with pytest.raises(EnumerationLimit):
         list(enumerate_relations(Carrier("A", 5), Carrier("B", 5)))
@@ -272,3 +317,67 @@ def test_cache_clear_keeps_results_correct():
 def test_compose_is_cached_by_value_not_identity(r):
     twin = pack(r.src.size, r.dst.size, list(r.pairs()), src=r.src.name, dst=r.dst.name)
     assert compose(r, twin) == compose(r, r)
+
+
+# -- the int-code kernel against the oracle -------------------------------------------
+
+SMALL = [(n, m) for n in range(3) for m in range(3)]
+
+
+def test_binary_ops_match_oracle_on_every_pair_up_to_size_2():
+    for na, nb in SMALL:
+        rs = _all_relations(na, nb)
+        for r in rs:
+            for s in rs:
+                ro, so = unpack(r), unpack(s)
+                assert unpack(union(r, s)) == ro | so
+                assert unpack(intersect(r, s)) == ro & so
+                assert is_subset(r, s) == (ro <= so)
+                assert equals(r, s) == (r == s) == (ro == so)
+            for nc in range(3):
+                for s in _all_relations(nb, nc, src="B", dst="C"):
+                    assert unpack(compose(r, s)) == o.ocompose(unpack(r), unpack(s))
+                for s in _all_relations(na, nc, dst="C"):
+                    got = left_residual(r, s)
+                    assert unpack(got) == o.oleft_residual(unpack(r), unpack(s), na, nb, nc)
+                    assert (got.src, got.dst) == (r.dst, s.dst)
+                for s in _all_relations(nc, nb, src="C"):
+                    got = right_residual(r, s)
+                    assert unpack(got) == o.oright_residual(unpack(r), unpack(s), na, nc, nb)
+                    assert (got.src, got.dst) == (r.src, s.src)
+
+
+def _unary_ops_match_oracle(r):
+    na, nb = r.src.size, r.dst.size
+    ro = unpack(r)
+    assert unpack(converse(r)) == o.oconverse(ro)
+    assert unpack(complement(r)) == o.otop(na, nb) - ro
+    assert unpack(ldom(r)) == o.oldom(ro)
+    assert unpack(rdom(r)) == o.ordom(ro)
+    assert unpack(per_ldom(r)) == o.operldom(ro, na)
+    assert unpack(per_rdom(r)) == o.operrdom(ro, nb)
+
+
+def test_unary_ops_match_oracle_on_every_relation_up_to_size_2():
+    for na, nb in SMALL:
+        for r in _all_relations(na, nb):
+            _unary_ops_match_oracle(r)
+
+
+def test_every_3x3_relation_round_trips_and_matches_oracle():
+    a = Carrier("A", 3)
+    for code, r in enumerate(enumerate_relations(a, a)):
+        _unary_ops_match_oracle(r)
+        assert r.rows == tuple(sum(1 << j for i2, j in r.pairs() if i2 == i) for i in range(3))
+        assert relation_code(r) == code
+        assert relation_at(a, a, code) == r == Relation(a, a, r.rows)
+
+
+def test_labels_never_split_equal_relations():
+    plain, named = Carrier("A", 2), Carrier("A", 2, labels=("x", "y"))
+    assert plain is Carrier("A", 2) and plain is not named
+    for code in range(16):
+        r, s = relation_at(plain, plain, code), relation_at(named, named, code)
+        assert r == s and hash(r) == hash(s)
+        assert compose(r, s) == compose(r, r)
+    assert relation_at(plain, plain, 5) != relation_at(Carrier("A", 2), Carrier("B", 2), 5)
