@@ -202,10 +202,9 @@ def classify(r: Relation) -> PredicateReport:
         checks=checks,
     )
     # structural sanity: these implications are theorems, not opinions
-    assert not rep.square or rep.rectangle
-    assert not rep.per or rep.difunctional
-    assert rep.bijection == (rep.functional and rep.injective)
-    assert not rep.coreflexive or rep.per
+    if (rep.square and not rep.rectangle) or (rep.per and not rep.difunctional) or (
+            rep.coreflexive and not rep.per) or rep.bijection != (rep.functional and rep.injective):
+        raise RuntimeError(f"classification breaks an implication between its flags: {rep}")
     return rep
 
 

@@ -113,13 +113,14 @@ def relation_index(r: Relation, policy: str = "min", seed: int = 0) -> IndexCert
 
     J = J_l∘R∘J_r where J_l, J_r are coreflexive indexes of R≺ and R≻. The
     certificate is verified before being returned; failure would be a bug,
-    not an input condition, hence the hard assert.
+    not an input condition, hence RuntimeError.
     """
     jl = per_index(per_ldom(r), policy, seed)
     jr = per_index(per_rdom(r), policy, seed)
     j = compose(compose(jl, r), jr)
     cert = verify_index(r, j)
-    assert cert.ok, f"constructed index failed verification: {cert.checks}"
+    if not cert.ok:
+        raise RuntimeError(f"constructed index failed verification: {cert.checks}")
     return cert
 
 
@@ -219,5 +220,6 @@ def core_of(r: Relation, mode: str = "same-type", policy: str = "min", seed: int
     core = compose(compose(lam, r), converse(rho))
     dec = CoreDecomposition(relation=r, lam=lam, rho=rho, core=core, mode=mode)
     bad = [k for k, v in dec.verify().items() if not v]
-    assert not bad, f"core decomposition failed its own equations: {bad}"
+    if bad:
+        raise RuntimeError(f"core decomposition failed its own equations: {bad}")
     return dec

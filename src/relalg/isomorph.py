@@ -125,5 +125,6 @@ def find_isomorphism(r: Relation, s: Relation, max_points: int = 8) -> IsoWitnes
     phi = from_pairs(r.src, s.src, sorted(f.items()))
     psi = from_pairs(r.dst, s.dst, sorted(g.items()))
     w = IsoWitness(phi, psi)
-    assert verify_witness(r, s, w), "search produced a witness that does not verify"
+    if not verify_witness(r, s, w):
+        raise RuntimeError("search produced a witness that does not verify")
     return w

@@ -143,7 +143,8 @@ REGISTRY: dict[str, Law] = {}
 
 def _law(law_id: str, statement: str, vars: tuple[Var, ...], check, cost: int = 1,
          extra_tvs: tuple[str, ...] = ()) -> None:
-    assert law_id not in REGISTRY, f"duplicate law id {law_id}"
+    if law_id in REGISTRY:
+        raise ValueError(f"duplicate law id {law_id}")
     REGISTRY[law_id] = Law(law_id, statement, vars, check, cost, extra_tvs)
 
 

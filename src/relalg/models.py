@@ -5,7 +5,8 @@ data: element names, the order, a composition table, a converse table, and
 the three constants. Nothing here assumes the elements are relations between
 sets — the point of these models is exactly that some of them cannot be.
 
-load_model validates everything the type itself promises: shapes and name
+load_model validates everything the type itself promises: at most 256
+elements (check_axioms and recheck refuse more too), shapes and name
 resolution, the order being a partial order with all binary meets and joins,
 composition a monoid with 𝕀 unit and ⊥ zero that distributes over joins, and
 converse an involutive order-isomorphism reversing composition — each failure
@@ -18,7 +19,9 @@ never assumed, by check_axioms, which reports per-axiom verdicts plus a first
 counterexample for each failure (it re-verifies the structural laws too, for
 models built directly rather than loaded). recheck answers whether a stored
 counterexample is one of the axiom's violations on a model, so reports stay
-honest.
+honest. The checks compare whole table rows (bytes.translate, order bitmasks)
+and scan single elements only where rows differ, so they report the first
+offending elements in the order of an element-by-element search.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from importlib import resources
+from operator import getitem
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -113,6 +117,12 @@ def _fail(category: str, message: str) -> None:
     raise ModelFormatError(category, message)
 
 
+def _check_size(n: int) -> None:
+    """The table checks hold element indexes in bytes, so at most 256 of them."""
+    if n > 256:
+        _fail("size", f"{n} elements, more than the 256 a model may have")
+
+
 def load_model(source: str | Path | dict, name: str | None = None) -> AbstractModel:
     """Load and validate a model from a JSON file path or an already-parsed dict.
 
@@ -153,34 +163,36 @@ def load_model(source: str | Path | dict, name: str | None = None) -> AbstractMo
         _fail("format", "'elements' contains duplicates")
     elements = tuple(elements)
     n = len(elements)
+    _check_size(n)
     pos = {x: i for i, x in enumerate(elements)}
 
-    def resolve(x: object, where: str) -> int:
+    def resolve(x: object, key: str, *at: int) -> int:
         if not isinstance(x, str) or x not in pos:
-            _fail("format", f"{where}: unknown element {x!r}")
+            _fail("format", f"{key}{''.join(f'[{a}]' for a in at)}: unknown element {x!r}")
         return pos[x]
 
-    leq = [[False] * n for _ in range(n)]
+    up, down = [0] * n, [0] * n  # bitmasks of the elements above / below x_i
     raw_leq = data["leq"]
     if not isinstance(raw_leq, list):
         _fail("format", "'leq' must be a list of [x, y] pairs")
     for k, entry in enumerate(raw_leq):
         if not (isinstance(entry, list) and len(entry) == 2):
             _fail("format", f"leq[{k}]: expected an [x, y] pair, got {entry!r}")
-        i, j = resolve(entry[0], f"leq[{k}]"), resolve(entry[1], f"leq[{k}]")
-        leq[i][j] = True
+        i, j = resolve(entry[0], "leq", k), resolve(entry[1], "leq", k)
+        up[i] |= 1 << j
+        down[j] |= 1 << i
 
     raw_comp = data["compose"]
     if not (isinstance(raw_comp, list) and len(raw_comp) == n and all(isinstance(row, list) and len(row) == n for row in raw_comp)):
         _fail("format", f"'compose' must be a {n}x{n} matrix of element names")
     comp = tuple(
-        tuple(resolve(raw_comp[i][j], f"compose[{i}][{j}]") for j in range(n)) for i in range(n)
+        tuple(resolve(raw_comp[i][j], "compose", i, j) for j in range(n)) for i in range(n)
     )
 
     raw_conv = data["converse"]
     if not (isinstance(raw_conv, list) and len(raw_conv) == n):
         _fail("format", f"'converse' must be a list of {n} element names")
-    conv = tuple(resolve(raw_conv[i], f"converse[{i}]") for i in range(n))
+    conv = tuple(resolve(raw_conv[i], "converse", i) for i in range(n))
 
     ident = resolve(data["identity"], "identity")
     tp = resolve(data["top"], "top")
@@ -188,47 +200,46 @@ def load_model(source: str | Path | dict, name: str | None = None) -> AbstractMo
 
     # the order must actually be a partial order…
     for i in range(n):
-        if not leq[i][i]:
+        if not up[i] >> i & 1:
             _fail("order", f"not reflexive: {elements[i]!r} ⊆ {elements[i]!r} missing")
     for i in range(n):
         for j in range(n):
-            if leq[i][j] and leq[j][i] and i != j:
+            if not up[i] >> j & 1:
+                continue
+            if up[j] >> i & 1 and i != j:
                 _fail("order", f"not antisymmetric: {elements[i]!r} and {elements[j]!r}")
-            for k in range(n):
-                if leq[i][j] and leq[j][k] and not leq[i][k]:
-                    _fail(
-                        "order",
-                        f"not transitive: {elements[i]!r} ⊆ {elements[j]!r} ⊆ {elements[k]!r} "
-                        f"but not {elements[i]!r} ⊆ {elements[k]!r}",
-                    )
+            missing = up[j] & ~up[i]
+            if missing:
+                k = (missing & -missing).bit_length() - 1
+                _fail(
+                    "order",
+                    f"not transitive: {elements[i]!r} ⊆ {elements[j]!r} ⊆ {elements[k]!r} "
+                    f"but not {elements[i]!r} ⊆ {elements[k]!r}",
+                )
 
-    # …and a lattice: unique least upper / greatest lower bounds throughout.
-    joins = [[0] * n for _ in range(n)]
-    meets = [[0] * n for _ in range(n)]
+    # …and a lattice: in a partial order the join of x_i and x_j is the unique
+    # x_k whose up-set is exactly their common up-set (dually for meets).
+    by_up = {u: k for k, u in enumerate(up)}
+    by_down = {d: k for k, d in enumerate(down)}
+    joins = [tuple(by_up.get(u & v) for v in up) for u in up]
+    meets = [tuple(by_down.get(u & v) for v in down) for u in down]
     for i in range(n):
         for j in range(n):
-            ubs = [k for k in range(n) if leq[i][k] and leq[j][k]]
-            least = [k for k in ubs if all(leq[k][u] for u in ubs)]
-            if len(least) != 1:
-                _fail("lattice", f"no unique join for {elements[i]!r} and {elements[j]!r}")
-            joins[i][j] = least[0]
-            lbs = [k for k in range(n) if leq[k][i] and leq[k][j]]
-            greatest = [k for k in lbs if all(leq[u][k] for u in lbs)]
-            if len(greatest) != 1:
-                _fail("lattice", f"no unique meet for {elements[i]!r} and {elements[j]!r}")
-            meets[i][j] = greatest[0]
+            for kind, table in (("join", joins), ("meet", meets)):
+                if table[i][j] is None:
+                    _fail("lattice", f"no unique {kind} for {elements[i]!r} and {elements[j]!r}")
 
     model = AbstractModel(
         name=name,
         elements=elements,
-        leq=tuple(tuple(row) for row in leq),
+        leq=tuple(tuple(bool(u >> j & 1) for j in range(n)) for u in up),
         comp=comp,
         conv=conv,
         ident=ident,
         top=tp,
         bot=bt,
-        joins=tuple(tuple(row) for row in joins),
-        meets=tuple(tuple(row) for row in meets),
+        joins=tuple(joins),
+        meets=tuple(meets),
     )
 
     # Structural invariants of the type itself. These are data errors, not
@@ -261,16 +272,33 @@ def load_model(source: str | Path | dict, name: str | None = None) -> AbstractMo
 # the first monoid or converse violation.
 
 
+def _rows(table) -> tuple[list[bytes], list[bytes]]:
+    """A table's rows as bytes, and each padded to a bytes.translate table."""
+    rows = [bytes(row) for row in table]
+    return rows, [row.ljust(256, b"\0") for row in rows]
+
+
+def _row_violations(tags: tuple, x: int, y: int, lhs: tuple, rhs: tuple) -> Iterator[tuple]:
+    """(tag, x, y, z) for each z, then each tag, where the law's two rows differ."""
+    for z in range(len(lhs[0])):
+        for tag, left, right in zip(tags, lhs, rhs):
+            if left[z] != right[z]:
+                yield (tag, x, y, z)
+
+
 def _lattice_violations(m: AbstractModel) -> Iterator[tuple]:
     n = len(m.elements)
     for x in range(n):
         if not (m.leq[m.bot][x] and m.leq[x][m.top]):
             yield ("bounds", x)
+    meets, tmeets = _rows(m.meets)
+    joins, tjoins = _rows(m.joins)
     for x in range(n):
         for y in range(n):
-            for z in range(n):
-                if m.meets[x][m.joins[y][z]] != m.joins[m.meets[x][y]][m.meets[x][z]]:
-                    yield ("meet-over-join", x, y, z)
+            # meets[x][joins[y][z]] == joins[meets[x][y]][meets[x][z]] over z
+            lhs, rhs = (joins[y].translate(tmeets[x]),), (meets[x].translate(tjoins[meets[x][y]]),)
+            if lhs != rhs:
+                yield from _row_violations(("meet-over-join",), x, y, lhs, rhs)
 
 
 def _monoid_violations(m: AbstractModel) -> Iterator[tuple]:
@@ -280,15 +308,19 @@ def _monoid_violations(m: AbstractModel) -> Iterator[tuple]:
             yield ("unit", x)
         if m.comp[m.bot][x] != m.bot or m.comp[x][m.bot] != m.bot:
             yield ("zero", x)
+    comp, tcomp = _rows(m.comp)
+    cols, tcols = _rows(zip(*m.comp))  # cols[x][y] == comp[y][x]
+    joins, tjoins = _rows(m.joins)
     for x in range(n):
+        cx, tx, colx, tcolx = comp[x], tcomp[x], cols[x], tcols[x]
         for y in range(n):
-            for z in range(n):
-                if m.comp[m.comp[x][y]][z] != m.comp[x][m.comp[y][z]]:
-                    yield ("assoc", x, y, z)
-                if m.comp[x][m.joins[y][z]] != m.joins[m.comp[x][y]][m.comp[x][z]]:
-                    yield ("join-left", x, y, z)
-                if m.comp[m.joins[y][z]][x] != m.joins[m.comp[y][x]][m.comp[z][x]]:
-                    yield ("join-right", x, y, z)
+            # rows over z of assoc: comp[comp[x][y]][z] == comp[x][comp[y][z]]
+            #          join-left: comp[x][joins[y][z]] == joins[comp[x][y]][comp[x][z]]
+            #         join-right: comp[joins[y][z]][x] == joins[comp[y][x]][comp[z][x]]
+            lhs = (comp[cx[y]], joins[y].translate(tx), joins[y].translate(tcolx))
+            rhs = (comp[y].translate(tx), cx.translate(tjoins[cx[y]]), colx.translate(tjoins[colx[y]]))
+            if lhs != rhs:
+                yield from _row_violations(("assoc", "join-left", "join-right"), x, y, lhs, rhs)
 
 
 def _converse_violations(m: AbstractModel) -> Iterator[tuple]:
@@ -307,15 +339,23 @@ def _converse_violations(m: AbstractModel) -> Iterator[tuple]:
 
 def _dedekind_violations(m: AbstractModel) -> Iterator[tuple]:
     n = len(m.elements)
+    comp, tcomp = _rows(m.comp)
+    cols, tcols = _rows(zip(*m.comp))
+    meets, tmeets = _rows(m.meets)
+    # not_under[c][t][v] == 1  ⇔  not meets[c][t] ⊆ v
+    nleq = [bytes(not v for v in row) for row in m.leq]
+    not_under = [[nleq[lhs] for lhs in row] for row in meets]
     for r in range(n):
+        conv_r_t = comp[m.conv[r]]
         for s in range(n):
-            for t in range(n):
-                lhs = m.meets[m.comp[r][s]][t]
-                if not (
-                    m.leq[lhs][m.comp[r][m.meets[s][m.comp[m.conv[r]][t]]]]
-                    and m.leq[lhs][m.comp[m.meets[r][m.comp[t][m.conv[s]]]][s]]
-                ):
-                    yield (r, s, t)
+            bad = not_under[comp[r][s]]  # lhs over t is meets[comp[r][s]]
+            # comp[r][meets[s][comp[conv[r]][t]]] and comp[meets[r][comp[t][conv[s]]]][s] over t
+            a = conv_r_t.translate(tmeets[s]).translate(tcomp[r])
+            b = cols[m.conv[s]].translate(tmeets[r]).translate(tcols[s])
+            if any(map(getitem, bad, a)) or any(map(getitem, bad, b)):
+                for t in range(n):
+                    if bad[t][a[t]] or bad[t][b[t]]:
+                        yield (r, s, t)
 
 
 def _cone_violations(m: AbstractModel) -> Iterator[tuple]:
@@ -406,6 +446,7 @@ class AxiomReport:
 
 
 def check_axioms(m: AbstractModel) -> AxiomReport:
+    _check_size(len(m.elements))
     flags: dict[str, bool] = {}
     ces: dict[str, tuple[str, ...]] = {}
     for axiom, violations in _VIOLATIONS.items():
@@ -420,6 +461,7 @@ def recheck(m: AbstractModel, axiom: str, counterexample: tuple[str, ...]) -> bo
     """True iff the stored counterexample is one of the axiom's violations on this model."""
     if axiom not in _VIOLATIONS:
         raise ValueError(f"unknown axiom {axiom!r}")
+    _check_size(len(m.elements))
     stored = tuple(counterexample)
     return any(_names(m, v) == stored for v in _VIOLATIONS[axiom](m))
 
@@ -527,20 +569,12 @@ def product_model(m1: AbstractModel, m2: AbstractModel, name: str | None = None)
         return i * n2 + j
 
     pairs = [(i, j) for i in range(len(m1.elements)) for j in range(n2)]
-    leq = [
-        [m1.leq[i][k] and m2.leq[j][l] for (k, l) in pairs]
-        for (i, j) in pairs
-    ]
-    comp = [
-        [names[pack(m1.comp[i][k], m2.comp[j][l])] for (k, l) in pairs]
-        for (i, j) in pairs
-    ]
-    conv = [names[pack(m1.conv[i], m2.conv[j])] for (i, j) in pairs]
     data = {
         "elements": names,
-        "leq": [[names[a], names[b]] for a in range(len(names)) for b in range(len(names)) if leq[a][b]],
-        "compose": comp,
-        "converse": conv,
+        "leq": [[names[a], names[b]] for a, (i, j) in enumerate(pairs) for b, (k, l) in enumerate(pairs)
+                if m1.leq[i][k] and m2.leq[j][l]],
+        "compose": [[names[pack(m1.comp[i][k], m2.comp[j][l])] for (k, l) in pairs] for (i, j) in pairs],
+        "converse": [names[pack(m1.conv[i], m2.conv[j])] for (i, j) in pairs],
         "identity": names[pack(m1.ident, m2.ident)],
         "top": names[pack(m1.top, m2.top)],
         "bottom": names[pack(m1.bot, m2.bot)],

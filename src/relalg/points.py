@@ -89,7 +89,7 @@ def all_or_nothing(r: Relation, a: Relation, b: Relation) -> str:
     """Squeeze r between two points: returns "bottom" or "full".
 
     "full" means a∘r∘b = a∘⊤∘b. No third outcome exists; that is the theorem,
-    and the assert would trip if the algebra were broken.
+    and a RuntimeError would mean the algebra is broken.
     """
     _require_point(a, "a")
     _require_point(b, "b")
@@ -100,7 +100,8 @@ def all_or_nothing(r: Relation, a: Relation, b: Relation) -> str:
     squeezed = compose(compose(a, r), b)
     if not squeezed:
         return "bottom"
-    assert squeezed == pair_rel(a, b), "a∘R∘b must be ⊥ or the full pair"
+    if squeezed != pair_rel(a, b):
+        raise RuntimeError("a∘R∘b must be ⊥ or the full pair")
     return "full"
 
 

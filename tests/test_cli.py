@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -219,6 +220,46 @@ def test_model_corrupt_fixture_diagnostic(capsys):
     code, _, err = run_cli(capsys, "model", str(FIXTURES / "broken_assoc.json"))
     assert code == 2
     assert "[associativity]" in err and "(a, a, top)" in err
+
+
+def test_model_over_256_elements_is_refused(capsys, tmp_path):
+    names = [f"e{i}" for i in range(257)]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "elements": names, "leq": [[x, x] for x in names], "compose": [names] * 257,
+        "converse": names, "identity": "e0", "top": "e0", "bottom": "e0",
+    }))
+    code, out, err = run_cli(capsys, "model", str(path))
+    assert code == 2 and out == ""
+    assert "[size]" in err and "257 elements, more than the 256" in err
+
+
+def test_model_verdicts_hold_under_python_O():
+    """Result guards raise under -O too, and the model report is the same."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    runs = [
+        subprocess.run([sys.executable, *flags, "-m", "relalg", "model", "desharnais13"],
+                       capture_output=True, text=True, env=env)
+        for flags in ([], ["-O"])
+    ]
+    assert [p.returncode for p in runs] == [1, 1], runs[1].stderr
+    assert runs[0].stdout == runs[1].stdout and json.loads(runs[0].stdout)["model"] == "desharnais13"
+    script = (
+        "from relalg import Carrier, from_pairs, isomorph\n"
+        "assert False, 'asserts must be off'\n"
+        "isomorph.verify_witness = lambda r, s, w: False\n"
+        "a = Carrier('A', 2)\n"
+        "try:\n"
+        "    isomorph.find_isomorphism(from_pairs(a, a, [(0, 0)]), from_pairs(a, a, [(1, 1)]))\n"
+        "except RuntimeError as e:\n"
+        "    print(e)\n"
+        "else:\n"
+        "    raise SystemExit('the witness guard did not raise')\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "search produced a witness that does not verify"
 
 
 def test_model_missing_file(capsys):

@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from oracles import OAXIOMS
 from relalg.models import (
+    _VIOLATIONS,
     AbstractModel,
     AxiomReport,
     BUNDLED_NAMES,
@@ -310,6 +312,77 @@ def test_desharnais13_composition_table_is_forced():
     assert all(m.comp[i][j] == sol[(i, j)] for i in irr for j in irr)
 
 
+# -- the violation generators against the scalar oracles ---------------------------
+
+
+def _set_comp(m: AbstractModel, x: str, y: str, value: str) -> AbstractModel:
+    comp = [list(row) for row in m.comp]
+    comp[m.idx(x)][m.idx(y)] = m.idx(value)
+    return dataclasses.replace(m, comp=tuple(map(tuple, comp)))
+
+
+def _swap_comp(m: AbstractModel, first: tuple[str, str], second: tuple[str, str]) -> AbstractModel:
+    (x1, y1), (x2, y2) = first, second
+    m1 = _set_comp(m, x1, y1, m.elements[m.comp[m.idx(x2)][m.idx(y2)]])
+    return _set_comp(m1, x2, y2, m.elements[m.comp[m.idx(x1)][m.idx(y1)]])
+
+
+def _m3() -> AbstractModel:
+    """The diamond M3 (⊥ < x, y, z < ⊤) with meet as composition and ⊤ as unit:
+    the lattice is not distributive, so neither is composition over joins."""
+    n = 5
+    below = {0: {0}, 1: {0, 1}, 2: {0, 2}, 3: {0, 3}, 4: set(range(5))}
+    leq = tuple(tuple(i in below[j] for j in range(n)) for i in range(n))
+    meets = tuple(tuple(i if i == j or j == 4 else j if i == 4 else 0 for j in range(n)) for i in range(n))
+    joins = tuple(tuple(i if i == j or j == 0 else j if i == 0 else 4 for j in range(n)) for i in range(n))
+    return AbstractModel(name="m3", elements=("bot", "x", "y", "z", "top"), leq=leq, comp=meets,
+                         conv=tuple(range(n)), ident=4, top=4, bot=0, joins=joins, meets=meets)
+
+
+def _conv_fixing(m: AbstractModel, x: str) -> AbstractModel:
+    conv = list(m.conv)
+    conv[m.idx(x)] = m.idx(x)
+    return dataclasses.replace(m, conv=tuple(conv))
+
+
+_PRODUCTS = [
+    ("two_element", "three_element"),
+    ("three_element", "three_element_unit_top"),
+    ("four_element_point", "three_element"),
+    ("three_element_unit_top", "four_element_point"),
+    ("desharnais13", "two_element"),
+]
+
+# name -> (build, the axiom whose violation list must not be empty)
+_BROKEN = {
+    "permuted-comp": (lambda: _swap_comp(load_bundled("desharnais13"), ("a", "top"), ("b", "c")), "monoid"),
+    "non-associative": (lambda: _set_comp(load_bundled("desharnais13"), "E", "E", "id"), "monoid"),
+    "non-distributive": (_m3, "lattice"),
+    "bad-converse": (lambda: _conv_fixing(load_bundled("desharnais13"), "b"), "converse"),
+}
+
+
+def _differential_cases():
+    for name in BUNDLED_NAMES:
+        yield pytest.param(lambda name=name: load_bundled(name), None, id=name)
+    for f1, f2 in _PRODUCTS:
+        build = lambda f1=f1, f2=f2: product_model(load_bundled(f1), load_bundled(f2))
+        yield pytest.param(build, None, id=f"{f1}x{f2}")
+    for name, (build, broken) in _BROKEN.items():
+        yield pytest.param(build, broken, id=name)
+
+
+@pytest.mark.parametrize("build,broken", _differential_cases())
+def test_violation_generators_match_scalar_oracles(build, broken):
+    """Every generator yields the full ordered list of the oracle's instances."""
+    m = build()
+    assert tuple(_VIOLATIONS) == tuple(OAXIOMS)
+    for axiom, violations in _VIOLATIONS.items():
+        assert list(violations(m)) == list(OAXIOMS[axiom](m)), axiom
+    if broken is not None:
+        assert list(OAXIOMS[broken](m)), f"the copy does not break {broken}"
+
+
 # -- products ----------------------------------------------------------------------
 
 
@@ -322,6 +395,39 @@ def test_product_model_matches_shipped_fixture():
     assert built.comp == shipped.comp
     assert built.conv == shipped.conv
     assert (built.ident, built.top, built.bot) == (shipped.ident, shipped.top, shipped.bot)
+
+
+def test_product_of_desharnais13_with_itself():
+    """169 elements load and check row by row, with the verdicts of the
+    element-by-element checker."""
+    d = load_bundled("desharnais13")
+    m = product_model(d, d)
+    assert len(m.elements) == 169
+    rep = check_axioms(m)
+    assert rep.flags() == dict(lattice=True, monoid=True, converse=True, dedekind=True,
+                               cone=False, choice=False, all_or_nothing=True,
+                               extensional=False, universal_choice=True)
+    assert rep.counterexamples == {"cone": ("bot|a",), "choice": ("bot|E",),
+                                   "extensional": ("bot|id",)}
+
+
+def _chain_data(n: int) -> dict:
+    names = [f"e{i}" for i in range(n)]
+    return {"elements": names,
+            "leq": [[names[i], names[j]] for i in range(n) for j in range(i, n)],
+            "compose": [[names[0]] * n for _ in range(n)],
+            "converse": names, "identity": names[0], "top": names[-1], "bottom": names[0]}
+
+
+def test_models_over_256_elements_are_refused():
+    with pytest.raises(ModelFormatError) as exc:
+        load_model(_chain_data(257))
+    assert exc.value.category == "size"
+    assert str(exc.value) == "size: 257 elements, more than the 256 a model may have"
+    big = dataclasses.replace(load_bundled("two_element"), elements=tuple(f"e{i}" for i in range(257)))
+    for call in (lambda: check_axioms(big), lambda: recheck(big, "cone", ("e1",))):
+        with pytest.raises(ValueError, match="257 elements, more than the 256"):
+            call()
 
 
 def test_product_breaks_exactly_the_cone_rule():
@@ -351,6 +457,42 @@ def test_loader_diagnostics(fixture, category, fragment):
         load_model(FIXTURES / f"{fixture}.json")
     assert exc.value.category == category
     assert fragment in str(exc.value)
+
+
+def _order_data(elements: list[str], pairs: list[tuple[str, str]]) -> dict:
+    """A model whose order is the reflexive pairs plus the given ones; the
+    other tables are well shaped, so only the order can fail."""
+    n = len(elements)
+    return {"elements": elements, "leq": [[x, x] for x in elements] + [list(p) for p in pairs],
+            "compose": [[elements[0]] * n for _ in range(n)], "converse": list(elements),
+            "identity": elements[0], "top": elements[-1], "bottom": elements[0]}
+
+
+@pytest.mark.parametrize(
+    "data,category,message",
+    [
+        (_order_data(["bot", "a", "b", "top"], [("bot", "a"), ("bot", "b"), ("a", "b"), ("b", "a"),
+                                                 ("a", "top"), ("b", "top"), ("bot", "top")]),
+         "order", "not antisymmetric: 'a' and 'b'"),
+        # w ⊆ y ⊆ x and w ⊆ y ⊆ z both fail; x comes first in element order
+        (_order_data(["w", "x", "y", "z"], [("w", "y"), ("y", "x"), ("y", "z")]),
+         "order", "not transitive: 'w' ⊆ 'y' ⊆ 'x' but not 'w' ⊆ 'x'"),
+        (_order_data(["bot", "x", "y"], [("bot", "x"), ("bot", "y")]),
+         "lattice", "no unique join for 'x' and 'y'"),
+        (_order_data(["x", "y", "top"], [("x", "top"), ("y", "top")]),
+         "lattice", "no unique meet for 'x' and 'y'"),
+        # neither a join nor a meet: the join is looked at first
+        (_order_data(["x", "y"], []), "lattice", "no unique join for 'x' and 'y'"),
+        (FIXTURES / "corrupt_order.json", "order", "not antisymmetric: 'id' and 'top'"),
+        (FIXTURES / "corrupt_lattice.json", "lattice", "no unique join for 'x' and 'y'"),
+    ],
+    ids=["antisymmetry", "transitivity", "join", "meet", "join-first", "corrupt_order", "corrupt_lattice"],
+)
+def test_loader_order_and_lattice_diagnostics_exact(data, category, message):
+    with pytest.raises(ModelFormatError) as exc:
+        load_model(data)
+    assert exc.value.category == category
+    assert str(exc.value) == f"{category}: {message}"
 
 
 def test_loader_rejects_missing_key():
