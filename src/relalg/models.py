@@ -221,25 +221,26 @@ def load_model(source: str | Path | dict, name: str | None = None) -> AbstractMo
     # x_k whose up-set is exactly their common up-set (dually for meets).
     by_up = {u: k for k, u in enumerate(up)}
     by_down = {d: k for k, d in enumerate(down)}
-    joins = [tuple(by_up.get(u & v) for v in up) for u in up]
-    meets = [tuple(by_down.get(u & v) for v in down) for u in down]
+    joins = [[by_up.get(u & v) for v in up] for u in up]
+    meets = [[by_down.get(u & v) for v in down] for u in down]
     for i in range(n):
         for j in range(n):
             for kind, table in (("join", joins), ("meet", meets)):
                 if table[i][j] is None:
                     _fail("lattice", f"no unique {kind} for {elements[i]!r} and {elements[j]!r}")
 
+    leq = [[bool(u >> j & 1) for j in range(n)] for u in up]
     model = AbstractModel(
         name=name,
         elements=elements,
-        leq=tuple(tuple(bool(u >> j & 1) for j in range(n)) for u in up),
+        leq=tuple(tuple(row) for row in leq),
         comp=comp,
         conv=conv,
         ident=ident,
         top=tp,
         bot=bt,
-        joins=tuple(joins),
-        meets=tuple(meets),
+        joins=tuple(tuple(row) for row in joins),
+        meets=tuple(tuple(row) for row in meets),
     )
 
     # Structural invariants of the type itself. These are data errors, not
