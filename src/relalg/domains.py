@@ -202,8 +202,9 @@ def classify(r: Relation) -> PredicateReport:
         checks=checks,
     )
     # structural sanity: these implications are theorems, not opinions
-    if (rep.square and not rep.rectangle) or (rep.per and not rep.difunctional) or (
-            rep.coreflexive and not rep.per) or rep.bijection != (rep.functional and rep.injective):
+    implications = (not rep.square or rep.rectangle, not rep.per or rep.difunctional,
+                    rep.bijection == (rep.functional and rep.injective), not rep.coreflexive or rep.per)
+    if not all(implications):
         raise RuntimeError(f"classification breaks an implication between its flags: {rep}")
     return rep
 
