@@ -412,14 +412,16 @@ def test_product_of_desharnais13_with_itself():
 
 
 def _chain_data(n: int) -> dict:
+    """The chain e0 < e1 < … with meet as composition: a valid model."""
     names = [f"e{i}" for i in range(n)]
     return {"elements": names,
             "leq": [[names[i], names[j]] for i in range(n) for j in range(i, n)],
-            "compose": [[names[0]] * n for _ in range(n)],
-            "converse": names, "identity": names[0], "top": names[-1], "bottom": names[0]}
+            "compose": [[names[min(i, j)] for j in range(n)] for i in range(n)],
+            "converse": names, "identity": names[-1], "top": names[-1], "bottom": names[0]}
 
 
 def test_models_over_256_elements_are_refused():
+    assert len(load_model(_chain_data(256)).elements) == 256
     with pytest.raises(ModelFormatError) as exc:
         load_model(_chain_data(257))
     assert exc.value.category == "size"
