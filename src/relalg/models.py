@@ -20,14 +20,14 @@ counterexample for each failure (it re-verifies the structural laws too, for
 models built directly rather than loaded). recheck answers whether a stored
 counterexample is one of the axiom's violations on a model, so reports stay
 honest. The checks compare whole table rows (bytes.translate, order bitmasks)
-and scan single elements only where rows differ, so they report the first
-offending elements in the order of an element-by-element search.
+and look at single elements only where rows differ, in search order.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib import resources
 from operator import getitem
 from pathlib import Path
@@ -118,8 +118,7 @@ def _fail(category: str, message: str) -> None:
 
 
 def _check_size(n: int) -> None:
-    """The table checks hold element indexes in bytes, so at most 256 of them."""
-    if n > 256:
+    if n > 256:  # the table checks hold element indexes in bytes
         _fail("size", f"{n} elements, more than the 256 a model may have")
 
 
@@ -343,19 +342,21 @@ def _dedekind_violations(m: AbstractModel) -> Iterator[tuple]:
     comp, tcomp = _rows(m.comp)
     cols, tcols = _rows(zip(*m.comp))
     meets, tmeets = _rows(m.meets)
-    # not_under[c][t][v] == 1  ⇔  not meets[c][t] ⊆ v
-    nleq = [bytes(not v for v in row) for row in m.leq]
-    not_under = [[nleq[lhs] for lhs in row] for row in meets]
+    nleq = [bytes(not v for v in row) for row in m.leq]  # nleq[l][v] == 1  ⇔  not l ⊆ v
+
+    @lru_cache(maxsize=4096)  # some meets[c][t] ⊄ bound[t]; (c, bound) recurs over (r, s)
+    def fails(c: int, bound: bytes) -> bool:
+        return any(map(getitem, map(nleq.__getitem__, meets[c]), bound))
+
     for r in range(n):
-        conv_r_t = comp[m.conv[r]]
         for s in range(n):
-            bad = not_under[comp[r][s]]  # lhs over t is meets[comp[r][s]]
+            c = comp[r][s]  # the left side over t is meets[c]
             # comp[r][meets[s][comp[conv[r]][t]]] and comp[meets[r][comp[t][conv[s]]]][s] over t
-            a = conv_r_t.translate(tmeets[s]).translate(tcomp[r])
+            a = comp[m.conv[r]].translate(tmeets[s]).translate(tcomp[r])
             b = cols[m.conv[s]].translate(tmeets[r]).translate(tcols[s])
-            if any(map(getitem, bad, a)) or any(map(getitem, bad, b)):
+            if fails(c, a) or fails(c, b):
                 for t in range(n):
-                    if bad[t][a[t]] or bad[t][b[t]]:
+                    if nleq[meets[c][t]][a[t]] or nleq[meets[c][t]][b[t]]:
                         yield (r, s, t)
 
 
