@@ -202,8 +202,8 @@ def classify(r: Relation) -> PredicateReport:
         checks=checks,
     )
     # structural sanity: these implications are theorems, not opinions
-    if not all((not rep.square or rep.rectangle, not rep.per or rep.difunctional,
-                rep.bijection == (rep.functional and rep.injective), not rep.coreflexive or rep.per)):
+    if not ((not rep.square or rep.rectangle) and (not rep.per or rep.difunctional)
+            and rep.bijection == (rep.functional and rep.injective) and (not rep.coreflexive or rep.per)):
         raise RuntimeError(f"classification breaks an implication between its flags: {rep}")
     return rep
 
