@@ -26,11 +26,10 @@ from typing import Iterator
 from . import factors
 from .rel import (
     Carrier, Relation, _diagonal, _make, compose, converse, identity, intersect, is_coreflexive,
-    is_subset, register_cache, top,
+    is_subset, top,
 )
 
 
-@register_cache
 @lru_cache(maxsize=1 << 15)
 def ldom(r: Relation) -> Relation:
     """R< : sub-identity on sources with nonempty row."""
@@ -43,7 +42,6 @@ def ldom(r: Relation) -> Relation:
     return _make(r.src, r.src, code)
 
 
-@register_cache
 @lru_cache(maxsize=1 << 15)
 def rdom(r: Relation) -> Relation:
     """R> : sub-identity on targets with nonempty column."""
@@ -56,7 +54,6 @@ def rdom(r: Relation) -> Relation:
     return _make(r.dst, r.dst, _diagonal(mask, k))
 
 
-@register_cache
 @lru_cache(maxsize=1 << 15)
 def per_ldom(r: Relation) -> Relation:
     """R≺ : relate two sources exactly when their rows agree and are nonempty."""
@@ -73,7 +70,6 @@ def per_ldom(r: Relation) -> Relation:
     return _make(r.src, r.src, code)
 
 
-@register_cache
 @lru_cache(maxsize=1 << 15)
 def per_rdom(r: Relation) -> Relation:
     """R≻ : relate two targets exactly when their columns agree and are nonempty."""
@@ -216,7 +212,8 @@ def enumerate_pers(carrier: Carrier) -> Iterator[Relation]:
     filtering for transitivity. Deterministic order."""
     n = carrier.size
     cells = [(i, j) for i in range(n) for j in range(i, n)]
-    assert len(cells) <= 16, "per enumeration is meant for tiny carriers"
+    if len(cells) > 16:
+        raise ValueError(f"per enumeration is meant for tiny carriers, not {n} elements")
     for mask in range(1 << len(cells)):
         code = 0
         for i, j in cells:

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .rel import CarrierMismatch, Relation, converse, intersect, register_cache
+from .rel import CarrierMismatch, Relation, converse, intersect
 from .rel import _compose_code, _converse_code, _full, _make
 
 
-@register_cache
 @lru_cache(maxsize=1 << 16)
 def left_residual(r: Relation, s: Relation) -> Relation:
     """R\\S = ¬(R°∘¬S) : (b,c) present iff no a has a R b without a S c."""
@@ -30,7 +29,6 @@ def left_residual(r: Relation, s: Relation) -> Relation:
     return _make(r.dst, s.dst, bad ^ _full(nb, nc))
 
 
-@register_cache
 @lru_cache(maxsize=1 << 16)
 def right_residual(r: Relation, s: Relation) -> Relation:
     """R/S = ¬(¬R∘S°) : (a,b) present iff no c has b S c without a R c."""
@@ -43,14 +41,12 @@ def right_residual(r: Relation, s: Relation) -> Relation:
     return _make(r.src, s.src, bad ^ _full(na, nb))
 
 
-@register_cache
 @lru_cache(maxsize=1 << 15)
 def sym_right_div(r: Relation, s: Relation) -> Relation:
     """R\\\\S = R\\S ∩ (S\\R)° : relate b to c when column_R(b) = column_S(c)."""
     return intersect(left_residual(r, s), converse(left_residual(s, r)))
 
 
-@register_cache
 @lru_cache(maxsize=1 << 15)
 def sym_left_div(r: Relation, s: Relation) -> Relation:
     """R//S = R/S ∩ (S/R)° : relate a to c when row_R(a) = row_S(c)."""

@@ -113,20 +113,19 @@ def _pool(kind: str, src: Carrier, dst: Carrier) -> tuple[Relation, ...]:
     got = _POOLS.get(key)
     if got is not None:
         return got
+    if kind in ("coreflexive", "per", "point") and src != dst:
+        raise ValueError(f"{kind} variables need one carrier, got {src.name} and {dst.name}")
     if kind == "relation":
         out = tuple(enumerate_relations(src, dst, max_bits=16))
     elif kind == "coreflexive":
-        assert src == dst
         out = tuple(enumerate_coreflexives(src))
     elif kind == "per":
-        assert src == dst
         out = tuple(enumerate_pers(src))
     elif kind == "difunction":
         out = tuple(r for r in enumerate_relations(src, dst, max_bits=16) if is_difunctional(r))
     elif kind == "functional":
         out = tuple(r for r in enumerate_relations(src, dst, max_bits=16) if is_functional(r))
     elif kind == "point":
-        assert src == dst
         out = tuple(points(src))
     else:
         raise ValueError(f"unknown variable kind {kind!r}")
@@ -1405,26 +1404,20 @@ def run_law(
     tvs = law.type_vars()
     for sizes in product(range(1, max_size + 1), repeat=len(tvs)):
         carriers = {tv: Carrier(tv, n) for tv, n in zip(tvs, sizes)}
+        # every kind's pool holds ⊥ or a point at sizes >= 1, so none is empty
         pools = [_pool(v.kind, carriers[v.src], carriers[v.dst]) for v in law.vars]
-        if any(not p for p in pools):
-            continue
-        count = prod(len(p) for p in pools)
-        if count * law.cost <= budget:
+        if prod(len(p) for p in pools) * law.cost <= budget:
             modes_seen.add("exhaustive")
-            for args in product(*pools):
-                instances += 1
-                if not law.check(args, carriers):
-                    failures.append(shrink(law, carriers, args))
-                    break
+            source = product(*pools)
         else:
             modes_seen.add("sampled")
             rng = random.Random(f"{seed}:{law.id}:{sizes}")
-            for _ in range(samples):
-                args = tuple(pool[rng.randrange(len(pool))] for pool in pools)
-                instances += 1
-                if not law.check(args, carriers):
-                    failures.append(shrink(law, carriers, args))
-                    break
+            source = (tuple(pool[rng.randrange(len(pool))] for pool in pools) for _ in range(samples))
+        for args in source:
+            instances += 1
+            if not law.check(args, carriers):
+                failures.append(shrink(law, carriers, args))
+                break
         if failures:
             break
     mode = "mixed" if len(modes_seen) > 1 else (modes_seen.pop() if modes_seen else "exhaustive")

@@ -21,6 +21,9 @@ models built directly rather than loaded). recheck answers whether a stored
 counterexample is one of the axiom's violations on a model, so reports stay
 honest. The checks compare whole table rows (bytes.translate, order bitmasks)
 and look at single elements only where rows differ, in search order.
+product_model builds products from the factors' index tables, without names
+or load_model: a product of valid models is valid by construction, and
+check_axioms is what re-verifies one.
 """
 
 from __future__ import annotations
@@ -559,26 +562,38 @@ def model_to_dict(m: AbstractModel) -> dict:
 
 
 def product_model(m1: AbstractModel, m2: AbstractModel, name: str | None = None) -> AbstractModel:
-    """Componentwise product of two models (as a plain data construction).
+    """Componentwise product of two models, built from the factors' tables.
 
+    The pair (x_i, y_j) is element i*n2 + j, named "x_i|y_j". The order is the
+    conjunction of the factors' orders, and composition, converse, joins,
+    meets and the constants act on each component, so the product of two
+    valid models is a valid model and load_model is not run on it. So a
+    factor built directly that breaks a structural law gives a product that
+    breaks it too and is not refused with ModelFormatError: check_axioms
+    reports the violation, as for any model built directly. Only a product
+    of more than 256 elements (category size) or with colliding names
+    (format) is refused.
     Products preserve the equational laws but break the cone rule as soon as
     both factors are nontrivial: (⊤,⊥) is neither ⊥ nor cone-full.
     """
-    names = [f"{a}|{b}" for a in m1.elements for b in m2.elements]
     n2 = len(m2.elements)
+    _check_size(len(m1.elements) * n2)
+    elements = tuple(f"{a}|{b}" for a in m1.elements for b in m2.elements)
+    if len(set(elements)) != len(elements):  # factor names containing "|" can collide
+        _fail("format", "'elements' contains duplicates")
 
-    def pack(i: int, j: int) -> int:
-        return i * n2 + j
+    def lift(t1: tuple, t2: tuple) -> tuple:
+        return tuple(tuple([a * n2 + b for a in r1 for b in r2]) for r1 in t1 for r2 in t2)
 
-    pairs = [(i, j) for i in range(len(m1.elements)) for j in range(n2)]
-    data = {
-        "elements": names,
-        "leq": [[names[a], names[b]] for a, (i, j) in enumerate(pairs) for b, (k, l) in enumerate(pairs)
-                if m1.leq[i][k] and m2.leq[j][l]],
-        "compose": [[names[pack(m1.comp[i][k], m2.comp[j][l])] for (k, l) in pairs] for (i, j) in pairs],
-        "converse": [names[pack(m1.conv[i], m2.conv[j])] for (i, j) in pairs],
-        "identity": names[pack(m1.ident, m2.ident)],
-        "top": names[pack(m1.top, m2.top)],
-        "bottom": names[pack(m1.bot, m2.bot)],
-    }
-    return load_model(data, name=name or f"{m1.name}x{m2.name}")
+    return AbstractModel(
+        name=name or f"{m1.name}x{m2.name}",
+        elements=elements,
+        leq=tuple(tuple([a and b for a in r1 for b in r2]) for r1 in m1.leq for r2 in m2.leq),
+        comp=lift(m1.comp, m2.comp),
+        conv=tuple([a * n2 + b for a in m1.conv for b in m2.conv]),
+        ident=m1.ident * n2 + m2.ident,
+        top=m1.top * n2 + m2.top,
+        bot=m1.bot * n2 + m2.bot,
+        joins=lift(m1.joins, m2.joins),
+        meets=lift(m1.meets, m2.meets),
+    )

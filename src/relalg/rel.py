@@ -354,21 +354,6 @@ def enumerate_coreflexives(carrier: Carrier, max_bits: int = DEFAULT_ENUM_BITS) 
 
 # -- lattice and monoid operations -------------------------------------------
 
-_CACHES: list = []
-
-
-def register_cache(fn):
-    """Register an lru_cache'd operation so cache_clear can reach it."""
-    _CACHES.append(fn)
-    return fn
-
-
-def cache_clear() -> None:
-    """Drop all memoized operation results (tests use this between phases)."""
-    for fn in _CACHES:
-        fn.cache_clear()
-
-
 def _require_same_type(r: Relation, s: Relation, what: str) -> None:
     if not ((r.src is s.src or r.src == s.src) and (r.dst is s.dst or r.dst == s.dst)):
         raise CarrierMismatch(
@@ -376,7 +361,6 @@ def _require_same_type(r: Relation, s: Relation, what: str) -> None:
         )
 
 
-@register_cache
 @lru_cache(maxsize=1 << 17)
 def compose(r: Relation, s: Relation) -> Relation:
     if r.dst is not s.src and r.dst != s.src:
@@ -386,7 +370,6 @@ def compose(r: Relation, s: Relation) -> Relation:
     return _make(r.src, s.dst, _compose_code(r.code, s.code, r.src.size, r.dst.size, s.dst.size))
 
 
-@register_cache
 @lru_cache(maxsize=1 << 15)
 def converse(r: Relation) -> Relation:
     return _make(r.dst, r.src, _converse_code(r.code, r.src.size, r.dst.size))
@@ -402,7 +385,6 @@ def intersect(r: Relation, s: Relation) -> Relation:
     return _make(r.src, r.dst, r.code & s.code)
 
 
-@register_cache
 @lru_cache(maxsize=1 << 15)
 def complement(r: Relation) -> Relation:
     return _make(r.src, r.dst, r.code ^ _full(r.src.size, r.dst.size))

@@ -1,10 +1,24 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import strategies as st
 
 from relalg import Carrier, Relation, from_pairs
 from relalg.laws import KIND_VALIDATORS, REGISTRY
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports the package from this checkout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 def pack(na: int, nb: int, pairs, src: str = "A", dst: str = "B") -> Relation:

@@ -1,12 +1,11 @@
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import pack, unpack
+from conftest import pack, run_python, unpack
 from relalg import IsoWitness, from_dict, to_dict, verify_witness
 from relalg.cli import main
 
@@ -236,13 +235,7 @@ def test_model_over_256_elements_is_refused(capsys, tmp_path):
 
 def test_model_verdicts_hold_under_python_O():
     """Result guards raise under -O too, and the model report is the same."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    runs = [
-        subprocess.run([sys.executable, *flags, "-m", "relalg", "model", "desharnais13"],
-                       capture_output=True, text=True, env=env)
-        for flags in ([], ["-O"])
-    ]
+    runs = [run_python(*flags, "-m", "relalg", "model", "desharnais13") for flags in ([], ["-O"])]
     assert [p.returncode for p in runs] == [1, 1], runs[1].stderr
     assert runs[0].stdout == runs[1].stdout and json.loads(runs[0].stdout)["model"] == "desharnais13"
     script = (
@@ -257,7 +250,7 @@ def test_model_verdicts_hold_under_python_O():
         "else:\n"
         "    raise SystemExit('the witness guard did not raise')\n"
     )
-    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
+    proc = run_python("-O", "-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "search produced a witness that does not verify"
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 import oracles as o
-from conftest import unpack
+from conftest import run_python, unpack
 from relalg import Carrier, compose, converse, from_dict, top
 from relalg.laws import (
     KIND_VALIDATORS,
@@ -55,6 +55,33 @@ def test_pool_contents_match_kind_predicates():
     for kind, validator in KIND_VALIDATORS.items():
         for r in _pool(kind, c, c):
             assert validator(r), (kind, r)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_pools_are_never_empty(size):
+    """run_law relies on this: no size tuple is skipped for lack of instances."""
+    c = Carrier("A", size)
+    assert [kind for kind in KIND_VALIDATORS if not _pool(kind, c, c)] == []
+
+
+def test_input_checks_hold_under_python_O():
+    script = (
+        "from relalg import Carrier\n"
+        "from relalg.domains import enumerate_pers\n"
+        "from relalg.laws import _pool\n"
+        "assert False, 'asserts must be off'\n"
+        "a, b = Carrier('A', 2), Carrier('B', 2)\n"
+        "bad = [lambda: next(enumerate_pers(Carrier('A', 6)))]\n"
+        "bad += [lambda kind=kind: _pool(kind, a, b) for kind in ('coreflexive', 'per', 'point')]\n"
+        "for call in bad:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit('accepted malformed input')\n"
+    )
+    proc = run_python("-O", "-c", script)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_size_two_suite_is_green_and_fully_exhaustive():

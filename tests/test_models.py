@@ -397,6 +397,67 @@ def test_product_model_matches_shipped_fixture():
     assert (built.ident, built.top, built.bot) == (shipped.ident, shipped.top, shipped.bot)
 
 
+def _product_via_names(m1: AbstractModel, m2: AbstractModel) -> AbstractModel:
+    """The reference construction: element-name tables run through load_model."""
+    names = [f"{a}|{b}" for a in m1.elements for b in m2.elements]
+    n2 = len(m2.elements)
+    pairs = [(i, j) for i in range(len(m1.elements)) for j in range(n2)]
+
+    def name(i: int, j: int) -> str:
+        return names[i * n2 + j]
+
+    data = {
+        "elements": names,
+        "leq": [[names[a], names[b]] for a, (i, j) in enumerate(pairs) for b, (k, l) in enumerate(pairs)
+                if m1.leq[i][k] and m2.leq[j][l]],
+        "compose": [[name(m1.comp[i][k], m2.comp[j][l]) for k, l in pairs] for i, j in pairs],
+        "converse": [name(m1.conv[i], m2.conv[j]) for i, j in pairs],
+        "identity": name(m1.ident, m2.ident),
+        "top": name(m1.top, m2.top),
+        "bottom": name(m1.bot, m2.bot),
+    }
+    return load_model(data, name=f"{m1.name}x{m2.name}")
+
+
+def test_product_model_matches_the_loader_construction():
+    """The pinned benchmark products and desharnais13², field for field."""
+    frozen = json.loads((Path(__file__).parents[1] / "perfbench" / "frozen.json").read_text())
+    cases = [key.split("*") for key in frozen["axiom_flags"]] + [["desharnais13", "desharnais13"]]
+    bundled = {name: load_bundled(name) for name in BUNDLED_NAMES}
+    for first, *rest in cases:
+        built = reference = bundled[first]
+        for factor in rest:
+            built = product_model(built, bundled[factor])
+            reference = _product_via_names(reference, bundled[factor])
+        for f in dataclasses.fields(AbstractModel):
+            assert getattr(built, f.name) == getattr(reference, f.name), (first, rest, f.name)
+
+
+def test_product_over_256_elements_is_refused():
+    d = load_bundled("desharnais13")
+    with pytest.raises(ModelFormatError) as exc:
+        product_model(product_model(d, d), load_bundled("two_element"))
+    assert exc.value.category == "size"
+    assert str(exc.value) == "size: 338 elements, more than the 256 a model may have"
+
+
+def test_product_of_a_broken_factor_builds_and_check_axioms_reports_it():
+    broken = _set_comp(load_bundled("desharnais13"), "E", "E", "id")
+    m = product_model(broken, load_bundled("one_element"))
+    rep = check_axioms(m)
+    assert not rep.monoid
+    assert rep.counterexamples["monoid"] == ("join-left", "E|e", "b|e", "E|e")
+    assert recheck(m, "monoid", ("join-left", "E|e", "b|e", "E|e"))
+
+
+def test_product_refuses_colliding_element_names():
+    two = load_bundled("two_element")
+    m1 = dataclasses.replace(two, elements=("x", "x|y"))
+    m2 = dataclasses.replace(two, elements=("y|z", "z"))  # x|(y|z) and (x|y)|z
+    with pytest.raises(ModelFormatError, match="'elements' contains duplicates"):
+        product_model(m1, m2)
+
+
 def test_product_of_desharnais13_with_itself():
     """169 elements load and check row by row, with the verdicts of the
     element-by-element checker."""

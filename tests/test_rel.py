@@ -1,15 +1,11 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles as o
-from conftest import homogeneous_relations, pack, relations, unpack
+from conftest import homogeneous_relations, pack, relations, run_python, unpack
 from relalg import (
     Carrier,
     CarrierMismatch,
@@ -38,10 +34,13 @@ from relalg import (
     per_rdom,
     rdom,
     right_residual,
+    sym_left_div,
+    sym_right_div,
     to_dict,
     top,
     union,
 )
+from relalg import domains, factors, rel
 from relalg.rel import relation_at, relation_code
 
 
@@ -255,9 +254,7 @@ def test_constructor_checks_hold_under_python_O():
         "        continue\n"
         "    raise SystemExit('accepted malformed input')\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
+    proc = run_python("-O", "-c", script)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -311,6 +308,21 @@ def test_cache_clear_keeps_results_correct():
     before = compose(r, r)
     cache_clear()
     assert compose(r, r) == before
+
+
+def test_cache_clear_empties_every_memoized_operation():
+    r = pack(2, 2, [(0, 1), (1, 1)], src="A", dst="A")
+    ops = {compose: (r, r), converse: (r,), complement: (r,), left_residual: (r, r),
+           right_residual: (r, r), sym_left_div: (r, r), sym_right_div: (r, r),
+           ldom: (r,), rdom: (r,), per_ldom: (r,), per_rdom: (r,)}
+    cached = {getattr(m, name) for m in (rel, factors, domains) for name in dir(m)
+              if not name.startswith("_") and hasattr(getattr(m, name), "cache_info")}
+    assert cached == set(ops)  # no memoized public operation is left out
+    for fn, args in ops.items():
+        fn(*args)
+    assert all(fn.cache_info().currsize for fn in ops)
+    cache_clear()
+    assert [fn.__name__ for fn in ops if fn.cache_info().currsize] == []
 
 
 @given(homogeneous_relations(max_size=3))
