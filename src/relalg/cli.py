@@ -19,6 +19,7 @@ from .domains import classify, per_ldom, per_rdom
 from .points import points as carrier_points
 from .rel import (
     CarrierMismatch,
+    MAX_INPUT_SIZE,
     EnumerationLimit,
     Carrier,
     Relation,
@@ -185,8 +186,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_points(args) -> int:
-    if args.size < 0:
-        raise _UsageError("carrier size must be non-negative")
+    if not 0 <= args.size <= MAX_INPUT_SIZE:
+        raise _UsageError(f"carrier size must be non-negative and at most {MAX_INPUT_SIZE}, got {args.size}")
     carrier = Carrier("A", args.size)
     payload = {
         "carrier": carrier_to_dict(carrier),

@@ -53,10 +53,6 @@ def verify_witness(r: Relation, s: Relation, w: IsoWitness) -> bool:
     return domains_ok and fwd and bwd
 
 
-def _members(coref: Relation) -> list[int]:
-    return [i for i, row in enumerate(coref.rows) if row]
-
-
 def find_isomorphism(r: Relation, s: Relation, max_points: int = 8) -> IsoWitness | None:
     """Search for a witness; None means the relations are not isomorphic.
 
@@ -68,34 +64,31 @@ def find_isomorphism(r: Relation, s: Relation, max_points: int = 8) -> IsoWitnes
         # a relation is isomorphic to itself via its own domains
         return IsoWitness(ldom(r), rdom(r))
 
-    da, ea = _members(ldom(r)), _members(rdom(r))
-    db, eb = _members(ldom(s)), _members(rdom(s))
+    # rows as target masks, columns as source masks; the domains are the
+    # nonempty ones, and degrees are bit counts
+    rows_r, cols_r = r.rows, converse(r).rows
+    rows_s, cols_s = s.rows, converse(s).rows
+    da, ea = [a for a, m in enumerate(rows_r) if m], [b for b, m in enumerate(cols_r) if m]
+    db, eb = [x for x, m in enumerate(rows_s) if m], [c for c, m in enumerate(cols_s) if m]
     if len(da) != len(db) or len(ea) != len(eb):
         return None
     if max(len(da), len(ea)) > max_points:
         raise SearchSpaceExceeded(
             f"domains have {len(da)} and {len(ea)} points (limit {max_points})"
         )
-
-    # columns as source-sets, rows as target-sets, restricted to the domains
-    col_r = {b: frozenset(a for a in da if (a, b) in r) for b in ea}
-    col_s = {c: frozenset(x for x in db if (x, c) in s) for c in eb}
-    row_deg_r = {a: sum((a, b) in r for b in ea) for a in da}
-    row_deg_s = {x: sum((x, c) in s for c in eb) for x in db}
-
-    if sorted(row_deg_r.values()) != sorted(row_deg_s.values()):
+    if sorted(rows_r[a].bit_count() for a in da) != sorted(rows_s[x].bit_count() for x in db):
         return None
-    if sorted(len(v) for v in col_r.values()) != sorted(len(v) for v in col_s.values()):
+    if sorted(cols_r[b].bit_count() for b in ea) != sorted(cols_s[c].bit_count() for c in eb):
         return None
 
     def match_columns(f: dict[int, int]) -> dict[int, int] | None:
-        # once rows are paired, columns must match by translated source-set
-        buckets: dict[frozenset, list[int]] = {}
+        # once rows are paired, columns must match by translated source mask
+        buckets: dict[int, list[int]] = {}
         for c in eb:
-            buckets.setdefault(col_s[c], []).append(c)
+            buckets.setdefault(cols_s[c], []).append(c)
         g: dict[int, int] = {}
         for b in ea:
-            want = frozenset(f[a] for a in col_r[b])
+            want = sum(1 << f[a] for a in da if cols_r[b] >> a & 1)
             avail = buckets.get(want)
             if not avail:
                 return None
@@ -107,7 +100,7 @@ def find_isomorphism(r: Relation, s: Relation, max_points: int = 8) -> IsoWitnes
             return match_columns(f)
         a = da[i]
         for x in db:
-            if x in used or row_deg_s[x] != row_deg_r[a]:
+            if x in used or rows_s[x].bit_count() != rows_r[a].bit_count():
                 continue
             f[a] = x
             used.add(x)

@@ -121,10 +121,9 @@ def _pool(kind: str, src: Carrier, dst: Carrier) -> tuple[Relation, ...]:
         out = tuple(enumerate_coreflexives(src))
     elif kind == "per":
         out = tuple(enumerate_pers(src))
-    elif kind == "difunction":
-        out = tuple(r for r in enumerate_relations(src, dst, max_bits=16) if is_difunctional(r))
-    elif kind == "functional":
-        out = tuple(r for r in enumerate_relations(src, dst, max_bits=16) if is_functional(r))
+    elif kind in ("difunction", "functional"):
+        # the relation pool's own objects, in the same code order
+        out = tuple(filter(KIND_VALIDATORS[kind], _pool("relation", src, dst)))
     elif kind == "point":
         out = tuple(points(src))
     else:
@@ -916,7 +915,7 @@ _law("core-isomorphic-index", "a core of R is isomorphic to an index of R via λ
 def _per_coreflexive_indexes(p: Relation) -> list[Relation]:
     dom = ldom(p)
     out = []
-    for j in enumerate_coreflexives(p.src):
+    for j in _pool("coreflexive", p.src, p.src):
         if (
             is_subset(j, dom)
             and compose(compose(j, p), j) == j
@@ -1329,54 +1328,41 @@ def _drop_element(r: Relation, carrier: Carrier, smaller: Carrier, e: int) -> Re
     return out if out.bit_count() == r.bit_count() else None
 
 
+def _smaller(carriers: dict[str, Carrier], args: tuple[Relation, ...]):
+    """Every one-step reduction of an instance, as (carriers, args): each
+    argument with one pair removed, then each carrier with one element
+    dropped, unless some argument relates that element."""
+    for k, r in enumerate(args):
+        for i, j in r.pairs():
+            fewer = relation_at(r.src, r.dst, r.code & ~(1 << (i * r.dst.size + j)))
+            yield carriers, args[:k] + (fewer,) + args[k + 1:]
+    for tv, carrier in carriers.items():
+        for e in range(carrier.size):
+            smaller = Carrier(tv, carrier.size - 1)
+            cand = []
+            for r in args:
+                nr = _drop_element(r, carrier, smaller, e)
+                if nr is None:
+                    break
+                cand.append(nr)
+            else:
+                yield {**carriers, tv: smaller}, tuple(cand)
+
+
 def shrink(law: Law, carriers: dict[str, Carrier], args: tuple[Relation, ...]) -> Counterexample:
-    """Greedy local minimization: drop pairs, then carrier elements, while the
-    law keeps failing and every argument stays in its declared kind."""
+    """Greedy local minimization: move to the first one-step reduction (see
+    _smaller) on which the law still fails with every argument in its
+    declared kind, until none does."""
 
     def fails(cs: dict[str, Carrier], ar: tuple[Relation, ...]) -> bool:
         return _args_valid(law, ar) and not law.check(ar, cs)
 
     if not fails(carriers, args):
         raise ValueError("shrink must start from a failing instance")
-    improved = True
-    while improved:
-        improved = False
-        # try removing a single pair from a single argument
-        for k, r in enumerate(args):
-            for i, j in list(r.pairs()):
-                fewer = relation_at(r.src, r.dst, r.code & ~(1 << (i * r.dst.size + j)))
-                cand = args[:k] + (fewer,) + args[k + 1:]
-                if fails(carriers, cand):
-                    args = cand
-                    improved = True
-                    break
-            if improved:
-                break
-        if improved:
-            continue
-        # try dropping a carrier element, renumbering the rest
-        for tv, carrier in carriers.items():
-            if carrier.size == 0:
-                continue
-            for e in range(carrier.size):
-                smaller = Carrier(tv, carrier.size - 1)
-                cand_list = []
-                for r in args:
-                    nr = _drop_element(r, carrier, smaller, e)
-                    if nr is None:
-                        break
-                    cand_list.append(nr)
-                else:
-                    cand_carriers = dict(carriers)
-                    cand_carriers[tv] = smaller
-                    cand = tuple(cand_list)
-                    if fails(cand_carriers, cand):
-                        carriers = cand_carriers
-                        args = cand
-                        improved = True
-                        break
-            if improved:
-                break
+    step = (carriers, args)
+    while step is not None:
+        carriers, args = step
+        step = next((cand for cand in _smaller(carriers, args) if fails(*cand)), None)
     return Counterexample(
         law_id=law.id,
         sizes={tv: c.size for tv, c in carriers.items()},
@@ -1384,8 +1370,11 @@ def shrink(law: Law, carriers: dict[str, Carrier], args: tuple[Relation, ...]) -
     )
 
 
-def _check_samples(samples: int) -> None:
-    # a sampled size tuple with no samples would check nothing and still pass
+def _check_run(max_size: int, samples: int) -> None:
+    # no size tuple, or a sampled size tuple with no samples, would check
+    # nothing and still pass
+    if not 1 <= max_size <= MAX_CARRIER_SIZE:
+        raise ValueError(f"max_size must be between 1 and {MAX_CARRIER_SIZE}, got {max_size}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
 
@@ -1397,7 +1386,7 @@ def run_law(
     seed: int = 42,
     budget: int = EXHAUSTIVE_BUDGET,
 ) -> LawReport:
-    _check_samples(samples)
+    _check_run(max_size, samples)
     modes_seen: set[str] = set()
     instances = 0
     failures: list[Counterexample] = []
@@ -1420,7 +1409,7 @@ def run_law(
                 break
         if failures:
             break
-    mode = "mixed" if len(modes_seen) > 1 else (modes_seen.pop() if modes_seen else "exhaustive")
+    mode = "mixed" if len(modes_seen) > 1 else modes_seen.pop()
     return LawReport(
         law_id=law.id,
         statement=law.statement,
@@ -1443,9 +1432,7 @@ def run_suite(
 
     law_filter is a glob on law ids, e.g. 'residual-*' or '*index*'.
     """
-    if not 1 <= max_size <= MAX_CARRIER_SIZE:
-        raise ValueError(f"max_size must be between 1 and {MAX_CARRIER_SIZE}")
-    _check_samples(samples)
+    _check_run(max_size, samples)
     if registry is None:
         registry = REGISTRY
     chosen = [

@@ -40,6 +40,11 @@ class RelationFormatError(ValueError):
 #: enumerate_relations refuses carriers with more than this many matrix bits.
 DEFAULT_ENUM_BITS = 12
 
+#: Carriers read from outside (relation files, `relalg points`) have at most
+#: this many elements, the bound abstract models have too: kernel work grows
+#: with the cube of a carrier's size, so a short file could ask for hours.
+MAX_INPUT_SIZE = 256
+
 
 class Carrier:
     """A named finite type.
@@ -443,8 +448,10 @@ def _carrier_from_dict(d: object, field: str) -> Carrier:
     name, size = d["name"], d["size"]
     if not isinstance(name, str):
         raise RelationFormatError(f"{field}.name", f"expected a string, got {name!r}")
-    if not isinstance(size, int) or isinstance(size, bool) or size < 0:
-        raise RelationFormatError(f"{field}.size", f"expected a non-negative int, got {size!r}")
+    if not isinstance(size, int) or isinstance(size, bool) or not 0 <= size <= MAX_INPUT_SIZE:
+        raise RelationFormatError(
+            f"{field}.size", f"expected a non-negative int of at most {MAX_INPUT_SIZE}, got {size!r}"
+        )
     labels = d.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):

@@ -137,6 +137,15 @@ def test_points_negative_size(capsys):
     assert "relalg: error:" in err and "non-negative" in err
 
 
+def test_points_size_is_bounded(capsys):
+    code, _, err = run_cli(capsys, "points", "257")
+    assert code == 2
+    assert "relalg: error:" in err and "at most 256" in err
+    code, out, _ = run_cli(capsys, "points", "256")
+    assert code == 0
+    assert len(json.loads(out)["points"]) == 256
+
+
 # -- laws -------------------------------------------------------------------------------
 
 

@@ -219,6 +219,15 @@ def test_core_quotient_verifies_exhaustively_at_2x3():
         assert all(checks.values()), {k: v for k, v in checks.items() if not v}
 
 
+def test_core_quotient_lives_on_its_legs_carriers():
+    """Quotient carriers of one side share a name, so same-size ones are equal
+    even when their class labels differ; the core must still be built over
+    λ's and ρ's own sources, whatever an earlier composition left cached."""
+    for r in _all(3, 3):
+        dec = core_of(r, "quotient")
+        assert dec.core.src is dec.lam.src and dec.core.dst is dec.rho.src, r
+
+
 def test_core_rejects_unknown_mode(block):
     with pytest.raises(ValueError):
         core_of(block, "other")

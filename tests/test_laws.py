@@ -116,6 +116,11 @@ def test_run_suite_rejects_silly_sizes():
         run_suite(max_size=0)
     with pytest.raises(ValueError, match="max_size"):
         run_suite(max_size=5)
+    # run_law alone too: no size tuple would check nothing and report ok
+    with pytest.raises(ValueError, match="max_size"):
+        run_law(REGISTRY["compose-assoc"], max_size=0)
+    with pytest.raises(ValueError, match="max_size"):
+        run_law(REGISTRY["compose-assoc"], max_size=5)
     with pytest.raises(ValueError, match="samples"):
         run_law(REGISTRY["cone-rule"], samples=0)
 
@@ -165,44 +170,65 @@ def _locally_minimal(law, ce):
                 assert not fails(cs, tuple(cand_list)), f"element {e} of {tv} was droppable"
 
 
-def test_falsified_law_fails_exactly_once_with_minimal_counterexample():
-    bogus = Law(
-        id="zz-bogus-compose-commutes",
-        statement="R∘S = S∘R",
-        vars=(Var("relation", "A", "A"), Var("relation", "A", "A")),
-        check=lambda args, cs: compose(args[0], args[1]) == compose(args[1], args[0]),
-    )
-    registry = dict(REGISTRY)
-    registry[bogus.id] = bogus
-    suite = run_suite(max_size=2, samples=10, seed=3, registry=registry)
-    assert not suite.ok
+_COMMUTES = Law(
+    id="zz-bogus-compose-commutes",
+    statement="R∘S = S∘R",
+    vars=(Var("relation", "A", "A"), Var("relation", "A", "A")),
+    check=lambda args, cs: compose(args[0], args[1]) == compose(args[1], args[0]),
+)
+_TOP_ABSORBS = Law(
+    id="zz-bogus-top-absorbs",
+    statement="⊤∘R = R",
+    vars=(Var("relation", "A", "B"),),
+    check=lambda args, cs: compose(top(cs["A"], cs["A"]), args[0]) == args[0],
+)
+
+
+def _first_failure(law, max_size, registry):
+    suite = run_suite(max_size=max_size, samples=10, seed=3, registry=registry)
     failing = [r for r in suite.reports if not r.ok]
-    assert [r.law_id for r in failing] == [bogus.id]
+    assert [r.law_id for r in failing] == [law.id]
     assert len(failing[0].failures) == 1
-    ce = failing[0].failures[0]
+    return failing[0].failures[0]
+
+
+def test_falsified_law_fails_exactly_once_with_minimal_counterexample():
+    ce = _first_failure(_COMMUTES, 2, {**REGISTRY, _COMMUTES.id: _COMMUTES})
     # composition on a 1-element carrier commutes, so 2 is the least size,
     # and one bit per argument is as small as a refutation gets
     assert ce.sizes == {"A": 2}
     assert sum(r.bit_count() for r in ce.args) == 2
-    _locally_minimal(bogus, ce)
+    _locally_minimal(_COMMUTES, ce)
 
 
 def test_second_falsified_law_shrinks_heterogeneously():
-    bogus = Law(
-        id="zz-bogus-top-absorbs",
-        statement="⊤∘R = R",
-        vars=(Var("relation", "A", "B"),),
-        check=lambda args, cs: compose(top(cs["A"], cs["A"]), args[0]) == args[0],
-    )
-    registry = {bogus.id: bogus}
-    suite = run_suite(max_size=3, samples=10, seed=3, registry=registry)
-    failing = [r for r in suite.reports if not r.ok]
-    assert len(failing) == 1 and len(failing[0].failures) == 1
-    ce = failing[0].failures[0]
+    ce = _first_failure(_TOP_ABSORBS, 3, {_TOP_ABSORBS.id: _TOP_ABSORBS})
     # needs two sources (one related, one not) and a single target bit
     assert ce.sizes == {"A": 2, "B": 1}
     assert [r.bit_count() for r in ce.args] == [1]
-    _locally_minimal(bogus, ce)
+    _locally_minimal(_TOP_ABSORBS, ce)
+
+
+def _carrier(name, size):
+    return {"name": name, "size": size, "labels": [str(i) for i in range(size)]}
+
+
+def test_shrunk_counterexamples_are_pinned():
+    """The exact shrunk instances, homogeneous and heterogeneous: a change to
+    the order in which shrink tries its reductions shows up here."""
+    A = _carrier("A", 2)
+    ce = _first_failure(_COMMUTES, 2, {_COMMUTES.id: _COMMUTES})
+    assert ce.to_dict() == {
+        "law": "zz-bogus-compose-commutes",
+        "carriers": {"A": 2},
+        "args": [{"src": A, "dst": A, "pairs": [[0, 0]]}, {"src": A, "dst": A, "pairs": [[0, 1]]}],
+    }
+    ce = _first_failure(_TOP_ABSORBS, 3, {_TOP_ABSORBS.id: _TOP_ABSORBS})
+    assert ce.to_dict() == {
+        "law": "zz-bogus-top-absorbs",
+        "carriers": {"A": 2, "B": 1},
+        "args": [{"src": A, "dst": _carrier("B", 1), "pairs": [[0, 0]]}],
+    }
 
 
 def test_counterexample_serializes_and_round_trips():

@@ -279,6 +279,8 @@ def test_json_round_trip(r):
     [
         (lambda d: d.pop("src"), "src"),
         (lambda d: d["src"].update(size="two"), "src.size"),
+        pytest.param(lambda d: d["src"].update(size=257, labels=None), "src.size", id="src-257"),
+        pytest.param(lambda d: d["dst"].update(size=257, labels=None), "dst.size", id="dst-257"),
         (lambda d: d["src"].pop("name"), "src"),
         (lambda d: d.update(pairs=[[0]]), "pairs[0]"),
         (lambda d: d.update(pairs=[[0, 9]]), "pairs[0]"),
@@ -293,6 +295,12 @@ def test_from_dict_reports_field_paths(mangle, field):
     with pytest.raises(RelationFormatError) as exc:
         from_dict(d)
     assert exc.value.field == field
+
+
+def test_from_dict_accepts_the_largest_carriers():
+    big = {"name": "A", "size": 256}
+    r = from_dict({"src": big, "dst": dict(big, name="B"), "pairs": [[255, 0]]})
+    assert (r.src.size, r.dst.size, list(r.pairs())) == (256, 256, [(255, 0)])
 
 
 def test_from_dict_rejects_non_mapping():
