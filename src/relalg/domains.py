@@ -15,6 +15,14 @@ cores single out.
 Convention note: `functional` here means R∘R° ⊆ 𝕀 (each target has at most
 one source; functions consume their argument on the right), and `injective`
 means R°∘R ⊆ 𝕀.
+
+The membership predicates (per, functional, injective, bijection,
+difunctional, rectangle, square) are decided on the rows of the matrix, with
+no composition: a per's nonempty rows contain their own index and agree with
+the rows of their members, a difunction's rows are equal or disjoint, and so
+on. `per_characterizations` and `difunctional_characterizations` keep the
+point-free forms, so the laws that compare the two are a cross-check between
+independent definitions.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from typing import Iterator
 from . import factors
 from .rel import (
     Carrier, Relation, _diagonal, _make, compose, converse, identity, intersect, is_coreflexive,
-    is_subset, top,
+    is_subset,
 )
 
 
@@ -77,22 +85,42 @@ def per_rdom(r: Relation) -> Relation:
 
 
 # -- predicates ---------------------------------------------------------------
+#
+# Each predicate is decided by one pass over the rows, without composing:
+# building the law runner's pools asks these questions of every relation on
+# the carriers, and none of the composites would ever be asked for again.
 
 
 def is_per(r: Relation) -> bool:
-    """Symmetric and transitive (not necessarily reflexive)."""
-    return (
-        r.src == r.dst
-        and converse(r) == r
-        and is_subset(compose(r, r), r)
-    )
+    """Symmetric and transitive (not necessarily reflexive): every nonempty
+    row contains its own index and equals the row of each of its members."""
+    if r.src != r.dst:
+        return False
+    rows = r.rows
+    for i, row in enumerate(rows):
+        if row and not row >> i & 1:
+            return False
+        members = row
+        while members:
+            low = members & -members
+            if rows[low.bit_length() - 1] != row:
+                return False
+            members ^= low
+    return True
 
 
 def is_functional(r: Relation) -> bool:
-    return all(row.bit_count() <= 1 for row in converse(r).rows)
+    """R∘R° ⊆ 𝕀: the rows are pairwise disjoint."""
+    seen = 0
+    for row in r.rows:
+        if seen & row:
+            return False
+        seen |= row
+    return True
 
 
 def is_injective(r: Relation) -> bool:
+    """R°∘R ⊆ 𝕀: every row has at most one bit."""
     return all(row.bit_count() <= 1 for row in r.rows)
 
 
@@ -101,15 +129,36 @@ def is_bijection(r: Relation) -> bool:
 
 
 def is_difunctional(r: Relation) -> bool:
-    return is_subset(compose(compose(r, converse(r)), r), r)
+    """R∘R°∘R ⊆ R: any two rows are equal or disjoint."""
+    seen, distinct = 0, set()
+    for row in r.rows:
+        if row in distinct:
+            continue
+        if seen & row:
+            return False
+        seen |= row
+        distinct.add(row)
+    return True
 
 
 def is_rectangle(r: Relation) -> bool:
-    return compose(compose(r, top(r.dst, r.src)), r) == r
+    """R = R∘⊤∘R: all nonempty rows are equal."""
+    shared = 0
+    for row in r.rows:
+        if row:
+            if shared and row != shared:
+                return False
+            shared = row
+    return True
 
 
 def is_square(r: Relation) -> bool:
-    return r.src == r.dst and converse(r) == r and is_rectangle(r)
+    """A symmetric rectangle: every nonempty row is the set of nonempty rows."""
+    if r.src != r.dst:
+        return False
+    rows = r.rows
+    support = sum(1 << i for i, row in enumerate(rows) if row)
+    return all(row == support for row in rows if row)
 
 
 def is_core_relation(r: Relation) -> bool:
@@ -209,7 +258,7 @@ def classify(r: Relation) -> PredicateReport:
 
 def enumerate_pers(carrier: Carrier) -> Iterator[Relation]:
     """All pers over the carrier, by enumerating symmetric relations and
-    filtering for transitivity. Deterministic order."""
+    keeping those that pass is_per. Deterministic order."""
     n = carrier.size
     cells = [(i, j) for i in range(n) for j in range(i, n)]
     if len(cells) > 16:
@@ -221,5 +270,5 @@ def enumerate_pers(carrier: Carrier) -> Iterator[Relation]:
                 code |= 1 << (i * n + j) | 1 << (j * n + i)
             mask >>= 1
         q = _make(carrier, carrier, code)
-        if is_subset(compose(q, q), q):
+        if is_per(q):
             yield q

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import product
 
-from .domains import is_core_relation, ldom, per_ldom, per_rdom, rdom
+from .domains import is_core_relation, is_per, ldom, per_ldom, per_rdom, rdom
 from .rel import (
     Carrier, EnumerationLimit, Relation, compose, converse, coreflexive, is_subset, relation_at,
     relation_code,
@@ -55,15 +55,15 @@ def _per_classes(p: Relation) -> list[tuple[int, ...]]:
 
 
 def _check_per(p: Relation, who: str) -> None:
+    if is_per(p):
+        return
     if p.src != p.dst:
         raise ValueError(f"{who}: needs a homogeneous relation, got {p.src.name}~{p.dst.name}")
-    if converse(p) != p:
-        bad = next((i, j) for i, j in p.pairs() if (j, i) not in p)
+    bad = next(((i, j) for i, j in p.pairs() if (j, i) not in p), None)
+    if bad is not None:
         raise ValueError(f"{who}: not a per — not symmetric, {bad} present without its converse")
-    sq = compose(p, p)
-    if not is_subset(sq, p):
-        bad = next(pair for pair in sq.pairs() if pair not in p)
-        raise ValueError(f"{who}: not a per — not transitive, composition adds {bad}")
+    bad = next(pair for pair in compose(p, p).pairs() if pair not in p)
+    raise ValueError(f"{who}: not a per — not transitive, composition adds {bad}")
 
 
 def per_index(p: Relation, policy: str = "min", seed: int = 0) -> Relation:

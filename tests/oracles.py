@@ -119,6 +119,11 @@ def ois_rectangle(r: Pairs, na: int, nb: int) -> bool:
     return r == ocompose(ocompose(r, otop(nb, na)), r)
 
 
+def ois_square(r: Pairs, n: int) -> bool:
+    """Symmetric rectangle on one carrier."""
+    return oconverse(r) == r and ois_rectangle(r, n, n)
+
+
 def ois_pair(r: Pairs, na: int, nb: int) -> bool:
     """Non-empty rectangle whose compositions with its converse are the domains."""
     return (

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 
@@ -6,12 +8,14 @@ from conftest import failing_laws, homogeneous_relations, pack, relations, unpac
 from relalg import (
     Carrier,
     classify,
+    complement,
     compose,
     converse,
     difunctional_characterizations,
     enumerate_pers,
     enumerate_relations,
     identity,
+    intersect,
     is_bijection,
     is_core_relation,
     is_coreflexive,
@@ -26,7 +30,9 @@ from relalg import (
     per_ldom,
     per_rdom,
     rdom,
+    top,
 )
+from relalg.rel import relation_at
 
 
 def _all(na, nb, src="A", dst="B"):
@@ -57,14 +63,35 @@ def test_per_domains_are_pers_and_least(r):
 # -- predicates ------------------------------------------------------------------------
 
 
+def _assert_predicates_match_oracle(r):
+    ro, na, nb = unpack(r), r.src.size, r.dst.size
+    assert is_functional(r) == o.ois_functional(ro), r
+    assert is_injective(r) == o.ois_injective(ro), r
+    assert is_difunctional(r) == o.ois_difunctional(ro), r
+    assert is_rectangle(r) == o.ois_rectangle(ro, na, nb), r
+    assert is_bijection(r) == (o.ois_functional(ro) and o.ois_injective(ro)), r
+    if r.src == r.dst:
+        assert is_per(r) == o.ois_per(ro), r
+        assert is_square(r) == o.ois_square(ro, na), r
+    else:
+        assert not is_per(r) and not is_square(r), r
+
+
 def test_predicates_match_oracle_exhaustively():
-    for r in _all(3, 3):
-        ro = unpack(r)
-        assert is_functional(r) == o.ois_functional(ro)
-        assert is_injective(r) == o.ois_injective(ro)
-        assert is_difunctional(r) == o.ois_difunctional(ro)
-        assert is_rectangle(r) == o.ois_rectangle(ro, 3, 3)
-        assert is_bijection(r) == (o.ois_functional(ro) and o.ois_injective(ro))
+    # every shape up to 3x3, empty carriers included; square shapes twice,
+    # heterogeneous (A~B) and homogeneous (A~A)
+    for na in range(4):
+        for nb in range(4):
+            rels = _all(na, nb) + (_all(na, nb, dst="A") if na == nb else [])
+            for r in rels:
+                _assert_predicates_match_oracle(r)
+    # and a seeded sample of 4x4 relations, read both ways
+    a, b = Carrier("A", 4), Carrier("B", 4)
+    rng = random.Random(4)
+    for _ in range(2000):
+        code = rng.getrandbits(16)
+        _assert_predicates_match_oracle(relation_at(a, b, code))
+        _assert_predicates_match_oracle(relation_at(a, a, code))
 
 
 def test_coreflexive_predicate_needs_matching_carriers():
@@ -153,6 +180,39 @@ def test_classify_flags_cohere(r):
     assert rep.bijection == (rep.functional and rep.injective)
     if rep.square:
         assert rep.rectangle
+
+
+def _literal_checks(r):
+    """Every formula classify reports, evaluated as written, point-free."""
+    rc = converse(r)
+    left = intersect(identity(r.src), compose(r, rc))  # R< = 𝕀 ∩ R∘R°
+    right = intersect(identity(r.dst), compose(rc, r))  # R> = 𝕀 ∩ R°∘R
+    over = complement(compose(complement(r), rc))  # R/R = ¬(¬R∘R°)
+    under = complement(compose(rc, complement(r)))  # R\R = ¬(R°∘¬R)
+    per_left = compose(intersect(over, converse(over)), left)  # R≺ = (R//R)∘R<
+    per_right = compose(right, intersect(under, converse(under)))  # R≻ = R>∘(R\\R)
+    checks = {
+        "R∘R° = R<": compose(r, rc) == left,
+        "R°∘R = R>": compose(rc, r) == right,
+        "R∘R°∘R ⊆ R": compose(compose(r, rc), r) <= r,
+        "R = R∘⊤∘R": r == compose(compose(r, top(r.dst, r.src)), r),
+        "R< = R≺": left == per_left,
+        "R> = R≻": right == per_right,
+    }
+    if r.src == r.dst:
+        checks["R = R°"] = r == rc
+        checks["R∘R ⊆ R"] = compose(r, r) <= r
+        checks["R ⊆ 𝕀"] = r <= identity(r.src)
+    return checks
+
+
+def test_classify_checks_are_their_formulas():
+    # the flags are decided on rows; the report's keyed formulas must still
+    # hold literally, on every relation of every shape up to 3x3
+    for na in range(4):
+        for nb in range(4):
+            for r in _all(na, nb) + (_all(na, nb, dst="A") if na == nb else []):
+                assert classify(r).checks == _literal_checks(r), r
 
 
 # -- enumeration of pers -------------------------------------------------------------------

@@ -15,6 +15,7 @@ from relalg import (
     enumerate_pers,
     enumerate_relations,
     identity,
+    intersect,
     is_bijection,
     is_difunctional,
     is_functional,
@@ -71,6 +72,28 @@ def test_per_index_rejects_non_per():
     intrans = pack(3, 3, [(0, 1), (1, 0), (1, 2), (2, 1)], dst="A")
     with pytest.raises(ValueError, match="not transitive"):
         per_index(intrans)
+
+
+def test_per_index_refusals_name_a_literal_witness():
+    # the pair a refusal names is the first, in code order, of R ∩ ¬R° when
+    # R is not symmetric, else of R∘R ∩ ¬R
+    refused = set()
+    for n in range(4):
+        for p in _all(n, n, dst="A"):
+            asym = intersect(p, complement(converse(p)))
+            extra = intersect(compose(p, p), complement(p))
+            if asym:
+                why = f"not symmetric, {next(asym.pairs())} present without its converse"
+            elif extra:
+                why = f"not transitive, composition adds {next(extra.pairs())}"
+            else:
+                per_index(p)
+                continue
+            with pytest.raises(ValueError) as e:
+                per_index(p)
+            assert str(e.value) == f"per_index: not a per — {why}"
+            refused.add(why.split(",")[0])
+    assert refused == {"not symmetric", "not transitive"}
 
 
 def test_per_index_against_oracle_for_all_small_pers():

@@ -3,8 +3,8 @@ import json
 import pytest
 
 import oracles as o
-from conftest import run_python, unpack
-from relalg import Carrier, compose, converse, from_dict, top
+from conftest import pack, run_python, unpack
+from relalg import Carrier, cache_clear, complement, compose, converse, from_dict, laws, top
 from relalg.laws import (
     KIND_VALIDATORS,
     OUT_OF_SCOPE,
@@ -55,6 +55,20 @@ def test_pool_contents_match_kind_predicates():
     for kind, validator in KIND_VALIDATORS.items():
         for r in _pool(kind, c, c):
             assert validator(r), (kind, r)
+
+
+def test_pool_building_leaves_the_kernel_caches_empty(monkeypatch):
+    # pool building asks every relation of its carriers for its kind; the
+    # answers come from rows, so no composite is left behind in a cache
+    monkeypatch.setattr(laws, "_POOLS", {})
+    cache_clear()
+    a3, b3, a4 = Carrier("A", 3), Carrier("B", 3), Carrier("A", 4)
+    assert _pool("difunction", a3, b3) and _pool("functional", a3, b3)
+    assert _pool("per", a4, a4)
+    two_blocks = pack(3, 3, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)], dst="A")
+    for validator in KIND_VALIDATORS.values():
+        validator(two_blocks)
+    assert [fn.cache_info().currsize for fn in (compose, converse, complement)] == [0, 0, 0]
 
 
 @pytest.mark.parametrize("size", [1, 2, 3])
