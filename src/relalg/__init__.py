@@ -91,7 +91,9 @@ from .rel import (
 
 __version__ = "0.1.0"
 
-# The lru_cache'd kernel operations, whose caches cache_clear empties.
+# The memoized kernel operations. Each exposes the cache_info and cache_clear
+# of the private memo on codes and sizes that answers it (see rel), so
+# cache_clear empties every memo through these public names.
 _MEMOIZED = (
     compose, converse, complement, left_residual, right_residual, sym_left_div, sym_right_div,
     ldom, rdom, per_ldom, per_rdom,

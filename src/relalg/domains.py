@@ -23,6 +23,9 @@ the rows of their members, a difunction's rows are equal or disjoint, and so
 on. `per_characterizations` and `difunctional_characterizations` keep the
 point-free forms, so the laws that compare the two are a cross-check between
 independent definitions.
+
+The four domain operators are memoized on codes and sizes, as the kernel's
+operations are (see rel), so their results carry the caller's carriers.
 """
 
 from __future__ import annotations
@@ -33,55 +36,72 @@ from typing import Iterator
 
 from . import factors
 from .rel import (
-    Carrier, Relation, _diagonal, _make, compose, converse, identity, intersect, is_coreflexive,
-    is_subset,
+    Carrier, Relation, _converse_memo, _diagonal, _make, _rows, _served_by, compose, converse,
+    identity, intersect, is_coreflexive, is_subset,
 )
 
 
 @lru_cache(maxsize=1 << 15)
-def ldom(r: Relation) -> Relation:
-    """R< : sub-identity on sources with nonempty row."""
-    n, k = r.src.size, r.dst.size
+def _ldom_code(code: int, n: int, k: int) -> int:
     full = (1 << k) - 1
-    code = 0
+    out = 0
     for i in range(n):
-        if r.code >> (i * k) & full:
-            code |= 1 << (i * n + i)
-    return _make(r.src, r.src, code)
+        if code >> (i * k) & full:
+            out |= 1 << (i * n + i)
+    return out
 
 
 @lru_cache(maxsize=1 << 15)
-def rdom(r: Relation) -> Relation:
-    """R> : sub-identity on targets with nonempty column."""
-    k = r.dst.size
+def _rdom_code(code: int, k: int) -> int:
     full = (1 << k) - 1
-    mask, code = 0, r.code
+    mask = 0
     while code:
         mask |= code & full
         code >>= k
-    return _make(r.dst, r.dst, _diagonal(mask, k))
+    return _diagonal(mask, k)
 
 
 @lru_cache(maxsize=1 << 15)
-def per_ldom(r: Relation) -> Relation:
-    """R≺ : relate two sources exactly when their rows agree and are nonempty."""
-    rows = r.rows
+def _per_ldom_code(code: int, n: int, k: int) -> int:
+    rows = _rows(code, n, k)
     members: dict[int, int] = {}
     for i, row in enumerate(rows):
         if row:
             members[row] = members.get(row, 0) | 1 << i
-    n = r.src.size
-    code = 0
+    out = 0
     for i, row in enumerate(rows):
         if row:
-            code |= members[row] << (i * n)
-    return _make(r.src, r.src, code)
+            out |= members[row] << (i * n)
+    return out
 
 
 @lru_cache(maxsize=1 << 15)
+def _per_rdom_code(code: int, n: int, k: int) -> int:
+    return _per_ldom_code(_converse_memo(code, n, k), k, n)
+
+
+@_served_by(_ldom_code)
+def ldom(r: Relation) -> Relation:
+    """R< : sub-identity on sources with nonempty row."""
+    return _make(r.src, r.src, _ldom_code(r.code, r.src.size, r.dst.size))
+
+
+@_served_by(_rdom_code)
+def rdom(r: Relation) -> Relation:
+    """R> : sub-identity on targets with nonempty column."""
+    return _make(r.dst, r.dst, _rdom_code(r.code, r.dst.size))
+
+
+@_served_by(_per_ldom_code)
+def per_ldom(r: Relation) -> Relation:
+    """R≺ : relate two sources exactly when their rows agree and are nonempty."""
+    return _make(r.src, r.src, _per_ldom_code(r.code, r.src.size, r.dst.size))
+
+
+@_served_by(_per_rdom_code)
 def per_rdom(r: Relation) -> Relation:
     """R≻ : relate two targets exactly when their columns agree and are nonempty."""
-    return per_ldom(converse(r))
+    return _make(r.dst, r.dst, _per_rdom_code(r.code, r.src.size, r.dst.size))
 
 
 # -- predicates ---------------------------------------------------------------

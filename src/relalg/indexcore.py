@@ -217,9 +217,7 @@ def core_of(r: Relation, mode: str = "same-type", policy: str = "min", seed: int
         rho = _quotient_leg(per_rdom(r), f"X({r.dst.name},right)")
     else:
         raise ValueError(f"unknown mode {mode!r}, expected one of {CORE_MODES}")
-    # over the legs' own carriers: a cached composite may carry an equal
-    # carrier with other labels, and quotient carriers differ only in labels
-    core = relation_at(lam.src, rho.src, compose(compose(lam, r), converse(rho)).code)
+    core = compose(compose(lam, r), converse(rho))
     dec = CoreDecomposition(relation=r, lam=lam, rho=rho, core=core, mode=mode)
     bad = [k for k, v in dec.verify().items() if not v]
     if bad:

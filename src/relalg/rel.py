@@ -8,6 +8,13 @@ are single int operations; composition, converse and the domain operators
 shift and mask rows out of the code. That is what makes exhaustive law sweeps
 over all relations of small carriers affordable.
 
+The memoized operations (compose, converse and complement here, the residuals
+and symmetric divisions in factors, the domain operators in domains) cache
+codes keyed on codes and sizes, not Relation objects. A cached answer is a
+bare int shared by every pair of carriers with those sizes, and each call
+wraps it in its caller's own carriers, labels included. The carrier checks
+run before the lookup, so a mismatch raises whatever the cache holds.
+
 Enumeration order is code order: relation number ``n`` is the one with code
 ``n``. Carriers are interned, so carrier equality is mostly an identity test;
 it is nominal (name and size), and labels are presentation only and never
@@ -137,9 +144,7 @@ class Relation:
     @property
     def rows(self) -> tuple[int, ...]:
         """Row i as a k-bit int whose bit j is the entry (i, j)."""
-        k = self.dst.size
-        full = (1 << k) - 1
-        return tuple(self.code >> (i * k) & full for i in range(self.src.size))
+        return _rows(self.code, self.src.size, self.dst.size)
 
     def pairs(self) -> Iterator[tuple[int, int]]:
         code, k = self.code, self.dst.size
@@ -209,6 +214,12 @@ def _make(src: Carrier, dst: Carrier, code: int) -> Relation:
 
 def _full(n: int, k: int) -> int:
     return (1 << (n * k)) - 1
+
+
+def _rows(code: int, n: int, k: int) -> tuple[int, ...]:
+    """The n rows of an n×k code, each a k-bit int."""
+    full = (1 << k) - 1
+    return tuple(code >> (i * k) & full for i in range(n))
 
 
 def _restride(code: int, n: int, width: int, old: int, new: int) -> int:
@@ -366,18 +377,42 @@ def _require_same_type(r: Relation, s: Relation, what: str) -> None:
         )
 
 
-@lru_cache(maxsize=1 << 17)
+# The memos of the kernel operations are keyed on codes and sizes, never on
+# Relation objects: a lookup hashes ints in C, the cache holds no carrier, and
+# the public operation wraps the cached code in its caller's own carriers.
+
+def _served_by(memo):
+    """Give a public operation the cache_info and cache_clear of the code memo
+    that answers it, so its cache is inspected and emptied through its name."""
+
+    def mark(fn):
+        fn.cache_info, fn.cache_clear = memo.cache_info, memo.cache_clear
+        return fn
+
+    return mark
+
+
+_compose_memo = lru_cache(maxsize=1 << 17)(_compose_code)
+_converse_memo = lru_cache(maxsize=1 << 15)(_converse_code)
+
+
+@lru_cache(maxsize=1 << 15)
+def _complement_code(code: int, n: int, k: int) -> int:
+    return code ^ _full(n, k)
+
+
+@_served_by(_compose_memo)
 def compose(r: Relation, s: Relation) -> Relation:
     if r.dst is not s.src and r.dst != s.src:
         raise CarrierMismatch(
             f"compose: middle carriers disagree ({r.src.name}~{r.dst.name} then {s.src.name}~{s.dst.name})"
         )
-    return _make(r.src, s.dst, _compose_code(r.code, s.code, r.src.size, r.dst.size, s.dst.size))
+    return _make(r.src, s.dst, _compose_memo(r.code, s.code, r.src.size, r.dst.size, s.dst.size))
 
 
-@lru_cache(maxsize=1 << 15)
+@_served_by(_converse_memo)
 def converse(r: Relation) -> Relation:
-    return _make(r.dst, r.src, _converse_code(r.code, r.src.size, r.dst.size))
+    return _make(r.dst, r.src, _converse_memo(r.code, r.src.size, r.dst.size))
 
 
 def union(r: Relation, s: Relation) -> Relation:
@@ -390,9 +425,9 @@ def intersect(r: Relation, s: Relation) -> Relation:
     return _make(r.src, r.dst, r.code & s.code)
 
 
-@lru_cache(maxsize=1 << 15)
+@_served_by(_complement_code)
 def complement(r: Relation) -> Relation:
-    return _make(r.src, r.dst, r.code ^ _full(r.src.size, r.dst.size))
+    return _make(r.src, r.dst, _complement_code(r.code, r.src.size, r.dst.size))
 
 
 def is_subset(r: Relation, s: Relation) -> bool:

@@ -33,6 +33,7 @@ from relalg import (
     per_ldom,
     per_rdom,
     rdom,
+    relation_index,
     right_residual,
     sym_left_div,
     sym_right_div,
@@ -337,6 +338,45 @@ def test_cache_clear_empties_every_memoized_operation():
 def test_compose_is_cached_by_value_not_identity(r):
     twin = pack(r.src.size, r.dst.size, list(r.pairs()), src=r.src.name, dst=r.dst.name)
     assert compose(r, twin) == compose(r, r)
+
+
+def test_cached_results_carry_the_callers_labels():
+    plain, labelled = Carrier("A", 2), Carrier("A", 2, labels=("x", "y"))
+    r = from_pairs(plain, plain, [(0, 1), (1, 1)])
+    s = from_pairs(labelled, labelled, [(0, 1), (1, 1)])
+    compose(r, r)
+    relation_index(r)
+    for out in (compose(s, s), relation_index(s).index):
+        assert out.src is labelled and out.dst is labelled
+        d = to_dict(out)
+        assert d["src"]["labels"] == d["dst"]["labels"] == ["x", "y"]
+
+
+def _on(src: Carrier, dst: Carrier) -> Relation:
+    """A fixed relation for each matrix size, whatever the carriers' names."""
+    return relation_at(src, dst, {4: 0b0110, 6: 0b100011}[src.size * dst.size])
+
+
+def test_memo_keys_hold_codes_and_sizes_but_no_carrier_names():
+    cache_clear()
+    a, b, c = Carrier("A", 2), Carrier("B", 3), Carrier("C", 2)
+    x, y, z = Carrier("X", 2), Carrier("Y", 3), Carrier("Z", 2)
+    first = compose(_on(a, b), _on(b, c))
+    hits = compose.cache_info().hits
+    second = compose(_on(x, y), _on(y, z))
+    assert compose.cache_info().hits == hits + 1
+    assert (second.src, second.dst, second.code) == (x, z, first.code)
+    with pytest.raises(CarrierMismatch):
+        compose(_on(a, b), _on(y, z))
+    # (r's carriers, s's carriers, s's carriers that break the shared one)
+    shared_source = ((a, b), (a, c), (x, c))
+    shared_target = ((a, c), (b, c), (b, z))
+    cases = {left_residual: shared_source, sym_right_div: shared_source,
+             right_residual: shared_target, sym_left_div: shared_target}
+    for op, (rc, sc, bad) in cases.items():
+        op(_on(*rc), _on(*sc))
+        with pytest.raises(CarrierMismatch):
+            op(_on(*rc), _on(*bad))
 
 
 # -- the int-code kernel against the oracle -------------------------------------------
