@@ -22,7 +22,7 @@ from fnmatch import fnmatch
 from functools import lru_cache
 from itertools import product
 from math import prod
-from typing import Callable
+from typing import Callable, Sequence
 
 from . import factors, indexcore, isomorph
 from .points import (
@@ -35,9 +35,9 @@ from .domains import (
     ldom, per_characterizations, per_ldom, per_rdom, rdom,
 )
 from .rel import (
-    Carrier, Relation, bottom, complement, compose, converse, dedekind_check,
-    enumerate_coreflexives, enumerate_relations, from_pairs, identity, intersect, is_subset,
-    relation_at, top, union,
+    Carrier, Relation, _make, _relation_codes, bottom, complement, compose, converse,
+    dedekind_check, enumerate_coreflexives, enumerate_relations, from_pairs, identity, intersect,
+    is_subset, relation_at, top, union,
 )
 
 EXHAUSTIVE_BUDGET = 10_000_000
@@ -105,10 +105,14 @@ KIND_VALIDATORS: dict[str, Callable[[Relation], bool]] = {
     "point": lambda r: r.src == r.dst and is_point(r),
 }
 
-_POOLS: dict[tuple[str, Carrier, Carrier], tuple[Relation, ...]] = {}
+# Pools hold codes, in code order: a range for the relation kind, a tuple for
+# the others. A Relation is built only for an instance that is drawn or
+# enumerated, so the pools kept for a whole run hold no objects the cyclic
+# collector has to walk.
+_POOLS: dict[tuple[str, Carrier, Carrier], Sequence[int]] = {}
 
 
-def _pool(kind: str, src: Carrier, dst: Carrier) -> tuple[Relation, ...]:
+def _pool(kind: str, src: Carrier, dst: Carrier) -> Sequence[int]:
     key = (kind, src, dst)
     got = _POOLS.get(key)
     if got is not None:
@@ -116,16 +120,16 @@ def _pool(kind: str, src: Carrier, dst: Carrier) -> tuple[Relation, ...]:
     if kind in ("coreflexive", "per", "point") and src != dst:
         raise ValueError(f"{kind} variables need one carrier, got {src.name} and {dst.name}")
     if kind == "relation":
-        out = tuple(enumerate_relations(src, dst, max_bits=16))
+        out = _relation_codes(src, dst, max_bits=16)
     elif kind == "coreflexive":
-        out = tuple(enumerate_coreflexives(src))
+        out = tuple(r.code for r in enumerate_coreflexives(src))
     elif kind == "per":
-        out = tuple(enumerate_pers(src))
+        out = tuple(r.code for r in enumerate_pers(src))
     elif kind in ("difunction", "functional"):
-        # the relation pool's own objects, in the same code order
-        out = tuple(filter(KIND_VALIDATORS[kind], _pool("relation", src, dst)))
+        valid = KIND_VALIDATORS[kind]
+        out = tuple(code for code in _pool("relation", src, dst) if valid(_make(src, dst, code)))
     elif kind == "point":
-        out = tuple(points(src))
+        out = tuple(r.code for r in points(src))
     else:
         raise ValueError(f"unknown variable kind {kind!r}")
     _POOLS[key] = out
@@ -915,7 +919,8 @@ _law("core-isomorphic-index", "a core of R is isomorphic to an index of R via λ
 def _per_coreflexive_indexes(p: Relation) -> list[Relation]:
     dom = ldom(p)
     out = []
-    for j in _pool("coreflexive", p.src, p.src):
+    for code in _pool("coreflexive", p.src, p.src):
+        j = _make(p.src, p.src, code)
         if (
             is_subset(j, dom)
             and compose(compose(j, p), j) == j
@@ -1394,14 +1399,21 @@ def run_law(
     for sizes in product(range(1, max_size + 1), repeat=len(tvs)):
         carriers = {tv: Carrier(tv, n) for tv, n in zip(tvs, sizes)}
         # every kind's pool holds ⊥ or a point at sizes >= 1, so none is empty
-        pools = [_pool(v.kind, carriers[v.src], carriers[v.dst]) for v in law.vars]
+        typed = [(carriers[v.src], carriers[v.dst]) for v in law.vars]
+        pools = [_pool(v.kind, src, dst) for v, (src, dst) in zip(law.vars, typed)]
         if prod(len(p) for p in pools) * law.cost <= budget:
             modes_seen.add("exhaustive")
-            source = product(*pools)
+            # each pool's relations are built once, for this size tuple only
+            source = product(*(
+                [_make(src, dst, code) for code in pool] for (src, dst), pool in zip(typed, pools)
+            ))
         else:
             modes_seen.add("sampled")
             rng = random.Random(f"{seed}:{law.id}:{sizes}")
-            source = (tuple(pool[rng.randrange(len(pool))] for pool in pools) for _ in range(samples))
+            source = (
+                tuple(_make(src, dst, pool[rng.randrange(len(pool))]) for (src, dst), pool in zip(typed, pools))
+                for _ in range(samples)
+            )
         for args in source:
             instances += 1
             if not law.check(args, carriers):

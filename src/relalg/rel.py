@@ -349,14 +349,19 @@ def enumerate_relations(src: Carrier, dst: Carrier, max_bits: int = DEFAULT_ENUM
 
     Refuses (rather than hangs) when the matrix has more than max_bits cells.
     """
+    for code in _relation_codes(src, dst, max_bits):
+        yield _make(src, dst, code)
+
+
+def _relation_codes(src: Carrier, dst: Carrier, max_bits: int) -> range:
+    """The codes of all relations src~dst, refused as enumerate_relations refuses."""
     bits = src.size * dst.size
     if bits > max_bits:
         raise EnumerationLimit(
             f"{src.size}x{dst.size} carrier pair has {bits} matrix bits; "
             f"refusing to enumerate 2**{bits} relations (limit {max_bits} bits)"
         )
-    for code in range(1 << bits):
-        yield _make(src, dst, code)
+    return range(1 << bits)
 
 
 def enumerate_coreflexives(carrier: Carrier, max_bits: int = DEFAULT_ENUM_BITS) -> Iterator[Relation]:
@@ -376,10 +381,6 @@ def _require_same_type(r: Relation, s: Relation, what: str) -> None:
             f"{what}: operands have types {r.src.name}~{r.dst.name} and {s.src.name}~{s.dst.name}"
         )
 
-
-# The memos of the kernel operations are keyed on codes and sizes, never on
-# Relation objects: a lookup hashes ints in C, the cache holds no carrier, and
-# the public operation wraps the cached code in its caller's own carriers.
 
 def _served_by(memo):
     """Give a public operation the cache_info and cache_clear of the code memo

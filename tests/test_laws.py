@@ -1,10 +1,14 @@
+import gc
 import json
 
 import pytest
 
 import oracles as o
 from conftest import pack, run_python, unpack
-from relalg import Carrier, cache_clear, complement, compose, converse, from_dict, laws, top
+from relalg import (
+    Carrier, EnumerationLimit, Relation, cache_clear, complement, compose, converse, from_dict, laws, top,
+)
+from relalg.rel import relation_at
 from relalg.laws import (
     KIND_VALIDATORS,
     OUT_OF_SCOPE,
@@ -50,11 +54,29 @@ def test_pool_contents_match_kind_predicates():
     assert len(_pool("coreflexive", c, c)) == 4
     assert len(_pool("per", c, c)) == 5
     assert len(_pool("point", c, c)) == 2
-    difunctional = [r for r in _pool("relation", c, c) if o.ois_difunctional(unpack(r))]
-    assert len(_pool("difunction", c, c)) == len(difunctional)
+    difunctional = [code for code in _pool("relation", c, c) if o.ois_difunctional(unpack(relation_at(c, c, code)))]
+    assert list(_pool("difunction", c, c)) == difunctional
     for kind, validator in KIND_VALIDATORS.items():
-        for r in _pool(kind, c, c):
-            assert validator(r), (kind, r)
+        for code in _pool(kind, c, c):
+            assert validator(relation_at(c, c, code)), (kind, code)
+
+
+def _live_relations() -> int:
+    gc.collect()
+    return sum(type(x) is Relation for x in gc.get_objects())
+
+
+def test_pools_hold_codes_not_relations(monkeypatch):
+    # a 4x4 pool kept as Relation objects is 65 536 objects the cyclic
+    # collector walks on every full collection of a run
+    monkeypatch.setattr(laws, "_POOLS", {})
+    a4, b4 = Carrier("A", 4), Carrier("B", 4)
+    before = _live_relations()
+    pools = [_pool("relation", a4, b4), _pool("difunction", a4, b4)]
+    assert _live_relations() - before < 1000
+    assert len(pools[0]) == 1 << 16 and 0 < len(pools[1]) < 1 << 16
+    with pytest.raises(EnumerationLimit):
+        _pool("relation", Carrier("A", 5), b4)
 
 
 def test_pool_building_leaves_the_kernel_caches_empty(monkeypatch):
