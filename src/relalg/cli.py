@@ -313,10 +313,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"relalg: error: {exc}", file=sys.stderr)
-        return 2
-    except (RelationFormatError, models.ModelFormatError, CarrierMismatch, EnumerationLimit) as exc:
+    except (_UsageError, RelationFormatError, models.ModelFormatError, CarrierMismatch, EnumerationLimit) as exc:
         print(f"relalg: error: {exc}", file=sys.stderr)
         return 2
 

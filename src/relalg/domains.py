@@ -36,8 +36,8 @@ from typing import Iterator
 
 from . import factors
 from .rel import (
-    Carrier, Relation, _converse_memo, _diagonal, _make, _rows, _served_by, compose, converse,
-    identity, intersect, is_coreflexive, is_subset,
+    MAX_ENUM_BITS, Carrier, EnumerationLimit, Relation, _converse_memo, _diagonal, _make, _rows,
+    _served_by, compose, converse, identity, intersect, is_coreflexive, is_subset,
 )
 
 
@@ -223,9 +223,12 @@ def difunctional_characterizations(r: Relation) -> dict[str, bool]:
 class PredicateReport:
     """Structural classification of one relation.
 
-    `checks` holds the witnessing sub-equalities the flags were derived from,
-    keyed by formula, so a caller can see *why* a flag is set. Homogeneous-only
-    formulas are omitted for heterogeneous relations (their flags are False).
+    The flags are decided on rows, by the predicates above. `checks` holds
+    the point-free equalities behind them, keyed by formula, so a caller can
+    see *why* a flag is set; the difunctional and rectangle flags share their
+    evaluation with their formulas, and core_relation is the conjunction of
+    the two domain equalities. Homogeneous-only formulas are omitted for
+    heterogeneous relations (their flags are False).
     """
 
     coreflexive: bool
@@ -241,16 +244,18 @@ class PredicateReport:
 
 
 def classify(r: Relation) -> PredicateReport:
-    homogeneous = r.src == r.dst
+    left, right = ldom(r), rdom(r)
+    difunctional, rectangle = is_difunctional(r), is_rectangle(r)
+    left_core, right_core = left == per_ldom(r), right == per_rdom(r)
     checks = {
-        "R∘R° = R<": compose(r, converse(r)) == ldom(r),
-        "R°∘R = R>": compose(converse(r), r) == rdom(r),
-        "R∘R°∘R ⊆ R": is_difunctional(r),
-        "R = R∘⊤∘R": is_rectangle(r),
-        "R< = R≺": ldom(r) == per_ldom(r),
-        "R> = R≻": rdom(r) == per_rdom(r),
+        "R∘R° = R<": compose(r, converse(r)) == left,
+        "R°∘R = R>": compose(converse(r), r) == right,
+        "R∘R°∘R ⊆ R": difunctional,
+        "R = R∘⊤∘R": rectangle,
+        "R< = R≺": left_core,
+        "R> = R≻": right_core,
     }
-    if homogeneous:
+    if r.src == r.dst:
         checks["R = R°"] = converse(r) == r
         checks["R∘R ⊆ R"] = is_subset(compose(r, r), r)
         checks["R ⊆ 𝕀"] = is_subset(r, identity(r.src))
@@ -260,10 +265,10 @@ def classify(r: Relation) -> PredicateReport:
         injective=is_injective(r),
         bijection=is_bijection(r),
         per=is_per(r),
-        difunctional=is_difunctional(r),
-        rectangle=is_rectangle(r),
+        difunctional=difunctional,
+        rectangle=rectangle,
         square=is_square(r),
-        core_relation=is_core_relation(r),
+        core_relation=left_core and right_core,
         checks=checks,
     )
     # structural sanity: these implications are theorems, not opinions
@@ -281,8 +286,8 @@ def enumerate_pers(carrier: Carrier) -> Iterator[Relation]:
     keeping those that pass is_per. Deterministic order."""
     n = carrier.size
     cells = [(i, j) for i in range(n) for j in range(i, n)]
-    if len(cells) > 16:
-        raise ValueError(f"per enumeration is meant for tiny carriers, not {n} elements")
+    if len(cells) > MAX_ENUM_BITS:
+        raise EnumerationLimit(f"per enumeration is meant for tiny carriers, not {n} elements")
     for mask in range(1 << len(cells)):
         code = 0
         for i, j in cells:

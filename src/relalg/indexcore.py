@@ -25,8 +25,8 @@ from itertools import product
 
 from .domains import is_core_relation, is_per, ldom, per_ldom, per_rdom, rdom
 from .rel import (
-    Carrier, EnumerationLimit, Relation, compose, converse, coreflexive, is_subset, relation_at,
-    relation_code,
+    MAX_ENUM_BITS, Carrier, EnumerationLimit, Relation, compose, converse, coreflexive, is_subset,
+    relation_at, relation_code,
 )
 
 POLICIES = ("min", "max", "random")
@@ -124,7 +124,7 @@ def relation_index(r: Relation, policy: str = "min", seed: int = 0) -> IndexCert
     return cert
 
 
-def candidate_indexes(r: Relation, max_bits: int = 16) -> list[Relation]:
+def candidate_indexes(r: Relation) -> list[Relation]:
     """Every subset of R that verifies as an index, in relation_code order.
 
     Conditions (b)-(d) force J< to pick exactly one element of each R≺-class
@@ -133,9 +133,10 @@ def candidate_indexes(r: Relation, max_bits: int = 16) -> list[Relation]:
     subset of every sandwich Jl∘R∘Jr, over all such transversals Jl and Jr,
     is checked with verify_index; the subsets are still brute-forced, so a
     law about all indexes is tested, not assumed. Refuses a relation with a
-    sandwich of more than max_bits pairs, which never happens on carriers of
-    at most 4 elements. This is the package-side enumerator used by the law
-    suite (the test suite cross-checks it against an independent oracle).
+    sandwich of more than MAX_ENUM_BITS pairs, which never happens on
+    carriers of at most 4 elements. This is the package-side enumerator used
+    by the law suite (the test suite cross-checks it against an independent
+    oracle).
     """
     sandwiches = [
         compose(compose(coreflexive(r.src, left), r), coreflexive(r.dst, right)).code
@@ -143,7 +144,7 @@ def candidate_indexes(r: Relation, max_bits: int = 16) -> list[Relation]:
         for right in product(*_per_classes(per_rdom(r)))
     ]
     widest = max(code.bit_count() for code in sandwiches)
-    if widest > max_bits:
+    if widest > MAX_ENUM_BITS:
         raise EnumerationLimit(f"index sandwich has {widest} pairs; refusing 2**{widest} subsets")
     found = []
     for code in sandwiches:

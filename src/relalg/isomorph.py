@@ -18,6 +18,11 @@ from .domains import ldom, rdom
 from .rel import CarrierMismatch, Relation, compose, converse, from_pairs
 
 
+#: find_isomorphism refuses relations with a left or right domain of more
+#: than this many points: the search walks up to MAX_POINTS! bijections.
+MAX_POINTS = 8
+
+
 class SearchSpaceExceeded(ValueError):
     """An isomorphism search was refused because a domain is too large."""
 
@@ -53,12 +58,12 @@ def verify_witness(r: Relation, s: Relation, w: IsoWitness) -> bool:
     return domains_ok and fwd and bwd
 
 
-def find_isomorphism(r: Relation, s: Relation, max_points: int = 8) -> IsoWitness | None:
+def find_isomorphism(r: Relation, s: Relation) -> IsoWitness | None:
     """Search for a witness; None means the relations are not isomorphic.
 
     Exhaustive over bijections of the left domains (with degree pruning), so
     the answer is definitive. Refuses relations whose left or right domain
-    exceeds max_points elements.
+    exceeds MAX_POINTS elements.
     """
     if r == s:
         # a relation is isomorphic to itself via its own domains
@@ -72,9 +77,9 @@ def find_isomorphism(r: Relation, s: Relation, max_points: int = 8) -> IsoWitnes
     db, eb = [x for x, m in enumerate(rows_s) if m], [c for c, m in enumerate(cols_s) if m]
     if len(da) != len(db) or len(ea) != len(eb):
         return None
-    if max(len(da), len(ea)) > max_points:
+    if max(len(da), len(ea)) > MAX_POINTS:
         raise SearchSpaceExceeded(
-            f"domains have {len(da)} and {len(ea)} points (limit {max_points})"
+            f"domains have {len(da)} and {len(ea)} points (limit {MAX_POINTS})"
         )
     if sorted(rows_r[a].bit_count() for a in da) != sorted(rows_s[x].bit_count() for x in db):
         return None

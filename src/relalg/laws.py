@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fnmatch import fnmatch
 from functools import lru_cache
 from itertools import product
-from math import prod
+from math import isqrt, prod
 from typing import Callable, Sequence
 
 from . import factors, indexcore, isomorph
@@ -35,13 +35,14 @@ from .domains import (
     ldom, per_characterizations, per_ldom, per_rdom, rdom,
 )
 from .rel import (
-    Carrier, Relation, _make, _relation_codes, bottom, complement, compose, converse,
+    MAX_ENUM_BITS, Carrier, Relation, _make, _relation_codes, bottom, complement, compose, converse,
     dedekind_check, enumerate_coreflexives, enumerate_relations, from_pairs, identity, intersect,
     is_subset, relation_at, top, union,
 )
 
 EXHAUSTIVE_BUDGET = 10_000_000
-MAX_CARRIER_SIZE = 4
+# the largest carrier whose square relation pool the enumeration bound admits
+MAX_CARRIER_SIZE = isqrt(MAX_ENUM_BITS)
 
 
 @dataclass(frozen=True)
@@ -120,7 +121,7 @@ def _pool(kind: str, src: Carrier, dst: Carrier) -> Sequence[int]:
     if kind in ("coreflexive", "per", "point") and src != dst:
         raise ValueError(f"{kind} variables need one carrier, got {src.name} and {dst.name}")
     if kind == "relation":
-        out = _relation_codes(src, dst, max_bits=16)
+        out = _relation_codes(src, dst)
     elif kind == "coreflexive":
         out = tuple(r.code for r in enumerate_coreflexives(src))
     elif kind == "per":
@@ -916,30 +917,20 @@ _law("core-isomorphic-index", "a core of R is isomorphic to an index of R via λ
      (_rel("A", "B"),), c_core_isomorphic_index, cost=6)
 
 
+def _simple_per_index(p: Relation, j: Relation) -> bool:
+    """The three simple index conditions for a per: J ⊆ P<, J∘P∘J = J, P∘J∘P = P."""
+    return is_subset(j, ldom(p)) and compose(compose(j, p), j) == j and compose(compose(p, j), p) == p
+
+
 def _per_coreflexive_indexes(p: Relation) -> list[Relation]:
-    dom = ldom(p)
-    out = []
-    for code in _pool("coreflexive", p.src, p.src):
-        j = _make(p.src, p.src, code)
-        if (
-            is_subset(j, dom)
-            and compose(compose(j, p), j) == j
-            and compose(compose(p, j), p) == p
-        ):
-            out.append(j)
-    return out
+    js = (_make(p.src, p.src, code) for code in _pool("coreflexive", p.src, p.src))
+    return [j for j in js if _simple_per_index(p, j)]
 
 
 def c_per_index_coreflexive(a, C):
     (p,) = a
     j = indexcore.per_index(p)
-    return (
-        is_coreflexive(j)
-        and is_subset(j, ldom(p))
-        and compose(compose(j, p), j) == j
-        and compose(compose(p, j), p) == p
-        and indexcore.verify_index(p, j).ok
-    )
+    return is_coreflexive(j) and _simple_per_index(p, j) and indexcore.verify_index(p, j).ok
 
 
 _law("per-index-coreflexive", "per_index(P) is a coreflexive satisfying J ⊆ P<, J∘P∘J = J, P∘J∘P = P",
@@ -948,12 +939,7 @@ _law("per-index-coreflexive", "per_index(P) is a coreflexive satisfying J ⊆ P<
 
 def c_per_index_equiv(a, C):
     p, j = a
-    simple = (
-        is_subset(j, ldom(p))
-        and compose(compose(j, p), j) == j
-        and compose(compose(p, j), p) == p
-    )
-    return simple == indexcore.verify_index(p, j).ok
+    return _simple_per_index(p, j) == indexcore.verify_index(p, j).ok
 
 
 _law("per-index-equiv", "for pers, the three simple index conditions ≡ the general four",
@@ -1230,7 +1216,7 @@ _law("pair-irreducible", "a∘⊤∘b ⊆ R∪S ⇒ a∘⊤∘b ⊆ R or a∘⊤
 
 def c_relation_count(a, C):
     A, B = C["A"], C["B"]
-    count = sum(1 for _ in enumerate_relations(A, B, max_bits=16))
+    count = sum(1 for _ in enumerate_relations(A, B))
     return count == 1 << (len(points(A)) * len(points(B)))
 
 
@@ -1401,7 +1387,10 @@ def run_law(
         # every kind's pool holds ⊥ or a point at sizes >= 1, so none is empty
         typed = [(carriers[v.src], carriers[v.dst]) for v in law.vars]
         pools = [_pool(v.kind, src, dst) for v, (src, dst) in zip(law.vars, typed)]
-        if prod(len(p) for p in pools) * law.cost <= budget:
+        # a space no larger than the sample count is enumerated: drawing from
+        # it would repeat instances and could still miss some
+        space = prod(len(p) for p in pools)
+        if space * law.cost <= budget or space <= samples:
             modes_seen.add("exhaustive")
             # each pool's relations are built once, for this size tuple only
             source = product(*(

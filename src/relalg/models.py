@@ -36,6 +36,8 @@ from operator import getitem
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
+from .rel import MAX_INPUT_SIZE
+
 
 class ModelFormatError(ValueError):
     """Malformed model data. .category says which validation failed."""
@@ -121,8 +123,8 @@ def _fail(category: str, message: str) -> None:
 
 
 def _check_size(n: int) -> None:
-    if n > 256:  # the table checks hold element indexes in bytes
-        _fail("size", f"{n} elements, more than the 256 a model may have")
+    if n > MAX_INPUT_SIZE:  # the table checks hold element indexes in bytes
+        _fail("size", f"{n} elements, more than the {MAX_INPUT_SIZE} a model may have")
 
 
 def load_model(source: str | Path | dict, name: str | None = None) -> AbstractModel:

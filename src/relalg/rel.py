@@ -44,8 +44,11 @@ class RelationFormatError(ValueError):
         self.field = field
 
 
-#: enumerate_relations refuses carriers with more than this many matrix bits.
-DEFAULT_ENUM_BITS = 12
+#: No enumeration walks more than 2**MAX_ENUM_BITS candidates: relations of
+#: at most this many matrix bits, coreflexives of at most this many elements,
+#: and (elsewhere) per cells, index sandwiches and law-runner pools. The 4x4
+#: relation pool of the law runner is the largest.
+MAX_ENUM_BITS = 16
 
 #: Carriers read from outside (relation files, `relalg points`) have at most
 #: this many elements, the bound abstract models have too: kernel work grows
@@ -102,7 +105,7 @@ class Carrier:
 class Relation:
     """An immutable relation between two carriers, stored as one int code."""
 
-    __slots__ = ("src", "dst", "code", "_hash")
+    __slots__ = ("src", "dst", "code")
 
     def __init__(self, src: Carrier, dst: Carrier, rows: Iterable[int]):
         """Validating constructor from one k-bit int per source element."""
@@ -116,7 +119,6 @@ class Relation:
                 raise ValueError(f"row {i} = {row!r} does not fit target carrier {dst.name!r} of size {k}")
             code |= row << (i * k)
         self.src, self.dst, self.code = src, dst, code
-        self._hash = None
 
     # -- identity ---------------------------------------------------------
 
@@ -129,11 +131,7 @@ class Relation:
         )
 
     def __hash__(self) -> int:
-        # computed on first use: most relations of an enumerated pool are never hashed
-        h = self._hash
-        if h is None:
-            h = self._hash = hash((self.code, self.src._hash, self.dst._hash))
-        return h
+        return hash((self.code, self.src._hash, self.dst._hash))
 
     def __repr__(self) -> str:
         pts = ",".join(f"({i},{j})" for i, j in self.pairs())
@@ -205,7 +203,6 @@ def _make(src: Carrier, dst: Carrier, code: int) -> Relation:
     """The trusted constructor: every kernel result is built here, unchecked."""
     r = _new(Relation)
     r.src, r.dst, r.code = src, dst, code
-    r._hash = None
     return r
 
 
@@ -344,31 +341,31 @@ def relation_at(src: Carrier, dst: Carrier, code: int) -> Relation:
     return _make(src, dst, code)
 
 
-def enumerate_relations(src: Carrier, dst: Carrier, max_bits: int = DEFAULT_ENUM_BITS) -> Iterator[Relation]:
+def enumerate_relations(src: Carrier, dst: Carrier) -> Iterator[Relation]:
     """All relations src~dst in little-endian order.
 
-    Refuses (rather than hangs) when the matrix has more than max_bits cells.
+    Refuses (rather than hangs) when the matrix has more than MAX_ENUM_BITS cells.
     """
-    for code in _relation_codes(src, dst, max_bits):
+    for code in _relation_codes(src, dst):
         yield _make(src, dst, code)
 
 
-def _relation_codes(src: Carrier, dst: Carrier, max_bits: int) -> range:
+def _relation_codes(src: Carrier, dst: Carrier) -> range:
     """The codes of all relations src~dst, refused as enumerate_relations refuses."""
     bits = src.size * dst.size
-    if bits > max_bits:
+    if bits > MAX_ENUM_BITS:
         raise EnumerationLimit(
             f"{src.size}x{dst.size} carrier pair has {bits} matrix bits; "
-            f"refusing to enumerate 2**{bits} relations (limit {max_bits} bits)"
+            f"refusing to enumerate 2**{bits} relations (limit {MAX_ENUM_BITS} bits)"
         )
     return range(1 << bits)
 
 
-def enumerate_coreflexives(carrier: Carrier, max_bits: int = DEFAULT_ENUM_BITS) -> Iterator[Relation]:
+def enumerate_coreflexives(carrier: Carrier) -> Iterator[Relation]:
     """All sub-identities over the carrier, in little-endian order of the diagonal."""
     n = carrier.size
-    if n > max_bits:
-        raise EnumerationLimit(f"carrier {carrier.name!r} has {n} diagonal bits (limit {max_bits})")
+    if n > MAX_ENUM_BITS:
+        raise EnumerationLimit(f"carrier {carrier.name!r} has {n} diagonal bits (limit {MAX_ENUM_BITS})")
     for mask in range(1 << n):
         yield _make(carrier, carrier, _diagonal(mask, n))
 

@@ -147,6 +147,17 @@ def test_heavy_law_mixes_modes_at_size_three():
     assert report.ok
 
 
+def test_spaces_within_the_sample_count_are_enumerated():
+    # relation-count has no variables: one instance per size tuple, however
+    # heavy, and drawing it 10 times would only repeat it
+    report = run_law(REGISTRY["relation-count"], max_size=2, samples=10, budget=1)
+    assert (report.mode, report.instances, report.ok) == ("exhaustive", 4, True)
+    # one relation variable: 2 + 4 + 4 instances enumerated, 10 of the 16 2x2
+    # relations drawn
+    report = run_law(REGISTRY["converse-involution"], max_size=2, samples=10, budget=1)
+    assert (report.mode, report.instances) == ("mixed", 20)
+
+
 def test_run_suite_rejects_silly_sizes():
     with pytest.raises(ValueError, match="max_size"):
         run_suite(max_size=0)
