@@ -10,8 +10,15 @@ counterexample: no single pair can be removed from any argument, and no
 carrier element dropped, without the law recovering.
 
 Law ids are stable and descriptive; `statement` carries the point-free
-formula. build_manifest() emits the machine-readable catalogue the CLI
-serves, including the explicit out-of-scope entries.
+formula. A law registered with _term has no Python check: its statement is
+parsed (see terms) and the parsed Formula is the check, so the statement
+and the check cannot drift apart. The runner evaluates each size tuple of
+such a law in batches of instances at once, bit-sliced, with the draws,
+order and first failure of the scalar scan; the failure is then shrunk one
+instance at a time. The other laws test more than their statement says
+(a predicate, an index, an isomorphism) or leave a constant's carrier open,
+and keep a Python check. build_manifest() emits the machine-readable
+catalogue the CLI serves, including the explicit out-of-scope entries.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from math import isqrt, prod
 from typing import Callable, Sequence
 
 from . import factors, indexcore, isomorph
+from .terms import Formula, code_planes, fixed_planes, parse, range_planes
 from .points import (
     all_or_nothing, decompose_to_pairs, is_atom, is_pair, is_particle, is_point, pair_rel, points,
     union_all,
@@ -35,12 +43,14 @@ from .domains import (
     ldom, per_characterizations, per_ldom, per_rdom, rdom,
 )
 from .rel import (
-    MAX_ENUM_BITS, Carrier, Relation, _make, _relation_codes, bottom, complement, compose, converse,
-    dedekind_check, enumerate_coreflexives, enumerate_relations, from_pairs, identity, intersect,
-    is_subset, relation_at, top, union,
+    MAX_ENUM_BITS, Carrier, Relation, _make, _relation_codes, bottom, compose, converse,
+    enumerate_coreflexives, enumerate_relations, from_pairs, identity, is_subset, relation_at, top,
+    union,
 )
 
 EXHAUSTIVE_BUDGET = 10_000_000
+# the most instances a term law evaluates at once: the bits of one plane
+PLANE_BITS = 1 << 20
 # the largest carrier whose square relation pool the enumeration bound admits
 MAX_CARRIER_SIZE = isqrt(MAX_ENUM_BITS)
 
@@ -151,24 +161,19 @@ def _law(law_id: str, statement: str, vars: tuple[Var, ...], check, cost: int = 
     REGISTRY[law_id] = Law(law_id, statement, vars, check, cost, extra_tvs)
 
 
+def _term(law_id: str, statement: str, letters: str, vars: tuple[Var, ...], cost: int = 1) -> None:
+    """Register a law whose parsed statement is its check; letters names the
+    variables in order."""
+    _law(law_id, statement, vars, parse(statement, vars, letters, law_id), cost)
+
+
 # -- plain algebra -------------------------------------------------------------
 
 
-def c_compose_assoc(a, C):
-    r, s, t = a
-    return compose(compose(r, s), t) == compose(r, compose(s, t))
+_term("compose-assoc", "(R∘S)∘T = R∘(S∘T)", "RST",
+      (_rel("A", "B"), _rel("B", "C"), _rel("C", "D")), cost=6)
 
-
-_law("compose-assoc", "(R∘S)∘T = R∘(S∘T)",
-     (_rel("A", "B"), _rel("B", "C"), _rel("C", "D")), c_compose_assoc, cost=6)
-
-
-def c_compose_unit(a, C):
-    (r,) = a
-    return compose(identity(r.src), r) == r == compose(r, identity(r.dst))
-
-
-_law("compose-unit", "𝕀∘R = R = R∘𝕀", (_rel("A", "B"),), c_compose_unit)
+_term("compose-unit", "𝕀∘R = R = R∘𝕀", "R", (_rel("A", "B"),))
 
 
 def c_compose_zero(a, C):
@@ -183,37 +188,14 @@ def c_compose_zero(a, C):
 _law("compose-zero", "⊥∘R = ⊥ and R∘⊥ = ⊥", (_rel("A", "B"),), c_compose_zero, extra_tvs=("C",))
 
 
-def c_converse_involution(a, C):
-    (r,) = a
-    return converse(converse(r)) == r
+_term("converse-involution", "R°° = R", "R", (_rel("A", "B"),))
 
+_term("converse-contravariant", "(R∘S)° = S°∘R°", "RS",
+      (_rel("A", "B"), _rel("B", "C")))
 
-_law("converse-involution", "R°° = R", (_rel("A", "B"),), c_converse_involution)
+_term("converse-join", "(R∪S)° = R°∪S°", "RS", (_rel("A", "B"), _rel("A", "B")))
 
-
-def c_converse_contravariant(a, C):
-    r, s = a
-    return converse(compose(r, s)) == compose(converse(s), converse(r))
-
-
-_law("converse-contravariant", "(R∘S)° = S°∘R°",
-     (_rel("A", "B"), _rel("B", "C")), c_converse_contravariant)
-
-
-def c_converse_join(a, C):
-    r, s = a
-    return converse(union(r, s)) == union(converse(r), converse(s))
-
-
-_law("converse-join", "(R∪S)° = R°∪S°", (_rel("A", "B"), _rel("A", "B")), c_converse_join)
-
-
-def c_converse_meet(a, C):
-    r, s = a
-    return converse(intersect(r, s)) == intersect(converse(r), converse(s))
-
-
-_law("converse-meet", "(R∩S)° = R°∩S°", (_rel("A", "B"), _rel("A", "B")), c_converse_meet)
+_term("converse-meet", "(R∩S)° = R°∩S°", "RS", (_rel("A", "B"), _rel("A", "B")))
 
 
 def c_converse_constants(a, C):
@@ -228,78 +210,32 @@ def c_converse_constants(a, C):
 _law("converse-constants", "⊥° = ⊥, ⊤° = ⊤, 𝕀° = 𝕀", (), c_converse_constants, extra_tvs=("A", "B"))
 
 
-def c_converse_monotonic(a, C):
-    r, s = a
-    return is_subset(r, s) == is_subset(converse(r), converse(s))
+_term("converse-monotonic", "R ⊆ S ≡ R° ⊆ S°", "RS", (_rel("A", "B"), _rel("A", "B")))
 
+_term("compose-join-left", "R∘(S∪T) = R∘S ∪ R∘T", "RST",
+      (_rel("A", "B"), _rel("B", "C"), _rel("B", "C")), cost=5)
 
-_law("converse-monotonic", "R ⊆ S ≡ R° ⊆ S°", (_rel("A", "B"), _rel("A", "B")), c_converse_monotonic)
+_term("compose-join-right", "(R∪S)∘T = R∘T ∪ S∘T", "RST",
+      (_rel("A", "B"), _rel("A", "B"), _rel("B", "C")), cost=5)
 
+_term("compose-monotonic", "R ⊆ S ⇒ R∘T ⊆ S∘T", "RST",
+      (_rel("A", "B"), _rel("A", "B"), _rel("B", "C")))
 
-def c_compose_join_left(a, C):
-    r, s, t = a
-    return compose(r, union(s, t)) == union(compose(r, s), compose(r, t))
+_term("meet-compose-sub", "(R∩S)∘T ⊆ R∘T ∩ S∘T", "RST",
+      (_rel("A", "B"), _rel("A", "B"), _rel("B", "C")), cost=5)
 
-
-_law("compose-join-left", "R∘(S∪T) = R∘S ∪ R∘T",
-     (_rel("A", "B"), _rel("B", "C"), _rel("B", "C")), c_compose_join_left, cost=5)
-
-
-def c_compose_join_right(a, C):
-    r, s, t = a
-    return compose(union(r, s), t) == union(compose(r, t), compose(s, t))
-
-
-_law("compose-join-right", "(R∪S)∘T = R∘T ∪ S∘T",
-     (_rel("A", "B"), _rel("A", "B"), _rel("B", "C")), c_compose_join_right, cost=5)
-
-
-def c_compose_monotonic(a, C):
-    r, s, t = a
-    return not is_subset(r, s) or is_subset(compose(r, t), compose(s, t))
-
-
-_law("compose-monotonic", "R ⊆ S ⇒ R∘T ⊆ S∘T",
-     (_rel("A", "B"), _rel("A", "B"), _rel("B", "C")), c_compose_monotonic)
-
-
-def c_meet_compose_sub(a, C):
-    r, s, t = a
-    return is_subset(compose(intersect(r, s), t), intersect(compose(r, t), compose(s, t)))
-
-
-_law("meet-compose-sub", "(R∩S)∘T ⊆ R∘T ∩ S∘T",
-     (_rel("A", "B"), _rel("A", "B"), _rel("B", "C")), c_meet_compose_sub, cost=5)
-
-
-def c_absorption(a, C):
-    r, s = a
-    return intersect(r, union(r, s)) == r == union(r, intersect(r, s))
-
-
-_law("meet-join-absorption", "R∩(R∪S) = R = R∪(R∩S)",
-     (_rel("A", "B"), _rel("A", "B")), c_absorption)
+_term("meet-join-absorption", "R∩(R∪S) = R = R∪(R∩S)", "RS",
+      (_rel("A", "B"), _rel("A", "B")))
 
 
 # -- modularity and the cone rule ----------------------------------------------
 
 
-def c_dedekind(a, C):
-    r, s, t = a
-    return dedekind_check(r, s, t)[0]
+_term("dedekind-modular", "R∘S ∩ T ⊆ R∘(S ∩ R°∘T)", "RST",
+      (_rel("A", "B"), _rel("B", "C"), _rel("A", "C")), cost=5)
 
-
-_law("dedekind-modular", "R∘S ∩ T ⊆ R∘(S ∩ R°∘T)",
-     (_rel("A", "B"), _rel("B", "C"), _rel("A", "C")), c_dedekind, cost=5)
-
-
-def c_dedekind_dual(a, C):
-    r, s, t = a
-    return dedekind_check(r, s, t)[1]
-
-
-_law("dedekind-modular-dual", "R∘S ∩ T ⊆ (R ∩ T∘S°)∘S",
-     (_rel("A", "B"), _rel("B", "C"), _rel("A", "C")), c_dedekind_dual, cost=5)
+_term("dedekind-modular-dual", "R∘S ∩ T ⊆ (R ∩ T∘S°)∘S", "RST",
+      (_rel("A", "B"), _rel("B", "C"), _rel("A", "C")), cost=5)
 
 
 def c_cone(a, C):
@@ -314,93 +250,32 @@ _law("cone-rule", "⊤∘R∘⊤ = ⊤ ≡ R ≠ ⊥", (_rel("A", "B"),), c_cone
 # -- factors --------------------------------------------------------------------
 
 
-def c_left_residual_galois(a, C):
-    r, s, t = a
-    return is_subset(t, factors.left_residual(r, s)) == is_subset(compose(r, t), s)
+_term("left-residual-galois", "T ⊆ R\\S ≡ R∘T ⊆ S", "RST",
+      (_rel("A", "B"), _rel("A", "C"), _rel("B", "C")), cost=5)
 
+_term("right-residual-galois", "T ⊆ R/S ≡ T∘S ⊆ R", "RST",
+      (_rel("A", "C"), _rel("B", "C"), _rel("A", "B")), cost=5)
 
-_law("left-residual-galois", "T ⊆ R\\S ≡ R∘T ⊆ S",
-     (_rel("A", "B"), _rel("A", "C"), _rel("B", "C")), c_left_residual_galois, cost=5)
+_term("left-residual-cancel", "T∘(T\\U) ⊆ U", "TU", (_rel("A", "B"), _rel("A", "C")))
 
+_term("right-residual-cancel", "(R/S)∘S ⊆ R", "RS", (_rel("A", "C"), _rel("B", "C")))
 
-def c_right_residual_galois(a, C):
-    r, s, t = a
-    return is_subset(t, factors.right_residual(r, s)) == is_subset(compose(t, s), r)
+_term("residual-self-preorder-left", "𝕀 ⊆ R\\R and (R\\R)∘(R\\R) ⊆ R\\R", "R",
+      (_rel("A", "B"),))
 
+_term("residual-self-preorder-right", "𝕀 ⊆ R/R and (R/R)∘(R/R) ⊆ R/R", "R",
+      (_rel("A", "B"),))
 
-_law("right-residual-galois", "T ⊆ R/S ≡ T∘S ⊆ R",
-     (_rel("A", "C"), _rel("B", "C"), _rel("A", "B")), c_right_residual_galois, cost=5)
+_term("residual-self-absorb", "R∘(R\\R) = R = (R/R)∘R", "R", (_rel("A", "B"),))
 
+_term("left-residual-complement", "R\\S = ¬(R°∘¬S)", "RS",
+      (_rel("A", "B"), _rel("A", "C")))
 
-def c_left_residual_cancel(a, C):
-    t, u = a
-    return is_subset(compose(t, factors.left_residual(t, u)), u)
+_term("right-residual-complement", "R/S = ¬(¬R∘S°)", "RS",
+      (_rel("A", "C"), _rel("B", "C")))
 
-
-_law("left-residual-cancel", "T∘(T\\U) ⊆ U", (_rel("A", "B"), _rel("A", "C")), c_left_residual_cancel)
-
-
-def c_right_residual_cancel(a, C):
-    r, s = a
-    return is_subset(compose(factors.right_residual(r, s), s), r)
-
-
-_law("right-residual-cancel", "(R/S)∘S ⊆ R", (_rel("A", "C"), _rel("B", "C")), c_right_residual_cancel)
-
-
-def c_preorder_left(a, C):
-    (r,) = a
-    under = factors.left_residual(r, r)
-    return is_subset(identity(r.dst), under) and is_subset(compose(under, under), under)
-
-
-_law("residual-self-preorder-left", "𝕀 ⊆ R\\R and (R\\R)∘(R\\R) ⊆ R\\R",
-     (_rel("A", "B"),), c_preorder_left)
-
-
-def c_preorder_right(a, C):
-    (r,) = a
-    over = factors.right_residual(r, r)
-    return is_subset(identity(r.src), over) and is_subset(compose(over, over), over)
-
-
-_law("residual-self-preorder-right", "𝕀 ⊆ R/R and (R/R)∘(R/R) ⊆ R/R",
-     (_rel("A", "B"),), c_preorder_right)
-
-
-def c_residual_self_absorb(a, C):
-    (r,) = a
-    return compose(r, factors.left_residual(r, r)) == r == compose(factors.right_residual(r, r), r)
-
-
-_law("residual-self-absorb", "R∘(R\\R) = R = (R/R)∘R", (_rel("A", "B"),), c_residual_self_absorb)
-
-
-def c_left_residual_complement(a, C):
-    r, s = a
-    return factors.left_residual(r, s) == complement(compose(converse(r), complement(s)))
-
-
-_law("left-residual-complement", "R\\S = ¬(R°∘¬S)",
-     (_rel("A", "B"), _rel("A", "C")), c_left_residual_complement)
-
-
-def c_right_residual_complement(a, C):
-    r, s = a
-    return factors.right_residual(r, s) == complement(compose(complement(r), converse(s)))
-
-
-_law("right-residual-complement", "R/S = ¬(¬R∘S°)",
-     (_rel("A", "C"), _rel("B", "C")), c_right_residual_complement)
-
-
-def c_residual_converse_swap(a, C):
-    r, s = a
-    return converse(factors.left_residual(r, s)) == factors.right_residual(converse(s), converse(r))
-
-
-_law("residual-converse-swap", "(R\\S)° = S°/R°",
-     (_rel("A", "B"), _rel("A", "C")), c_residual_converse_swap)
+_term("residual-converse-swap", "(R\\S)° = S°/R°", "RS",
+      (_rel("A", "B"), _rel("A", "C")))
 
 
 def c_sym_division_equivalence(a, C):
@@ -416,27 +291,10 @@ def c_sym_division_equivalence(a, C):
 _law("sym-division-equivalence", "R\\\\R is an equivalence", (_rel("A", "B"),), c_sym_division_equivalence)
 
 
-def c_sym_division_absorb(a, C):
-    (r,) = a
-    return (
-        compose(r, factors.sym_right_div(r, r)) == r
-        and compose(factors.sym_left_div(r, r), r) == r
-    )
+_term("sym-division-absorb", "R∘(R\\\\R) = R = (R//R)∘R", "R", (_rel("A", "B"),))
 
-
-_law("sym-division-absorb", "R∘(R\\\\R) = R = (R//R)∘R", (_rel("A", "B"),), c_sym_division_absorb)
-
-
-def c_sym_division_converse(a, C):
-    r, s = a
-    return (
-        converse(factors.sym_right_div(r, s)) == factors.sym_right_div(s, r)
-        and converse(factors.sym_left_div(r, s)) == factors.sym_left_div(s, r)
-    )
-
-
-_law("sym-division-converse", "(R\\\\S)° = S\\\\R and (R//S)° = S//R",
-     (_rel("A", "B"), _rel("A", "B")), c_sym_division_converse)
+_term("sym-division-converse", "(R\\\\S)° = S\\\\R and (R//S)° = S//R", "RS",
+      (_rel("A", "B"), _rel("A", "B")))
 
 
 def c_sym_division_columns(a, C):
@@ -458,80 +316,21 @@ _law("sym-division-columns", "(b,b′) ∈ R\\\\R ≡ column b = column b′",
 # -- domains ---------------------------------------------------------------------
 
 
-def c_domain_absorption(a, C):
-    (r,) = a
-    return compose(ldom(r), r) == r == compose(r, rdom(r))
+_term("domain-absorption", "R<∘R = R = R∘R>", "R", (_rel("A", "B"),))
 
+_term("domain-converse", "(R°)> = R< and (R°)< = R>", "R", (_rel("A", "B"),))
 
-_law("domain-absorption", "R<∘R = R = R∘R>", (_rel("A", "B"),), c_domain_absorption)
+_term("domain-definitions", "R< = 𝕀 ∩ R∘R° and R> = 𝕀 ∩ R°∘R", "R", (_rel("A", "B"),))
 
+_term("domain-empty", "R< = ⊥ ≡ R = ⊥ ≡ R> = ⊥", "R", (_rel("A", "B"),))
 
-def c_domain_converse(a, C):
-    (r,) = a
-    return rdom(converse(r)) == ldom(r) and ldom(converse(r)) == rdom(r)
+_term("rdom-least", "R = R∘p ≡ R> = R>∘p", "Rp", (_rel("A", "B"), _cor("B")))
 
+_term("ldom-least", "R = p∘R ≡ R< = p∘R<", "Rp", (_rel("A", "B"), _cor("A")))
 
-_law("domain-converse", "(R°)> = R< and (R°)< = R>", (_rel("A", "B"),), c_domain_converse)
+_term("rdom-top-char", "R> ⊆ p ≡ R ⊆ ⊤∘p ≡ R ⊆ R∘p", "Rp", (_rel("A", "B"), _cor("B")))
 
-
-def c_domain_definitions(a, C):
-    (r,) = a
-    rc = converse(r)
-    return (
-        ldom(r) == intersect(identity(r.src), compose(r, rc))
-        and rdom(r) == intersect(identity(r.dst), compose(rc, r))
-    )
-
-
-_law("domain-definitions", "R< = 𝕀 ∩ R∘R° and R> = 𝕀 ∩ R°∘R", (_rel("A", "B"),), c_domain_definitions)
-
-
-def c_domain_empty(a, C):
-    (r,) = a
-    return (not ldom(r)) == (not r) == (not rdom(r))
-
-
-_law("domain-empty", "R< = ⊥ ≡ R = ⊥ ≡ R> = ⊥", (_rel("A", "B"),), c_domain_empty)
-
-
-def c_rdom_least(a, C):
-    r, p = a
-    return (r == compose(r, p)) == (rdom(r) == compose(rdom(r), p))
-
-
-_law("rdom-least", "R = R∘p ≡ R> = R>∘p", (_rel("A", "B"), _cor("B")), c_rdom_least)
-
-
-def c_ldom_least(a, C):
-    r, p = a
-    return (r == compose(p, r)) == (ldom(r) == compose(p, ldom(r)))
-
-
-_law("ldom-least", "R = p∘R ≡ R< = p∘R<", (_rel("A", "B"), _cor("A")), c_ldom_least)
-
-
-def c_rdom_top_char(a, C):
-    r, p = a
-    return (
-        is_subset(rdom(r), p)
-        == is_subset(r, compose(top(r.src, r.dst), p))
-        == is_subset(r, compose(r, p))
-    )
-
-
-_law("rdom-top-char", "R> ⊆ p ≡ R ⊆ ⊤∘p ≡ R ⊆ R∘p", (_rel("A", "B"), _cor("B")), c_rdom_top_char)
-
-
-def c_ldom_top_char(a, C):
-    r, p = a
-    return (
-        is_subset(ldom(r), p)
-        == is_subset(r, compose(p, top(r.src, r.dst)))
-        == is_subset(r, compose(p, r))
-    )
-
-
-_law("ldom-top-char", "R< ⊆ p ≡ R ⊆ p∘⊤ ≡ R ⊆ p∘R", (_rel("A", "B"), _cor("A")), c_ldom_top_char)
+_term("ldom-top-char", "R< ⊆ p ≡ R ⊆ p∘⊤ ≡ R ⊆ p∘R", "Rp", (_rel("A", "B"), _cor("A")))
 
 
 def c_top_rdom(a, C):
@@ -545,32 +344,12 @@ def c_top_rdom(a, C):
 _law("top-rdom", "⊤∘R> = ⊤∘R and R<∘⊤ = R∘⊤", (_rel("A", "B"),), c_top_rdom)
 
 
-def c_rdom_compose(a, C):
-    r, s = a
-    return (
-        rdom(compose(r, s)) == rdom(compose(rdom(r), s))
-        and ldom(compose(r, s)) == ldom(compose(r, ldom(s)))
-    )
+_term("rdom-compose", "(R∘S)> = (R>∘S)> and (R∘S)< = (R∘S<)<", "RS",
+      (_rel("A", "B"), _rel("B", "C")))
 
+_term("coreflexive-per", "p∘p = p, p° = p, p ⊆ 𝕀", "p", (_cor("A"),))
 
-_law("rdom-compose", "(R∘S)> = (R>∘S)> and (R∘S)< = (R∘S<)<",
-     (_rel("A", "B"), _rel("B", "C")), c_rdom_compose)
-
-
-def c_coreflexive_per(a, C):
-    (p,) = a
-    return compose(p, p) == p and converse(p) == p and is_subset(p, identity(p.src))
-
-
-_law("coreflexive-per", "p∘p = p, p° = p, p ⊆ 𝕀", (_cor("A"),), c_coreflexive_per)
-
-
-def c_coreflexive_meet_compose(a, C):
-    p, q = a
-    return compose(p, q) == intersect(p, q)
-
-
-_law("coreflexive-meet-compose", "p∘q = p∩q for coreflexives", (_cor("A"), _cor("A")), c_coreflexive_meet_compose)
+_term("coreflexive-meet-compose", "p∘q = p∩q for coreflexives", "pq", (_cor("A"), _cor("A")))
 
 
 def c_per_domains_are_pers(a, C):
@@ -581,28 +360,11 @@ def c_per_domains_are_pers(a, C):
 _law("per-domains-are-pers", "R≺ and R≻ are pers", (_rel("A", "B"),), c_per_domains_are_pers)
 
 
-def c_per_rdom_least(a, C):
-    r, p = a
-    return (r == compose(r, p)) == (per_rdom(r) == compose(per_rdom(r), p))
+_term("per-rdom-least", "R = R∘P ≡ R≻ = R≻∘P for pers P", "RP", (_rel("A", "B"), _per("B")))
 
+_term("per-ldom-least", "R = P∘R ≡ R≺ = P∘R≺ for pers P", "RP", (_rel("A", "B"), _per("A")))
 
-_law("per-rdom-least", "R = R∘P ≡ R≻ = R≻∘P for pers P", (_rel("A", "B"), _per("B")), c_per_rdom_least)
-
-
-def c_per_ldom_least(a, C):
-    r, p = a
-    return (r == compose(p, r)) == (per_ldom(r) == compose(p, per_ldom(r)))
-
-
-_law("per-ldom-least", "R = P∘R ≡ R≺ = P∘R≺ for pers P", (_rel("A", "B"), _per("A")), c_per_ldom_least)
-
-
-def c_per_domain_absorption(a, C):
-    (r,) = a
-    return compose(per_ldom(r), r) == r == compose(r, per_rdom(r))
-
-
-_law("per-domain-absorption", "R≺∘R = R = R∘R≻", (_rel("A", "B"),), c_per_domain_absorption)
+_term("per-domain-absorption", "R≺∘R = R = R∘R≻", "R", (_rel("A", "B"),))
 
 
 def c_per_domain_alt(a, C):
@@ -619,16 +381,8 @@ _law("per-domain-alt", "R≻ = R>∘(R\\\\R) = (R\\\\R)∘R> and dually for R≺
      (_rel("A", "B"),), c_per_domain_alt)
 
 
-def c_per_domain_domains(a, C):
-    (r,) = a
-    return (
-        ldom(per_rdom(r)) == rdom(r) == rdom(per_rdom(r))
-        and ldom(per_ldom(r)) == ldom(r) == rdom(per_ldom(r))
-    )
-
-
-_law("per-domain-domains", "(R≻)< = R> = (R≻)> and (R≺)< = R< = (R≺)>",
-     (_rel("A", "B"),), c_per_domain_domains)
+_term("per-domain-domains", "(R≻)< = R> = (R≻)> and (R≺)< = R< = (R≺)>", "R",
+      (_rel("A", "B"),))
 
 
 def c_per_equivalents(a, C):
@@ -1202,16 +956,8 @@ _law("decompose-compose", "pairwise composition of pairs reconstructs R∘S",
      (_rel("A", "B"), _rel("B", "C")), c_decompose_compose, cost=40)
 
 
-def c_pair_irreducible(a, C):
-    r, s, x, y = a
-    z = pair_rel(x, y)
-    if not is_subset(z, union(r, s)):
-        return True
-    return is_subset(z, r) or is_subset(z, s)
-
-
-_law("pair-irreducible", "a∘⊤∘b ⊆ R∪S ⇒ a∘⊤∘b ⊆ R or a∘⊤∘b ⊆ S",
-     (_rel("A", "B"), _rel("A", "B"), _pt("A"), _pt("B")), c_pair_irreducible, cost=5)
+_term("pair-irreducible", "a∘⊤∘b ⊆ R∪S ⇒ a∘⊤∘b ⊆ R or a∘⊤∘b ⊆ S", "RSab",
+      (_rel("A", "B"), _rel("A", "B"), _pt("A"), _pt("B")), cost=5)
 
 
 def c_relation_count(a, C):
@@ -1382,6 +1128,7 @@ def run_law(
     instances = 0
     failures: list[Counterexample] = []
     tvs = law.type_vars()
+    scan = _scan_sliced if isinstance(law.check, Formula) else _scan_scalar
     for sizes in product(range(1, max_size + 1), repeat=len(tvs)):
         carriers = {tv: Carrier(tv, n) for tv, n in zip(tvs, sizes)}
         # every kind's pool holds ⊥ or a point at sizes >= 1, so none is empty
@@ -1392,23 +1139,14 @@ def run_law(
         space = prod(len(p) for p in pools)
         if space * law.cost <= budget or space <= samples:
             modes_seen.add("exhaustive")
-            # each pool's relations are built once, for this size tuple only
-            source = product(*(
-                [_make(src, dst, code) for code in pool] for (src, dst), pool in zip(typed, pools)
-            ))
+            rng = None
         else:
             modes_seen.add("sampled")
             rng = random.Random(f"{seed}:{law.id}:{sizes}")
-            source = (
-                tuple(_make(src, dst, pool[rng.randrange(len(pool))]) for (src, dst), pool in zip(typed, pools))
-                for _ in range(samples)
-            )
-        for args in source:
-            instances += 1
-            if not law.check(args, carriers):
-                failures.append(shrink(law, carriers, args))
-                break
-        if failures:
+        checked, failed = scan(law, carriers, typed, pools, rng, samples)
+        instances += checked
+        if failed is not None:
+            failures.append(shrink(law, carriers, failed))
             break
     mode = "mixed" if len(modes_seen) > 1 else modes_seen.pop()
     return LawReport(
@@ -1419,6 +1157,86 @@ def run_law(
         failures=failures,
         seed=seed,
     )
+
+
+# A scan checks one size tuple: every instance in product order when rng is
+# None, else `samples` draws. It returns the number of instances checked and
+# the first failing one, or None.
+
+
+def _scan_scalar(law, carriers, typed, pools, rng, samples):
+    if rng is None:
+        # each pool's relations are built once, for this size tuple only
+        source = product(*(
+            [_make(src, dst, code) for code in pool] for (src, dst), pool in zip(typed, pools)
+        ))
+    else:
+        source = (
+            tuple(_make(src, dst, pool[rng.randrange(len(pool))]) for (src, dst), pool in zip(typed, pools))
+            for _ in range(samples)
+        )
+    checked = 0
+    for args in source:
+        checked += 1
+        if not law.check(args, carriers):
+            return checked, args
+    return checked, None
+
+
+def _scan_sliced(law, carriers, typed, pools, rng, samples):
+    """The scan of a term law: batches of at most PLANE_BITS instances, each
+    evaluated at once on planes (see terms). An exhaustive scan slices the
+    trailing arguments and holds the leading ones fixed per batch; a sampled
+    one makes the draws of the scalar scan, in the same order."""
+    sizes = {tv: c.size for tv, c in carriers.items()}
+    cells = [src.size * dst.size for src, dst in typed]
+    if rng is None:
+        lead = len(pools)
+        batch = 1
+        while lead and batch * len(pools[lead - 1]) <= PLANE_BITS:
+            lead -= 1
+            batch *= len(pools[lead])
+        full = (1 << batch) - 1
+        sliced = []
+        stride = batch
+        for pool, n in zip(pools[lead:], cells[lead:]):
+            stride //= len(pool)
+            if isinstance(pool, range):
+                sliced.append(range_planes(n, stride, batch))
+            else:
+                sliced.append(code_planes(pool, n, stride, batch // (stride * len(pool))))
+        for q, fixed in enumerate(product(*pools[:lead])):
+            planes = [fixed_planes(code, n, full) for code, n in zip(fixed, cells)] + sliced
+            bad = law.check.failures(planes, sizes, full)
+            if bad:
+                x = (bad & -bad).bit_length() - 1
+                return q * batch + x + 1, _relations(typed, fixed + _decode(x, pools[lead:]))
+        return prod(len(p) for p in pools), None
+    draw = rng.randrange
+    sized = [(pool, len(pool)) for pool in pools]
+    for start in range(0, samples, PLANE_BITS):
+        batch = min(PLANE_BITS, samples - start)
+        draws = [[pool[draw(n)] for pool, n in sized] for _ in range(batch)]
+        full = (1 << batch) - 1
+        planes = [code_planes(column, n) for column, n in zip(zip(*draws), cells)]
+        bad = law.check.failures(planes, sizes, full)
+        if bad:
+            x = (bad & -bad).bit_length() - 1
+            return start + x + 1, _relations(typed, draws[x])
+    return samples, None
+
+
+def _decode(x: int, pools) -> tuple[int, ...]:
+    """The codes of instance x of the product of the pools."""
+    codes = []
+    for pool in reversed(pools):
+        x, i = divmod(x, len(pool))
+        codes.append(pool[i])
+    return tuple(reversed(codes))
+
+
+def _relations(typed, codes) -> tuple[Relation, ...]:
+    return tuple(_make(src, dst, code) for (src, dst), code in zip(typed, codes))
 
 
 def run_suite(

@@ -1,0 +1,518 @@
+"""Point-free statements parsed once, evaluated one instance or a batch at a time.
+
+A law statement such as ``T ⊆ R\\S ≡ R∘T ⊆ S`` is parsed into a Formula over
+the law's variables. The grammar, from the loosest binding to the tightest:
+
+    statement   := formula [ "for" KINDS LETTER* ]
+    formula     := implication ( "," implication )*        conjunction
+    implication := disjunction [ "⇒" implication ]
+    disjunction := conjunction ( "or" conjunction )*
+    conjunction := equivalence ( "and" equivalence )*
+    equivalence := comparison ( "≡" comparison )*          a chain
+    comparison  := term ( ("⊆" | "=" | "≠") term )+        a chain
+    term        := meet ( "∪" meet )*
+    meet        := product ( "∩" product )*
+    product     := unary ( ("∘" | "\\" | "/" | "\\\\" | "//") unary )*
+    unary       := "¬" unary | postfix
+    postfix     := primary ( "°" | "<" | ">" | "≺" | "≻" )*
+    primary     := LETTER | "⊥" | "⊤" | "𝕀" | "(" term ")"
+
+A chain ``a = b = c`` means ``a = b and b = c``, as Python chains do, and
+``\\``, ``/``, ``\\\\``, ``//`` are the left and right residuals and the
+symmetric divisions (see factors). The trailing ``for pers P`` restates the
+kinds of the named variables (of every variable, when none is named); the
+parser checks it against them. Letters are bound to the law's variables
+explicitly, one letter per variable in order, since a statement need not
+mention its variables in that order.
+
+The carriers of each ⊥, ⊤ and 𝕀 are inferred from the variables by
+unification. A statement whose constant's carriers stay open, one that joins
+two different carriers, or one that does not parse raises ValueError naming
+the law and the column.
+
+A Formula has two evaluators over one instruction list, in which equal
+subterms appear once:
+
+- scalar: ``formula(args, carriers)`` evaluates one instance with the kernel
+  operations and returns a bool, so a Formula is a law check;
+- sliced: ``formula.failures(planes, sizes, full)`` evaluates a batch of
+  instances at once. Each argument is a list of planes, one int per matrix
+  cell in code order, and bit x of every plane belongs to instance x, so
+  composition is an OR of ANDs, converse permutes the planes and complement
+  XORs them with ``full``, the mask of the batch. The result has bit x set
+  when the statement fails on instance x (the bitslicing of E. Biham's DES
+  implementation, FSE 1997).
+"""
+
+from __future__ import annotations
+
+import re
+from functools import lru_cache, reduce
+from operator import and_, eq, ne, or_, xor
+from typing import Sequence
+
+from .domains import ldom, per_ldom, per_rdom, rdom
+from .factors import left_residual, right_residual, sym_left_div, sym_right_div
+from .rel import bottom, complement, compose, converse, identity, intersect, is_subset, top, union
+
+#: The plural kind words a trailing ``for`` clause may use.
+KIND_WORDS = {
+    "relations": "relation", "coreflexives": "coreflexive", "pers": "per",
+    "difunctions": "difunction", "functionals": "functional", "points": "point",
+}
+
+# a symbol (𝕀 too, though Python counts it a letter), a word, or anything else
+_TOKEN = re.compile(r"(\\\\|//|[\\/∘∪∩°¬⊥⊤𝕀()<>≺≻⊆=≠≡⇒,])|([^\W\d_]+)|(\S)")
+_PRODUCTS = ("∘", "\\", "/", "\\\\", "//")
+_POSTFIX = ("°", "<", ">", "≺", "≻")
+_COMPARISONS = ("⊆", "=", "≠")
+_CONSTANTS = ("⊥", "⊤", "𝕀")
+
+
+class Formula:
+    """A parsed statement over a law's variables; callable as a law check."""
+
+    __slots__ = ("statement", "letters", "_code")
+
+    def __init__(self, statement: str, letters: str, code: list[tuple[str, tuple, tuple]]):
+        self.statement, self.letters, self._code = statement, letters, code
+
+    def __repr__(self) -> str:
+        return f"Formula({self.statement!r}, letters={self.letters!r})"
+
+    def __call__(self, args, carriers) -> bool:
+        """The statement's truth on one instance, by the kernel operations."""
+        vals: list = []
+        for op, ins, dims in self._code:
+            if op == "var":
+                vals.append(args[ins[0]])
+            elif op in _CONSTANTS:
+                vals.append(_SCALAR[op](*[carriers[tv] for tv in dims]))
+            else:
+                vals.append(_SCALAR[op](*[vals[i] for i in ins]))
+        return vals[-1]
+
+    def failures(self, planes: Sequence[list[int]], sizes: dict[str, int], full: int) -> int:
+        """The plane of the instances of a batch on which the statement fails."""
+        vals: list = []
+        for op, ins, dims in self._code:
+            if op == "var":
+                vals.append(planes[ins[0]])
+            else:
+                vals.append(_SLICED[op](full, [sizes[tv] for tv in dims], *[vals[i] for i in ins]))
+        return full & ~vals[-1]
+
+
+# -- parsing ----------------------------------------------------------------------
+
+
+class _Node:
+    """A parsed subterm or subformula. A term's src and dst are type slots,
+    and dims the slots whose sizes its sliced operation needs."""
+
+    __slots__ = ("op", "kids", "col", "src", "dst", "dims", "index")
+
+    def __init__(self, op, kids, col, src=None, dst=None, dims=(), index=None):
+        self.op, self.kids, self.col, self.src, self.dst = op, kids, col, src, dst
+        self.dims, self.index = dims, index
+
+
+def parse(statement: str, vars: Sequence, letters: str, law_id: str = "") -> Formula:
+    """Parse a statement whose letters name `vars` in order (each has .kind,
+    .src and .dst); raise ValueError naming the law and column if it fails."""
+    return _Parser(statement, vars, letters, law_id).run()
+
+
+class _Parser:
+    def __init__(self, statement: str, vars: Sequence, letters: str, law_id: str):
+        self.law_id = law_id
+        if len(letters) != len(vars) or len(set(letters)) != len(letters) or not letters.isalpha():
+            raise ValueError(f"law {law_id!r}: letters {letters!r} must name its {len(vars)} "
+                             "variables, one distinct letter each")
+        self.statement, self.vars, self.letters = statement, vars, letters
+        self.tokens = _tokens(statement, self.fail)
+        self.pos = 0
+        self.links: dict = {}  # union-find over type slots: carrier names and fresh ints
+        self.fresh = 0
+
+    def fail(self, col: int, message: str):
+        raise ValueError(f"law {self.law_id!r}: column {col}: {message} in {self.statement!r}")
+
+    def shown(self, tok: str, col: int) -> str:
+        if tok == "end":
+            return "the end of the statement"
+        return repr(self.statement[col - 1] if tok == "letter" else tok)
+
+    # -- tokens ---------------------------------------------------------------
+
+    def peek(self) -> str:
+        return self.tokens[self.pos][0]
+
+    def take(self) -> tuple[str, int]:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str) -> int:
+        tok, col = self.take()
+        if tok != kind:
+            self.fail(col, f"expected {kind!r}, got {self.shown(tok, col)}")
+        return col
+
+    # -- carriers ---------------------------------------------------------------
+
+    def find(self, slot):
+        while slot in self.links:
+            slot = self.links[slot]
+        return slot
+
+    def unify(self, a, b, col: int, op: str) -> None:
+        a, b = self.find(a), self.find(b)
+        if a == b:
+            return
+        if isinstance(a, str) and isinstance(b, str):
+            self.fail(col, f"carrier mismatch: {op} joins carrier {a} with carrier {b}")
+        if isinstance(a, str):
+            a, b = b, a
+        self.links[a] = b
+
+    def new_slot(self) -> int:
+        self.fresh += 1
+        return self.fresh
+
+    # -- grammar ----------------------------------------------------------------
+
+    def run(self) -> Formula:
+        root = self.formula()
+        if self.peek() == "for":
+            self.qualifier()
+        tok, col = self.take()
+        if tok != "end":
+            self.fail(col, f"unexpected {self.shown(tok, col)}")
+        return Formula(self.statement, self.letters, self.compile(root))
+
+    def qualifier(self) -> None:
+        self.take()
+        word, col = self.take()
+        kind = KIND_WORDS.get(word)
+        if kind is None:
+            self.fail(col, f"expected a kind such as 'pers' after 'for', got {self.shown(word, col)}")
+        named = []
+        while self.peek() == "letter":
+            col = self.take()[1]
+            named.append((self.vars[self.var_index(col)], col))
+        for var, at in named or [(v, col) for v in self.vars]:
+            if var.kind != kind:
+                self.fail(at, f"'for {word}' but the variable is a {var.kind}")
+
+    def var_index(self, col: int) -> int:
+        letter = self.statement[col - 1]
+        if letter not in self.letters:
+            self.fail(col, f"unknown letter {letter!r}; the variables are {', '.join(self.letters)}")
+        return self.letters.index(letter)
+
+    def formula(self) -> _Node:
+        return self.joined(self.implication, ",", "and")
+
+    def implication(self) -> _Node:
+        node = self.disjunction()
+        if self.peek() == "⇒":
+            col = self.take()[1]
+            node = _Node("⇒", (node, self.implication()), col)
+        return node
+
+    def disjunction(self) -> _Node:
+        return self.joined(self.conjunction, "or", "or")
+
+    def conjunction(self) -> _Node:
+        return self.joined(self.equivalence, "and", "and")
+
+    def joined(self, operand, word: str, op: str) -> _Node:
+        """operand (word operand)*, grouped to the left."""
+        node = operand()
+        while self.peek() == word:
+            col = self.take()[1]
+            node = _Node(op, (node, operand()), col)
+        return node
+
+    def equivalence(self) -> _Node:
+        return self.chain(self.comparison, ("≡",))
+
+    def comparison(self) -> _Node:
+        node = self.chain(self.term, _COMPARISONS)
+        if node.src is not None:  # a term, compared with nothing
+            tok, col = self.take()
+            self.fail(col, f"expected one of ⊆ = ≠ after a term, got {self.shown(tok, col)}")
+        return node
+
+    def chain(self, operand, ops) -> _Node:
+        """operand (op operand)*, meaning each adjacent pair is related."""
+        left, links = operand(), []
+        while self.peek() in ops:
+            op, col = self.take()
+            right = operand()
+            if right.src is not None:  # terms, not formulas
+                self.same_type(left, right, col, op)
+            links.append(_Node(op, (left, right), col))
+            left = right
+        return reduce(lambda a, b: _Node("and", (a, b), b.col), links) if links else left
+
+    def term(self) -> _Node:
+        return self.lattice(self.meet, "∪")
+
+    def meet(self) -> _Node:
+        return self.lattice(self.product, "∩")
+
+    def lattice(self, operand, op: str) -> _Node:
+        node = operand()
+        while self.peek() == op:
+            col = self.take()[1]
+            right = operand()
+            self.same_type(node, right, col, op)
+            node = _Node(op, (node, right), col, node.src, node.dst)
+        return node
+
+    def same_type(self, left: _Node, right: _Node, col: int, op: str) -> None:
+        self.unify(left.src, right.src, col, op)
+        self.unify(left.dst, right.dst, col, op)
+
+    def product(self) -> _Node:
+        node = self.unary()
+        while self.peek() in _PRODUCTS:
+            op, col = self.take()
+            r, s = node, self.unary()
+            if op == "∘":
+                self.unify(r.dst, s.src, col, op)
+                node = _Node(op, (r, s), col, r.src, s.dst, (r.src, r.dst, s.dst))
+            elif op in ("\\", "\\\\"):  # R : A~B, S : A~C give B~C
+                self.unify(r.src, s.src, col, op)
+                node = _Node(op, (r, s), col, r.dst, s.dst, (r.src, r.dst, s.dst))
+            else:  # R : A~C, S : B~C give A~B
+                self.unify(r.dst, s.dst, col, op)
+                node = _Node(op, (r, s), col, r.src, s.src, (r.src, s.src, r.dst))
+        return node
+
+    def unary(self) -> _Node:
+        if self.peek() == "¬":
+            col = self.take()[1]
+            inner = self.unary()
+            return _Node("¬", (inner,), col, inner.src, inner.dst)
+        return self.postfix()
+
+    def postfix(self) -> _Node:
+        node = self.primary()
+        while self.peek() in _POSTFIX:
+            op, col = self.take()
+            src, dst = {"°": (node.dst, node.src), "<": (node.src, node.src), "≺": (node.src, node.src),
+                        ">": (node.dst, node.dst), "≻": (node.dst, node.dst)}[op]
+            node = _Node(op, (node,), col, src, dst, (node.src, node.dst))
+        return node
+
+    def primary(self) -> _Node:
+        tok, col = self.take()
+        if tok == "letter":
+            index = self.var_index(col)
+            var = self.vars[index]
+            return _Node("var", (), col, var.src, var.dst, index=index)
+        if tok in ("⊥", "⊤"):
+            src, dst = self.new_slot(), self.new_slot()
+            return _Node(tok, (), col, src, dst, (src, dst))
+        if tok == "𝕀":
+            slot = self.new_slot()
+            return _Node(tok, (), col, slot, slot, (slot,))
+        if tok == "(":
+            node = self.term()
+            self.expect(")")
+            return node
+        self.fail(col, f"expected a term, got {self.shown(tok, col)}")
+
+    # -- instructions -------------------------------------------------------------
+
+    def compile(self, root: _Node) -> list[tuple[str, tuple, tuple]]:
+        """Instructions in evaluation order, each (op, input indices, carrier
+        names the op needs); the last one is the statement's truth."""
+        code: list[tuple[str, tuple, tuple]] = []
+        seen: dict[tuple, int] = {}
+
+        def carrier(slot, node: _Node) -> str:
+            name = self.find(slot)
+            if not isinstance(name, str):
+                self.fail(node.col, f"the carriers of {node.op} are not fixed by the variables")
+            return name
+
+        def emit(node: _Node) -> int:
+            ins = (node.index,) if node.op == "var" else tuple(emit(kid) for kid in node.kids)
+            key = (node.op, ins, tuple(carrier(slot, node) for slot in node.dims))
+            if key not in seen:
+                seen[key] = len(code)
+                code.append(key)
+            return seen[key]
+
+        emit(root)
+        return code
+
+
+def _tokens(text: str, fail) -> list[tuple[str, int]]:
+    """(kind, column) pairs; words are 'letter' or the keywords, then 'end'."""
+    out = []
+    for m in _TOKEN.finditer(text):
+        sym, word, other = m.groups()
+        col = m.start() + 1
+        if sym:
+            out.append((sym, col))
+        elif word in ("and", "or", "for") or word in KIND_WORDS:
+            out.append((word, col))
+        elif word and len(word) == 1:
+            out.append(("letter", col))
+        elif word:
+            fail(col, f"unknown word {word!r}")
+        else:
+            fail(col, f"unknown symbol {other!r}")
+    out.append(("end", len(text) + 1))
+    return out
+
+
+# -- the scalar evaluator -----------------------------------------------------------
+
+_SCALAR = {
+    "⊥": bottom, "⊤": top, "𝕀": identity,
+    "∘": compose, "°": converse, "¬": complement, "∩": intersect, "∪": union,
+    "<": ldom, ">": rdom, "≺": per_ldom, "≻": per_rdom,
+    "\\": left_residual, "/": right_residual, "\\\\": sym_right_div, "//": sym_left_div,
+    "⊆": is_subset, "=": eq, "≠": ne, "≡": eq,
+    "⇒": lambda a, b: not a or b, "and": lambda a, b: a and b, "or": lambda a, b: a or b,
+}
+
+
+# -- the sliced evaluator -----------------------------------------------------------
+#
+# A matrix value is a list of planes in code order (cell (i, j) of an n×k value
+# at index i*k + j); a truth value is one plane. Every operation takes the
+# batch mask and the sizes named by its instruction first.
+
+
+def _any(planes) -> int:
+    return reduce(or_, planes, 0)
+
+
+def _compose(full, d, x, y):
+    n, m, p = d
+    out = []
+    for i in range(0, n * m, m):
+        row = x[i:i + m]
+        for j in range(p):
+            acc = 0
+            for a, b in zip(row, y[j::p]):
+                acc |= a & b
+            out.append(acc)
+    return out
+
+
+def _converse(full, d, x):
+    n, k = d
+    return [v for j in range(k) for v in x[j::k]]
+
+
+def _complement(full, d, x):
+    return [full ^ v for v in x]
+
+
+def _diagonal(n: int, cells) -> list[int]:
+    out = [0] * (n * n)
+    out[::n + 1] = cells
+    return out
+
+
+def _same_rows(full, x, y, k):
+    """Cell (a, b) is set where row a of x (n×k) equals row b of y (m×k)."""
+    xs = [x[i:i + k] for i in range(0, len(x), k)]
+    ys = [y[i:i + k] for i in range(0, len(y), k)]
+    return [full & ~_any(map(xor, r, s)) for r in xs for s in ys]
+
+
+def _per_ldom(full, d, x):
+    n, k = d
+    nonempty = [_any(x[i:i + k]) for i in range(0, n * k, k)]
+    same = _same_rows(full, x, x, k)
+    return [same[c] & nonempty[c // n] for c in range(n * n)]
+
+
+def _left_residual(full, d, r, s):  # R\S = ¬(R°∘¬S)
+    na, nb, nc = d
+    return _complement(full, d, _compose(full, (nb, na, nc), _converse(full, (na, nb), r),
+                                         _complement(full, d, s)))
+
+
+def _right_residual(full, d, r, s):  # R/S = ¬(¬R∘S°)
+    na, nb, nc = d
+    return _complement(full, d, _compose(full, (na, nc, nb), _complement(full, d, r),
+                                         _converse(full, (nb, nc), s)))
+
+
+_SLICED = {
+    "⊥": lambda full, d: [0] * (d[0] * d[1]),
+    "⊤": lambda full, d: [full] * (d[0] * d[1]),
+    "𝕀": lambda full, d: _diagonal(d[0], [full] * d[0]),
+    "∘": _compose,
+    "°": _converse,
+    "¬": _complement,
+    "∩": lambda full, d, x, y: list(map(and_, x, y)),
+    "∪": lambda full, d, x, y: list(map(or_, x, y)),
+    "<": lambda full, d, x: _diagonal(d[0], [_any(x[i:i + d[1]]) for i in range(0, len(x), d[1])]),
+    ">": lambda full, d, x: _diagonal(d[1], [_any(x[j::d[1]]) for j in range(d[1])]),
+    "≺": _per_ldom,
+    "≻": lambda full, d, x: _per_ldom(full, (d[1], d[0]), _converse(full, d, x)),
+    "\\": _left_residual,
+    "/": _right_residual,
+    # columns (rows) of R and S that agree
+    "\\\\": lambda full, d, r, s: _same_rows(full, _converse(full, d[:2], r), _converse(full, d[::2], s), d[0]),
+    "//": lambda full, d, r, s: _same_rows(full, r, s, d[2]),
+    "⊆": lambda full, d, x, y: full & ~_any(a & ~b for a, b in zip(x, y)),
+    "=": lambda full, d, x, y: full & ~_any(map(xor, x, y)),
+    "≠": lambda full, d, x, y: _any(map(xor, x, y)),
+    "≡": lambda full, d, a, b: full & ~(a ^ b),
+    "⇒": lambda full, d, a, b: full & ~(a & ~b),
+    "and": lambda full, d, a, b: a & b,
+    "or": lambda full, d, a, b: a | b,
+}
+
+
+# -- planes of the arguments ----------------------------------------------------------
+
+
+@lru_cache(maxsize=256)
+def _repunit(period: int, count: int) -> int:
+    """count ones, period bits apart, from bit 0."""
+    return int(("0" * (period - 1) + "1") * count, 2)
+
+
+def range_planes(cells: int, stride: int, bits: int) -> list[int]:
+    """Planes of the pool range(1 << cells) over a batch of `bits` instances,
+    each code held for `stride` consecutive instances and the pool repeated
+    to fill the batch. Bit c of the codes runs in blocks of stride·2^c zeros
+    then ones, so each plane is one such block times a repunit."""
+    out = []
+    for c in range(cells):
+        h = stride << c
+        rep = _repunit(2 * h, bits // (2 * h))
+        out.append(((rep << h) - rep) << h)
+    return out
+
+
+def code_planes(codes: Sequence[int], cells: int, stride: int = 1, reps: int = 1) -> list[int]:
+    """Planes of a sequence of codes, each held for `stride` consecutive
+    instances, the whole sequence repeated `reps` times: the transpose of
+    the codes' bit matrix."""
+    fmt = f"0{cells}b"
+    # most significant first: the last code's bits lead, as the planes' do
+    text = "".join([format(code, fmt) for code in reversed(codes)])
+    cols = [text[cells - 1 - c::cells] for c in range(cells)]
+    if stride > 1:
+        widen = {48: "0" * stride, 49: "1" * stride}
+        cols = [col.translate(widen) for col in cols]
+    return [int(col * reps, 2) for col in cols]
+
+
+def fixed_planes(code: int, cells: int, full: int) -> list[int]:
+    """Planes of one code held for the whole batch."""
+    return [full if code >> c & 1 else 0 for c in range(cells)]

@@ -1,0 +1,321 @@
+"""The statement parser and its two evaluators (relalg.terms).
+
+The sliced evaluator must give the scalar verdict on every instance, and a
+term law must give the report its Python check gave. Every registry law
+holds, so the planted false statements of perfbench/workloads.py are what
+exercise the decoding of a first failure here.
+"""
+
+import importlib.util
+import json
+import sys
+from functools import lru_cache
+from itertools import product
+from pathlib import Path
+
+import pytest
+
+from conftest import run_python
+from relalg import laws
+from relalg.laws import REGISTRY, Law, Var, _pool, _term, run_law
+from relalg.rel import Carrier, _make
+from relalg.terms import Formula, code_planes, fixed_planes, parse, range_planes
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+# The laws whose parsed statement is their check, and so run sliced. A law
+# that drops out of this set falls back to a Python check and the scalar scan.
+SLICED = {
+    "compose-assoc", "compose-unit", "converse-involution", "converse-contravariant", "converse-join",
+    "converse-meet", "converse-monotonic", "compose-join-left", "compose-join-right",
+    "compose-monotonic", "meet-compose-sub", "meet-join-absorption", "dedekind-modular",
+    "dedekind-modular-dual", "left-residual-galois", "right-residual-galois", "left-residual-cancel",
+    "right-residual-cancel", "residual-self-preorder-left", "residual-self-preorder-right",
+    "residual-self-absorb", "left-residual-complement", "right-residual-complement",
+    "residual-converse-swap", "sym-division-absorb", "sym-division-converse", "domain-absorption",
+    "domain-converse", "domain-definitions", "domain-empty", "rdom-least", "ldom-least",
+    "rdom-top-char", "ldom-top-char", "rdom-compose", "coreflexive-per", "coreflexive-meet-compose",
+    "per-rdom-least", "per-ldom-least", "per-domain-absorption", "per-domain-domains",
+    "pair-irreducible",
+}
+
+# the letters of the planted statements, in variable order
+PLANTED_LETTERS = {
+    "zz-planted-compose-commutes": "RS",
+    "zz-planted-meet-compose-distributes": "RST",
+    "zz-planted-residual-cancel": "RS",
+}
+
+R4 = (Var("relation", "A", "A"),) * 4
+
+
+@lru_cache(maxsize=None)
+def _planted() -> dict[str, Law]:
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.PLANTED
+
+
+def _as_term(law: Law) -> Law:
+    formula = parse(law.statement, law.vars, PLANTED_LETTERS[law.id], law.id)
+    return Law(law.id, law.statement, law.vars, formula, law.cost, law.extra_tvs)
+
+
+def _ops(statement: str, vars=R4, letters: str = "RSTU") -> list:
+    return parse(statement, vars, letters)._code
+
+
+# -- the grammar ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("loose, bracketed", [
+    ("R∘S ∩ T ∪ U = R", "((R∘S) ∩ T) ∪ U = R"),  # ∘ before ∩ before ∪
+    ("R ∪ S∘T = U", "R ∪ (S∘T) = U"),
+    ("¬R° = S", "¬(R°) = S"),  # postfix before prefix
+    ("¬R∘S = T", "(¬R)∘S = T"),
+    ("R\\S∘T = U", "(R\\S)∘T = U"),  # the products share one level, left to right
+    ("R∘S/T = U", "(R∘S)/T = U"),
+    ("R∘S∘T = U", "(R∘S)∘T = U"),
+    ("R\\\\S// T = U", "(R\\\\S)//T = U"),
+])
+def test_precedence(loose, bracketed):
+    assert _ops(loose) == _ops(bracketed)
+
+
+def test_formula_precedence():
+    # , < ⇒ < or < and < ≡ < comparisons; ⇒ groups to the right
+    code = _ops("R ⊆ S ⇒ T ⊆ U or S ⊆ T and R = U ≡ S = T, R = R")
+    ops = [op for op, _, _ in code]
+    top_and = code[-1]
+    assert top_and[0] == "and"
+    implied = code[top_and[1][0]]
+    assert implied[0] == "⇒"
+    disjunction = code[implied[1][1]]
+    assert disjunction[0] == "or"
+    conjunction = code[disjunction[1][1]]
+    assert conjunction[0] == "and" and code[conjunction[1][1]][0] == "≡"
+    assert ops.count("⇒") == 1 and ops.count("or") == 1
+    right = _ops("R ⊆ S ⇒ S ⊆ T ⇒ T ⊆ U")
+    assert right[-1][0] == "⇒" and right[right[-1][1][1]][0] == "⇒"
+
+
+def test_chains_mean_adjacent_pairs_and_share_the_middle():
+    code = _ops("R = S ⊆ T")
+    # R, S, R = S, T, S ⊆ T, and: S is evaluated once
+    assert [op for op, _, _ in code] == ["var", "var", "=", "var", "⊆", "and"]
+    assert code[2][1] == (0, 1) and code[4][1] == (1, 3)
+    code = _ops("R = ⊥ ≡ S = ⊥ ≡ T = ⊥")
+    iffs = [ins for op, ins, _ in code if op == "≡"]
+    assert len(iffs) == 2 and code[iffs[0][1]] == code[iffs[1][0]]  # the middle once
+
+
+def test_equal_subterms_are_evaluated_once():
+    code = _ops("R∘S ⊆ T ∪ R∘S")
+    assert [op for op, _, _ in code].count("∘") == 1
+
+
+def test_constants_take_their_carriers_from_the_variables():
+    vars = (Var("relation", "A", "B"), Var("coreflexive", "B", "B"))
+    code = parse("R ⊆ ⊤∘p and 𝕀 ⊆ p ∪ ¬p and ⊥∘R ⊆ R", vars, "Rp")._code
+    dims = {op: d for op, _, d in code if op in ("⊤", "𝕀", "⊥")}
+    assert dims == {"⊤": ("A", "B"), "𝕀": ("B",), "⊥": ("A", "A")}
+
+
+def test_a_qualifier_restates_the_kinds():
+    vars = (Var("relation", "A", "B"), Var("per", "B", "B"))
+    parse("R = R∘P ≡ R≻ = R≻∘P for pers P", vars, "RP")
+    cors = (Var("coreflexive", "A", "A"), Var("coreflexive", "A", "A"))
+    parse("p∘q = p∩q for coreflexives", cors, "pq")
+
+
+# -- diagnostics: one per error, each naming the law and the column ----------------------
+
+
+@pytest.mark.parametrize("statement, column, message", [
+    ("R∘ = S", 4, "expected a term"),
+    ("R∘T", 4, "expected one of"),
+    ("(R∘T = S", 6, "expected ')'"),
+    ("R = S T", 7, "unexpected 'T'"),
+    ("R ⊆ X", 5, "unknown letter 'X'"),
+    ("R ⊆ S!", 6, "unknown symbol '!'"),
+    ("R ⊆ Sx", 5, "unknown word 'Sx'"),
+    ("R∘S = T", 2, "carrier mismatch: ∘ joins carrier B with carrier A"),
+    ("R∘T = S", 5, "carrier mismatch: = joins carrier C with carrier B"),
+    ("R ⊆ T", 3, "carrier mismatch"),
+    ("⊥∘R = ⊥∘S", 1, "not fixed by the variables"),
+    ("R = S for pers S", 16, "'for pers' but the variable is a relation"),
+    ("R = S for pers", 11, "'for pers' but the variable is a relation"),
+    ("R = S for T", 11, "expected a kind such as 'pers' after 'for', got 'T'"),
+])
+def test_parse_errors_name_the_law_and_the_column(statement, column, message):
+    vars = (Var("relation", "A", "B"), Var("relation", "A", "B"), Var("relation", "B", "C"))
+    with pytest.raises(ValueError) as err:
+        parse(statement, vars, "RST", "zz-bad")
+    assert "law 'zz-bad'" in str(err.value)
+    assert f"column {column}:" in str(err.value)
+    assert message in str(err.value)
+
+
+def test_letters_must_name_every_variable_once():
+    vars = (Var("relation", "A", "B"), Var("relation", "A", "B"))
+    for letters in ("R", "RR", "RST", "R1"):
+        with pytest.raises(ValueError, match="law 'zz-bad': letters"):
+            parse("R = S", vars, letters, "zz-bad")
+
+
+def test_a_bad_statement_is_refused_at_registration():
+    with pytest.raises(ValueError, match="law 'zz-bad': column 5"):
+        _term("zz-bad", "R ⊆ Q", "R", (Var("relation", "A", "B"),))
+    assert "zz-bad" not in REGISTRY
+
+
+# -- planes ---------------------------------------------------------------------------
+
+
+def _plane_bits(planes, count):
+    """The code each instance of a batch holds, read back from its planes."""
+    return [sum((p >> x & 1) << c for c, p in enumerate(planes)) for x in range(count)]
+
+
+def test_planes_hold_the_codes_in_product_order():
+    pools = [range(4), (0, 5, 9), range(2)]
+    cells = [2, 4, 1]
+    instances = list(product(*pools))
+    n = len(instances)
+    stride = n
+    for k, (pool, c) in enumerate(zip(pools, cells)):
+        stride //= len(pool)
+        reps = n // (stride * len(pool))
+        planes = range_planes(c, stride, n) if isinstance(pool, range) else code_planes(pool, c, stride, reps)
+        assert _plane_bits(planes, n) == [inst[k] for inst in instances]
+    drawn = (3, 0, 12, 7, 7)
+    assert _plane_bits(code_planes(drawn, 4), len(drawn)) == list(drawn)
+    assert _plane_bits(fixed_planes(6, 3, 0b111), 3) == [6, 6, 6]
+
+
+# -- the two evaluators agree ----------------------------------------------------------
+
+
+def _instances(law: Law, max_size: int):
+    tvs = law.type_vars()
+    for sizes in product(range(1, max_size + 1), repeat=len(tvs)):
+        carriers = {tv: Carrier(tv, n) for tv, n in zip(tvs, sizes)}
+        typed = [(carriers[v.src], carriers[v.dst]) for v in law.vars]
+        pools = [_pool(v.kind, src, dst) for v, (src, dst) in zip(law.vars, typed)]
+        yield carriers, typed, list(product(*pools))
+
+
+def _disagreements(formula: Formula, law: Law, max_size: int, reference=None) -> list:
+    """Instances at sizes <= max_size where the sliced verdict differs from the
+    scalar one (or from the reference check)."""
+    reference = reference or formula
+    wrong = []
+    for carriers, typed, instances in _instances(law, max_size):
+        cells = [src.size * dst.size for src, dst in typed]
+        planes = [code_planes(column, n) for column, n in zip(zip(*instances), cells)]
+        full = (1 << len(instances)) - 1
+        fails = formula.failures(planes, {tv: c.size for tv, c in carriers.items()}, full)
+        for x, codes in enumerate(instances):
+            args = tuple(_make(src, dst, code) for (src, dst), code in zip(typed, codes))
+            if bool(fails >> x & 1) == reference(args, carriers):
+                wrong.append((law.id, {tv: c.size for tv, c in carriers.items()}, codes))
+    return wrong
+
+
+@pytest.mark.parametrize("law_id", sorted(SLICED))
+def test_sliced_and_scalar_verdicts_agree_per_instance(law_id):
+    law = REGISTRY[law_id]
+    assert _disagreements(law.check, law, 2) == []
+
+
+@pytest.mark.parametrize("statement", [
+    "R ≠ S",
+    "R ⊆ S or S ⊆ R",
+    "R ⊆ S ⇒ S ⊆ R",
+    "R ⊆ S ≡ R∘T = S∘T",
+    "¬R∘T ∩ ⊤ ⊆ S∘T ∪ ⊥",
+    "R\\S ⊆ 𝕀, R/S ⊆ 𝕀",
+    "R\\\\S = (R\\\\S)° and R//S ⊆ R∘S°",
+    "R≺ = S≺ ≡ R≻ = S≻",
+    "R< = S< and R> ⊆ T∘T°",
+])
+def test_sliced_and_scalar_verdicts_agree_on_every_operation(statement):
+    # statements that fail on some instances and hold on others
+    vars = (Var("relation", "A", "B"), Var("relation", "A", "B"), Var("relation", "B", "C"))
+    law = Law("zz-probe", statement, vars, parse(statement, vars, "RST"))
+    assert _disagreements(law.check, law, 2) == []
+    verdicts = {law.check(args, cs) for cs, typed, instances in _instances(law, 2) for codes in instances
+                for args in [tuple(_make(s, d, c) for (s, d), c in zip(typed, codes))]}
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("law_id", sorted(PLANTED_LETTERS))
+def test_planted_statements_agree_with_their_python_checks(law_id):
+    law = _planted()[law_id]
+    formula = _as_term(law).check
+    assert _disagreements(formula, law, 2) == []
+    assert _disagreements(formula, law, 2, reference=law.check) == []
+
+
+# -- the runner -------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("law_id", sorted(PLANTED_LETTERS))
+@pytest.mark.parametrize("settings", [
+    dict(max_size=2, samples=10),  # exhaustive tuples
+    dict(max_size=3, samples=5, budget=1),  # sampled from the first tuple on
+    # exhaustive under a large budget, cut into batches that hold the
+    # leading arguments fixed: all of them, or all but the trailing ones
+    dict(max_size=3, samples=10, seed=9, budget=10 ** 12, plane_bits=1),
+    dict(max_size=3, samples=10, seed=9, budget=10 ** 12, plane_bits=4),
+], ids=["exhaustive", "sampled", "chunked-1", "chunked-4"])
+def test_a_term_law_reports_what_its_python_check_reported(law_id, settings, monkeypatch):
+    settings = dict(settings)
+    monkeypatch.setattr(laws, "PLANE_BITS", settings.pop("plane_bits", laws.PLANE_BITS))
+    law = _planted()[law_id]
+    python = run_law(law, **settings)
+    batches = []
+    original = Formula.failures
+    monkeypatch.setattr(Formula, "failures", lambda *a: batches.append(a[3].bit_length()) or original(*a))
+    sliced = run_law(_as_term(law), **settings)
+    assert not python.ok
+    assert sliced.to_dict() == python.to_dict()
+    assert max(batches) <= laws.PLANE_BITS
+    assert len(batches) == sliced.instances or laws.PLANE_BITS > 1
+
+
+def test_the_sliced_set_is_pinned():
+    assert {law_id for law_id, law in REGISTRY.items() if isinstance(law.check, Formula)} == SLICED
+    assert len(SLICED) >= 40
+
+
+def test_sliced_laws_never_call_the_scalar_evaluator(monkeypatch):
+    def refuse(self, args, carriers):
+        raise AssertionError(f"{self.statement!r} was checked one instance at a time")
+
+    monkeypatch.setattr(Formula, "__call__", refuse)
+    for law_id in sorted(SLICED):
+        assert run_law(REGISTRY[law_id], max_size=2, samples=10, budget=100).ok, law_id
+
+
+def test_sliced_runs_are_unchanged_under_python_O():
+    script = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(WORKLOADS.parent)!r})\n"
+        "from workloads import PLANTED\n"
+        "from relalg.laws import REGISTRY, Law, run_law\n"
+        "from relalg.terms import parse\n"
+        "planted = PLANTED['zz-planted-meet-compose-distributes']\n"
+        "term = Law(planted.id, planted.statement, planted.vars,\n"
+        "           parse(planted.statement, planted.vars, 'RST', planted.id))\n"
+        "reports = [run_law(term, 3, 5, 7, 1), run_law(REGISTRY['dedekind-modular'], 2, 50, 7)]\n"
+        "print(json.dumps([r.to_dict() for r in reports], sort_keys=True))\n"
+    )
+    plain = run_python("-c", script)
+    optimized = run_python("-O", "-c", script)
+    assert plain.returncode == 0, plain.stderr
+    assert optimized.returncode == 0, optimized.stderr
+    assert plain.stdout == optimized.stdout
+    assert json.loads(plain.stdout)[0]["failures"]
