@@ -72,10 +72,8 @@ from .rel import (
     bottom,
     complement,
     compose,
-    cone_check,
     converse,
     coreflexive,
-    dedekind_check,
     enumerate_coreflexives,
     enumerate_relations,
     equals,
@@ -132,12 +130,10 @@ __all__ = [
     "classify",
     "complement",
     "compose",
-    "cone_check",
     "converse",
     "core_of",
     "coreflexive",
     "decompose_to_pairs",
-    "dedekind_check",
     "difunctional_characterizations",
     "enumerate_coreflexives",
     "enumerate_pers",

@@ -443,29 +443,6 @@ def is_coreflexive(r: Relation) -> bool:
     return r.src == r.dst and not r.code & ~_diagonal((1 << n) - 1, n)
 
 
-# -- the two axioms that distinguish relation algebras from lattices ---------
-
-
-def dedekind_check(r: Relation, s: Relation, t: Relation) -> tuple[bool, bool]:
-    """Truth of the modular law and its dual on a typed triple.
-
-    For r : A~B, s : B~C, t : A~C, checks
-        r∘s ∩ t  ⊆  r∘(s ∩ r°∘t)       and
-        r∘s ∩ t  ⊆  (r ∩ t∘s°)∘s.
-    """
-    lhs = intersect(compose(r, s), t)
-    first = is_subset(lhs, compose(r, intersect(s, compose(converse(r), t))))
-    second = is_subset(lhs, compose(intersect(r, compose(t, converse(s))), s))
-    return first, second
-
-
-def cone_check(r: Relation) -> bool:
-    """⊤∘r∘⊤ = ⊤  or  r = ⊥ (always true concretely; false in some abstract models)."""
-    if not r:
-        return True
-    return compose(compose(top(r.src, r.src), r), top(r.dst, r.dst)) == top(r.src, r.dst)
-
-
 # -- JSON form ----------------------------------------------------------------
 
 

@@ -9,13 +9,16 @@ the law's variables. The grammar, from the loosest binding to the tightest:
     disjunction := conjunction ( "or" conjunction )*
     conjunction := equivalence ( "and" equivalence )*
     equivalence := comparison ( "≡" comparison )*          a chain
-    comparison  := term ( ("⊆" | "=" | "≠") term )+        a chain
+    comparison  := PREDICATE term
+                 | term ( ("⊆" | "=" | "≠") term )+        a chain
     term        := meet ( "∪" meet )*
     meet        := product ( "∩" product )*
     product     := unary ( ("∘" | "\\" | "/" | "\\\\" | "//") unary )*
     unary       := "¬" unary | postfix
     postfix     := primary ( "°" | "<" | ">" | "≺" | "≻" )*
-    primary     := LETTER | "⊥" | "⊤" | "𝕀" | "(" term ")"
+    primary     := LETTER | constant | "(" term ")"
+    constant    := ("⊥" | "⊤") [ "[" CARRIER "," CARRIER "]" ]
+                 | "𝕀" [ "[" CARRIER "]" ]
 
 A chain ``a = b = c`` means ``a = b and b = c``, as Python chains do, and
 ``\\``, ``/``, ``\\\\``, ``//`` are the left and right residuals and the
@@ -25,21 +28,32 @@ parser checks it against them. Letters are bound to the law's variables
 explicitly, one letter per variable in order, since a statement need not
 mention its variables in that order.
 
+A PREDICATE is one of the kind words ``per``, ``functional``, ``injective``,
+``difunctional``, ``rectangle`` and ``square``, and applies to the whole term
+after it: ``per R∘S`` is ``per (R∘S)``. ``per`` and ``square`` join the two
+carriers of their term.
+
 The carriers of each ⊥, ⊤ and 𝕀 are inferred from the variables by
-unification. A statement whose constant's carriers stay open, one that joins
-two different carriers, or one that does not parse raises ValueError naming
-the law and the column.
+unification; brackets name them where the variables leave them open, as in
+``⊤[A,A]∘R``, with the law's type variables. A statement whose constant's
+carriers stay open, one that joins two different carriers, or one that does
+not parse raises ValueError naming the law and the column.
 
 A Formula has two evaluators over one instruction list, in which equal
 subterms appear once:
 
 - scalar: ``formula(args, carriers)`` evaluates one instance with the kernel
-  operations and returns a bool, so a Formula is a law check;
+  operations and the row predicates of domains, and returns a bool, so a
+  Formula is a law check;
 - sliced: ``formula.failures(planes, sizes, full)`` evaluates a batch of
   instances at once. Each argument is a list of planes, one int per matrix
   cell in code order, and bit x of every plane belongs to instance x, so
   composition is an OR of ANDs, converse permutes the planes and complement
-  XORs them with ``full``, the mask of the batch. The result has bit x set
+  XORs them with ``full``, the mask of the batch. A predicate is its
+  point-free form: ``per X`` is ``X° = X and X∘X ⊆ X``, ``functional X`` is
+  ``X∘X° ⊆ 𝕀``, ``injective X`` is ``X°∘X ⊆ 𝕀``, ``difunctional X`` is
+  ``X∘X°∘X ⊆ X``, ``rectangle X`` is ``X∘⊤∘X ⊆ X`` and ``square X`` is
+  ``X° = X and X∘⊤∘X ⊆ X``. The result has bit x set
   when the statement fails on instance x (the bitslicing of E. Biham's DES
   implementation, FSE 1997).
 """
@@ -51,7 +65,10 @@ from functools import lru_cache, reduce
 from operator import and_, eq, ne, or_, xor
 from typing import Sequence
 
-from .domains import ldom, per_ldom, per_rdom, rdom
+from .domains import (
+    is_difunctional, is_functional, is_injective, is_per, is_rectangle, is_square, ldom, per_ldom, per_rdom,
+    rdom,
+)
 from .factors import left_residual, right_residual, sym_left_div, sym_right_div
 from .rel import bottom, complement, compose, converse, identity, intersect, is_subset, top, union
 
@@ -62,11 +79,12 @@ KIND_WORDS = {
 }
 
 # a symbol (𝕀 too, though Python counts it a letter), a word, or anything else
-_TOKEN = re.compile(r"(\\\\|//|[\\/∘∪∩°¬⊥⊤𝕀()<>≺≻⊆=≠≡⇒,])|([^\W\d_]+)|(\S)")
+_TOKEN = re.compile(r"(\\\\|//|[\\/∘∪∩°¬⊥⊤𝕀()\[\]<>≺≻⊆=≠≡⇒,])|([^\W\d_]+)|(\S)")
 _PRODUCTS = ("∘", "\\", "/", "\\\\", "//")
 _POSTFIX = ("°", "<", ">", "≺", "≻")
 _COMPARISONS = ("⊆", "=", "≠")
 _CONSTANTS = ("⊥", "⊤", "𝕀")
+_PREDICATES = ("per", "functional", "injective", "difunctional", "rectangle", "square")
 
 
 class Formula:
@@ -117,19 +135,22 @@ class _Node:
         self.dims, self.index = dims, index
 
 
-def parse(statement: str, vars: Sequence, letters: str, law_id: str = "") -> Formula:
+def parse(statement: str, vars: Sequence, letters: str, law_id: str = "",
+          extra_tvs: Sequence[str] = ()) -> Formula:
     """Parse a statement whose letters name `vars` in order (each has .kind,
-    .src and .dst); raise ValueError naming the law and column if it fails."""
-    return _Parser(statement, vars, letters, law_id).run()
+    .src and .dst), over the type variables of the vars and `extra_tvs`;
+    raise ValueError naming the law and column if it fails."""
+    return _Parser(statement, vars, letters, law_id, extra_tvs).run()
 
 
 class _Parser:
-    def __init__(self, statement: str, vars: Sequence, letters: str, law_id: str):
+    def __init__(self, statement: str, vars: Sequence, letters: str, law_id: str, extra_tvs: Sequence[str]):
         self.law_id = law_id
-        if len(letters) != len(vars) or len(set(letters)) != len(letters) or not letters.isalpha():
+        if len(letters) != len(vars) or len(set(letters)) != len(letters) or not all(map(str.isalpha, letters)):
             raise ValueError(f"law {law_id!r}: letters {letters!r} must name its {len(vars)} "
                              "variables, one distinct letter each")
         self.statement, self.vars, self.letters = statement, vars, letters
+        self.type_vars = list(dict.fromkeys([tv for v in vars for tv in (v.src, v.dst)] + list(extra_tvs)))
         self.tokens = _tokens(statement, self.fail)
         self.pos = 0
         self.links: dict = {}  # union-find over type slots: carrier names and fresh ints
@@ -239,6 +260,12 @@ class _Parser:
         return self.chain(self.comparison, ("≡",))
 
     def comparison(self) -> _Node:
+        if self.peek() in _PREDICATES:
+            word, col = self.take()
+            node = self.term()
+            if word in ("per", "square"):
+                self.unify(node.src, node.dst, col, word)
+            return _Node(word, (node,), col, dims=(node.src, node.dst))
         node = self.chain(self.term, _COMPARISONS)
         if node.src is not None:  # a term, compared with nothing
             tok, col = self.take()
@@ -314,17 +341,30 @@ class _Parser:
             index = self.var_index(col)
             var = self.vars[index]
             return _Node("var", (), col, var.src, var.dst, index=index)
-        if tok in ("⊥", "⊤"):
-            src, dst = self.new_slot(), self.new_slot()
-            return _Node(tok, (), col, src, dst, (src, dst))
-        if tok == "𝕀":
-            slot = self.new_slot()
-            return _Node(tok, (), col, slot, slot, (slot,))
+        if tok in _CONSTANTS:
+            slots = (self.new_slot(),) if tok == "𝕀" else (self.new_slot(), self.new_slot())
+            if self.peek() == "[":
+                self.carriers_named(tok, slots)
+            return _Node(tok, (), col, slots[0], slots[-1], slots)
         if tok == "(":
             node = self.term()
             self.expect(")")
             return node
         self.fail(col, f"expected a term, got {self.shown(tok, col)}")
+
+    def carriers_named(self, const: str, slots) -> None:
+        """The bracketed carrier names of a constant, one per slot."""
+        self.take()
+        for k, slot in enumerate(slots):
+            if k:
+                self.expect(",")
+            tok, col = self.take()
+            name = self.statement[col - 1] if tok == "letter" else None
+            if name not in self.type_vars:
+                self.fail(col, f"expected a carrier of the law ({', '.join(self.type_vars)}) in the "
+                               f"brackets of {const}, got {self.shown(tok, col)}")
+            self.unify(slot, name, col, const)
+        self.expect("]")
 
     # -- instructions -------------------------------------------------------------
 
@@ -360,7 +400,7 @@ def _tokens(text: str, fail) -> list[tuple[str, int]]:
         col = m.start() + 1
         if sym:
             out.append((sym, col))
-        elif word in ("and", "or", "for") or word in KIND_WORDS:
+        elif word in ("and", "or", "for") or word in KIND_WORDS or word in _PREDICATES:
             out.append((word, col))
         elif word and len(word) == 1:
             out.append(("letter", col))
@@ -380,6 +420,8 @@ _SCALAR = {
     "<": ldom, ">": rdom, "≺": per_ldom, "≻": per_rdom,
     "\\": left_residual, "/": right_residual, "\\\\": sym_right_div, "//": sym_left_div,
     "⊆": is_subset, "=": eq, "≠": ne, "≡": eq,
+    "per": is_per, "functional": is_functional, "injective": is_injective,
+    "difunctional": is_difunctional, "rectangle": is_rectangle, "square": is_square,
     "⇒": lambda a, b: not a or b, "and": lambda a, b: a and b, "or": lambda a, b: a or b,
 }
 
@@ -430,6 +472,18 @@ def _same_rows(full, x, y, k):
     return [full & ~_any(map(xor, r, s)) for r in xs for s in ys]
 
 
+def _subset(full, d, x, y):
+    return full & ~_any(a & ~b for a, b in zip(x, y))
+
+
+def _equal(full, d, x, y):
+    return full & ~_any(map(xor, x, y))
+
+
+def _identity(full, d):
+    return _diagonal(d[0], [full] * d[0])
+
+
 def _per_ldom(full, d, x):
     n, k = d
     nonempty = [_any(x[i:i + k]) for i in range(0, n * k, k)]
@@ -449,10 +503,35 @@ def _right_residual(full, d, r, s):  # R/S = ¬(¬R∘S°)
                                          _converse(full, (nb, nc), s)))
 
 
+# the predicates, point-free, on X : n×k with d = (n, k)
+
+
+def _per(full, d, x):  # X° = X and X∘X ⊆ X
+    n = d[0]
+    return _equal(full, d, x, _converse(full, d, x)) & _subset(full, d, _compose(full, (n, n, n), x, x), x)
+
+
+def _functional(full, d, x):  # X∘X° ⊆ 𝕀
+    n, k = d
+    return _subset(full, d, _compose(full, (n, k, n), x, _converse(full, d, x)), _identity(full, d))
+
+
+def _difunctional(full, d, x):  # X∘X°∘X ⊆ X
+    n, k = d
+    xxc = _compose(full, (n, k, n), x, _converse(full, d, x))
+    return _subset(full, d, _compose(full, (n, n, k), xxc, x), x)
+
+
+def _rectangle(full, d, x):  # X∘⊤∘X ⊆ X
+    n, k = d
+    xt = _compose(full, (n, k, n), x, [full] * (k * n))
+    return _subset(full, d, _compose(full, (n, n, k), xt, x), x)
+
+
 _SLICED = {
     "⊥": lambda full, d: [0] * (d[0] * d[1]),
     "⊤": lambda full, d: [full] * (d[0] * d[1]),
-    "𝕀": lambda full, d: _diagonal(d[0], [full] * d[0]),
+    "𝕀": _identity,
     "∘": _compose,
     "°": _converse,
     "¬": _complement,
@@ -467,13 +546,20 @@ _SLICED = {
     # columns (rows) of R and S that agree
     "\\\\": lambda full, d, r, s: _same_rows(full, _converse(full, d[:2], r), _converse(full, d[::2], s), d[0]),
     "//": lambda full, d, r, s: _same_rows(full, r, s, d[2]),
-    "⊆": lambda full, d, x, y: full & ~_any(a & ~b for a, b in zip(x, y)),
-    "=": lambda full, d, x, y: full & ~_any(map(xor, x, y)),
+    "⊆": _subset,
+    "=": _equal,
     "≠": lambda full, d, x, y: _any(map(xor, x, y)),
     "≡": lambda full, d, a, b: full & ~(a ^ b),
     "⇒": lambda full, d, a, b: full & ~(a & ~b),
     "and": lambda full, d, a, b: a & b,
     "or": lambda full, d, a, b: a | b,
+    "per": _per,
+    "functional": _functional,
+    # X°∘X ⊆ 𝕀 is X° functional
+    "injective": lambda full, d, x: _functional(full, d[::-1], _converse(full, d, x)),
+    "difunctional": _difunctional,
+    "rectangle": _rectangle,
+    "square": lambda full, d, x: _equal(full, d, x, _converse(full, d, x)) & _rectangle(full, d, x),
 }
 
 

@@ -1,5 +1,7 @@
 import gc
 import json
+import random
+from itertools import product
 
 import pytest
 
@@ -156,6 +158,29 @@ def test_spaces_within_the_sample_count_are_enumerated():
     # relations drawn
     report = run_law(REGISTRY["converse-involution"], max_size=2, samples=10, budget=1)
     assert (report.mode, report.instances) == ("mixed", 20)
+
+
+def test_sampled_draws_are_pinned():
+    """A sampled size tuple checks exactly the draws randrange makes from
+    random.Random(f"{seed}:{law.id}:{sizes}"), one per argument per instance
+    in order (the sliced scan is pinned in test_terms)."""
+    seen = []
+    recording = Law(
+        id="zz-recording",
+        statement="R = R",
+        vars=(Var("relation", "A", "B"), Var("coreflexive", "A", "A")),
+        check=lambda args, cs: seen.append(tuple(r.code for r in args)) or True,
+    )
+    report = run_law(recording, max_size=2, samples=3, seed=11, budget=1)
+    assert report.mode == "sampled"
+    want = []
+    for sizes in product((1, 2), repeat=2):
+        a, b = Carrier("A", sizes[0]), Carrier("B", sizes[1])
+        pools = [_pool("relation", a, b), _pool("coreflexive", a, a)]
+        rng = random.Random(f"11:zz-recording:{sizes}")
+        want += [tuple(pool[rng.randrange(len(pool))] for pool in pools) for _ in range(3)]
+    assert report.instances == len(want) == 12
+    assert seen == want
 
 
 def test_run_suite_rejects_silly_sizes():

@@ -8,6 +8,7 @@ exercise the decoding of a first failure here.
 
 import importlib.util
 import json
+import random
 import sys
 from functools import lru_cache
 from itertools import product
@@ -37,6 +38,14 @@ SLICED = {
     "rdom-top-char", "ldom-top-char", "rdom-compose", "coreflexive-per", "coreflexive-meet-compose",
     "per-rdom-least", "per-ldom-least", "per-domain-absorption", "per-domain-domains",
     "pair-irreducible",
+    # open carriers, named in brackets
+    "compose-zero", "converse-constants", "cone-rule", "top-rdom",
+    # written as prose before
+    "sym-division-equivalence", "per-domain-alt", "point-compose", "all-or-nothing",
+    # predicate words
+    "functional-char", "injective-char", "per-domains-are-pers", "functional-compose-per",
+    "per-implies-symmetric-difunction", "difunctional-strong-domains", "rectangle-difunctional",
+    "square-per", "compose-top-rectangle", "per-equivalents", "difunctional-equivalents",
 }
 
 # the letters of the planted statements, in variable order
@@ -79,6 +88,9 @@ def _ops(statement: str, vars=R4, letters: str = "RSTU") -> list:
     ("R∘S/T = U", "(R∘S)/T = U"),
     ("R∘S∘T = U", "(R∘S)∘T = U"),
     ("R\\\\S// T = U", "(R\\\\S)//T = U"),
+    # a predicate takes the whole term after it, and no more
+    ("per R∘S ∪ T°", "per (R∘S ∪ T°)"),
+    ("rectangle R∩S and T ⊆ U", "rectangle (R∩S) and T ⊆ U"),
 ])
 def test_precedence(loose, bracketed):
     assert _ops(loose) == _ops(bracketed)
@@ -123,6 +135,24 @@ def test_constants_take_their_carriers_from_the_variables():
     assert dims == {"⊤": ("A", "B"), "𝕀": ("B",), "⊥": ("A", "A")}
 
 
+def test_brackets_name_the_carriers_of_a_constant():
+    vars = (Var("relation", "A", "B"),)
+    code = parse("⊤[A,B]∘R> = ⊤[A,A]∘R and R<∘⊤[A,B] = R∘⊤[B,B]", vars, "R")._code
+    assert sorted(d for op, _, d in code if op == "⊤") == [("A", "A"), ("A", "B"), ("B", "B")]
+    # an extra type variable, and no variables at all
+    code = parse("⊥[C,A]∘R = ⊥", vars, "R", extra_tvs=("C",))._code
+    assert sorted(d for op, _, d in code if op == "⊥") == [("C", "A"), ("C", "B")]
+    code = parse("⊥[A,B]° = ⊥, 𝕀[A]° = 𝕀", (), "", extra_tvs=("A", "B"))._code
+    assert sorted(d for op, _, d in code if op in ("⊥", "𝕀")) == [("A",), ("A", "B"), ("B", "A")]
+
+
+def test_a_predicate_checks_one_term():
+    vars = (Var("relation", "A", "B"), Var("relation", "B", "A"))
+    code = parse("per R∘S and functional R", vars, "RS")._code
+    assert [(op, d) for op, _, d in code if op in ("per", "functional")] == [("per", ("A", "A")),
+                                                                           ("functional", ("A", "B"))]
+
+
 def test_a_qualifier_restates_the_kinds():
     vars = (Var("relation", "A", "B"), Var("per", "B", "B"))
     parse("R = R∘P ≡ R≻ = R≻∘P for pers P", vars, "RP")
@@ -148,6 +178,14 @@ def test_a_qualifier_restates_the_kinds():
     ("R = S for pers S", 16, "'for pers' but the variable is a relation"),
     ("R = S for pers", 11, "'for pers' but the variable is a relation"),
     ("R = S for T", 11, "expected a kind such as 'pers' after 'for', got 'T'"),
+    ("R ⊆ ⊤[A,D]", 9, "expected a carrier of the law (A, B, C) in the brackets of ⊤, got 'D'"),
+    ("R ⊆ ⊤[A,⊥]", 9, "expected a carrier of the law (A, B, C) in the brackets of ⊤, got '⊥'"),
+    ("R ⊆ ⊤[A,C]", 3, "carrier mismatch: ⊆ joins carrier B with carrier C"),
+    ("𝕀[B]∘R = R", 5, "carrier mismatch: ∘ joins carrier B with carrier A"),
+    ("R ⊆ ⊤[A]", 8, "expected ',', got ']'"),
+    ("per R", 1, "carrier mismatch: per joins carrier A with carrier B"),
+    ("square S∘T", 1, "carrier mismatch: square joins carrier A with carrier C"),
+    ("per R∘R° = S", 10, "unexpected '='"),
 ])
 def test_parse_errors_name_the_law_and_the_column(statement, column, message):
     vars = (Var("relation", "A", "B"), Var("relation", "A", "B"), Var("relation", "B", "C"))
@@ -156,6 +194,15 @@ def test_parse_errors_name_the_law_and_the_column(statement, column, message):
     assert "law 'zz-bad'" in str(err.value)
     assert f"column {column}:" in str(err.value)
     assert message in str(err.value)
+
+
+def test_top_rdom_without_brackets_is_refused():
+    # the source of the first ⊤ is not fixed by R: the bracketed statement
+    # of the registry says which one the law means
+    vars = (Var("relation", "A", "B"),)
+    with pytest.raises(ValueError, match="law 'top-rdom': column 1: the carriers of ⊤ are not fixed by the variables"):
+        parse("⊤∘R> = ⊤∘R and R<∘⊤ = R∘⊤", vars, "R", "top-rdom")
+    assert isinstance(REGISTRY["top-rdom"].check, Formula)
 
 
 def test_letters_must_name_every_variable_once():
@@ -240,6 +287,13 @@ def test_sliced_and_scalar_verdicts_agree_per_instance(law_id):
     "R\\\\S = (R\\\\S)° and R//S ⊆ R∘S°",
     "R≺ = S≺ ≡ R≻ = S≻",
     "R< = S< and R> ⊆ T∘T°",
+    # the predicates: row predicates on the scalar side, point-free forms on the sliced one
+    "per R∘R° ≡ square S°∘S",
+    "per S°∘R",
+    "functional R or injective T",
+    "difunctional R ∪ S ⇒ rectangle T",
+    "square ⊤[A,A] ∩ S∘S°",
+    "rectangle R∘T, difunctional S°",
 ])
 def test_sliced_and_scalar_verdicts_agree_on_every_operation(statement):
     # statements that fail on some instances and hold on others
@@ -288,7 +342,57 @@ def test_a_term_law_reports_what_its_python_check_reported(law_id, settings, mon
 
 def test_the_sliced_set_is_pinned():
     assert {law_id for law_id, law in REGISTRY.items() if isinstance(law.check, Formula)} == SLICED
-    assert len(SLICED) >= 40
+    assert len(SLICED) >= 60
+
+
+def test_a_law_with_no_variables_checks_one_instance_per_size_tuple():
+    law = REGISTRY["converse-constants"]
+    assert law.vars == () and law.extra_tvs == ("A", "B")
+    report = run_law(law, max_size=3, samples=10)
+    assert (report.mode, report.instances, report.ok) == ("exhaustive", 9, True)
+    false = Law("zz-false", "⊤[A,B] = ⊥[A,B]", (), parse("⊤[A,B] = ⊥[A,B]", (), "", "zz-false", ("A", "B")),
+                extra_tvs=("A", "B"))
+    report = run_law(false, max_size=3, samples=10)
+    assert (report.instances, report.failures[0].args) == (1, ())
+
+
+def test_sliced_draws_are_the_pinned_draws(monkeypatch):
+    """A sampled size tuple checks exactly the draws randrange makes from
+    random.Random(f"{seed}:{law.id}:{sizes}"), one per argument per instance
+    in order, up to and including the first failure."""
+    vars = (Var("relation", "A", "A"), Var("coreflexive", "A", "A"))
+    law = Law("zz-planted-meet-is-compose", "R∩p = R∘p", vars, parse("R∩p = R∘p", vars, "Rp"))
+    checked = []
+    original = Formula.failures
+
+    def recording(self, planes, sizes, full):
+        count = full.bit_length()
+        checked.extend(zip(*(_plane_bits(p, count) for p in planes)))
+        return original(self, planes, sizes, full)
+
+    started = []
+    shrink = laws.shrink
+    monkeypatch.setattr(Formula, "failures", recording)
+    monkeypatch.setattr(laws, "shrink", lambda law, cs, args: started.append(args) or shrink(law, cs, args))
+    report = run_law(law, max_size=3, samples=3, seed=5, budget=1)
+    assert report.mode == "sampled" and not report.ok
+    want = []
+    for size in (1, 2, 3):
+        c = Carrier("A", size)
+        pools = [_pool("relation", c, c), _pool("coreflexive", c, c)]
+        rng = random.Random(f"5:{law.id}:{(size,)}")
+        for _ in range(3):
+            codes = tuple(pool[rng.randrange(len(pool))] for pool in pools)
+            want.append(codes)
+            args = tuple(_make(c, c, code) for code in codes)
+            if not law.check(args, {"A": c}):
+                break
+        else:
+            continue
+        break
+    assert report.instances == len(want) < 9
+    assert checked[:len(want)] == want
+    assert [tuple(r.code for r in args) for args in started] == [want[-1]]
 
 
 def test_sliced_laws_never_call_the_scalar_evaluator(monkeypatch):
