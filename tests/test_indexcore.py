@@ -5,6 +5,7 @@ import oracles as o
 from conftest import failing_laws, pack, relations, unpack
 from relalg import (
     Carrier,
+    CarrierMismatch,
     CoreDecomposition,
     EnumerationLimit,
     candidate_indexes,
@@ -17,9 +18,14 @@ from relalg import (
     identity,
     intersect,
     is_bijection,
+    is_core_relation,
     is_difunctional,
     is_functional,
+    ldom,
     per_index,
+    per_ldom,
+    per_rdom,
+    rdom,
     relation_index,
     splitting,
     top,
@@ -137,6 +143,23 @@ def test_relation_index_lands_in_oracle_set(na, nb):
             assert unpack(relation_index(r, policy=policy, seed=5).index) in allowed
 
 
+@pytest.mark.parametrize("pairs,dst,picks", [
+    # one class on each side: the draw names the side's carrier
+    ([(i, j) for i in range(3) for j in range(4)], "B", {0: {(1, 0)}, 7: {(0, 1)}}),
+    # two classes on each side, heterogeneous and homogeneous carriers
+    ([(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3), (3, 2), (3, 3)], "B",
+     {0: {(1, 0), (3, 2)}, 7: {(1, 0), (2, 2)}}),
+    ([(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3), (3, 2), (3, 3)], "A",
+     {0: {(1, 1), (3, 3)}, 7: {(1, 1), (2, 2)}}),
+])
+def test_relation_index_random_picks_are_pinned(pairs, dst, picks):
+    na = 1 + max(i for i, _ in pairs)
+    nb = 1 + max(j for _, j in pairs)
+    r = pack(na, nb, pairs, dst=dst)
+    for seed, want in picks.items():
+        assert unpack(relation_index(r, policy="random", seed=seed).index) == want
+
+
 @settings(max_examples=60)
 @given(relations(max_size=3))
 def test_relation_index_lands_in_oracle_set_sampled(r):
@@ -154,6 +177,29 @@ def test_verify_index_on_full_relation_fails_only_sharpness():
     assert cert.checks["R≺∘J∘R≻ = R"]
     assert not cert.checks["J<∘R≺∘J< = J<"]
     assert not cert.ok
+
+
+def _literal_index_checks(r, j):
+    lpd, rpd, jl, jr = per_ldom(r), per_rdom(r), ldom(j), rdom(j)
+    return {
+        "J ⊆ R": unpack(j) <= unpack(r),
+        "R≺∘J∘R≻ = R": compose(compose(lpd, j), rpd) == r,
+        "J<∘R≺∘J< = J<": compose(compose(jl, lpd), jl) == jl,
+        "J>∘R≻∘J> = J>": compose(compose(jr, rpd), jr) == jr,
+    }
+
+
+@pytest.mark.parametrize("na,nb", [(2, 2), (2, 3), (3, 2)])
+def test_verify_index_matches_the_literal_equations_on_every_candidate(na, nb):
+    # every J, not only the indexes: a certificate that said True more often
+    # than the equations do would fail here
+    rels = _all(na, nb)
+    for r in rels:
+        allowed = set(o.oindexes(unpack(r), na, nb))
+        for j in rels:
+            cert = verify_index(r, j)
+            assert list(cert.checks.items()) == list(_literal_index_checks(r, j).items()), (r, j)
+            assert cert.ok == (unpack(j) in allowed), (r, j)
 
 
 def test_verify_index_accepts_every_oracle_index(block):
@@ -249,6 +295,72 @@ def test_core_quotient_lives_on_its_legs_carriers():
     for r in _all(3, 3):
         dec = core_of(r, "quotient")
         assert dec.core.src is dec.lam.src and dec.core.dst is dec.rho.src, r
+
+
+def _literal_core_checks(dec):
+    r, lam, rho, c = dec.relation, dec.lam, dec.rho, dec.core
+    return {
+        "λ°∘λ = R≺": compose(converse(lam), lam) == per_ldom(r),
+        "λ∘λ° = λ<": compose(lam, converse(lam)) == ldom(lam),
+        "ρ°∘ρ = R≻": compose(converse(rho), rho) == per_rdom(r),
+        "ρ∘ρ° = ρ<": compose(rho, converse(rho)) == ldom(rho),
+        "C = λ∘R∘ρ°": c == compose(compose(lam, r), converse(rho)),
+        "C is a core relation": is_core_relation(c),
+        "λ> = R<": rdom(lam) == ldom(r),
+        "C< = λ<": ldom(c) == ldom(lam),
+        "ρ> = R>": rdom(rho) == rdom(r),
+        "C> = ρ<": rdom(c) == ldom(rho),
+    }
+
+
+def _replaced(dec, **parts):
+    fields = dict(relation=dec.relation, lam=dec.lam, rho=dec.rho, core=dec.core, mode=dec.mode)
+    return CoreDecomposition(**{**fields, **parts})
+
+
+@pytest.mark.parametrize("mode", ["same-type", "quotient"])
+def test_core_verify_matches_the_literal_equations_on_every_replacement(mode):
+    failing = 0
+    for r in _all(2, 2):
+        dec = core_of(r, mode)
+        lam, rho, c = dec.lam, dec.rho, dec.core
+        variants = (
+            [_replaced(dec, lam=x) for x in enumerate_relations(lam.src, lam.dst)]
+            + [_replaced(dec, rho=x) for x in enumerate_relations(rho.src, rho.dst)]
+            + [_replaced(dec, core=x) for x in enumerate_relations(c.src, c.dst)]
+        )
+        for d in variants:
+            got = d.verify()
+            assert list(got.items()) == list(_literal_core_checks(d).items()), d
+            failing += not all(got.values())
+    assert failing > 0
+
+
+def test_core_verify_on_foreign_carriers():
+    r = pack(2, 2, [(0, 0), (0, 1), (1, 1)])
+    dec = core_of(r, "quotient")
+    foreign = Carrier("F", 2)
+    # a λ that does not end on R's source: λ∘R has no type
+    lam = pack(dec.lam.src.size, 2, list(dec.lam.pairs()), src=dec.lam.src.name, dst="F")
+    with pytest.raises(CarrierMismatch) as want:
+        compose(lam, r)
+    with pytest.raises(CarrierMismatch) as got:
+        _replaced(dec, lam=lam).verify()
+    assert str(got.value) == str(want.value)
+    # a ρ that does not end on R's target: R∘ρ° has no type
+    rho = pack(dec.rho.src.size, 2, list(dec.rho.pairs()), src=dec.rho.src.name, dst="F")
+    with pytest.raises(CarrierMismatch) as want:
+        compose(compose(dec.lam, r), converse(rho))
+    with pytest.raises(CarrierMismatch) as got:
+        _replaced(dec, rho=rho).verify()
+    assert str(got.value) == str(want.value)
+    # a core on foreign carriers with the right matrix: the carrier decides
+    core = pack(dec.core.src.size, dec.core.dst.size, list(dec.core.pairs()), src="F", dst=dec.core.dst.name)
+    assert core.src == foreign
+    checks = _replaced(dec, core=core).verify()
+    assert checks == _literal_core_checks(_replaced(dec, core=core))
+    assert not checks["C< = λ<"] and not checks["C = λ∘R∘ρ°"]
+    assert checks["C> = ρ<"]
 
 
 def test_core_rejects_unknown_mode(block):

@@ -8,6 +8,8 @@ from relalg import (
     CarrierMismatch,
     IsoWitness,
     SearchSpaceExceeded,
+    compose,
+    converse,
     enumerate_relations,
     find_isomorphism,
     identity,
@@ -81,6 +83,36 @@ def test_witness_verification_rejects_wrong_map(block):
         pack(3, 3, [(0, 0), (1, 1), (2, 2)], src="B", dst="D"),
     )
     assert not verify_witness(block, s, bogus)
+
+
+def _literal_witness(r, s, w):
+    phi, psi = w.phi, w.psi
+    return (
+        compose(phi, converse(phi)) == ldom(r)
+        and compose(converse(phi), phi) == ldom(s)
+        and compose(psi, converse(psi)) == rdom(r)
+        and compose(converse(psi), psi) == rdom(s)
+        and r == compose(compose(phi, s), converse(psi))
+        and compose(compose(converse(phi), r), psi) == s
+    )
+
+
+def test_verify_witness_matches_the_literal_equations_for_every_map_pair():
+    # every φ, ψ on 2x2, not only the witnesses: a verifier that said True
+    # more often than the equations do would fail here
+    a, b, c, d = (Carrier(name, 2) for name in "ABCD")
+    phis = list(enumerate_relations(a, c))
+    psis = list(enumerate_relations(b, d))
+    verified = 0
+    for r in enumerate_relations(a, b):
+        for s in enumerate_relations(c, d):
+            for phi in phis:
+                for psi in psis:
+                    w = IsoWitness(phi, psi)
+                    got = verify_witness(r, s, w)
+                    assert got == _literal_witness(r, s, w), (r, s, phi, psi)
+                    verified += got
+    assert verified > 0
 
 
 def test_witness_type_mismatch_raises(block):
