@@ -55,8 +55,8 @@ def _emit(payload: dict, pretty: bool) -> None:
 
 def _grid(r: Relation) -> str:
     lines = ["    " + " ".join(f"{lab:>3s}" for lab in r.dst.labels)]
-    for i, lab in enumerate(r.src.labels):
-        row = " ".join(f"{'  x' if (r.rows[i] >> j) & 1 else '  .'}" for j in range(r.dst.size))
+    for lab, bits in zip(r.src.labels, r.rows):
+        row = " ".join(f"{'  x' if (bits >> j) & 1 else '  .'}" for j in range(r.dst.size))
         lines.append(f"{lab:>3s} {row}")
     return "\n".join(lines)
 
@@ -90,22 +90,27 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+def _dot_quoted(text: str) -> str:
+    """A DOT string literal: backslash and double quote escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def _dot_bipartite(r: Relation, index: Relation) -> str:
     """Bipartite drawing: one cluster per per-domain class, index edges bold."""
     out = ["digraph relation {", "  rankdir=LR;", "  node [shape=circle];"]
 
     def side(prefix: str, per: Relation) -> None:
         labels = per.src.labels
-        for n, members in enumerate(indexcore._per_classes(per)):
+        for n, members in enumerate(indexcore._per_classes(per.code, per.src.size)):
             label = "{" + ",".join(labels[i] for i in members) + "}"
             out.append(f"  subgraph cluster_{prefix}{n} {{")
-            out.append(f'    label="{label}";')
+            out.append(f"    label={_dot_quoted(label)};")
             for i in members:
-                out.append(f'    {prefix}{i} [label="{labels[i]}"];')
+                out.append(f"    {prefix}{i} [label={_dot_quoted(labels[i])}];")
             out.append("  }")
         for i in range(per.src.size):
             if (i, i) not in per:
-                out.append(f'  {prefix}{i} [label="{labels[i]}", style=dashed];')
+                out.append(f"  {prefix}{i} [label={_dot_quoted(labels[i])}, style=dashed];")
 
     side("s", per_ldom(r))
     side("t", per_rdom(r))

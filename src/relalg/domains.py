@@ -26,6 +26,8 @@ independent definitions.
 
 The four domain operators are memoized on codes and sizes, as the kernel's
 operations are (see rel), so their results carry the caller's carriers.
+classify evaluates its flags on one tuple of rows and its checks on codes,
+and so does is_core_relation; neither builds a Relation.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from typing import Iterator
 
 from . import factors
 from .rel import (
-    MAX_ENUM_BITS, Carrier, EnumerationLimit, Relation, _converse_memo, _diagonal, _make, _rows,
-    _served_by, compose, converse, identity, intersect, is_coreflexive, is_subset,
+    MAX_ENUM_BITS, Carrier, EnumerationLimit, Relation, _compose_memo, _converse_memo, _diagonal, _make,
+    _rows, _served_by, compose, converse, intersect, is_coreflexive, is_subset,
 )
 
 
@@ -111,12 +113,7 @@ def per_rdom(r: Relation) -> Relation:
 # the carriers, and none of the composites would ever be asked for again.
 
 
-def is_per(r: Relation) -> bool:
-    """Symmetric and transitive (not necessarily reflexive): every nonempty
-    row contains its own index and equals the row of each of its members."""
-    if r.src != r.dst:
-        return False
-    rows = r.rows
+def _per_rows(rows: tuple[int, ...]) -> bool:
     for i, row in enumerate(rows):
         if row and not row >> i & 1:
             return False
@@ -129,29 +126,43 @@ def is_per(r: Relation) -> bool:
     return True
 
 
-def is_functional(r: Relation) -> bool:
-    """R∘R° ⊆ 𝕀: the rows are pairwise disjoint."""
+def is_per(r: Relation) -> bool:
+    """Symmetric and transitive (not necessarily reflexive): every nonempty
+    row contains its own index and equals the row of each of its members."""
+    return r.src == r.dst and _per_rows(r.rows)
+
+
+def _functional_rows(rows: tuple[int, ...]) -> bool:
     seen = 0
-    for row in r.rows:
+    for row in rows:
         if seen & row:
             return False
         seen |= row
     return True
 
 
+def is_functional(r: Relation) -> bool:
+    """R∘R° ⊆ 𝕀: the rows are pairwise disjoint."""
+    return _functional_rows(r.rows)
+
+
+def _injective_rows(rows: tuple[int, ...]) -> bool:
+    return all(row.bit_count() <= 1 for row in rows)
+
+
 def is_injective(r: Relation) -> bool:
     """R°∘R ⊆ 𝕀: every row has at most one bit."""
-    return all(row.bit_count() <= 1 for row in r.rows)
+    return _injective_rows(r.rows)
 
 
 def is_bijection(r: Relation) -> bool:
-    return is_functional(r) and is_injective(r)
+    rows = r.rows
+    return _functional_rows(rows) and _injective_rows(rows)
 
 
-def is_difunctional(r: Relation) -> bool:
-    """R∘R°∘R ⊆ R: any two rows are equal or disjoint."""
+def _difunctional_rows(rows: tuple[int, ...]) -> bool:
     seen, distinct = 0, set()
-    for row in r.rows:
+    for row in rows:
         if row in distinct:
             continue
         if seen & row:
@@ -161,10 +172,14 @@ def is_difunctional(r: Relation) -> bool:
     return True
 
 
-def is_rectangle(r: Relation) -> bool:
-    """R = R∘⊤∘R: all nonempty rows are equal."""
+def is_difunctional(r: Relation) -> bool:
+    """R∘R°∘R ⊆ R: any two rows are equal or disjoint."""
+    return _difunctional_rows(r.rows)
+
+
+def _rectangle_rows(rows: tuple[int, ...]) -> bool:
     shared = 0
-    for row in r.rows:
+    for row in rows:
         if row:
             if shared and row != shared:
                 return False
@@ -172,17 +187,28 @@ def is_rectangle(r: Relation) -> bool:
     return True
 
 
-def is_square(r: Relation) -> bool:
-    """A symmetric rectangle: every nonempty row is the set of nonempty rows."""
-    if r.src != r.dst:
-        return False
-    rows = r.rows
+def is_rectangle(r: Relation) -> bool:
+    """R = R∘⊤∘R: all nonempty rows are equal."""
+    return _rectangle_rows(r.rows)
+
+
+def _square_rows(rows: tuple[int, ...]) -> bool:
     support = sum(1 << i for i, row in enumerate(rows) if row)
     return all(row == support for row in rows if row)
 
 
+def is_square(r: Relation) -> bool:
+    """A symmetric rectangle: every nonempty row is the set of nonempty rows."""
+    return r.src == r.dst and _square_rows(r.rows)
+
+
+def _core_code(code: int, n: int, k: int) -> bool:
+    return (_ldom_code(code, n, k) == _per_ldom_code(code, n, k)
+            and _rdom_code(code, k) == _per_rdom_code(code, n, k))
+
+
 def is_core_relation(r: Relation) -> bool:
-    return ldom(r) == per_ldom(r) and rdom(r) == per_rdom(r)
+    return _core_code(r.code, r.src.size, r.dst.size)
 
 
 def per_characterizations(q: Relation) -> dict[str, bool]:
@@ -244,30 +270,33 @@ class PredicateReport:
 
 
 def classify(r: Relation) -> PredicateReport:
-    left, right = ldom(r), rdom(r)
-    difunctional, rectangle = is_difunctional(r), is_rectangle(r)
-    left_core, right_core = left == per_ldom(r), right == per_rdom(r)
+    code, n, k = r.code, r.src.size, r.dst.size
+    rows, conv, homogeneous = _rows(code, n, k), _converse_memo(code, n, k), r.src == r.dst
+    left, right = _ldom_code(code, n, k), _rdom_code(code, k)
+    functional, injective = _functional_rows(rows), _injective_rows(rows)
+    difunctional, rectangle = _difunctional_rows(rows), _rectangle_rows(rows)
+    left_core, right_core = left == _per_ldom_code(code, n, k), right == _per_rdom_code(code, n, k)
     checks = {
-        "R∘R° = R<": compose(r, converse(r)) == left,
-        "R°∘R = R>": compose(converse(r), r) == right,
+        "R∘R° = R<": _compose_memo(code, conv, n, k, n) == left,
+        "R°∘R = R>": _compose_memo(conv, code, k, n, k) == right,
         "R∘R°∘R ⊆ R": difunctional,
         "R = R∘⊤∘R": rectangle,
         "R< = R≺": left_core,
         "R> = R≻": right_core,
     }
-    if r.src == r.dst:
-        checks["R = R°"] = converse(r) == r
-        checks["R∘R ⊆ R"] = is_subset(compose(r, r), r)
-        checks["R ⊆ 𝕀"] = is_subset(r, identity(r.src))
+    if homogeneous:
+        checks["R = R°"] = conv == code
+        checks["R∘R ⊆ R"] = not _compose_memo(code, code, n, n, n) & ~code
+        checks["R ⊆ 𝕀"] = not code & ~_diagonal((1 << n) - 1, n)
     rep = PredicateReport(
         coreflexive=is_coreflexive(r),
-        functional=is_functional(r),
-        injective=is_injective(r),
-        bijection=is_bijection(r),
-        per=is_per(r),
+        functional=functional,
+        injective=injective,
+        bijection=functional and injective,
+        per=homogeneous and _per_rows(rows),
         difunctional=difunctional,
         rectangle=rectangle,
-        square=is_square(r),
+        square=homogeneous and _square_rows(rows),
         core_relation=left_core and right_core,
         checks=checks,
     )

@@ -15,6 +15,11 @@ sandwich, J = J_l∘R∘J_r. All indexes of R are isomorphic to each other.
 A *core* of R is any C = λ∘R∘ρ° where λ°∘λ = R≺, λ∘λ° = λ<, ρ°∘ρ = R≻ and
 ρ∘ρ° = ρ<; same-type cores land on an index itself, quotient-mode cores land
 on fresh carriers whose elements are the per-domain classes.
+
+Indexes, cores and their certificates are computed on int codes and carrier
+sizes with the kernel's code memos (see rel), not on Relation objects: one
+definition of (a)-(d), _index_checks, serves relation_index, verify_index and
+candidate_indexes. A Relation is built only for a value the API returns.
 """
 
 from __future__ import annotations
@@ -23,10 +28,10 @@ import random
 from dataclasses import dataclass, field
 from itertools import product
 
-from .domains import is_core_relation, is_per, ldom, per_ldom, per_rdom, rdom
+from .domains import _core_code, _ldom_code, _per_ldom_code, _per_rdom_code, _rdom_code, is_per
 from .rel import (
-    MAX_ENUM_BITS, Carrier, EnumerationLimit, Relation, compose, converse, coreflexive, is_subset,
-    relation_at, relation_code,
+    MAX_ENUM_BITS, Carrier, EnumerationLimit, Relation, _compose_memo, _converse_memo, _diagonal, _make,
+    _middle_mismatch, _rows, compose,
 )
 
 POLICIES = ("min", "max", "random")
@@ -42,14 +47,14 @@ def _representative(members: tuple[int, ...], policy: str, rng: random.Random | 
     return rng.choice(members)
 
 
-def _per_classes(p: Relation) -> list[tuple[int, ...]]:
-    """Equivalence classes of a per on its domain, ordered by smallest member."""
+def _per_classes(per: int, n: int) -> list[tuple[int, ...]]:
+    """Equivalence classes of the per with this n×n code on its domain,
+    ordered by smallest member."""
     seen = 0
     classes = []
-    for i, row in enumerate(p.rows):
+    for i, row in enumerate(_rows(per, n, n)):
         if row and not seen >> i & 1:
-            members = tuple(j for j in range(p.src.size) if row >> j & 1)
-            classes.append(members)
+            classes.append(tuple([j for j in range(n) if row >> j & 1]))
             seen |= row
     return classes
 
@@ -66,6 +71,18 @@ def _check_per(p: Relation, who: str) -> None:
     raise ValueError(f"{who}: not a per — not transitive, composition adds {bad}")
 
 
+def _transversal(per: int, carrier: Carrier, policy: str, seed: int) -> int:
+    """Code of the coreflexive on the chosen representative of each class of
+    the per with this code on the carrier."""
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}, expected one of {POLICIES}")
+    rng = random.Random(f"{seed}:{carrier.name}:{carrier.size}") if policy == "random" else None
+    mask = 0
+    for members in _per_classes(per, carrier.size):
+        mask |= 1 << _representative(members, policy, rng)
+    return _diagonal(mask, carrier.size)
+
+
 def per_index(p: Relation, policy: str = "min", seed: int = 0) -> Relation:
     """A coreflexive index of a per: one representative per equivalence class.
 
@@ -74,11 +91,7 @@ def per_index(p: Relation, policy: str = "min", seed: int = 0) -> Relation:
     smallest member, largest member, or seeded-random choice.
     """
     _check_per(p, "per_index")
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}, expected one of {POLICIES}")
-    rng = random.Random(f"{seed}:{p.src.name}:{p.src.size}") if policy == "random" else None
-    reps = [_representative(members, policy, rng) for members in _per_classes(p)]
-    return coreflexive(p.src, reps)
+    return _make(p.src, p.src, _transversal(p.code, p.src, policy, seed))
 
 
 @dataclass(frozen=True)
@@ -92,20 +105,41 @@ class IndexCertificate:
         return all(self.checks.values())
 
 
+def _index_checks(r: int, j: int, n: int, k: int) -> dict[str, bool]:
+    """Conditions (a)-(d) for the n×k codes of R and of a candidate J."""
+    lpd, rpd, jl, jr = _per_ldom_code(r, n, k), _per_rdom_code(r, n, k), _ldom_code(j, n, k), _rdom_code(j, k)
+    return {
+        "J ⊆ R": not j & ~r,
+        "R≺∘J∘R≻ = R": _compose_memo(_compose_memo(lpd, j, n, n, k), rpd, n, k, k) == r,
+        "J<∘R≺∘J< = J<": _compose_memo(_compose_memo(jl, lpd, n, n, n), jl, n, n, n) == jl,
+        "J>∘R≻∘J> = J>": _compose_memo(_compose_memo(jr, rpd, k, k, k), jr, k, k, k) == jr,
+    }
+
+
 def verify_index(r: Relation, j: Relation) -> IndexCertificate:
     """Evaluate the four defining conditions; .ok iff J really indexes R."""
     if j.src != r.src or j.dst != r.dst:
         raise ValueError(
             f"index candidate has type {j.src.name}~{j.dst.name}, relation has {r.src.name}~{r.dst.name}"
         )
-    lpd, rpd, jl, jr = per_ldom(r), per_rdom(r), ldom(j), rdom(j)
-    checks = {
-        "J ⊆ R": is_subset(j, r),
-        "R≺∘J∘R≻ = R": compose(compose(lpd, j), rpd) == r,
-        "J<∘R≺∘J< = J<": compose(compose(jl, lpd), jl) == jl,
-        "J>∘R≻∘J> = J>": compose(compose(jr, rpd), jr) == jr,
-    }
-    return IndexCertificate(relation=r, index=j, checks=checks)
+    return IndexCertificate(relation=r, index=j, checks=_index_checks(r.code, j.code, r.src.size, r.dst.size))
+
+
+def _sandwich(r: int, left: int, right: int, n: int, k: int) -> int:
+    """Code of Jl∘R∘Jr for the n×k code of R between two coreflexive codes."""
+    return _compose_memo(_compose_memo(left, r, n, n, k), right, n, k, k)
+
+
+def _index(r: Relation, policy: str, seed: int) -> tuple[int, dict[str, bool]]:
+    """The code of the sandwich index of R, with its verified conditions."""
+    code, n, k = r.code, r.src.size, r.dst.size
+    jl = _transversal(_per_ldom_code(code, n, k), r.src, policy, seed)
+    jr = _transversal(_per_rdom_code(code, n, k), r.dst, policy, seed)
+    j = _sandwich(code, jl, jr, n, k)
+    checks = _index_checks(code, j, n, k)
+    if not all(checks.values()):
+        raise RuntimeError(f"constructed index failed verification: {checks}")
+    return j, checks
 
 
 def relation_index(r: Relation, policy: str = "min", seed: int = 0) -> IndexCertificate:
@@ -115,13 +149,8 @@ def relation_index(r: Relation, policy: str = "min", seed: int = 0) -> IndexCert
     certificate is verified before being returned; failure would be a bug,
     not an input condition, hence RuntimeError.
     """
-    jl = per_index(per_ldom(r), policy, seed)
-    jr = per_index(per_rdom(r), policy, seed)
-    j = compose(compose(jl, r), jr)
-    cert = verify_index(r, j)
-    if not cert.ok:
-        raise RuntimeError(f"constructed index failed verification: {cert.checks}")
-    return cert
+    j, checks = _index(r, policy, seed)
+    return IndexCertificate(relation=r, index=_make(r.src, r.dst, j), checks=checks)
 
 
 def candidate_indexes(r: Relation) -> list[Relation]:
@@ -131,32 +160,33 @@ def candidate_indexes(r: Relation) -> list[Relation]:
     and J> one of each R≻-class: (c) allows at most one per class, (b) needs
     at least one. With J ⊆ R this gives J = J<∘J∘J> ⊆ J<∘R∘J>. So every
     subset of every sandwich Jl∘R∘Jr, over all such transversals Jl and Jr,
-    is checked with verify_index; the subsets are still brute-forced, so a
-    law about all indexes is tested, not assumed. Refuses a relation with a
-    sandwich of more than MAX_ENUM_BITS pairs, which never happens on
-    carriers of at most 4 elements. This is the package-side enumerator used
-    by the law suite (the test suite cross-checks it against an independent
-    oracle).
+    is checked against the four conditions; the subsets are still
+    brute-forced, so a law about all indexes is tested, not assumed. Refuses
+    a relation with a sandwich of more than MAX_ENUM_BITS pairs, which never
+    happens on carriers of at most 4 elements. This is the package-side
+    enumerator used by the law suite (the test suite cross-checks it against
+    an independent oracle).
     """
-    sandwiches = [
-        compose(compose(coreflexive(r.src, left), r), coreflexive(r.dst, right)).code
-        for left in product(*_per_classes(per_ldom(r)))
-        for right in product(*_per_classes(per_rdom(r)))
-    ]
-    widest = max(code.bit_count() for code in sandwiches)
+    code, n, k = r.code, r.src.size, r.dst.size
+
+    def transversals(per: int, size: int) -> list[int]:
+        return [_diagonal(sum(1 << i for i in pick), size) for pick in product(*_per_classes(per, size))]
+
+    lefts, rights = transversals(_per_ldom_code(code, n, k), n), transversals(_per_rdom_code(code, n, k), k)
+    sandwiches = [_sandwich(code, left, right, n, k) for left in lefts for right in rights]
+    widest = max(s.bit_count() for s in sandwiches)
     if widest > MAX_ENUM_BITS:
         raise EnumerationLimit(f"index sandwich has {widest} pairs; refusing 2**{widest} subsets")
     found = []
-    for code in sandwiches:
-        sub = code
+    for sandwich in sandwiches:
+        sub = sandwich
         while True:  # every subset of the sandwich, the empty one last
-            j = relation_at(r.src, r.dst, sub)
-            if verify_index(r, j).ok:
-                found.append(j)
+            if all(_index_checks(code, sub, n, k).values()):
+                found.append(sub)
             if not sub:
                 break
-            sub = (sub - 1) & code
-    return sorted(found, key=relation_code)
+            sub = (sub - 1) & sandwich
+    return [_make(r.src, r.dst, j) for j in sorted(found)]
 
 
 def splitting(p: Relation, policy: str = "min", seed: int = 0) -> Relation:
@@ -165,8 +195,9 @@ def splitting(p: Relation, policy: str = "min", seed: int = 0) -> Relation:
     f = J∘P maps every element of P's domain onto its class representative
     (on the left), exhibiting the per as "function composed with own converse".
     """
-    j = per_index(p, policy, seed)
-    return compose(j, p)
+    _check_per(p, "per_index")
+    n = p.src.size
+    return _make(p.src, p.dst, _compose_memo(_transversal(p.code, p.src, policy, seed), p.code, n, n, n))
 
 
 @dataclass(frozen=True)
@@ -179,26 +210,42 @@ class CoreDecomposition:
 
     def verify(self) -> dict[str, bool]:
         r, lam, rho, c = self.relation, self.lam, self.rho, self.core
+        # λ∘R∘ρ° composes only for λ : X~A and ρ : Y~B, given R : A~B, and
+        # raises compose's error otherwise. Then both sides of each equation
+        # lie on the same carriers, except where C appears: C is compared on
+        # its carriers as well as its code, as Relation equality does.
+        if lam.dst != r.src:
+            raise _middle_mismatch(lam.src, lam.dst, r.src, r.dst)
+        if r.dst != rho.dst:
+            raise _middle_mismatch(lam.src, r.dst, rho.dst, rho.src)
+        n, k, x, y = r.src.size, r.dst.size, lam.src.size, rho.src.size
+        lam_conv, rho_conv = _converse_memo(lam.code, x, n), _converse_memo(rho.code, y, k)
+        lam_left, rho_left = _ldom_code(lam.code, x, n), _ldom_code(rho.code, y, k)
         return {
-            "λ°∘λ = R≺": compose(converse(lam), lam) == per_ldom(r),
-            "λ∘λ° = λ<": compose(lam, converse(lam)) == ldom(lam),
-            "ρ°∘ρ = R≻": compose(converse(rho), rho) == per_rdom(r),
-            "ρ∘ρ° = ρ<": compose(rho, converse(rho)) == ldom(rho),
-            "C = λ∘R∘ρ°": c == compose(compose(lam, r), converse(rho)),
-            "C is a core relation": is_core_relation(c),
-            "λ> = R<": rdom(lam) == ldom(r),
-            "C< = λ<": ldom(c) == ldom(lam),
-            "ρ> = R>": rdom(rho) == rdom(r),
-            "C> = ρ<": rdom(c) == ldom(rho),
+            "λ°∘λ = R≺": _compose_memo(lam_conv, lam.code, n, x, n) == _per_ldom_code(r.code, n, k),
+            "λ∘λ° = λ<": _compose_memo(lam.code, lam_conv, x, n, x) == lam_left,
+            "ρ°∘ρ = R≻": _compose_memo(rho_conv, rho.code, k, y, k) == _per_rdom_code(r.code, n, k),
+            "ρ∘ρ° = ρ<": _compose_memo(rho.code, rho_conv, y, k, y) == rho_left,
+            "C = λ∘R∘ρ°": c.src == lam.src and c.dst == rho.src
+            and c.code == _compose_memo(_compose_memo(lam.code, r.code, x, n, k), rho_conv, x, k, y),
+            "C is a core relation": _core_code(c.code, c.src.size, c.dst.size),
+            "λ> = R<": _rdom_code(lam.code, n) == _ldom_code(r.code, n, k),
+            "C< = λ<": c.src == lam.src and _ldom_code(c.code, c.src.size, c.dst.size) == lam_left,
+            "ρ> = R>": _rdom_code(rho.code, k) == _rdom_code(r.code, k),
+            "C> = ρ<": c.dst == rho.src and _rdom_code(c.code, c.dst.size) == rho_left,
         }
 
 
-def _quotient_leg(per: Relation, carrier_name: str) -> Relation:
-    """λ : X~A with X the classes of a per on A, row x = the class's members."""
-    classes = _per_classes(per)
-    labels = ["{" + ",".join(per.src.labels[i] for i in members) + "}" for members in classes]
-    x = Carrier(carrier_name, len(classes), labels)
-    return Relation(x, per.src, [sum(1 << i for i in members) for members in classes])
+def _quotient_leg(per: int, carrier: Carrier, name: str) -> Relation:
+    """λ : X~A with X the classes of the per with this code on A, row x = the
+    class's members."""
+    classes = _per_classes(per, carrier.size)
+    labels = ["{" + ",".join(carrier.labels[i] for i in members) + "}" for members in classes]
+    code = 0
+    for x, members in enumerate(classes):
+        for i in members:
+            code |= 1 << (x * carrier.size + i)
+    return _make(Carrier(name, len(classes), labels), carrier, code)
 
 
 def core_of(r: Relation, mode: str = "same-type", policy: str = "min", seed: int = 0) -> CoreDecomposition:
@@ -208,19 +255,20 @@ def core_of(r: Relation, mode: str = "same-type", policy: str = "min", seed: int
     R); mode "quotient" builds fresh carriers whose elements are the per-domain
     classes, so C is a genuine quotient with full domains on the fresh side.
     """
+    code, n, k = r.code, r.src.size, r.dst.size
     if mode == "same-type":
-        cert = relation_index(r, policy, seed)
-        j = cert.index
-        lam = compose(ldom(j), per_ldom(r))
-        rho = compose(rdom(j), per_rdom(r))
+        j, _ = _index(r, policy, seed)
+        lam = _make(r.src, r.src, _compose_memo(_ldom_code(j, n, k), _per_ldom_code(code, n, k), n, n, n))
+        rho = _make(r.dst, r.dst, _compose_memo(_rdom_code(j, k), _per_rdom_code(code, n, k), k, k, k))
     elif mode == "quotient":
-        lam = _quotient_leg(per_ldom(r), f"X({r.src.name},left)")
-        rho = _quotient_leg(per_rdom(r), f"X({r.dst.name},right)")
+        lam = _quotient_leg(_per_ldom_code(code, n, k), r.src, f"X({r.src.name},left)")
+        rho = _quotient_leg(_per_rdom_code(code, n, k), r.dst, f"X({r.dst.name},right)")
     else:
         raise ValueError(f"unknown mode {mode!r}, expected one of {CORE_MODES}")
-    core = compose(compose(lam, r), converse(rho))
-    dec = CoreDecomposition(relation=r, lam=lam, rho=rho, core=core, mode=mode)
-    bad = [k for k, v in dec.verify().items() if not v]
+    x, y = lam.src.size, rho.src.size
+    core = _compose_memo(_compose_memo(lam.code, code, x, n, k), _converse_memo(rho.code, y, k), x, k, y)
+    dec = CoreDecomposition(relation=r, lam=lam, rho=rho, core=_make(lam.src, rho.src, core), mode=mode)
+    bad = [name for name, ok in dec.verify().items() if not ok]
     if bad:
         raise RuntimeError(f"core decomposition failed its own equations: {bad}")
     return dec

@@ -8,14 +8,17 @@ R : A~B and S : C~D are isomorphic when there are φ : A~C and ψ : B~D with
 bijections between the left domains and between the right domains along which
 the two matrices agree, so the search below is a small backtracking matcher
 over domain elements with degree pruning.
+
+Rows, columns and the six equations are computed on int codes with the
+kernel's code memos (see rel); the only Relations built are φ and ψ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .domains import ldom, rdom
-from .rel import CarrierMismatch, Relation, compose, converse, from_pairs
+from .domains import _ldom_code, _rdom_code, ldom, rdom
+from .rel import CarrierMismatch, Relation, _compose_memo, _converse_memo, _make, _rows
 
 
 #: find_isomorphism refuses relations with a left or right domain of more
@@ -45,14 +48,18 @@ def verify_witness(r: Relation, s: Relation, w: IsoWitness) -> bool:
             f"witness types {phi.src.name}~{phi.dst.name} / {psi.src.name}~{psi.dst.name} "
             f"do not bridge {r.src.name}~{r.dst.name} and {s.src.name}~{s.dst.name}"
         )
+    # past the type check every side of every equation has the same carriers,
+    # so the equations compare codes: R is a×b, S is c×d, φ a×c and ψ b×d
+    a, b, c, d = r.src.size, r.dst.size, s.src.size, s.dst.size
+    phi_conv, psi_conv = _converse_memo(phi.code, a, c), _converse_memo(psi.code, b, d)
     domains_ok = (
-        compose(phi, converse(phi)) == ldom(r)
-        and compose(converse(phi), phi) == ldom(s)
-        and compose(psi, converse(psi)) == rdom(r)
-        and compose(converse(psi), psi) == rdom(s)
+        _compose_memo(phi.code, phi_conv, a, c, a) == _ldom_code(r.code, a, b)
+        and _compose_memo(phi_conv, phi.code, c, a, c) == _ldom_code(s.code, c, d)
+        and _compose_memo(psi.code, psi_conv, b, d, b) == _rdom_code(r.code, b)
+        and _compose_memo(psi_conv, psi.code, d, b, d) == _rdom_code(s.code, d)
     )
-    fwd = r == compose(compose(phi, s), converse(psi))
-    bwd = compose(compose(converse(phi), r), psi) == s
+    fwd = r.code == _compose_memo(_compose_memo(phi.code, s.code, a, c, d), psi_conv, a, d, b)
+    bwd = _compose_memo(_compose_memo(phi_conv, r.code, c, a, b), psi.code, c, b, d) == s.code
     if domains_ok:
         assert fwd == bwd, "transport equations must co-vary once the domain conditions hold"
     return domains_ok and fwd and bwd
@@ -71,8 +78,9 @@ def find_isomorphism(r: Relation, s: Relation) -> IsoWitness | None:
 
     # rows as target masks, columns as source masks; the domains are the
     # nonempty ones, and degrees are bit counts
-    rows_r, cols_r = r.rows, converse(r).rows
-    rows_s, cols_s = s.rows, converse(s).rows
+    na, nb, nc, nd = r.src.size, r.dst.size, s.src.size, s.dst.size
+    rows_r, cols_r = _rows(r.code, na, nb), _rows(_converse_memo(r.code, na, nb), nb, na)
+    rows_s, cols_s = _rows(s.code, nc, nd), _rows(_converse_memo(s.code, nc, nd), nd, nc)
     da, ea = [a for a, m in enumerate(rows_r) if m], [b for b, m in enumerate(cols_r) if m]
     db, eb = [x for x, m in enumerate(rows_s) if m], [c for c, m in enumerate(cols_s) if m]
     if len(da) != len(db) or len(ea) != len(eb):
@@ -120,9 +128,9 @@ def find_isomorphism(r: Relation, s: Relation) -> IsoWitness | None:
     g = backtrack(0, f, set())
     if g is None:
         return None
-    phi = from_pairs(r.src, s.src, sorted(f.items()))
-    psi = from_pairs(r.dst, s.dst, sorted(g.items()))
-    w = IsoWitness(phi, psi)
+    phi = sum(1 << (a * nc + x) for a, x in f.items())
+    psi = sum(1 << (b * nd + c) for b, c in g.items())
+    w = IsoWitness(_make(r.src, s.src, phi), _make(r.dst, s.dst, psi))
     if not verify_witness(r, s, w):
         raise RuntimeError("search produced a witness that does not verify")
     return w

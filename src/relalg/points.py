@@ -15,14 +15,13 @@ from functools import reduce
 from typing import Iterable
 
 from .domains import ldom, rdom
-from .rel import (
-    Carrier, Relation, bottom, compose, converse, coreflexive, is_coreflexive, relation_at, top,
-)
+from .rel import Carrier, Relation, _make, bottom, compose, converse, is_coreflexive, relation_at, top
 
 
 def points(carrier: Carrier) -> list[Relation]:
     """The points of a carrier, one per element, in element order."""
-    return [coreflexive(carrier, (i,)) for i in range(carrier.size)]
+    n = carrier.size
+    return [_make(carrier, carrier, 1 << i * (n + 1)) for i in range(n)]  # bit i*n + i is (i, i)
 
 
 def is_atom(r: Relation, lattice: str = "relations") -> bool:
@@ -110,10 +109,9 @@ def decompose_to_pairs(r: Relation) -> list[tuple[Relation, Relation]]:
 
     r is exactly the union of the pairs a∘⊤∘b over this list.
     """
-    return [
-        (coreflexive(r.src, (i,)), coreflexive(r.dst, (j,)))
-        for i, j in r.pairs()
-    ]
+    src, dst = r.src, r.dst
+    n, k = src.size, dst.size
+    return [(_make(src, src, 1 << i * (n + 1)), _make(dst, dst, 1 << j * (k + 1))) for i, j in r.pairs()]
 
 
 def union_all(rels: Iterable[Relation], src: Carrier, dst: Carrier) -> Relation:

@@ -216,7 +216,7 @@ def _full(n: int, k: int) -> int:
 def _rows(code: int, n: int, k: int) -> tuple[int, ...]:
     """The n rows of an n×k code, each a k-bit int."""
     full = (1 << k) - 1
-    return tuple(code >> (i * k) & full for i in range(n))
+    return tuple([code >> (i * k) & full for i in range(n)])
 
 
 def _restride(code: int, n: int, width: int, old: int, new: int) -> int:
@@ -399,12 +399,15 @@ def _complement_code(code: int, n: int, k: int) -> int:
     return code ^ _full(n, k)
 
 
+def _middle_mismatch(a: Carrier, b: Carrier, c: Carrier, d: Carrier) -> CarrierMismatch:
+    """The error of composing a relation a~b with one c~d when b is not c."""
+    return CarrierMismatch(f"compose: middle carriers disagree ({a.name}~{b.name} then {c.name}~{d.name})")
+
+
 @_served_by(_compose_memo)
 def compose(r: Relation, s: Relation) -> Relation:
     if r.dst is not s.src and r.dst != s.src:
-        raise CarrierMismatch(
-            f"compose: middle carriers disagree ({r.src.name}~{r.dst.name} then {s.src.name}~{s.dst.name})"
-        )
+        raise _middle_mismatch(r.src, r.dst, s.src, s.dst)
     return _make(r.src, s.dst, _compose_memo(r.code, s.code, r.src.size, r.dst.size, s.dst.size))
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,8 +7,8 @@ from pathlib import Path
 import pytest
 
 from conftest import pack, run_python, unpack
-from relalg import IsoWitness, from_dict, to_dict, verify_witness
-from relalg.cli import main
+from relalg import Carrier, IsoWitness, from_dict, from_pairs, rel, to_dict, verify_witness
+from relalg.cli import _grid, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 BLOCK = str(FIXTURES / "block.json")
@@ -47,6 +48,22 @@ def test_classify_pretty_grid(capsys):
     assert "difunctional: yes" in out.replace("  ", " ")
 
 
+def test_pretty_grid_reads_the_rows_once(monkeypatch):
+    # reading the rows per cell made --pretty cubic in the carrier size
+    r = pack(16, 16, [(i, (3 * i) % 16) for i in range(16)])
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return rows(*args)
+
+    rows = rel._rows
+    monkeypatch.setattr(rel, "_rows", counted)
+    grid = _grid(r)
+    assert len(calls) == 1
+    assert grid.splitlines()[2].split()[1:] == ["." if j != 3 else "x" for j in range(16)]
+
+
 # -- index / core ---------------------------------------------------------------------
 
 
@@ -74,6 +91,24 @@ def test_index_dot_output_is_deterministic(capsys):
     assert "s0 -> t0 [color=crimson" in first  # index edge is highlighted
     assert "s0 -> t1;" in first                # ordinary edge is not
     assert "s2 -> t2 [color=crimson" in first
+
+
+# a DOT string literal: quotes around characters other than an unescaped quote
+DOT_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+def test_dot_escapes_labels(capsys, tmp_path):
+    a = Carrier("A", 2, ['x"y', "z\\"])
+    b = Carrier("B", 2, ["p", 'q"'])
+    path = write_rel(tmp_path, "labels.json", from_pairs(a, b, [(0, 0), (1, 0), (1, 1)]))
+    code, out, _ = run_cli(capsys, "index", path, "--dot")
+    assert code == 0
+    literals = []
+    for line in out.splitlines():
+        literals += DOT_STRING.findall(line)
+        assert '"' not in DOT_STRING.sub("", line), line
+    texts = {re.sub(r"\\(.)", r"\1", lit[1:-1]) for lit in literals}
+    assert {'x"y', "z\\", 'q"', '{x"y}', '{z\\}', '{q"}'} <= texts
 
 
 def test_core_quotient(capsys, tmp_path):
