@@ -101,7 +101,8 @@ def _dot_bipartite(r: Relation, index: Relation) -> str:
 
     def side(prefix: str, per: Relation) -> None:
         labels = per.src.labels
-        for n, members in enumerate(indexcore._per_classes(per.code, per.src.size)):
+        for n, mask in enumerate(indexcore._per_classes(per.code, per.src.size)):
+            members = indexcore._members(mask)
             label = "{" + ",".join(labels[i] for i in members) + "}"
             out.append(f"  subgraph cluster_{prefix}{n} {{")
             out.append(f"    label={_dot_quoted(label)};")

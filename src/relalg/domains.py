@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import permutations
 from typing import Iterator
 
 from . import factors
@@ -108,9 +109,9 @@ def per_rdom(r: Relation) -> Relation:
 
 # -- predicates ---------------------------------------------------------------
 #
-# Each predicate is decided by one pass over the rows, without composing:
-# building the law runner's pools asks these questions of every relation on
-# the carriers, and none of the composites would ever be asked for again.
+# Each predicate is decided by one pass over the rows, without composing: the
+# law runner asks these questions of every argument it checks, and none of the
+# composites would ever be asked for again.
 
 
 def _per_rows(rows: tuple[int, ...]) -> bool:
@@ -175,6 +176,57 @@ def _difunctional_rows(rows: tuple[int, ...]) -> bool:
 def is_difunctional(r: Relation) -> bool:
     """R∘R°∘R ⊆ R: any two rows are equal or disjoint."""
     return _difunctional_rows(r.rows)
+
+
+# The law runner's difunction and functional pools are generated, not filtered
+# from every relation on the carriers: each generator makes every member of its
+# kind exactly once and returns the codes sorted, so the pool is the one the
+# row predicates above would keep, in the same order.
+
+
+def _partial_partitions(n: int) -> list[tuple[int, ...]]:
+    """Every family of pairwise disjoint nonempty masks over n elements, once
+    each, its blocks ordered by least member. There are S(n+1, k+1) with k
+    blocks."""
+    out: list[tuple[int, ...]] = [()]
+    for i in range(n):
+        bit = 1 << i
+        grown = []
+        for blocks in out:
+            grown.append(blocks)  # i in no block
+            grown.extend(blocks[:b] + (blocks[b] | bit,) + blocks[b + 1:] for b in range(len(blocks)))
+            grown.append(blocks + (bit,))  # i opens a block
+        out = grown
+    return out
+
+
+def _difunctional_codes(n: int, m: int) -> list[int]:
+    """The n×m difunctions in code order: R = ⋃ rowsᵢ × cols_σ(i) over k
+    disjoint row blocks, k disjoint column blocks and a bijection σ between
+    them (Riguet). Σₖ S(n+1,k+1)·S(m+1,k+1)·k! codes."""
+    columns: dict[int, list[tuple[int, ...]]] = {}
+    for blocks in _partial_partitions(m):
+        columns.setdefault(len(blocks), []).append(blocks)
+    codes = []
+    for blocks in _partial_partitions(n):
+        # rows × cols is spread * cols, with one bit of spread at each row's cell 0
+        spreads = [sum(1 << i * m for i in range(n) if block >> i & 1) for block in blocks]
+        for cols in columns.get(len(blocks), ()):
+            for sigma in permutations(cols):
+                codes.append(sum(s * c for s, c in zip(spreads, sigma)))
+    codes.sort()
+    return codes
+
+
+def _functional_codes(n: int, m: int) -> list[int]:
+    """The n×m functionals (pairwise disjoint rows) in code order: each column
+    holds no bit or the bit of one row, (n+1)^m codes."""
+    codes = [0]
+    for j in range(m):
+        cells = [1 << i * m + j for i in range(n)]
+        codes += [code | cell for code in codes for cell in cells]
+    codes.sort()
+    return codes
 
 
 def _rectangle_rows(rows: tuple[int, ...]) -> bool:

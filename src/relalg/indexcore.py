@@ -38,23 +38,29 @@ POLICIES = ("min", "max", "random")
 CORE_MODES = ("same-type", "quotient")
 
 
-def _representative(members: tuple[int, ...], policy: str, rng: random.Random | None) -> int:
+def _members(mask: int) -> tuple[int, ...]:
+    """The elements of a mask, in increasing order."""
+    return tuple([i for i in range(mask.bit_length()) if mask >> i & 1])
+
+
+def _representative(mask: int, policy: str, rng: random.Random | None) -> int:
+    """The chosen member of a class mask, as a one-bit mask."""
     if policy == "min":
-        return members[0]
+        return mask & -mask
     if policy == "max":
-        return members[-1]
+        return 1 << mask.bit_length() - 1
     assert policy == "random" and rng is not None
-    return rng.choice(members)
+    return 1 << rng.choice(_members(mask))
 
 
-def _per_classes(per: int, n: int) -> list[tuple[int, ...]]:
-    """Equivalence classes of the per with this n×n code on its domain,
-    ordered by smallest member."""
+def _per_classes(per: int, n: int) -> list[int]:
+    """Equivalence classes of the per with this n×n code on its domain, as
+    masks ordered by smallest member: a nonempty row of a per is its class."""
     seen = 0
     classes = []
     for i, row in enumerate(_rows(per, n, n)):
         if row and not seen >> i & 1:
-            classes.append(tuple([j for j in range(n) if row >> j & 1]))
+            classes.append(row)
             seen |= row
     return classes
 
@@ -78,8 +84,8 @@ def _transversal(per: int, carrier: Carrier, policy: str, seed: int) -> int:
         raise ValueError(f"unknown policy {policy!r}, expected one of {POLICIES}")
     rng = random.Random(f"{seed}:{carrier.name}:{carrier.size}") if policy == "random" else None
     mask = 0
-    for members in _per_classes(per, carrier.size):
-        mask |= 1 << _representative(members, policy, rng)
+    for cls in _per_classes(per, carrier.size):
+        mask |= _representative(cls, policy, rng)
     return _diagonal(mask, carrier.size)
 
 
@@ -170,7 +176,8 @@ def candidate_indexes(r: Relation) -> list[Relation]:
     code, n, k = r.code, r.src.size, r.dst.size
 
     def transversals(per: int, size: int) -> list[int]:
-        return [_diagonal(sum(1 << i for i in pick), size) for pick in product(*_per_classes(per, size))]
+        classes = [_members(cls) for cls in _per_classes(per, size)]
+        return [_diagonal(sum(1 << i for i in pick), size) for pick in product(*classes)]
 
     lefts, rights = transversals(_per_ldom_code(code, n, k), n), transversals(_per_rdom_code(code, n, k), k)
     sandwiches = [_sandwich(code, left, right, n, k) for left in lefts for right in rights]
@@ -240,11 +247,10 @@ def _quotient_leg(per: int, carrier: Carrier, name: str) -> Relation:
     """λ : X~A with X the classes of the per with this code on A, row x = the
     class's members."""
     classes = _per_classes(per, carrier.size)
-    labels = ["{" + ",".join(carrier.labels[i] for i in members) + "}" for members in classes]
+    labels = ["{" + ",".join(carrier.labels[i] for i in _members(cls)) + "}" for cls in classes]
     code = 0
-    for x, members in enumerate(classes):
-        for i in members:
-            code |= 1 << (x * carrier.size + i)
+    for x, cls in enumerate(classes):
+        code |= cls << (x * carrier.size)
     return _make(Carrier(name, len(classes), labels), carrier, code)
 
 

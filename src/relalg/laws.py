@@ -5,9 +5,12 @@ difunctions, functionals, points) over arbitrary finite carriers. The runner
 instantiates each law over every assignment of carrier sizes up to max_size,
 enumerating the variable pools exhaustively when the (cost-weighted) instance
 count stays within budget and sampling with a per-law deterministic RNG
-otherwise. The first failing instance is shrunk to a locally minimal
-counterexample: no single pair can be removed from any argument, and no
-carrier element dropped, without the law recovering.
+otherwise. A pool is the codes of one kind on its carriers, in code order;
+the restricted kinds are generated, not filtered from every relation, and
+every pool is bounded by the matrix bits of its carriers. The first failing
+instance is shrunk to a locally minimal counterexample: no single pair can
+be removed from any argument, and no carrier element dropped, without the
+law recovering.
 
 Law ids are stable and descriptive; `statement` carries the point-free
 formula. A law registered with _term has no Python check: its statement is
@@ -36,8 +39,8 @@ from . import factors, indexcore, isomorph
 from .terms import Formula, code_planes, fixed_planes, parse, range_planes
 from .points import decompose_to_pairs, is_atom, is_pair, is_particle, is_point, pair_rel, points, union_all
 from .domains import (
-    classify, enumerate_pers, is_bijection, is_core_relation, is_coreflexive, is_difunctional,
-    is_functional, is_per, ldom, per_ldom, per_rdom, rdom,
+    _difunctional_codes, _functional_codes, classify, enumerate_pers, is_bijection, is_core_relation,
+    is_coreflexive, is_difunctional, is_functional, is_per, ldom, per_ldom, per_rdom, rdom,
 )
 from .rel import (
     MAX_ENUM_BITS, Carrier, Relation, _make, _relation_codes, bottom, compose, converse,
@@ -113,9 +116,13 @@ KIND_VALIDATORS: dict[str, Callable[[Relation], bool]] = {
 }
 
 # Pools hold codes, in code order: a range for the relation kind, a tuple for
-# the others. A Relation is built only for an instance that is drawn or
-# enumerated, so the pools kept for a whole run hold no objects the cyclic
-# collector has to walk.
+# the others. The restricted kinds are generated, not filtered from the
+# relation pool: difunctions from row blocks, column blocks and a bijection
+# between them, functionals one column at a time (see domains). Difunction and
+# functional pools are still refused wherever the relation pool would be, past
+# MAX_ENUM_BITS matrix bits. A Relation is built only for an instance that is
+# drawn or enumerated, so the pools kept for a whole run hold no objects the
+# cyclic collector has to walk.
 _POOLS: dict[tuple[str, Carrier, Carrier], Sequence[int]] = {}
 
 
@@ -133,8 +140,9 @@ def _pool(kind: str, src: Carrier, dst: Carrier) -> Sequence[int]:
     elif kind == "per":
         out = tuple(r.code for r in enumerate_pers(src))
     elif kind in ("difunction", "functional"):
-        valid = KIND_VALIDATORS[kind]
-        out = tuple(code for code in _pool("relation", src, dst) if valid(_make(src, dst, code)))
+        _relation_codes(src, dst)  # refuses the carriers the relation pool refuses
+        native = _difunctional_codes if kind == "difunction" else _functional_codes
+        out = tuple(native(src.size, dst.size))
     elif kind == "point":
         out = tuple(r.code for r in points(src))
     else:

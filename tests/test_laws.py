@@ -2,6 +2,7 @@ import gc
 import json
 import random
 from itertools import product
+from math import factorial
 
 import pytest
 
@@ -63,6 +64,51 @@ def test_pool_contents_match_kind_predicates():
             assert validator(relation_at(c, c, code)), (kind, code)
 
 
+SHAPES_UP_TO_4 = [(n, m) for n in range(1, 5) for m in range(1, 5)]
+
+
+def _stirling2(n: int, k: int) -> int:
+    if n == k:
+        return 1
+    if k == 0 or k > n:
+        return 0
+    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
+
+
+def _closed_form(kind: str, n: int, m: int) -> int:
+    if kind == "functional":
+        return (n + 1) ** m
+    return sum(_stirling2(n + 1, k + 1) * _stirling2(m + 1, k + 1) * factorial(k) for k in range(min(n, m) + 1))
+
+
+@pytest.mark.parametrize("n,m", SHAPES_UP_TO_4)
+@pytest.mark.parametrize("kind", ["difunction", "functional"])
+def test_native_pools_equal_the_filtered_pools(kind, n, m):
+    src, dst = Carrier("A", n), Carrier("B", m)
+    got = _pool(kind, src, dst)
+    valid = KIND_VALIDATORS[kind]
+    assert list(got) == [code for code in range(1 << n * m) if valid(relation_at(src, dst, code))]
+    assert len(got) == _closed_form(kind, n, m)
+    assert all(a < b for a, b in zip(got, got[1:]))
+    if n * m <= 9:
+        oracle = o.ois_difunctional if kind == "difunction" else o.ois_functional
+        assert list(got) == [code for code in range(1 << n * m) if oracle(unpack(relation_at(src, dst, code)))]
+
+
+def test_native_pool_sizes_match_the_closed_forms():
+    assert [_closed_form("difunction", n, n) for n in range(1, 5)] == [2, 12, 128, 2100]
+    assert sum(_closed_form("difunction", n, m) for n, m in SHAPES_UP_TO_4) == 3490
+    assert sum(_closed_form("functional", n, m) for n, m in SHAPES_UP_TO_4) == 1270
+
+
+@pytest.mark.parametrize("kind", ["difunction", "functional"])
+def test_native_pools_keep_the_enumeration_bound(monkeypatch, kind):
+    monkeypatch.setattr(laws, "_POOLS", {})
+    for n, m in ((5, 4), (4, 5)):
+        with pytest.raises(EnumerationLimit, match="matrix bits"):
+            _pool(kind, Carrier("A", n), Carrier("B", m))
+
+
 def _live_relations() -> int:
     gc.collect()
     return sum(type(x) is Relation for x in gc.get_objects())
@@ -82,8 +128,8 @@ def test_pools_hold_codes_not_relations(monkeypatch):
 
 
 def test_pool_building_leaves_the_kernel_caches_empty(monkeypatch):
-    # pool building asks every relation of its carriers for its kind; the
-    # answers come from rows, so no composite is left behind in a cache
+    # the restricted pools are generated or read off rows, so no composite is
+    # left behind in a cache; the validators answer from rows too
     monkeypatch.setattr(laws, "_POOLS", {})
     cache_clear()
     a3, b3, a4 = Carrier("A", 3), Carrier("B", 3), Carrier("A", 4)
@@ -111,6 +157,8 @@ def test_input_checks_hold_under_python_O():
         "a, b = Carrier('A', 2), Carrier('B', 2)\n"
         "bad = [lambda: next(enumerate_pers(Carrier('A', 6)))]\n"
         "bad += [lambda kind=kind: _pool(kind, a, b) for kind in ('coreflexive', 'per', 'point')]\n"
+        "bad += [lambda kind=kind, n=n, m=m: _pool(kind, Carrier('A', n), Carrier('B', m))\n"
+        "        for kind in ('difunction', 'functional') for n, m in ((5, 4), (4, 5))]\n"
         "for call in bad:\n"
         "    try:\n"
         "        call()\n"

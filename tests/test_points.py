@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 import oracles as o
@@ -73,6 +75,31 @@ def test_is_atom_both_lattices():
         is_atom(single, "ideals")
     with pytest.raises(ValueError, match="coreflexive"):
         is_atom(single, "coreflexives")
+
+
+def _strict_nonempty_subsets(r: frozenset):
+    members = sorted(r)
+    for size in range(1, len(members)):
+        yield from (frozenset(q) for q in combinations(members, size))
+
+
+@pytest.mark.parametrize("na,nb", [(na, nb) for na in (1, 2, 3) for nb in (1, 2, 3)])
+def test_is_atom_and_is_point_match_a_sub_relation_scan(na, nb):
+    src, dst = Carrier("A", na), Carrier("A" if na == nb else "B", nb)
+    for r in enumerate_relations(src, dst):
+        pairs = unpack(r)
+        below = list(_strict_nonempty_subsets(pairs))
+        assert is_atom(r) == (not below), sorted(pairs)
+        if na != nb:
+            continue
+        if not o.ois_coreflexive(pairs):
+            with pytest.raises(ValueError, match="coreflexive"):
+                is_atom(r, "coreflexives")
+            assert not is_point(r)
+            continue
+        atom = not any(o.ois_coreflexive(q) for q in below)
+        assert is_atom(r, "coreflexives") == atom, sorted(pairs)
+        assert is_point(r) == (bool(pairs) and atom), sorted(pairs)
 
 
 def test_off_diagonal_two_bit_is_atomic_among_coreflexives_but_not_coreflexive():
