@@ -363,18 +363,13 @@ def classify(r: Relation) -> PredicateReport:
 
 
 def enumerate_pers(carrier: Carrier) -> Iterator[Relation]:
-    """All pers over the carrier, by enumerating symmetric relations and
-    keeping those that pass is_per. Deterministic order."""
+    """All pers over the carrier, in code order: one per partial partition,
+    whose row i is the block holding i, or empty (the difunctions whose
+    bijection σ is the identity), so Bell(n+1) of them."""
     n = carrier.size
-    cells = [(i, j) for i in range(n) for j in range(i, n)]
-    if len(cells) > MAX_ENUM_BITS:
+    if n * (n + 1) // 2 > MAX_ENUM_BITS:
         raise EnumerationLimit(f"per enumeration is meant for tiny carriers, not {n} elements")
-    for mask in range(1 << len(cells)):
-        code = 0
-        for i, j in cells:
-            if mask & 1:
-                code |= 1 << (i * n + j) | 1 << (j * n + i)
-            mask >>= 1
-        q = _make(carrier, carrier, code)
-        if is_per(q):
-            yield q
+    codes = [sum(block << i * n for block in blocks for i in range(n) if block >> i & 1)
+             for blocks in _partial_partitions(n)]
+    for code in sorted(codes):
+        yield _make(carrier, carrier, code)

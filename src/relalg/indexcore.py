@@ -202,7 +202,7 @@ def splitting(p: Relation, policy: str = "min", seed: int = 0) -> Relation:
     f = J∘P maps every element of P's domain onto its class representative
     (on the left), exhibiting the per as "function composed with own converse".
     """
-    _check_per(p, "per_index")
+    _check_per(p, "splitting")
     n = p.src.size
     return _make(p.src, p.dst, _compose_memo(_transversal(p.code, p.src, policy, seed), p.code, n, n, n))
 

@@ -3,7 +3,8 @@
 A law statement such as ``T ⊆ R\\S ≡ R∘T ⊆ S`` is parsed into a Formula over
 the law's variables. The grammar, from the loosest binding to the tightest:
 
-    statement   := formula [ "for" KINDS LETTER* ]
+    statement   := formula [ "for" KINDS LETTER* ] [ "where" binding ( "," binding )* ]
+    binding     := LETTER "=" term
     formula     := implication ( "," implication )*        conjunction
     implication := disjunction [ "⇒" implication ]
     disjunction := conjunction ( "or" conjunction )*
@@ -14,7 +15,7 @@ the law's variables. The grammar, from the loosest binding to the tightest:
     term        := meet ( "∪" meet )*
     meet        := product ( "∩" product )*
     product     := unary ( ("∘" | "\\" | "/" | "\\\\" | "//") unary )*
-    unary       := "¬" unary | postfix
+    unary       := ("¬" | "index") unary | postfix
     postfix     := primary ( "°" | "<" | ">" | "≺" | "≻" )*
     primary     := LETTER | constant | "(" term ")"
     constant    := ("⊥" | "⊤") [ "[" CARRIER "," CARRIER "]" ]
@@ -27,6 +28,13 @@ kinds of the named variables (of every variable, when none is named); the
 parser checks it against them. Letters are bound to the law's variables
 explicitly, one letter per variable in order, since a statement need not
 mention its variables in that order.
+
+A trailing ``where J = index R, λ = J<∘R≺`` binds new letters to terms in
+order; a binding may use the letters bound before it. A bound letter costs
+nothing, as equal subterms are evaluated once. ``index X`` is the index of X
+with the least member of each per-domain class (relation_index, min policy).
+It alone depends on the order of the carriers' elements, so a reduction to
+orbits under renamings of the elements must skip any formula containing it.
 
 A PREDICATE is one of the kind words ``per``, ``functional``, ``injective``,
 ``difunctional``, ``rectangle`` and ``square``, and applies to the whole term
@@ -43,8 +51,8 @@ A Formula has two evaluators over one instruction list, in which equal
 subterms appear once:
 
 - scalar: ``formula(args, carriers)`` evaluates one instance with the kernel
-  operations and the row predicates of domains, and returns a bool, so a
-  Formula is a law check;
+  operations, the row predicates of domains and relation_index, and returns
+  a bool, so a Formula is a law check;
 - sliced: ``formula.failures(planes, sizes, full)`` evaluates a batch of
   instances at once. Each argument is a list of planes, one int per matrix
   cell in code order, and bit x of every plane belongs to instance x, so
@@ -53,9 +61,10 @@ subterms appear once:
   point-free form: ``per X`` is ``X° = X and X∘X ⊆ X``, ``functional X`` is
   ``X∘X° ⊆ 𝕀``, ``injective X`` is ``X°∘X ⊆ 𝕀``, ``difunctional X`` is
   ``X∘X°∘X ⊆ X``, ``rectangle X`` is ``X∘⊤∘X ⊆ X`` and ``square X`` is
-  ``X° = X and X∘⊤∘X ⊆ X``. The result has bit x set
-  when the statement fails on instance x (the bitslicing of E. Biham's DES
-  implementation, FSE 1997).
+  ``X° = X and X∘⊤∘X ⊆ X``. ``index X`` keeps cell (i, j) of X where i is
+  the least member of its X≺-class and j of its X≻-class. The result has
+  bit x set when the statement fails on instance x (the bitslicing of E.
+  Biham's DES implementation, FSE 1997).
 """
 
 from __future__ import annotations
@@ -70,6 +79,7 @@ from .domains import (
     rdom,
 )
 from .factors import left_residual, right_residual, sym_left_div, sym_right_div
+from .indexcore import relation_index
 from .rel import bottom, complement, compose, converse, identity, intersect, is_subset, top, union
 
 #: The plural kind words a trailing ``for`` clause may use.
@@ -155,6 +165,8 @@ class _Parser:
         self.pos = 0
         self.links: dict = {}  # union-find over type slots: carrier names and fresh ints
         self.fresh = 0
+        self.bound: dict[str, _Node] = {}  # the where clause's letters bound so far
+        self.heads: set[str] = set()  # and every letter it binds
 
     def fail(self, col: int, message: str):
         raise ValueError(f"law {self.law_id!r}: column {col}: {message} in {self.statement!r}")
@@ -204,13 +216,42 @@ class _Parser:
     # -- grammar ----------------------------------------------------------------
 
     def run(self) -> Formula:
+        # the where clause first, so that the formula before it sees its letters
+        kinds = [tok for tok, _ in self.tokens]
+        last = kinds.index("where") if "where" in kinds else len(kinds) - 1
+        if kinds[last] == "where":
+            self.pos = last + 1
+            self.bindings()
+            self.pos = 0
         root = self.formula()
         if self.peek() == "for":
             self.qualifier()
         tok, col = self.take()
-        if tok != "end":
+        if self.pos - 1 != last:  # the formula ends at the where clause or at the end
             self.fail(col, f"unexpected {self.shown(tok, col)}")
         return Formula(self.statement, self.letters, self.compile(root))
+
+    def bindings(self) -> None:
+        # a term holds no "=", so every letter followed by one is bound here
+        pairs = zip(self.tokens[self.pos:], self.tokens[self.pos + 1:])
+        self.heads = {self.statement[col - 1] for (tok, col), (nxt, _) in pairs if tok == "letter" and nxt == "="}
+        while True:
+            tok, col = self.take()
+            if tok != "letter":
+                self.fail(col, f"expected a binding such as 'J = index R', got {self.shown(tok, col)}")
+            letter = self.statement[col - 1]
+            if letter in self.letters:
+                self.fail(col, f"{letter!r} is a variable; a where clause binds new letters")
+            if letter in self.bound:
+                self.fail(col, f"{letter!r} is bound twice")
+            self.expect("=")
+            self.bound[letter] = self.term()
+            if self.peek() != ",":
+                break
+            self.take()
+        tok, col = self.take()
+        if tok != "end":
+            self.fail(col, f"unexpected {self.shown(tok, col)}")
 
     def qualifier(self) -> None:
         self.take()
@@ -228,6 +269,8 @@ class _Parser:
 
     def var_index(self, col: int) -> int:
         letter = self.statement[col - 1]
+        if letter in self.heads:
+            self.fail(col, f"{letter!r} is used before its binding")
         if letter not in self.letters:
             self.fail(col, f"unknown letter {letter!r}; the variables are {', '.join(self.letters)}")
         return self.letters.index(letter)
@@ -320,10 +363,10 @@ class _Parser:
         return node
 
     def unary(self) -> _Node:
-        if self.peek() == "¬":
-            col = self.take()[1]
+        if self.peek() in ("¬", "index"):
+            op, col = self.take()
             inner = self.unary()
-            return _Node("¬", (inner,), col, inner.src, inner.dst)
+            return _Node(op, (inner,), col, inner.src, inner.dst, (inner.src, inner.dst))
         return self.postfix()
 
     def postfix(self) -> _Node:
@@ -338,6 +381,8 @@ class _Parser:
     def primary(self) -> _Node:
         tok, col = self.take()
         if tok == "letter":
+            if self.statement[col - 1] in self.bound:
+                return self.bound[self.statement[col - 1]]
             index = self.var_index(col)
             var = self.vars[index]
             return _Node("var", (), col, var.src, var.dst, index=index)
@@ -400,7 +445,7 @@ def _tokens(text: str, fail) -> list[tuple[str, int]]:
         col = m.start() + 1
         if sym:
             out.append((sym, col))
-        elif word in ("and", "or", "for") or word in KIND_WORDS or word in _PREDICATES:
+        elif word in ("and", "or", "for", "where", "index") or word in KIND_WORDS or word in _PREDICATES:
             out.append((word, col))
         elif word and len(word) == 1:
             out.append(("letter", col))
@@ -422,6 +467,7 @@ _SCALAR = {
     "⊆": is_subset, "=": eq, "≠": ne, "≡": eq,
     "per": is_per, "functional": is_functional, "injective": is_injective,
     "difunctional": is_difunctional, "rectangle": is_rectangle, "square": is_square,
+    "index": lambda x: relation_index(x).index,
     "⇒": lambda a, b: not a or b, "and": lambda a, b: a and b, "or": lambda a, b: a or b,
 }
 
@@ -489,6 +535,18 @@ def _per_ldom(full, d, x):
     nonempty = [_any(x[i:i + k]) for i in range(0, n * k, k)]
     same = _same_rows(full, x, x, k)
     return [same[c] & nonempty[c // n] for c in range(n * n)]
+
+
+def _index(full, d, x):
+    """Cell (i, j) of X where i is the least member of its X≺-class and j of
+    its X≻-class: Jl(i) = L[i,i] ∧ ¬⋁_{h<i} L[h,i] with L = X≺, and Jr
+    likewise over X≻."""
+    def least(per, m):
+        return [per[i * m + i] & ~_any(per[i:i * m:m]) for i in range(m)]
+
+    n, k = d
+    left, right = least(_per_ldom(full, d, x), n), least(_per_ldom(full, (k, n), _converse(full, d, x)), k)
+    return [left[i] & x[i * k + j] & right[j] for i in range(n) for j in range(k)]
 
 
 def _left_residual(full, d, r, s):  # R\S = ¬(R°∘¬S)
@@ -560,6 +618,7 @@ _SLICED = {
     "difunctional": _difunctional,
     "rectangle": _rectangle,
     "square": lambda full, d, x: _equal(full, d, x, _converse(full, d, x)) & _rectangle(full, d, x),
+    "index": _index,
 }
 
 

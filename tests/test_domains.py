@@ -218,18 +218,25 @@ def test_classify_checks_are_their_formulas():
 # -- enumeration of pers -------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n,expected", [(0, 1), (1, 2), (2, 5), (3, 15), (4, 52)])
+@pytest.mark.parametrize("n,expected", [(0, 1), (1, 2), (2, 5), (3, 15), (4, 52), (5, 203)])
 def test_enumerate_pers_counts(n, expected):
-    # sum over subsets of the carrier of the number of partitions of the subset
+    # Bell(n+1): sum over subsets of the carrier of the number of partitions of the subset
     pers = list(enumerate_pers(Carrier("A", n)))
     assert len(pers) == expected
     assert len(set(pers)) == expected
     assert all(is_per(p) for p in pers)
+    # in code order, as every pool of the law runner is
+    assert all(p.code < q.code for p, q in zip(pers, pers[1:]))
 
 
 def test_enumerate_pers_matches_filter():
-    brute = {r for r in _all(3, 3, dst="A") if o.ois_per(unpack(r))}
-    assert set(enumerate_pers(Carrier("A", 3))) == brute
+    # the symmetric relations that the oracle finds transitive
+    for n in range(6):
+        cells = [(i, j) for i in range(n) for j in range(i, n)]
+        halves = ({c for k, c in enumerate(cells) if mask >> k & 1} for mask in range(1 << len(cells)))
+        symmetric = (frozenset(half | {(j, i) for i, j in half}) for half in halves)
+        brute = {pack(n, n, r, dst="A") for r in symmetric if o.ois_per(r)}
+        assert set(enumerate_pers(Carrier("A", n))) == brute
 
 
 # -- the domain laws of the registry on one instance ---------------------------------------

@@ -95,9 +95,10 @@ def test_per_index_refusals_name_a_literal_witness():
             else:
                 per_index(p)
                 continue
-            with pytest.raises(ValueError) as e:
-                per_index(p)
-            assert str(e.value) == f"per_index: not a per — {why}"
+            for refuser in (per_index, splitting):
+                with pytest.raises(ValueError) as e:
+                    refuser(p)
+                assert str(e.value) == f"{refuser.__name__}: not a per — {why}"
             refused.add(why.split(",")[0])
     assert refused == {"not symmetric", "not transitive"}
 

@@ -19,8 +19,9 @@ import pytest
 from conftest import run_python
 from relalg import laws
 from relalg.laws import REGISTRY, Law, Var, _pool, _term, run_law
+from relalg.indexcore import relation_index
 from relalg.rel import Carrier, _make
-from relalg.terms import Formula, code_planes, fixed_planes, parse, range_planes
+from relalg.terms import _SLICED, Formula, code_planes, fixed_planes, parse, range_planes
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -46,6 +47,10 @@ SLICED = {
     "functional-char", "injective-char", "per-domains-are-pers", "functional-compose-per",
     "per-implies-symmetric-difunction", "difunctional-strong-domains", "rectangle-difunctional",
     "square-per", "compose-top-rectangle", "per-equivalents", "difunctional-equivalents",
+    # the min-policy index, through where J = index R
+    "index-is-core-relation", "index-of-itself", "index-via-own-domains", "index-compose-sandwich",
+    "per-sandwich-per", "index-ldom-indexes-per", "index-witness-core", "difunction-index-bijection",
+    "difunction-index-equiv",
 }
 
 # the letters of the planted statements, in variable order
@@ -91,6 +96,12 @@ def _ops(statement: str, vars=R4, letters: str = "RSTU") -> list:
     # a predicate takes the whole term after it, and no more
     ("per R∘S ∪ T°", "per (R∘S ∪ T°)"),
     ("rectangle R∩S and T ⊆ U", "rectangle (R∩S) and T ⊆ U"),
+    # index binds as ¬ does
+    ("index R∘S = T", "(index R)∘S = T"),
+    ("index R° = S", "index (R°) = S"),
+    # a bound letter is its term
+    ("J∘S = T where J = index R∘U", "(index R∘U)∘S = T"),
+    ("λ = ρ° where J = index R, λ = J<∘S, ρ = S°∘J<", "(index R)<∘S = (S°∘(index R)<)°"),
 ])
 def test_precedence(loose, bracketed):
     assert _ops(loose) == _ops(bracketed)
@@ -186,6 +197,14 @@ def test_a_qualifier_restates_the_kinds():
     ("per R", 1, "carrier mismatch: per joins carrier A with carrier B"),
     ("square S∘T", 1, "carrier mismatch: square joins carrier A with carrier C"),
     ("per R∘R° = S", 10, "unexpected '='"),
+    ("index R = T", 9, "carrier mismatch: = joins carrier A with carrier B"),
+    ("R = index", 10, "expected a term, got the end of the statement"),
+    ("J = R where J = R, J = S", 20, "'J' is bound twice"),
+    ("R = S where S = R", 13, "'S' is a variable; a where clause binds new letters"),
+    ("J = R where J = K, K = S", 17, "'K' is used before its binding"),
+    ("J = R where J = J∘R", 17, "'J' is used before its binding"),
+    ("R = S where", 12, "expected a binding such as 'J = index R', got the end of the statement"),
+    ("R = S where J = R S", 19, "unexpected 'S'"),
 ])
 def test_parse_errors_name_the_law_and_the_column(statement, column, message):
     vars = (Var("relation", "A", "B"), Var("relation", "A", "B"), Var("relation", "B", "C"))
@@ -294,6 +313,8 @@ def test_sliced_and_scalar_verdicts_agree_per_instance(law_id):
     "difunctional R ∪ S ⇒ rectangle T",
     "square ⊤[A,A] ∩ S∘S°",
     "rectangle R∘T, difunctional S°",
+    # the min-policy index on the scalar side, on planes on the sliced one
+    "J ⊆ S ≡ J∘T ⊆ K∘T where J = index R, K = index S",
 ])
 def test_sliced_and_scalar_verdicts_agree_on_every_operation(statement):
     # statements that fail on some instances and hold on others
@@ -303,6 +324,14 @@ def test_sliced_and_scalar_verdicts_agree_on_every_operation(statement):
     verdicts = {law.check(args, cs) for cs, typed, instances in _instances(law, 2) for codes in instances
                 for args in [tuple(_make(s, d, c) for (s, d), c in zip(typed, codes))]}
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 5) for k in range(1, 5) if n * k <= 12])
+def test_sliced_index_is_the_min_policy_index(n, k):
+    count = 1 << n * k
+    planes = _SLICED["index"]((1 << count) - 1, (n, k), range_planes(n * k, 1, count))
+    a, b = Carrier("A", n), Carrier("B", k)
+    assert _plane_bits(planes, count) == [relation_index(_make(a, b, code)).index.code for code in range(count)]
 
 
 @pytest.mark.parametrize("law_id", sorted(PLANTED_LETTERS))
