@@ -26,6 +26,7 @@ from .rel import (
     RelationFormatError,
     carrier_to_dict,
     from_dict,
+    read_json,
     to_dict,
 )
 
@@ -36,11 +37,9 @@ class _UsageError(Exception):
 
 def _load_relation(path: str) -> Relation:
     try:
-        raw = Path(path).read_text()
+        data = read_json(path)
     except OSError as exc:
         raise _UsageError(f"{path}: {exc.strerror or exc}") from exc
-    try:
-        data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise _UsageError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     try:

@@ -24,19 +24,45 @@ and look at single elements only where rows differ, in search order.
 product_model builds products from the factors' index tables, without names
 or load_model: a product of valid models is valid by construction, and
 check_axioms is what re-verifies one.
+
+The lattice, monoid and Dedekind laws are decided on join-irreducibles
+first, in n²·|J| row comparisons instead of n³. In a finite lattice every
+element is the join of the join-irreducibles J below it (⊥ of none), so a
+law that is a join of its instances holds when it holds for arguments in J.
+The preconditions are those AbstractModel._irreducibles vouches for: leq a
+partial order, joins and meets its lubs and glbs, bot the least element,
+every table over the element indexes. If they fail, or the reduced check
+finds a fault, the full ordered search runs; it is the only thing that
+yields, so verdicts, first counterexamples and diagnostics do not depend on
+the reduction.
+- meet-over-join, y ∈ J: x∧(y∨z) = (x∧y)∨(x∧z) for y in J extends over y's
+  decomposition by induction, and x∧⊥ = ⊥ covers y = ⊥.
+- monoid, y ∈ J, after the unit and zero laws for every x: x∘(y∨z) =
+  x∘y ∨ x∘z extends the same way, with ⊥ a zero for y = ⊥ (join-right
+  likewise), and then both sides of associativity are joins over y's
+  decomposition of instances in J.
+- Dedekind, r, s ∈ J, t any, once the reduced lattice and monoid checks hold
+  and the converse law has no violation: R∘S ∩ T = ⋁(Rᵢ∘Sⱼ ∩ T) by
+  distributivity, and each term is below R∘(S ∩ R°∘T) (and (R ∩ T∘S°)∘S)
+  because ∘, ∩ and ° are monotone.
+The converse law is decided per x on whole rows: contravariance as one
+bytes.translate comparison, monotonicity as one mask inclusion.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
-from operator import getitem
+from itertools import chain, repeat
+from operator import and_, eq, getitem, xor
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .rel import MAX_INPUT_SIZE
+from .rel import MAX_INPUT_SIZE, read_json
+
+_BIT = {"0": False, "1": True}
 
 
 class ModelFormatError(ValueError):
@@ -114,6 +140,46 @@ class AbstractModel:
             return j
         return None
 
+    @cached_property
+    def _irreducibles(self) -> tuple[int, ...] | None:
+        """The join-irreducible elements, which the reduced checks quantify over.
+
+        None unless every table is n×n (converse n) over the element indexes,
+        leq is 0/1, leq is a partial order, joins[i][j] is the lub and
+        meets[i][j] the glb of x_i and x_j, and bot is the least element. The
+        order is kept as masks with element j at bit 8·j (int.from_bytes of a
+        0/1 row); reflexivity and antisymmetry are up ∧ down = {x}, and
+        joins[i][j] is the lub iff its up-set is up[i] ∧ up[j], which in a
+        reflexive antisymmetric relation implies transitivity too.
+        """
+        n = len(self.elements)
+        tables = (self.comp, self.joins, self.meets)
+        try:
+            leq = list(map(bytes, self.leq))
+            geq = list(map(bytes, zip(*self.leq)))
+            rows = [*chain.from_iterable(map(bytes, t) for t in tables), bytes(self.conv)]
+        except (TypeError, ValueError):  # entries that are not small ints
+            return None
+        if not (
+            all(type(c) is int and 0 <= c < n for c in (self.ident, self.top, self.bot))
+            and len(leq) == len(geq) == n
+            and all(len(t) == n for t in tables)
+            and set(map(len, chain(leq, rows))) == {n}
+            and not b"".join(leq).translate(None, b"\0\1")
+            and max(map(max, rows)) < n
+        ):
+            return None
+        up = [int.from_bytes(row, "little") for row in leq]
+        down = [int.from_bytes(col, "little") for col in geq]
+        ones = [1 << 8 * x for x in range(n)]
+        if not (
+            all(map(eq, map(and_, up, down), ones))
+            and all(list(map(up.__getitem__, row)) == list(map(u.__and__, up)) for u, row in zip(up, self.joins))
+            and all(list(map(down.__getitem__, row)) == list(map(d.__and__, down)) for d, row in zip(down, self.meets))
+        ):
+            return None
+        return _join_irreducibles(down, ones, self.bot)
+
 
 # -- loading -------------------------------------------------------------------
 
@@ -125,6 +191,46 @@ def _fail(category: str, message: str) -> None:
 def _check_size(n: int) -> None:
     if n > MAX_INPUT_SIZE:  # the table checks hold element indexes in bytes
         _fail("size", f"{n} elements, more than the {MAX_INPUT_SIZE} a model may have")
+
+
+def _refuse_order(elements: tuple[str, ...], up: list[int], joins: list, meets: list) -> None:
+    """Raise on the first failure of the order, then of the lattice, in element order."""
+    n = len(elements)
+    for i in range(n):
+        if not up[i] >> i & 1:
+            _fail("order", f"not reflexive: {elements[i]!r} ⊆ {elements[i]!r} missing")
+    for i in range(n):
+        for j in range(n):
+            if not up[i] >> j & 1:
+                continue
+            if up[j] >> i & 1 and i != j:
+                _fail("order", f"not antisymmetric: {elements[i]!r} and {elements[j]!r}")
+            missing = up[j] & ~up[i]
+            if missing:
+                k = (missing & -missing).bit_length() - 1
+                _fail(
+                    "order",
+                    f"not transitive: {elements[i]!r} ⊆ {elements[j]!r} ⊆ {elements[k]!r} "
+                    f"but not {elements[i]!r} ⊆ {elements[k]!r}",
+                )
+    for i in range(n):
+        for j in range(n):
+            for kind, table in (("join", joins), ("meet", meets)):
+                if table[i][j] is None:
+                    _fail("lattice", f"no unique {kind} for {elements[i]!r} and {elements[j]!r}")
+
+
+def _join_irreducibles(down: list[int], ones: list[int], bot: int) -> tuple[int, ...] | None:
+    """The x ≠ ⊥ with exactly one lower cover, from the down-sets of a lattice
+    (ones[x] is x's own bit), or None if bot is not its least element.
+
+    x has exactly one lower cover c iff the elements strictly below x are
+    exactly those below c; ⊥ has none below it, and no down-set is empty.
+    """
+    if down[bot] != ones[bot]:
+        return None
+    principal = set(down)
+    return tuple(x for x, below in enumerate(map(xor, down, ones)) if below in principal)
 
 
 def load_model(source: str | Path | dict, name: str | None = None) -> AbstractModel:
@@ -142,7 +248,7 @@ def load_model(source: str | Path | dict, name: str | None = None) -> AbstractMo
         if name is None:
             name = path.stem
         try:
-            data = json.loads(path.read_text())
+            data = read_json(path)
         except json.JSONDecodeError as e:
             _fail("format", f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}")
     else:
@@ -170,82 +276,85 @@ def load_model(source: str | Path | dict, name: str | None = None) -> AbstractMo
     _check_size(n)
     pos = {x: i for i, x in enumerate(elements)}
 
+    # Names resolve a whole row at a time; only a row that fails is looked at
+    # one cell at a time, to name its first malformed entry.
+    def lookup(names: Iterable) -> list[int] | None:
+        try:
+            return list(map(pos.__getitem__, names))
+        except (KeyError, TypeError):
+            return None
+
     def resolve(x: object, key: str, *at: int) -> int:
         if not isinstance(x, str) or x not in pos:
             _fail("format", f"{key}{''.join(f'[{a}]' for a in at)}: unknown element {x!r}")
         return pos[x]
 
-    up, down = [0] * n, [0] * n  # bitmasks of the elements above / below x_i
+    def resolve_row(row: list, key: str, *at: int) -> tuple[int, ...]:
+        found = lookup(row)
+        if found is None:
+            found = [resolve(x, key, *at, j) for j, x in enumerate(row)]
+        return tuple(found)
+
     raw_leq = data["leq"]
     if not isinstance(raw_leq, list):
         _fail("format", "'leq' must be a list of [x, y] pairs")
-    for k, entry in enumerate(raw_leq):
-        if not (isinstance(entry, list) and len(entry) == 2):
-            _fail("format", f"leq[{k}]: expected an [x, y] pair, got {entry!r}")
-        i, j = resolve(entry[0], "leq", k), resolve(entry[1], "leq", k)
+    pairs = None
+    if all(map(isinstance, raw_leq, repeat(list))) and set(map(len, raw_leq)) <= {2}:
+        pairs = lookup(chain.from_iterable(raw_leq))
+    if pairs is None:
+        pairs = []
+        for k, entry in enumerate(raw_leq):
+            if not (isinstance(entry, list) and len(entry) == 2):
+                _fail("format", f"leq[{k}]: expected an [x, y] pair, got {entry!r}")
+            pairs += resolve(entry[0], "leq", k), resolve(entry[1], "leq", k)
+    up, down = [0] * n, [0] * n  # bitmasks of the elements above / below x_i
+    ends = iter(pairs)
+    for i, j in zip(ends, ends):
         up[i] |= 1 << j
         down[j] |= 1 << i
 
     raw_comp = data["compose"]
     if not (isinstance(raw_comp, list) and len(raw_comp) == n and all(isinstance(row, list) and len(row) == n for row in raw_comp)):
         _fail("format", f"'compose' must be a {n}x{n} matrix of element names")
-    comp = tuple(
-        tuple(resolve(raw_comp[i][j], "compose", i, j) for j in range(n)) for i in range(n)
-    )
+    comp = tuple(resolve_row(row, "compose", i) for i, row in enumerate(raw_comp))
 
     raw_conv = data["converse"]
     if not (isinstance(raw_conv, list) and len(raw_conv) == n):
         _fail("format", f"'converse' must be a list of {n} element names")
-    conv = tuple(resolve(raw_conv[i], "converse", i) for i in range(n))
+    conv = resolve_row(raw_conv, "converse")
 
     ident = resolve(data["identity"], "identity")
     tp = resolve(data["top"], "top")
     bt = resolve(data["bottom"], "bottom")
 
-    # the order must actually be a partial order…
-    for i in range(n):
-        if not up[i] >> i & 1:
-            _fail("order", f"not reflexive: {elements[i]!r} ⊆ {elements[i]!r} missing")
-    for i in range(n):
-        for j in range(n):
-            if not up[i] >> j & 1:
-                continue
-            if up[j] >> i & 1 and i != j:
-                _fail("order", f"not antisymmetric: {elements[i]!r} and {elements[j]!r}")
-            missing = up[j] & ~up[i]
-            if missing:
-                k = (missing & -missing).bit_length() - 1
-                _fail(
-                    "order",
-                    f"not transitive: {elements[i]!r} ⊆ {elements[j]!r} ⊆ {elements[k]!r} "
-                    f"but not {elements[i]!r} ⊆ {elements[k]!r}",
-                )
-
-    # …and a lattice: in a partial order the join of x_i and x_j is the unique
-    # x_k whose up-set is exactly their common up-set (dually for meets).
+    # In a partial order the join of x_i and x_j is the unique x_k whose
+    # up-set is exactly their common up-set (dually for meets). If the order
+    # is reflexive and antisymmetric (up[i] ∧ down[i] = {i}) and every join is
+    # found, it is transitive as well (see AbstractModel._irreducibles);
+    # otherwise _refuse_order names the first failure.
+    ones = [1 << i for i in range(n)]
     by_up = {u: k for k, u in enumerate(up)}
     by_down = {d: k for k, d in enumerate(down)}
-    joins = [[by_up.get(u & v) for v in up] for u in up]
-    meets = [[by_down.get(u & v) for v in down] for u in down]
-    for i in range(n):
-        for j in range(n):
-            for kind, table in (("join", joins), ("meet", meets)):
-                if table[i][j] is None:
-                    _fail("lattice", f"no unique {kind} for {elements[i]!r} and {elements[j]!r}")
+    joins = [list(map(by_up.get, map(u.__and__, up))) for u in up]
+    meets = [list(map(by_down.get, map(d.__and__, down))) for d in down]
+    if not all(map(eq, map(and_, up, down), ones)) or any(None in row for row in chain(joins, meets)):
+        _refuse_order(elements, up, joins, meets)
 
-    leq = [[bool(u >> j & 1) for j in range(n)] for u in up]
+    # rows go through lists: a tuple built from an iterator of unknown length
+    # is resized as it grows, and over a load that fragments the heap
     model = AbstractModel(
         name=name,
         elements=elements,
-        leq=tuple(tuple(row) for row in leq),
+        leq=tuple([tuple([*map(_BIT.__getitem__, f"{u:0{n}b}"[::-1])]) for u in up]),
         comp=comp,
         conv=conv,
         ident=ident,
         top=tp,
         bot=bt,
-        joins=tuple(tuple(row) for row in joins),
-        meets=tuple(tuple(row) for row in meets),
+        joins=tuple(map(tuple, joins)),
+        meets=tuple(map(tuple, meets)),
     )
+    model.__dict__["_irreducibles"] = _join_irreducibles(down, ones, bt)  # the cached_property, from these masks
 
     # Structural invariants of the type itself. These are data errors, not
     # axioms under investigation, so they refuse the load — one distinct
@@ -291,7 +400,7 @@ def _row_violations(tags: tuple, x: int, y: int, lhs: tuple, rhs: tuple) -> Iter
                 yield (tag, x, y, z)
 
 
-def _lattice_violations(m: AbstractModel) -> Iterator[tuple]:
+def _lattice_search(m: AbstractModel, ys: Iterable[int]) -> Iterator[tuple]:
     n = len(m.elements)
     for x in range(n):
         if not (m.leq[m.bot][x] and m.leq[x][m.top]):
@@ -299,14 +408,14 @@ def _lattice_violations(m: AbstractModel) -> Iterator[tuple]:
     meets, tmeets = _rows(m.meets)
     joins, tjoins = _rows(m.joins)
     for x in range(n):
-        for y in range(n):
+        for y in ys:
             # meets[x][joins[y][z]] == joins[meets[x][y]][meets[x][z]] over z
             lhs, rhs = (joins[y].translate(tmeets[x]),), (meets[x].translate(tjoins[meets[x][y]]),)
             if lhs != rhs:
                 yield from _row_violations(("meet-over-join",), x, y, lhs, rhs)
 
 
-def _monoid_violations(m: AbstractModel) -> Iterator[tuple]:
+def _monoid_search(m: AbstractModel, ys: Iterable[int]) -> Iterator[tuple]:
     n = len(m.elements)
     for x in range(n):
         if m.comp[m.ident][x] != x or m.comp[x][m.ident] != x:
@@ -318,7 +427,7 @@ def _monoid_violations(m: AbstractModel) -> Iterator[tuple]:
     joins, tjoins = _rows(m.joins)
     for x in range(n):
         cx, tx, colx, tcolx = comp[x], tcomp[x], cols[x], tcols[x]
-        for y in range(n):
+        for y in ys:
             # rows over z of assoc: comp[comp[x][y]][z] == comp[x][comp[y][z]]
             #          join-left: comp[x][joins[y][z]] == joins[comp[x][y]][comp[x][z]]
             #         join-right: comp[joins[y][z]][x] == joins[comp[y][x]][comp[z][x]]
@@ -328,7 +437,7 @@ def _monoid_violations(m: AbstractModel) -> Iterator[tuple]:
                 yield from _row_violations(("assoc", "join-left", "join-right"), x, y, lhs, rhs)
 
 
-def _converse_violations(m: AbstractModel) -> Iterator[tuple]:
+def _converse_search(m: AbstractModel) -> Iterator[tuple]:
     n = len(m.elements)
     if m.conv[m.ident] != m.ident:
         yield ("identity", m.ident)
@@ -342,7 +451,29 @@ def _converse_violations(m: AbstractModel) -> Iterator[tuple]:
                 yield ("contravariance", x, y)
 
 
-def _dedekind_violations(m: AbstractModel) -> Iterator[tuple]:
+def _converse_holds(m: AbstractModel) -> bool:
+    """No converse violation, decided per x on whole rows over y. Needs the
+    tables that m._irreducibles vouches for (0/1 leq, indexes in range)."""
+    if m.conv[m.ident] != m.ident:
+        return False
+    conv = bytes(m.conv)
+    tconv = conv.ljust(256, b"\0")
+    comp, _ = _rows(m.comp)
+    _, tcols = _rows(zip(*m.comp))
+    leq, tleq = _rows(m.leq)
+    for x, cx in enumerate(m.conv):
+        # involution; contravariance conv[comp[x][y]] == comp[conv[y]][conv[x]];
+        # monotonicity leq[x][y] ⟹ leq[conv[x]][conv[y]], on masks with y at bit 8·y
+        if (
+            m.conv[cx] != x
+            or comp[x].translate(tconv) != conv.translate(tcols[cx])
+            or int.from_bytes(leq[x], "little") & ~int.from_bytes(conv.translate(tleq[cx]), "little")
+        ):
+            return False
+    return True
+
+
+def _dedekind_search(m: AbstractModel, rs: Iterable[int]) -> Iterator[tuple]:
     n = len(m.elements)
     comp, tcomp = _rows(m.comp)
     cols, tcols = _rows(zip(*m.comp))
@@ -353,8 +484,8 @@ def _dedekind_violations(m: AbstractModel) -> Iterator[tuple]:
     def fails(c: int, bound: bytes) -> bool:
         return any(map(getitem, map(nleq.__getitem__, meets[c]), bound))
 
-    for r in range(n):
-        for s in range(n):
+    for r in rs:
+        for s in rs:
             c = comp[r][s]  # the left side over t is meets[c]
             # comp[r][meets[s][comp[conv[r]][t]]] and comp[meets[r][comp[t][conv[s]]]][s] over t
             a = comp[m.conv[r]].translate(tmeets[s]).translate(tcomp[r])
@@ -363,6 +494,42 @@ def _dedekind_violations(m: AbstractModel) -> Iterator[tuple]:
                 for t in range(n):
                     if nleq[meets[c][t]][a[t]] or nleq[meets[c][t]][b[t]]:
                         yield (r, s, t)
+
+
+def _holds_on_irreducibles(m: AbstractModel, *searches: Callable) -> bool:
+    """Whether every search finds nothing with its quantified y (or r and s)
+    ranging over the join-irreducibles only."""
+    irr = m._irreducibles
+    return irr is not None and all(next(search(m, irr), None) is None for search in searches)
+
+
+# The reduced decisions. Each generator below first decides its law on the
+# join-irreducibles; the full ordered search runs, and is the only thing that
+# yields, when that fails or m._irreducibles is None.
+
+
+def _lattice_violations(m: AbstractModel) -> Iterator[tuple]:
+    if not _holds_on_irreducibles(m, _lattice_search):
+        yield from _lattice_search(m, range(len(m.elements)))
+
+
+def _monoid_violations(m: AbstractModel) -> Iterator[tuple]:
+    if not _holds_on_irreducibles(m, _monoid_search):
+        yield from _monoid_search(m, range(len(m.elements)))
+
+
+def _converse_violations(m: AbstractModel) -> Iterator[tuple]:
+    if m._irreducibles is None or not _converse_holds(m):
+        yield from _converse_search(m)
+
+
+def _dedekind_violations(m: AbstractModel) -> Iterator[tuple]:
+    if not (
+        _holds_on_irreducibles(m, _lattice_search, _monoid_search)
+        and _converse_holds(m)
+        and _holds_on_irreducibles(m, _dedekind_search)
+    ):
+        yield from _dedekind_search(m, range(len(m.elements)))
 
 
 def _cone_violations(m: AbstractModel) -> Iterator[tuple]:

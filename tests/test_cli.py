@@ -316,6 +316,33 @@ def test_malformed_json_reports_line_and_column(capsys, tmp_path):
     assert f"{path}:1:10:" in err
 
 
+# bytes, where (line, column) and message: a file json.loads cannot decode,
+# or decodes only by raising something other than JSONDecodeError
+_UNREADABLE = {
+    "not-utf8": (b"\xff\xfe", (1, 1), "invalid UTF-8 byte 0xff"),
+    "not-utf8-later": (b'{"src":\n {"name": "A\xff"}}', (2, 13), "invalid UTF-8 byte 0xff"),
+    "deep": (b"[" * 200000 + b"\n", (1, 200000), "arrays and objects nested 200000 deep, too deep to parse"),
+    "deep-after-string": (b'{"a": "[[[", "b": ' + b"[" * 100000, (1, 100018),
+                          "arrays and objects nested 100001 deep, too deep to parse"),
+    "long-integer": (b'{"src": [' + b"7" * 5000 + b"]}", (1, 10), "integer of more than 4300 digits"),
+}
+
+
+@pytest.mark.parametrize("case", list(_UNREADABLE))
+@pytest.mark.parametrize("command", ["classify", "model"])
+def test_unreadable_file_is_a_positioned_diagnostic(capsys, tmp_path, command, case):
+    content, (line, column), message = _UNREADABLE[case]
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 2 and out == ""
+    if command == "classify":
+        assert err == f"relalg: error: {path}:{line}:{column}: {message}\n"
+    else:
+        assert err == (f"relalg: error: {path}: [format] format: {path}: "
+                       f"invalid JSON at line {line}, column {column}: {message}\n")
+
+
 def test_bad_field_reports_path(capsys, tmp_path):
     path = tmp_path / "badpair.json"
     path.write_text(json.dumps({

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -362,6 +363,51 @@ _BROKEN = {
 }
 
 
+def _swap_joins(m: AbstractModel, first: tuple[str, str], second: tuple[str, str]) -> AbstractModel:
+    joins = [list(row) for row in m.joins]
+    (i1, j1), (i2, j2) = [(m.idx(x), m.idx(y)) for x, y in (first, second)]
+    joins[i1][j1], joins[i2][j2] = joins[i2][j2], joins[i1][j1]
+    return dataclasses.replace(m, joins=tuple(map(tuple, joins)))
+
+
+def _perturbed(field: str, seed: int) -> AbstractModel:
+    """desharnais13 × two_element with one cell of one table changed at random."""
+    m = product_model(load_bundled("desharnais13"), load_bundled("two_element"))
+    rng = random.Random(f"{field}:{seed}")
+    n = len(m.elements)
+    i, j = rng.randrange(n), rng.randrange(n)
+    if field == "conv":
+        conv = list(m.conv)
+        conv[i] = rng.choice([v for v in range(n) if v != conv[i]])
+        return dataclasses.replace(m, conv=tuple(conv))
+    table = [list(row) for row in getattr(m, field)]
+    if field == "leq":
+        table[i][j] = not table[i][j]
+    else:
+        table[i][j] = rng.choice([v for v in range(n) if v != table[i][j]])
+    return dataclasses.replace(m, **{field: tuple(map(tuple, table))})
+
+
+# name -> (build, the axiom whose violation list must not be empty, whether
+# the copy keeps its join-irreducibles), for the reduced decisions: the law is
+# decided on the join-irreducibles first, and the full search runs after that
+# finds a fault or when the join-irreducibles cannot be vouched for
+_REDUCED = {
+    # joins[a][b] is no longer the lub of a and b
+    "swapped-joins": (lambda: _swap_joins(load_bundled("desharnais13"), ("a", "b"), ("a", "c")), "lattice", False),
+    # b+id and id+c are both joins of two smaller elements
+    "reducible-comp": (lambda: _set_comp(load_bundled("desharnais13"), "b+id", "id+c", "b+id"), "monoid", True),
+    # contravariant and monotone, but of order three: only the involution law fails
+    "cyclic-converse": (lambda: dataclasses.replace(
+        product_model(load_bundled("two_element"), load_bundled("product_two_two")),
+        conv=(0, 2, 4, 6, 1, 3, 5, 7)), "converse", True),
+    # not monotone; Dedekind fails only where r or s is join-reducible, so the
+    # reduced Dedekind decision must not be trusted without the converse law
+    "swapped-converse": (lambda: dataclasses.replace(load_bundled("product_two_two"), conv=(3, 1, 2, 0)),
+                         "dedekind", True),
+}
+
+
 def _differential_cases():
     for name in BUNDLED_NAMES:
         yield pytest.param(lambda name=name: load_bundled(name), None, id=name)
@@ -370,6 +416,11 @@ def _differential_cases():
         yield pytest.param(build, None, id=f"{f1}x{f2}")
     for name, (build, broken) in _BROKEN.items():
         yield pytest.param(build, broken, id=name)
+    for name, (build, broken, _) in _REDUCED.items():
+        yield pytest.param(build, broken, id=name)
+    for field in ("comp", "joins", "meets", "conv", "leq"):
+        for seed in range(3):
+            yield pytest.param(lambda field=field, seed=seed: _perturbed(field, seed), None, id=f"{field}-{seed}")
 
 
 @pytest.mark.parametrize("build,broken", _differential_cases())
@@ -381,6 +432,67 @@ def test_violation_generators_match_scalar_oracles(build, broken):
         assert list(violations(m)) == list(OAXIOMS[axiom](m)), axiom
     if broken is not None:
         assert list(OAXIOMS[broken](m)), f"the copy does not break {broken}"
+
+
+@pytest.mark.parametrize("name", list(_REDUCED))
+def test_reduced_cases_keep_or_lose_their_join_irreducibles(name):
+    build, _, kept = _REDUCED[name]
+    assert (build()._irreducibles is not None) == kept
+
+
+def test_perturbed_copies_break_something():
+    """Each seeded copy is refuted by some oracle, so the differential cases
+    above compare nonempty lists; comp and conv changes keep the lattice, so
+    there the reduced decision is what has to find the fault."""
+    for field in ("comp", "joins", "meets", "conv", "leq"):
+        for seed in range(3):
+            m = _perturbed(field, seed)
+            assert any(next(oracle(m), None) for oracle in OAXIOMS.values()), (field, seed)
+            if field in ("comp", "conv"):
+                assert m._irreducibles is not None, (field, seed)
+
+
+# -- join-irreducibles ---------------------------------------------------------------
+
+
+def _irreducible_cases():
+    for name in BUNDLED_NAMES:
+        yield pytest.param(lambda name=name: load_bundled(name), id=name)
+    for f1, f2 in _PRODUCTS:
+        yield pytest.param(lambda f1=f1, f2=f2: product_model(load_bundled(f1), load_bundled(f2)), id=f"{f1}x{f2}")
+
+
+@pytest.mark.parametrize("build", _irreducible_cases())
+def test_join_irreducibles_match_the_definition(build):
+    m = build()
+    expected = tuple(_join_irreducibles(m))  # x ≠ ⊥ and not the join of two smaller elements
+    assert m._irreducibles == expected
+    # the loader finds them on its own masks, a model built directly on its tables
+    assert load_model(model_to_dict(m))._irreducibles == expected
+    assert dataclasses.replace(m)._irreducibles == expected
+
+
+@pytest.mark.parametrize("f1,f2", _PRODUCTS)
+def test_product_join_irreducibles_add_up(f1, f2):
+    """J(A×B) is J(A)×{⊥} together with {⊥}×J(B)."""
+    a, b = load_bundled(f1), load_bundled(f2)
+    assert len(product_model(a, b)._irreducibles) == len(a._irreducibles) + len(b._irreducibles)
+
+
+def test_join_irreducibles_need_a_lattice_with_bot_least():
+    two = load_bundled("two_element")
+    assert two._irreducibles == (1,)
+    assert dataclasses.replace(two, bot=1)._irreducibles is None  # bot is not the least element
+    assert dataclasses.replace(two, joins=((0, 0), (1, 1)))._irreducibles is None  # 0 ∨ 1 is not 0
+    assert dataclasses.replace(two, meets=((0, 1), (0, 1)))._irreducibles is None
+    assert dataclasses.replace(two, leq=((True, True), (True, True)))._irreducibles is None  # not antisymmetric
+    assert dataclasses.replace(two, leq=((True, True), (False, False)))._irreducibles is None  # not reflexive
+    chain = load_model(_chain_data(3))
+    assert chain._irreducibles == (1, 2)
+    intransitive = tuple(tuple(v and (i, j) != (0, 2) for j, v in enumerate(row)) for i, row in enumerate(chain.leq))
+    assert dataclasses.replace(chain, leq=intransitive)._irreducibles is None  # e0 ⊆ e1 ⊆ e2 but not e0 ⊆ e2
+    assert dataclasses.replace(two, comp=((0, 0), (0, 2)))._irreducibles is None  # no element 2
+    assert dataclasses.replace(two, conv=(0,))._irreducibles is None
 
 
 # -- products ----------------------------------------------------------------------
@@ -558,6 +670,32 @@ def test_loader_order_and_lattice_diagnostics_exact(data, category, message):
     assert str(exc.value) == f"{category}: {message}"
 
 
+@pytest.mark.parametrize("entry", [["bot", "top", "top"], ["bot"], "bt", {"bot": "top"}])
+def test_loader_names_a_malformed_leq_pair(entry):
+    data = model_to_dict(load_bundled("two_element"))
+    data["leq"].insert(1, entry)
+    with pytest.raises(ModelFormatError) as exc:
+        load_model(data)
+    assert str(exc.value) == f"format: leq[1]: expected an [x, y] pair, got {entry!r}"
+
+
+@pytest.mark.parametrize(
+    "key,at,value",
+    [("leq", (2,), ["top", "nope"]), ("compose", (1, 0), "nope"), ("compose", (0, 1), 7), ("converse", (1,), None)],
+)
+def test_loader_names_the_first_unknown_element(key, at, value):
+    data = model_to_dict(load_bundled("two_element"))
+    row = data[key]
+    for i in at[:-1]:
+        row = row[i]
+    row[at[-1]] = value
+    where = "".join(f"[{i}]" for i in at)
+    unknown = value[1] if key == "leq" else value
+    with pytest.raises(ModelFormatError) as exc:
+        load_model(data)
+    assert str(exc.value) == f"format: {key}{where}: unknown element {unknown!r}"
+
+
 def test_loader_rejects_missing_key():
     with pytest.raises(ModelFormatError, match="missing key 'converse'"):
         load_model({"elements": ["e"], "leq": [["e", "e"]], "compose": [["e"]],
@@ -575,6 +713,18 @@ def test_loader_rejects_bad_json_file(tmp_path):
     path.write_text('{"elements": [,]}')
     with pytest.raises(ModelFormatError, match="invalid JSON at line 1"):
         load_model(path)
+
+
+def test_loader_reads_files_as_utf8(tmp_path):
+    text = json.dumps(model_to_dict(load_bundled("two_element")), ensure_ascii=False).replace('"bot"', '"⊥"')
+    path = tmp_path / "two.json"
+    path.write_bytes(text.encode("utf-8"))
+    assert load_model(path).elements == ("⊥", "top")
+    path.write_bytes(text.encode("utf-8").replace("⊥".encode("utf-8"), b"\xff", 1))
+    with pytest.raises(ModelFormatError) as exc:
+        load_model(path)
+    assert exc.value.category == "format"
+    assert str(exc.value) == f"format: {path}: invalid JSON at line 1, column 16: invalid UTF-8 byte 0xff"
 
 
 def test_load_bundled_rejects_unknown_name():
