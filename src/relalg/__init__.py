@@ -99,7 +99,11 @@ _MEMOIZED = (
 
 
 def cache_clear() -> None:
-    """Drop all memoized operation results (tests use this between phases)."""
+    """Drop all memoized operation results (tests use this between phases).
+
+    load_bundled's memo of the bundled models is not one of them: it holds
+    frozen models of read-only package data, which cannot go stale.
+    """
     for fn in _MEMOIZED:
         fn.cache_clear()
 

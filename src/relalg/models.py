@@ -47,13 +47,23 @@ the reduction.
   because ∘, ∩ and ° are monotone.
 The converse law is decided per x on whole rows: contravariance as one
 bytes.translate comparison, monotonicity as one mask inclusion.
+
+Each model keeps what the checks derive from its tables, as cached_propertys
+on the instance: the byte rows of comp, its columns, joins, meets and leq, the
+join-irreducibles, the points, and the reduced lattice, monoid and converse
+verdicts. So the loader, check_axioms (whose Dedekind precondition reuses the
+three verdicts) and recheck decide each once per model. That is safe because
+AbstractModel is frozen with tuple fields, so no table changes under a cache,
+and dataclasses.replace builds a new instance that recomputes everything.
+load_bundled keeps each bundled model for the life of the process on the same
+grounds: its data is read-only package data.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from importlib import resources
 from itertools import chain, repeat
 from operator import and_, eq, getitem, xor
@@ -71,6 +81,7 @@ class ModelFormatError(ValueError):
     def __init__(self, category: str, message: str):
         super().__init__(f"{category}: {message}")
         self.category = category
+        self.message = message
 
 
 @dataclass(frozen=True)
@@ -119,7 +130,11 @@ class AbstractModel:
         return out
 
     def points(self) -> list[int]:
-        return [x for x in self.atoms() if x != self.bot and self.leq[x][self.ident]]
+        return list(self._points)
+
+    @cached_property
+    def _points(self) -> tuple[int, ...]:
+        return tuple(x for x in self.atoms() if x != self.bot and self.leq[x][self.ident])
 
     def rdom(self, x: int) -> int:
         return self.meets[self.ident][self.comp[self.conv[x]][x]]
@@ -179,6 +194,43 @@ class AbstractModel:
         ):
             return None
         return _join_irreducibles(down, ones, self.bot)
+
+    # The tables as rows for the searches (see _rows), built on first use.
+
+    @cached_property
+    def _comp_rows(self) -> tuple[list[bytes], list[bytes]]:
+        return _rows(self.comp)
+
+    @cached_property
+    def _col_rows(self) -> tuple[list[bytes], list[bytes]]:
+        return _rows(zip(*self.comp))  # cols[x][y] == comp[y][x]
+
+    @cached_property
+    def _join_rows(self) -> tuple[list[bytes], list[bytes]]:
+        return _rows(self.joins)
+
+    @cached_property
+    def _meet_rows(self) -> tuple[list[bytes], list[bytes]]:
+        return _rows(self.meets)
+
+    @cached_property
+    def _leq_rows(self) -> tuple[list[bytes], list[bytes]]:
+        return _rows(self.leq)
+
+    # The reduced verdicts (see the module docstring): True when the law
+    # holds, False when the full ordered search has to run.
+
+    @cached_property
+    def _lattice_reduced(self) -> bool:
+        return _holds_on_irreducibles(self, _lattice_search)
+
+    @cached_property
+    def _monoid_reduced(self) -> bool:
+        return _holds_on_irreducibles(self, _monoid_search)
+
+    @cached_property
+    def _converse_reduced(self) -> bool:
+        return self._irreducibles is not None and _converse_holds(self)
 
 
 # -- loading -------------------------------------------------------------------
@@ -250,7 +302,7 @@ def load_model(source: str | Path | dict, name: str | None = None) -> AbstractMo
         try:
             data = read_json(path)
         except json.JSONDecodeError as e:
-            _fail("format", f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}")
+            _fail("format", f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}")
     else:
         data = source
     if not isinstance(data, dict):
@@ -405,8 +457,8 @@ def _lattice_search(m: AbstractModel, ys: Iterable[int]) -> Iterator[tuple]:
     for x in range(n):
         if not (m.leq[m.bot][x] and m.leq[x][m.top]):
             yield ("bounds", x)
-    meets, tmeets = _rows(m.meets)
-    joins, tjoins = _rows(m.joins)
+    meets, tmeets = m._meet_rows
+    joins, tjoins = m._join_rows
     for x in range(n):
         for y in ys:
             # meets[x][joins[y][z]] == joins[meets[x][y]][meets[x][z]] over z
@@ -422,9 +474,9 @@ def _monoid_search(m: AbstractModel, ys: Iterable[int]) -> Iterator[tuple]:
             yield ("unit", x)
         if m.comp[m.bot][x] != m.bot or m.comp[x][m.bot] != m.bot:
             yield ("zero", x)
-    comp, tcomp = _rows(m.comp)
-    cols, tcols = _rows(zip(*m.comp))  # cols[x][y] == comp[y][x]
-    joins, tjoins = _rows(m.joins)
+    comp, tcomp = m._comp_rows
+    cols, tcols = m._col_rows
+    joins, tjoins = m._join_rows
     for x in range(n):
         cx, tx, colx, tcolx = comp[x], tcomp[x], cols[x], tcols[x]
         for y in ys:
@@ -458,9 +510,9 @@ def _converse_holds(m: AbstractModel) -> bool:
         return False
     conv = bytes(m.conv)
     tconv = conv.ljust(256, b"\0")
-    comp, _ = _rows(m.comp)
-    _, tcols = _rows(zip(*m.comp))
-    leq, tleq = _rows(m.leq)
+    comp, _ = m._comp_rows
+    _, tcols = m._col_rows
+    leq, tleq = m._leq_rows
     for x, cx in enumerate(m.conv):
         # involution; contravariance conv[comp[x][y]] == comp[conv[y]][conv[x]];
         # monotonicity leq[x][y] ⟹ leq[conv[x]][conv[y]], on masks with y at bit 8·y
@@ -475,9 +527,9 @@ def _converse_holds(m: AbstractModel) -> bool:
 
 def _dedekind_search(m: AbstractModel, rs: Iterable[int]) -> Iterator[tuple]:
     n = len(m.elements)
-    comp, tcomp = _rows(m.comp)
-    cols, tcols = _rows(zip(*m.comp))
-    meets, tmeets = _rows(m.meets)
+    comp, tcomp = m._comp_rows
+    cols, tcols = m._col_rows
+    meets, tmeets = m._meet_rows
     nleq = [bytes(not v for v in row) for row in m.leq]  # nleq[l][v] == 1  ⇔  not l ⊆ v
 
     @lru_cache(maxsize=4096)  # some meets[c][t] ⊄ bound[t]; (c, bound) recurs over (r, s)
@@ -496,11 +548,11 @@ def _dedekind_search(m: AbstractModel, rs: Iterable[int]) -> Iterator[tuple]:
                         yield (r, s, t)
 
 
-def _holds_on_irreducibles(m: AbstractModel, *searches: Callable) -> bool:
-    """Whether every search finds nothing with its quantified y (or r and s)
+def _holds_on_irreducibles(m: AbstractModel, search: Callable) -> bool:
+    """Whether the search finds nothing with its quantified y (or r and s)
     ranging over the join-irreducibles only."""
     irr = m._irreducibles
-    return irr is not None and all(next(search(m, irr), None) is None for search in searches)
+    return irr is not None and next(search(m, irr), None) is None
 
 
 # The reduced decisions. Each generator below first decides its law on the
@@ -509,24 +561,25 @@ def _holds_on_irreducibles(m: AbstractModel, *searches: Callable) -> bool:
 
 
 def _lattice_violations(m: AbstractModel) -> Iterator[tuple]:
-    if not _holds_on_irreducibles(m, _lattice_search):
+    if not m._lattice_reduced:
         yield from _lattice_search(m, range(len(m.elements)))
 
 
 def _monoid_violations(m: AbstractModel) -> Iterator[tuple]:
-    if not _holds_on_irreducibles(m, _monoid_search):
+    if not m._monoid_reduced:
         yield from _monoid_search(m, range(len(m.elements)))
 
 
 def _converse_violations(m: AbstractModel) -> Iterator[tuple]:
-    if m._irreducibles is None or not _converse_holds(m):
+    if not m._converse_reduced:
         yield from _converse_search(m)
 
 
 def _dedekind_violations(m: AbstractModel) -> Iterator[tuple]:
     if not (
-        _holds_on_irreducibles(m, _lattice_search, _monoid_search)
-        and _converse_holds(m)
+        m._lattice_reduced
+        and m._monoid_reduced
+        and m._converse_reduced
         and _holds_on_irreducibles(m, _dedekind_search)
     ):
         yield from _dedekind_search(m, range(len(m.elements)))
@@ -546,7 +599,7 @@ def _choice_violations(m: AbstractModel) -> Iterator[tuple]:
 
 def _all_or_nothing_violations(m: AbstractModel) -> Iterator[tuple]:
     n = len(m.elements)
-    pts = m.points()
+    pts = m._points
     for a in pts:
         for b in pts:
             full = m.comp[m.comp[a][m.top]][b]
@@ -557,7 +610,7 @@ def _all_or_nothing_violations(m: AbstractModel) -> Iterator[tuple]:
 
 
 def _extensional_violations(m: AbstractModel) -> Iterator[tuple]:
-    pts = m.points()
+    pts = m._points
     for p in m.coreflexives():
         if p != m.join_all(q for q in pts if m.leq[q][p]):
             yield (p,)
@@ -565,12 +618,11 @@ def _extensional_violations(m: AbstractModel) -> Iterator[tuple]:
 
 def _universal_choice_violations(m: AbstractModel) -> Iterator[tuple]:
     n = len(m.elements)
+    # the f with f∘f° ⊆ 𝕀, each with its rdom(f): facts of f alone
+    rdoms = {f: m.rdom(f) for f in range(n) if m.leq[m.comp[f][m.conv[f]]][m.ident]}
     for r in range(n):
         rd = m.rdom(r)
-        if not any(
-            m.leq[f][r] and m.leq[m.comp[f][m.conv[f]]][m.ident] and m.rdom(f) == rd
-            for f in range(n)
-        ):
+        if not any(m.leq[f][r] and d == rd for f, d in rdoms.items()):
             yield (r,)
 
 
@@ -700,7 +752,9 @@ def _data_path(name: str):
     return resources.files("relalg").joinpath(f"data/{name}.json")
 
 
+@cache
 def load_bundled(name: str) -> AbstractModel:
+    """The named model shipped in relalg/data, loaded once per process."""
     if name not in _EXPECTED:
         raise KeyError(f"no bundled model {name!r}; have {', '.join(BUNDLED_NAMES)}")
     with resources.as_file(_data_path(name)) as path:

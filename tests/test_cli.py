@@ -339,8 +339,7 @@ def test_unreadable_file_is_a_positioned_diagnostic(capsys, tmp_path, command, c
     if command == "classify":
         assert err == f"relalg: error: {path}:{line}:{column}: {message}\n"
     else:
-        assert err == (f"relalg: error: {path}: [format] format: {path}: "
-                       f"invalid JSON at line {line}, column {column}: {message}\n")
+        assert err == f"relalg: error: {path}: [format] invalid JSON at line {line}, column {column}: {message}\n"
 
 
 def test_bad_field_reports_path(capsys, tmp_path):

@@ -1,11 +1,13 @@
 import dataclasses
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from oracles import OAXIOMS
+from relalg import models
 from relalg.models import (
     _VIOLATIONS,
     AbstractModel,
@@ -724,12 +726,13 @@ def test_loader_reads_files_as_utf8(tmp_path):
     with pytest.raises(ModelFormatError) as exc:
         load_model(path)
     assert exc.value.category == "format"
-    assert str(exc.value) == f"format: {path}: invalid JSON at line 1, column 16: invalid UTF-8 byte 0xff"
+    assert str(exc.value) == "format: invalid JSON at line 1, column 16: invalid UTF-8 byte 0xff"
 
 
 def test_load_bundled_rejects_unknown_name():
-    with pytest.raises(KeyError, match="no bundled model"):
-        load_bundled("five_element")
+    for _ in range(2):  # on every call: the memo keeps no failure
+        with pytest.raises(KeyError, match="no bundled model"):
+            load_bundled("five_element")
 
 
 def test_model_to_dict_round_trips():
@@ -758,3 +761,57 @@ def test_broken_assoc_diagnostic_names_least_triple():
         load_model(FIXTURES / "broken_assoc.json")
     assert tuple(names[i] for i in least) == ("a", "a", "top")
     assert "(a, a, top)" in str(exc.value)
+
+
+# -- facts kept per model ---------------------------------------------------------------
+
+
+def test_load_and_check_decide_each_reduced_law_once(monkeypatch):
+    """check_axioms and its Dedekind precondition reuse the verdicts and the
+    rows the loader reached on the same model."""
+    calls = Counter()
+    for fn in ("_rows", "_lattice_search", "_monoid_search", "_converse_holds"):
+        def counted(*args, fn=fn, original=getattr(models, fn)):
+            calls[fn] += 1
+            return original(*args)
+        monkeypatch.setattr(models, fn, counted)
+    product = product_model(load_bundled("desharnais13"), load_bundled("two_element"))
+    calls.clear()
+    m = load_model(model_to_dict(product), name="d13x2")
+    assert calls == {"_rows": 4, "_monoid_search": 1, "_converse_holds": 1}  # comp, cols, joins, leq
+    rep = check_axioms(m)
+    assert rep.lattice and rep.monoid and rep.converse and rep.dedekind and not rep.ok
+    for axiom, ce in rep.counterexamples.items():
+        assert recheck(m, axiom, ce)
+    assert calls == {"_rows": 5, "_lattice_search": 1, "_monoid_search": 1, "_converse_holds": 1}
+
+
+def test_a_replaced_copy_recomputes_what_its_original_kept():
+    def broken(m):
+        return _conv_fixing(_set_comp(m, "E|top", "E|top", "id|top"), "b|top")
+
+    def outputs(m):
+        rep = check_axioms(m)
+        return rep.flags(), rep.counterexamples, {a: list(v(m)) for a, v in _VIOLATIONS.items()}
+
+    def product():
+        return product_model(load_bundled("desharnais13"), load_bundled("two_element"))
+
+    checked = load_model(model_to_dict(product()))
+    rep = check_axioms(checked)
+    assert rep.monoid and rep.converse
+    copy, fresh = broken(checked), broken(product())
+    flags, ces, violations = outputs(copy)
+    assert not flags["monoid"] and not flags["converse"]
+    assert (flags, ces, violations) == outputs(fresh)
+
+
+def test_load_bundled_is_memoized():
+    data = Path(models.__file__).parent / "data"
+    for name in BUNDLED_NAMES:
+        m = load_bundled(name)
+        assert load_bundled(name) is m
+        fresh = load_model(data / f"{name}.json", name=name)
+        for f in dataclasses.fields(AbstractModel):
+            assert getattr(m, f.name) == getattr(fresh, f.name), (name, f.name)
+    assert all(bm.model is load_bundled(bm.name) for bm in bundled_models())
