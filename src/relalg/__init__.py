@@ -99,11 +99,7 @@ _MEMOIZED = (
 
 
 def cache_clear() -> None:
-    """Drop all memoized operation results (tests use this between phases).
-
-    load_bundled's memo of the bundled models is not one of them: it holds
-    frozen models of read-only package data, which cannot go stale.
-    """
+    """Drop all memoized operation results (tests use this between phases)."""
     for fn in _MEMOIZED:
         fn.cache_clear()
 

@@ -227,7 +227,8 @@ def _cmd_model(args) -> int:
         else:
             m = models.load_model(Path(source))
     except models.ModelFormatError as exc:
-        raise _UsageError(f"{source}: [{exc.category}] {exc.message}") from exc
+        message = exc.message.removeprefix(f"{Path(source)}: ")  # invalid JSON names the file
+        raise _UsageError(f"{source}: [{exc.category}] {message}") from exc
     except OSError as exc:
         raise _UsageError(f"{source}: {exc.strerror or exc}") from exc
     rep = models.check_axioms(m)

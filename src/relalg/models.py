@@ -55,15 +55,13 @@ verdicts. So the loader, check_axioms (whose Dedekind precondition reuses the
 three verdicts) and recheck decide each once per model. That is safe because
 AbstractModel is frozen with tuple fields, so no table changes under a cache,
 and dataclasses.replace builds a new instance that recomputes everything.
-load_bundled keeps each bundled model for the life of the process on the same
-grounds: its data is read-only package data.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from itertools import chain, repeat
 from operator import and_, eq, getitem, xor
@@ -302,7 +300,7 @@ def load_model(source: str | Path | dict, name: str | None = None) -> AbstractMo
         try:
             data = read_json(path)
         except json.JSONDecodeError as e:
-            _fail("format", f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}")
+            _fail("format", f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}")
     else:
         data = source
     if not isinstance(data, dict):
@@ -752,9 +750,7 @@ def _data_path(name: str):
     return resources.files("relalg").joinpath(f"data/{name}.json")
 
 
-@cache
 def load_bundled(name: str) -> AbstractModel:
-    """The named model shipped in relalg/data, loaded once per process."""
     if name not in _EXPECTED:
         raise KeyError(f"no bundled model {name!r}; have {', '.join(BUNDLED_NAMES)}")
     with resources.as_file(_data_path(name)) as path:

@@ -726,13 +726,12 @@ def test_loader_reads_files_as_utf8(tmp_path):
     with pytest.raises(ModelFormatError) as exc:
         load_model(path)
     assert exc.value.category == "format"
-    assert str(exc.value) == "format: invalid JSON at line 1, column 16: invalid UTF-8 byte 0xff"
+    assert str(exc.value) == f"format: {path}: invalid JSON at line 1, column 16: invalid UTF-8 byte 0xff"
 
 
 def test_load_bundled_rejects_unknown_name():
-    for _ in range(2):  # on every call: the memo keeps no failure
-        with pytest.raises(KeyError, match="no bundled model"):
-            load_bundled("five_element")
+    with pytest.raises(KeyError, match="no bundled model"):
+        load_bundled("five_element")
 
 
 def test_model_to_dict_round_trips():
@@ -805,13 +804,3 @@ def test_a_replaced_copy_recomputes_what_its_original_kept():
     assert not flags["monoid"] and not flags["converse"]
     assert (flags, ces, violations) == outputs(fresh)
 
-
-def test_load_bundled_is_memoized():
-    data = Path(models.__file__).parent / "data"
-    for name in BUNDLED_NAMES:
-        m = load_bundled(name)
-        assert load_bundled(name) is m
-        fresh = load_model(data / f"{name}.json", name=name)
-        for f in dataclasses.fields(AbstractModel):
-            assert getattr(m, f.name) == getattr(fresh, f.name), (name, f.name)
-    assert all(bm.model is load_bundled(bm.name) for bm in bundled_models())
