@@ -33,6 +33,9 @@ from .indexcore import (
     POLICIES,
     CoreDecomposition,
     IndexCertificate,
+    _fixed_pick,
+    _per_classes,
+    _quotient_carrier,
     candidate_indexes,
     core_of,
     per_index,
@@ -89,12 +92,12 @@ from .rel import (
 
 __version__ = "0.1.0"
 
-# The memoized kernel operations. Each exposes the cache_info and cache_clear
-# of the private memo on codes and sizes that answers it (see rel), so
-# cache_clear empties every memo through these public names.
+# The memoized kernel operations, each exposing the cache_info and cache_clear
+# of the private memo on codes and sizes that answers it (see rel), and the
+# per-partition memos of indexcore: cache_clear empties every memo through them.
 _MEMOIZED = (
     compose, converse, complement, left_residual, right_residual, sym_left_div, sym_right_div,
-    ldom, rdom, per_ldom, per_rdom,
+    ldom, rdom, per_ldom, per_rdom, _per_classes, _fixed_pick, _quotient_carrier,
 )
 
 

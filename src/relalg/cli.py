@@ -101,11 +101,9 @@ def _dot_bipartite(r: Relation, index: Relation) -> str:
     def side(prefix: str, per: Relation) -> None:
         labels = per.src.labels
         for n, mask in enumerate(indexcore._per_classes(per.code, per.src.size)):
-            members = indexcore._members(mask)
-            label = "{" + ",".join(labels[i] for i in members) + "}"
             out.append(f"  subgraph cluster_{prefix}{n} {{")
-            out.append(f"    label={_dot_quoted(label)};")
-            for i in members:
+            out.append(f"    label={_dot_quoted(indexcore._class_label(labels, mask))};")
+            for i in indexcore._members(mask):
                 out.append(f"    {prefix}{i} [label={_dot_quoted(labels[i])}];")
             out.append("  }")
         for i in range(per.src.size):

@@ -20,12 +20,22 @@ Indexes, cores and their certificates are computed on int codes and carrier
 sizes with the kernel's code memos (see rel), not on Relation objects: one
 definition of (a)-(d), _index_checks, serves relation_index, verify_index and
 candidate_indexes. A Relation is built only for a value the API returns.
+
+The partition of a per into its classes is decided once per per code, by
+three memos that relalg.cache_clear empties. _per_classes keeps the class
+masks, which every transversal, candidate_indexes and the CLI's drawing read.
+_fixed_pick keeps the min- and max-policy transversals. _quotient_carrier
+keeps a quotient leg's class carrier and code, keyed on the labels of the
+carrier it lands on as well as its size, since class labels are built from
+them; each call wraps the code in its caller's own carrier.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 
 from .domains import _core_code, _ldom_code, _per_ldom_code, _per_rdom_code, _rdom_code, is_per
@@ -53,7 +63,8 @@ def _representative(mask: int, policy: str, rng: random.Random | None) -> int:
     return 1 << rng.choice(_members(mask))
 
 
-def _per_classes(per: int, n: int) -> list[int]:
+@lru_cache(maxsize=1 << 12)
+def _per_classes(per: int, n: int) -> tuple[int, ...]:
     """Equivalence classes of the per with this n×n code on its domain, as
     masks ordered by smallest member: a nonempty row of a per is its class."""
     seen = 0
@@ -62,7 +73,20 @@ def _per_classes(per: int, n: int) -> list[int]:
         if row and not seen >> i & 1:
             classes.append(row)
             seen |= row
-    return classes
+    return tuple(classes)
+
+
+def _class_label(labels: tuple[str, ...], mask: int) -> str:
+    """The label of a class: its members' labels in braces, comma-separated.
+
+    A member label holding a comma, a brace or a double quote is written as a
+    JSON string, so distinct classes always get distinct labels; plain labels,
+    the default numerals among them, are written as they are.
+    """
+    return "{" + ",".join(
+        json.dumps(label, ensure_ascii=False) if any(c in label for c in ',{}"') else label
+        for label in (labels[i] for i in _members(mask))
+    ) + "}"
 
 
 def _check_per(p: Relation, who: str) -> None:
@@ -77,16 +101,31 @@ def _check_per(p: Relation, who: str) -> None:
     raise ValueError(f"{who}: not a per — not transitive, composition adds {bad}")
 
 
+def _check_policy(policy: str) -> None:
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}, expected one of {POLICIES}")
+
+
+def _pick(per: int, n: int, policy: str, rng: random.Random | None) -> int:
+    """Code of the coreflexive on the chosen representative of each class of
+    the per with this n×n code."""
+    mask = 0
+    for cls in _per_classes(per, n):
+        mask |= _representative(cls, policy, rng)
+    return _diagonal(mask, n)
+
+
+# The min and max picks depend on the per alone; a random pick draws afresh.
+_fixed_pick = lru_cache(maxsize=1 << 12)(_pick)
+
+
 def _transversal(per: int, carrier: Carrier, policy: str, seed: int) -> int:
     """Code of the coreflexive on the chosen representative of each class of
     the per with this code on the carrier."""
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}, expected one of {POLICIES}")
-    rng = random.Random(f"{seed}:{carrier.name}:{carrier.size}") if policy == "random" else None
-    mask = 0
-    for cls in _per_classes(per, carrier.size):
-        mask |= _representative(cls, policy, rng)
-    return _diagonal(mask, carrier.size)
+    _check_policy(policy)
+    if policy == "random":
+        return _pick(per, carrier.size, policy, random.Random(f"{seed}:{carrier.name}:{carrier.size}"))
+    return _fixed_pick(per, carrier.size, policy, None)
 
 
 def per_index(p: Relation, policy: str = "min", seed: int = 0) -> Relation:
@@ -243,15 +282,23 @@ class CoreDecomposition:
         }
 
 
+@lru_cache(maxsize=1 << 12)
+def _quotient_carrier(per: int, n: int, labels: tuple[str, ...], name: str) -> tuple[Carrier, int]:
+    """The carrier X of the classes of the per with this n×n code, named name
+    and labelled from the labels of its domain, and the code of λ : X~A whose
+    row x is class x's members."""
+    classes = _per_classes(per, n)
+    code = 0
+    for x, cls in enumerate(classes):
+        code |= cls << (x * n)
+    return Carrier(name, len(classes), [_class_label(labels, cls) for cls in classes]), code
+
+
 def _quotient_leg(per: int, carrier: Carrier, name: str) -> Relation:
     """λ : X~A with X the classes of the per with this code on A, row x = the
     class's members."""
-    classes = _per_classes(per, carrier.size)
-    labels = ["{" + ",".join(carrier.labels[i] for i in _members(cls)) + "}" for cls in classes]
-    code = 0
-    for x, cls in enumerate(classes):
-        code |= cls << (x * carrier.size)
-    return _make(Carrier(name, len(classes), labels), carrier, code)
+    quotient, code = _quotient_carrier(per, carrier.size, carrier.labels, name)
+    return _make(quotient, carrier, code)
 
 
 def core_of(r: Relation, mode: str = "same-type", policy: str = "min", seed: int = 0) -> CoreDecomposition:
@@ -261,6 +308,7 @@ def core_of(r: Relation, mode: str = "same-type", policy: str = "min", seed: int
     R); mode "quotient" builds fresh carriers whose elements are the per-domain
     classes, so C is a genuine quotient with full domains on the fresh side.
     """
+    _check_policy(policy)
     code, n, k = r.code, r.src.size, r.dst.size
     if mode == "same-type":
         j, _ = _index(r, policy, seed)

@@ -45,8 +45,8 @@ from .domains import (
     is_coreflexive, is_difunctional, is_functional, is_per, ldom, per_ldom, per_rdom, rdom,
 )
 from .rel import (
-    MAX_ENUM_BITS, Carrier, Relation, _make, _relation_codes, bottom, compose, converse,
-    enumerate_coreflexives, enumerate_relations, from_pairs, is_subset, relation_at, union,
+    MAX_ENUM_BITS, Carrier, Relation, _compose_memo, _make, _relation_codes, compose, converse,
+    enumerate_coreflexives, enumerate_relations, from_pairs, is_subset, relation_at,
 )
 
 EXHAUSTIVE_BUDGET = 10_000_000
@@ -710,18 +710,20 @@ _law("decompose-converse", "R° is the union of the flipped pairs of R",
 
 def c_decompose_compose(a, C):
     r, s = a
+    n, m, p = r.src.size, r.dst.size, s.dst.size
     left = _pair_table(r.src, r.dst)
     right = _pair_table(s.src, s.dst)
     out = _pair_table(r.src, s.dst)
-    zero = bottom(r.src, s.dst)
-    acc = zero
+    s_pairs = [(j, k, right[j, k].code) for j, k in s.pairs()]
+    acc = 0
     for i, j in r.pairs():
-        for j2, k in s.pairs():
-            piece = compose(left[i, j], right[j2, k])
-            if piece != (out[i, k] if j == j2 else zero):
+        x = left[i, j].code
+        for j2, k, y in s_pairs:
+            piece = _compose_memo(x, y, n, m, p)
+            if piece != (out[i, k].code if j == j2 else 0):
                 return False
-            acc = union(acc, piece)
-    return acc == compose(r, s)
+            acc |= piece
+    return acc == compose(r, s).code
 
 
 _law("decompose-compose", "pairwise composition of pairs reconstructs R∘S",

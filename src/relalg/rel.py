@@ -9,11 +9,15 @@ shift and mask rows out of the code. That is what makes exhaustive law sweeps
 over all relations of small carriers affordable.
 
 The memoized operations (compose, converse and complement here, the residuals
-and symmetric divisions in factors, the domain operators in domains) cache
-codes keyed on codes and sizes, not Relation objects. A cached answer is a
-bare int shared by every pair of carriers with those sizes, and each call
-wraps it in its caller's own carriers, labels included. The carrier checks
-run before the lookup, so a mismatch raises whatever the cache holds.
+and symmetric divisions in factors, the domain operators in domains, the
+classes of a per, its min and max transversals and the quotient legs on them
+in indexcore) cache codes keyed on codes and sizes, not Relation objects. A
+cached answer is a bare int shared by every pair of carriers with those sizes,
+and each call wraps it in its caller's own carriers, labels included. A
+quotient leg also caches the carrier of its classes, whose labels are built
+from the caller's, so that memo is keyed on the caller's labels too. The
+carrier checks run before the lookup, so a mismatch raises whatever the cache
+holds.
 
 Enumeration order is code order: relation number ``n`` is the one with code
 ``n``. Carriers are interned, so carrier equality is mostly an identity test;

@@ -108,7 +108,7 @@ def test_dot_escapes_labels(capsys, tmp_path):
         literals += DOT_STRING.findall(line)
         assert '"' not in DOT_STRING.sub("", line), line
     texts = {re.sub(r"\\(.)", r"\1", lit[1:-1]) for lit in literals}
-    assert {'x"y', "z\\", 'q"', '{x"y}', '{z\\}', '{q"}'} <= texts
+    assert {'x"y', "z\\", 'q"', '{"x\\"y"}', '{z\\}', '{"q\\""}'} <= texts
 
 
 def test_core_quotient(capsys, tmp_path):
@@ -119,6 +119,15 @@ def test_core_quotient(capsys, tmp_path):
     assert payload["mode"] == "quotient"
     assert payload["core"]["src"]["size"] == 1 and payload["core"]["dst"]["size"] == 1
     assert all(payload["checks"].values())
+
+
+def test_core_quotient_keeps_class_labels_distinct(capsys, tmp_path):
+    a, b = Carrier("A", 3, ["a,b", "a", "b"]), Carrier("B", 2)
+    path = write_rel(tmp_path, "commas.json", from_pairs(a, b, [(0, 0), (1, 1), (2, 1)]))
+    code, out, err = run_cli(capsys, "core", path, "--mode", "quotient")
+    assert (code, err) == (0, "")
+    labels = json.loads(out)["core"]["src"]["labels"]
+    assert labels == ['{"a,b"}', "{a,b}"]
 
 
 def test_core_same_type_matches_index(capsys):

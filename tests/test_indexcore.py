@@ -4,10 +4,12 @@ from hypothesis import given, settings
 import oracles as o
 from conftest import failing_laws, pack, relations, unpack
 from relalg import (
+    CORE_MODES,
     Carrier,
     CarrierMismatch,
     CoreDecomposition,
     EnumerationLimit,
+    cache_clear,
     candidate_indexes,
     complement,
     compose,
@@ -15,6 +17,7 @@ from relalg import (
     core_of,
     enumerate_pers,
     enumerate_relations,
+    from_pairs,
     identity,
     intersect,
     is_bijection,
@@ -31,6 +34,7 @@ from relalg import (
     top,
     verify_index,
 )
+from relalg.indexcore import _fixed_pick, _members, _per_classes, _quotient_carrier
 
 
 def _all(na, nb, src="A", dst="B"):
@@ -367,6 +371,50 @@ def test_core_verify_on_foreign_carriers():
 def test_core_rejects_unknown_mode(block):
     with pytest.raises(ValueError):
         core_of(block, "other")
+
+
+@pytest.mark.parametrize("mode", CORE_MODES)
+def test_core_rejects_unknown_policy_in_every_mode(block, mode):
+    with pytest.raises(ValueError, match=r"^unknown policy 'nope', expected one of \('min', 'max', 'random'\)$"):
+        core_of(block, mode, policy="nope")
+
+
+def test_core_quotient_class_labels_stay_distinct():
+    """Class labels quote member labels that hold a comma, a brace or a double
+    quote, so {0} and {1,2} below cannot both read {a,b}."""
+    a, b = Carrier("A", 3, ["a,b", "a", "b"]), Carrier("B", 2, ['{"}', "q"])
+    dec = core_of(from_pairs(a, b, [(0, 0), (1, 1), (2, 1)]), "quotient")
+    assert dec.lam.src.labels == ('{"a,b"}', "{a,b}")
+    assert dec.rho.src.labels == ('{"{\\"}"}', "{q}")
+    assert all(dec.verify().values())
+
+
+def _inline_classes(p):
+    """The classes of a per as sets, ordered by smallest member."""
+    classes = []
+    for i in range(p.src.size):
+        row = frozenset(j for j in range(p.dst.size) if (i, j) in p)
+        if row and row not in classes:
+            classes.append(row)
+    return classes
+
+
+def test_per_classes_match_an_inline_partition_on_every_small_per():
+    for n in range(5):
+        for p in enumerate_pers(Carrier("A", n)):
+            got = _per_classes(p.code, n)
+            assert isinstance(got, tuple)
+            assert [frozenset(_members(mask)) for mask in got] == _inline_classes(p), p
+
+
+def test_cache_clear_empties_the_partition_memos():
+    memos = (_per_classes, _fixed_pick, _quotient_carrier)
+    r = pack(2, 2, [(0, 1), (1, 1)])
+    relation_index(r)
+    core_of(r, "quotient")
+    assert all(memo.cache_info().currsize for memo in memos)
+    cache_clear()
+    assert [memo.cache_info().currsize for memo in memos] == [0, 0, 0]
 
 
 def test_core_decomposition_is_frozen(block):

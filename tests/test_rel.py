@@ -17,6 +17,7 @@ from relalg import (
     complement,
     compose,
     converse,
+    core_of,
     coreflexive,
     enumerate_coreflexives,
     enumerate_relations,
@@ -345,10 +346,18 @@ def test_cached_results_carry_the_callers_labels():
     s = from_pairs(labelled, labelled, [(0, 1), (1, 1)])
     compose(r, r)
     relation_index(r)
+    plain_dec = core_of(r, "quotient")
     for out in (compose(s, s), relation_index(s).index):
         assert out.src is labelled and out.dst is labelled
         d = to_dict(out)
         assert d["src"]["labels"] == d["dst"]["labels"] == ["x", "y"]
+    dec = core_of(s, "quotient")
+    for leg, plain_leg in ((dec.lam, plain_dec.lam), (dec.rho, plain_dec.rho)):
+        assert leg.dst is labelled and plain_leg.dst is plain
+        assert leg.src == plain_leg.src and leg.code == plain_leg.code
+    # R≺ has the one class {0,1}, R≻ the one class {1}
+    assert [dec.lam.src.labels, plain_dec.lam.src.labels] == [("{x,y}",), ("{0,1}",)]
+    assert [dec.rho.src.labels, plain_dec.rho.src.labels] == [("{y}",), ("{1}",)]
 
 
 def _on(src: Carrier, dst: Carrier) -> Relation:
