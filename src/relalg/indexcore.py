@@ -21,6 +21,14 @@ sizes with the kernel's code memos (see rel), not on Relation objects: one
 definition of (a)-(d), _index_checks, serves relation_index, verify_index and
 candidate_indexes. A Relation is built only for a value the API returns.
 
+candidate_indexes walks every subset of every sandwich without the kernel
+memos: composition distributes over union, so R≺∘J∘R≻ is the union of the
+blocks R≺∘p∘R≻ over the pairs p of J. Each pair's block is composed once
+per sandwich, and each subset's cover is an OR of blocks (_covering_subsets).
+A subset of a sandwich satisfies (a), (c) and (d) by construction, so this
+screen on (b) is the only one that rejects; each subset that passes it is
+certified on all four conditions by _index_checks before it is returned.
+
 The partition of a per into its classes is decided once per per code, by
 three memos that relalg.cache_clear empties. _per_classes keeps the class
 masks, which every transversal, candidate_indexes and the CLI's drawing read.
@@ -40,8 +48,8 @@ from itertools import product
 
 from .domains import _core_code, _ldom_code, _per_ldom_code, _per_rdom_code, _rdom_code, is_per
 from .rel import (
-    MAX_ENUM_BITS, Carrier, EnumerationLimit, Relation, _compose_memo, _converse_memo, _diagonal, _make,
-    _middle_mismatch, _rows, compose,
+    MAX_ENUM_BITS, Carrier, EnumerationLimit, Relation, _compose_code, _compose_memo, _converse_memo, _diagonal,
+    _make, _middle_mismatch, _rows, compose,
 )
 
 POLICIES = ("min", "max", "random")
@@ -198,19 +206,45 @@ def relation_index(r: Relation, policy: str = "min", seed: int = 0) -> IndexCert
     return IndexCertificate(relation=r, index=_make(r.src, r.dst, j), checks=checks)
 
 
+def _covering_subsets(r: int, sandwich: int, n: int, k: int) -> list[int]:
+    """The subsets J of the sandwich with R≺∘J∘R≻ = R, for the n×k code of
+    R, in increasing code order.
+
+    Composition distributes over union, so R≺∘J∘R≻ is the union of the
+    blocks R≺∘p∘R≻ over the pairs p of J. Each pair's block is composed once,
+    without the compose memo, and every subset's cover is an OR: the subsets
+    are listed by doubling, each pair joined to every subset of the pairs
+    below it, and each cover is that subset's cover ORed with the pair's block.
+    """
+    lpd, rpd = _per_ldom_code(r, n, k), _per_rdom_code(r, n, k)
+    subsets, covers = [0], [0]
+    rest = sandwich
+    while rest:
+        pair = rest & -rest
+        block = _compose_code(_compose_code(lpd, pair, n, n, k), rpd, n, k, k)
+        subsets += [sub | pair for sub in subsets]
+        covers += [cover | block for cover in covers]
+        rest ^= pair
+    return [sub for sub, cover in zip(subsets, covers) if cover == r]
+
+
 def candidate_indexes(r: Relation) -> list[Relation]:
     """Every subset of R that verifies as an index, in relation_code order.
 
     Conditions (b)-(d) force J< to pick exactly one element of each R≺-class
     and J> one of each R≻-class: (c) allows at most one per class, (b) needs
-    at least one. With J ⊆ R this gives J = J<∘J∘J> ⊆ J<∘R∘J>. So every
-    subset of every sandwich Jl∘R∘Jr, over all such transversals Jl and Jr,
-    is checked against the four conditions; the subsets are still
-    brute-forced, so a law about all indexes is tested, not assumed. Refuses
-    a relation with a sandwich of more than MAX_ENUM_BITS pairs, which never
-    happens on carriers of at most 4 elements. This is the package-side
-    enumerator used by the law suite (the test suite cross-checks it against
-    an independent oracle).
+    at least one. With J ⊆ R this gives J = J<∘J∘J> ⊆ J<∘R∘J>. So only the
+    subsets of the sandwiches Jl∘R∘Jr, over all such transversals Jl and Jr,
+    can be indexes. Every one of them is tested, so a law about all indexes
+    is tested, not assumed. Each is screened on (b) alone, from the blocks
+    R≺∘p∘R≻ of the sandwich's pairs p (_covering_subsets): a subset of a
+    sandwich satisfies (a), (c) and (d) by construction, so (b) is the only
+    condition that rejects one. A subset that passes the screen is returned
+    only if its certificate (_index_checks) holds on all four. Refuses a
+    relation with a sandwich of more than MAX_ENUM_BITS pairs, before any
+    subset is walked; that never happens on carriers of at most 4 elements.
+    This is the package-side enumerator used by the law suite (the test
+    suite cross-checks it against an independent oracle).
     """
     code, n, k = r.code, r.src.size, r.dst.size
 
@@ -223,15 +257,12 @@ def candidate_indexes(r: Relation) -> list[Relation]:
     widest = max(s.bit_count() for s in sandwiches)
     if widest > MAX_ENUM_BITS:
         raise EnumerationLimit(f"index sandwich has {widest} pairs; refusing 2**{widest} subsets")
-    found = []
-    for sandwich in sandwiches:
-        sub = sandwich
-        while True:  # every subset of the sandwich, the empty one last
-            if all(_index_checks(code, sub, n, k).values()):
-                found.append(sub)
-            if not sub:
-                break
-            sub = (sub - 1) & sandwich
+    found = [
+        j
+        for sandwich in sandwiches
+        for j in _covering_subsets(code, sandwich, n, k)
+        if all(_index_checks(code, j, n, k).values())
+    ]
     return [_make(r.src, r.dst, j) for j in sorted(found)]
 
 

@@ -29,9 +29,9 @@ serves, including the explicit out-of-scope entries.
 
 from __future__ import annotations
 
+import fnmatch
 import random
 from dataclasses import dataclass
-from fnmatch import fnmatch
 from functools import lru_cache
 from itertools import product
 from math import isqrt, prod
@@ -41,8 +41,8 @@ from . import factors, indexcore, isomorph
 from .terms import Formula, code_planes, fixed_planes, parse, range_planes
 from .points import decompose_to_pairs, is_atom, is_pair, is_particle, is_point, pair_rel, points, union_all
 from .domains import (
-    _difunctional_codes, _functional_codes, classify, enumerate_pers, is_bijection, is_core_relation,
-    is_coreflexive, is_difunctional, is_functional, is_per, ldom, per_ldom, per_rdom, rdom,
+    _difunctional_codes, _functional_codes, _ldom_code, _rdom_code, classify, enumerate_pers, is_bijection,
+    is_core_relation, is_coreflexive, is_difunctional, is_functional, is_per, ldom, per_ldom, per_rdom, rdom,
 )
 from .rel import (
     MAX_ENUM_BITS, Carrier, Relation, _compose_memo, _make, _relation_codes, compose, converse,
@@ -383,11 +383,13 @@ _term("index-via-own-domains", "J = J<∘R∘J> where J = index R", "R", (_rel("
 
 def c_index_determined_by_domains(a, C):
     (r,) = a
-    cands = indexcore.candidate_indexes(r)
+    n, k = r.src.size, r.dst.size
+    cands = [j.code for j in indexcore.candidate_indexes(r)]
+    doms = [(_ldom_code(j, n, k), _rdom_code(j, k)) for j in cands]
     return all(
-        (x == y) == (ldom(x) == ldom(y) and rdom(x) == rdom(y))
-        for x in cands
-        for y in cands
+        (x == y) == (dx == dy)
+        for x, dx in zip(cands, doms)
+        for y, dy in zip(cands, doms)
     )
 
 
@@ -1028,11 +1030,8 @@ def run_suite(
     _check_run(max_size, samples)
     if registry is None:
         registry = REGISTRY
-    chosen = [
-        law
-        for law_id, law in sorted(registry.items())
-        if law_filter is None or fnmatch(law_id, law_filter)
-    ]
+    ids = sorted(registry) if law_filter is None else fnmatch.filter(sorted(registry), law_filter)
+    chosen = [registry[law_id] for law_id in ids]
     if not chosen:
         # an empty run would report ok while checking nothing
         raise ValueError(f"no law matches the filter {law_filter!r}")

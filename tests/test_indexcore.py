@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 
@@ -34,7 +36,9 @@ from relalg import (
     top,
     verify_index,
 )
-from relalg.indexcore import _fixed_pick, _members, _per_classes, _quotient_carrier
+from relalg.indexcore import (
+    _covering_subsets, _fixed_pick, _index_checks, _members, _per_classes, _quotient_carrier,
+)
 
 
 def _all(na, nb, src="A", dst="B"):
@@ -213,7 +217,7 @@ def test_verify_index_accepts_every_oracle_index(block):
 
 
 def test_candidate_indexes_match_oracle():
-    for na, nb in ((2, 2), (2, 3)):
+    for na, nb in ((2, 2), (2, 3), (3, 2)):
         for r in _all(na, nb):
             got = {unpack(j) for j in candidate_indexes(r)}
             assert got == set(o.oindexes(unpack(r), na, nb))
@@ -230,6 +234,29 @@ def test_candidate_indexes_of_dense_4x4_match_oracle(pairs):
     want = o.oindexes(unpack(r), 4, 4)
     got = candidate_indexes(r)
     assert [unpack(j) for j in got] == sorted(want, key=lambda j: sum(1 << (4 * a + b) for a, b in j))
+
+
+def test_candidate_indexes_leave_the_compose_memo_almost_empty():
+    # 13 pairs, all rows and all columns distinct: one sandwich of 2**13
+    # subsets, each screened from its pairs' blocks without the compose memo
+    r = pack(4, 4, [(i, j) for i in range(4) for j in range(4) if (i, j) not in {(0, 0), (1, 1), (2, 2)}])
+    cache_clear()
+    assert candidate_indexes(r) == [r]
+    assert compose.cache_info().currsize < 100
+
+
+def test_covering_screen_agrees_with_condition_b_on_every_subset():
+    # every sandwich of R is a subset S of R: for each S, the screen keeps
+    # exactly the subsets of S that pass (b), rejected ones checked too, in
+    # code order
+    for na, nb in product(range(1, 4), repeat=2):
+        for r in _all(na, nb):
+            subsets = [j for j in range(r.code + 1) if not j & ~r.code]
+            passes = {j: _index_checks(r.code, j, na, nb)["R≺∘J∘R≻ = R"] for j in subsets}
+            for s in subsets:
+                want = [j for j in subsets if not j & ~s and passes[j]]
+                assert _covering_subsets(r.code, s, na, nb) == want, (r, s)
+    cache_clear()
 
 
 def test_candidate_indexes_refuses_a_wide_sandwich():

@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+from fnmatch import fnmatch
 from itertools import product
 from math import factorial
 
@@ -251,6 +252,21 @@ def test_law_filter_globs():
     assert all("residual" in r.law_id for r in suite.reports)
     with pytest.raises(ValueError, match="no law matches"):
         run_suite(max_size=1, samples=5, law_filter="no-such-law-*")
+
+
+@pytest.mark.parametrize(
+    "pattern", ["*index*", "residual-*", "[cd]*", "per-?ndex-equiv", "index-determined-by-domains"]
+)
+def test_law_filter_selects_what_fnmatch_matches_per_id(pattern):
+    # stand-ins with the registry's ids and a check that always holds, so
+    # only the selection costs anything
+    stubs = {i: Law(i, "stub", (Var("relation", "A", "A"),), lambda args, cs: True) for i in REGISTRY}
+    want = [i for i in sorted(REGISTRY) if fnmatch(i, pattern)]
+    assert want
+    suite = run_suite(max_size=1, samples=1, law_filter=pattern, registry=stubs)
+    assert [r.law_id for r in suite.reports] == want
+    with pytest.raises(ValueError, match=r"no law matches the filter 'no-such-law-\*'"):
+        run_suite(max_size=1, samples=1, law_filter="no-such-law-*", registry=stubs)
 
 
 # -- deliberate falsification (the harness must be able to fail) --------------------
