@@ -16,6 +16,7 @@ kernel's code memos (see rel); the only Relations built are φ and ψ.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .domains import _ldom_code, _rdom_code, ldom, rdom
 from .rel import CarrierMismatch, Relation, _compose_memo, _converse_memo, _make, _rows
@@ -94,38 +95,8 @@ def find_isomorphism(r: Relation, s: Relation) -> IsoWitness | None:
     if sorted(cols_r[b].bit_count() for b in ea) != sorted(cols_s[c].bit_count() for c in eb):
         return None
 
-    def match_columns(f: dict[int, int]) -> dict[int, int] | None:
-        # once rows are paired, columns must match by translated source mask
-        buckets: dict[int, list[int]] = {}
-        for c in eb:
-            buckets.setdefault(cols_s[c], []).append(c)
-        g: dict[int, int] = {}
-        for b in ea:
-            want = sum(1 << f[a] for a in da if cols_r[b] >> a & 1)
-            avail = buckets.get(want)
-            if not avail:
-                return None
-            g[b] = avail.pop()
-        return g
-
-    def backtrack(i: int, f: dict[int, int], used: set[int]) -> dict[int, int] | None:
-        if i == len(da):
-            return match_columns(f)
-        a = da[i]
-        for x in db:
-            if x in used or rows_s[x].bit_count() != rows_r[a].bit_count():
-                continue
-            f[a] = x
-            used.add(x)
-            g = backtrack(i + 1, f, used)
-            if g is not None:
-                return g
-            del f[a]
-            used.discard(x)
-        return None
-
     f: dict[int, int] = {}
-    g = backtrack(0, f, set())
+    g = _backtrack(0, f, set(), da, db, rows_r, rows_s, partial(_match_columns, da, ea, eb, cols_r, cols_s))
     if g is None:
         return None
     phi = sum(1 << (a * nc + x) for a, x in f.items())
@@ -134,3 +105,44 @@ def find_isomorphism(r: Relation, s: Relation) -> IsoWitness | None:
     if not verify_witness(r, s, w):
         raise RuntimeError("search produced a witness that does not verify")
     return w
+
+
+# The matcher is two module-level functions, not closures in
+# find_isomorphism: a closure that calls itself is a reference cycle, and
+# every search would leave one to the cyclic collector.
+
+
+def _match_columns(da, ea, eb, cols_r, cols_s, f: dict[int, int]) -> dict[int, int] | None:
+    # once rows are paired, columns must match by translated source mask
+    buckets: dict[int, list[int]] = {}
+    for c in eb:
+        buckets.setdefault(cols_s[c], []).append(c)
+    g: dict[int, int] = {}
+    for b in ea:
+        want = sum(1 << f[a] for a in da if cols_r[b] >> a & 1)
+        avail = buckets.get(want)
+        if not avail:
+            return None
+        g[b] = avail.pop()
+    return g
+
+
+def _backtrack(i: int, f: dict[int, int], used: set[int], da, db, rows_r, rows_s,
+               match_columns) -> dict[int, int] | None:
+    """Pair the left-domain rows da[i:] with unused rows of db of equal
+    degree, extending f; at a full pairing, the column map match_columns
+    finds for it, or None when no pairing has one."""
+    if i == len(da):
+        return match_columns(f)
+    a = da[i]
+    for x in db:
+        if x in used or rows_s[x].bit_count() != rows_r[a].bit_count():
+            continue
+        f[a] = x
+        used.add(x)
+        g = _backtrack(i + 1, f, used, da, db, rows_r, rows_s, match_columns)
+        if g is not None:
+            return g
+        del f[a]
+        used.discard(x)
+    return None

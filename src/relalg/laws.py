@@ -2,29 +2,31 @@
 
 Every law is a closed statement about all relations (or pers, coreflexives,
 difunctions, functionals, points) over arbitrary finite carriers. The runner
-instantiates each law over every assignment of carrier sizes up to max_size,
-enumerating the variable pools exhaustively when the (cost-weighted) instance
-count stays within budget and sampling with a per-law deterministic RNG
-otherwise. A pool is the codes of one kind on its carriers, in code order;
-the restricted kinds are generated, not filtered from every relation, and
-every pool is bounded by the matrix bits of its carriers. The first failing
-instance is shrunk to a locally minimal counterexample: no single pair can
-be removed from any argument, and no carrier element dropped, without the
-law recovering.
+instantiates each law over every assignment of carrier sizes up to max_size.
+It enumerates a size tuple's pools exhaustively when the (cost-weighted)
+instance count stays within budget or the instance count within the sample
+count, and a term law's also when the bit-sliced enumeration is estimated to
+cost no more than the draws it replaces (SLICE_FACTOR); otherwise it samples
+with a per-law deterministic RNG. A pool is the codes of one kind on its
+carriers, in code order; the restricted kinds are generated, not filtered
+from every relation, and every pool is bounded by the matrix bits of its
+carriers. The first failing instance is shrunk to a locally minimal
+counterexample: no single pair can be removed from any argument, and no
+carrier element dropped, without the law recovering.
 
 Law ids are stable and descriptive; `statement` carries the point-free
 formula. A law registered with _term has no Python check: its statement is
-parsed (see terms) and the parsed Formula is the check, so the statement
-and the check cannot drift apart. The runner evaluates each size tuple of
-such a law in batches of instances at once, bit-sliced, with the draws,
-order and first failure of the scalar scan; the failure is then shrunk one
-instance at a time. The index laws that speak of the min-policy index J of
-R are terms too, through ``where J = index R``. The other laws enumerate
-every index, compute a core, an isomorphism, a pair decomposition or a
-classification, call splitting or per_index by name, or speak of matrix
-cells and counts, which no term of the grammar names, and keep a Python
-check. build_manifest() emits the machine-readable catalogue the CLI
-serves, including the explicit out-of-scope entries.
+parsed (see terms) and the parsed Formula is the check, so the statement and
+the check cannot drift apart. The runner evaluates each size tuple of such a
+law in batches of instances at once, bit-sliced, with the order, draws and
+first failure the scalar scan has on the same tuple in the same mode; the
+failure is then shrunk one instance at a time. The index laws that speak of
+the min-policy index J of R are terms too, through ``where J = index R``.
+The other laws enumerate every index, compute a core, an isomorphism, a pair
+decomposition or a classification, call splitting or per_index by name, or
+speak of matrix cells and counts, which no term of the grammar names, and
+keep a Python check. build_manifest() emits the machine-readable catalogue
+the CLI serves, including the explicit out-of-scope entries.
 """
 
 from __future__ import annotations
@@ -50,6 +52,14 @@ from .rel import (
 )
 
 EXHAUSTIVE_BUDGET = 10_000_000
+# What one draw of one argument costs in a sampled term-law scan, in sliced
+# instances of cost 1: the median, about 310, over the term-law size tuples
+# that max_size=3, samples=128, budget=4000 would sample without it
+# (BENCH_exhaustive.json). A term law's size tuple is also enumerated when its
+# sliced scan costs no more than its draws. At most EXHAUSTIVE_BUDGET /
+# (2000 * 4), so that run_suite's defaults enumerate exactly the tuples the
+# budget admits.
+SLICE_FACTOR = 300
 # the most instances a term law evaluates at once: the bits of one plane
 PLANE_BITS = 1 << 20
 # the largest carrier whose square relation pool the enumeration bound admits
@@ -904,16 +914,19 @@ def run_law(
     instances = 0
     failures: list[Counterexample] = []
     tvs = law.type_vars()
-    scan = _scan_sliced if isinstance(law.check, Formula) else _scan_scalar
+    sliced = isinstance(law.check, Formula)
+    scan = _scan_sliced if sliced else _scan_scalar
     for sizes in product(range(1, max_size + 1), repeat=len(tvs)):
         carriers = {tv: Carrier(tv, n) for tv, n in zip(tvs, sizes)}
         # every kind's pool holds ⊥ or a point at sizes >= 1, so none is empty
         typed = [(carriers[v.src], carriers[v.dst]) for v in law.vars]
         pools = [_pool(v.kind, src, dst) for v, (src, dst) in zip(law.vars, typed)]
         # a space no larger than the sample count is enumerated: drawing from
-        # it would repeat instances and could still miss some
+        # it would repeat instances and could still miss some; so is a term
+        # law's space whose sliced scan costs no more than its draws
         space = prod(len(p) for p in pools)
-        if space * law.cost <= budget or space <= samples:
+        if (space * law.cost <= budget or space <= samples
+                or sliced and space * law.cost <= samples * len(law.vars) * SLICE_FACTOR):
             modes_seen.add("exhaustive")
             rng = None
         else:
@@ -1030,7 +1043,12 @@ def run_suite(
     _check_run(max_size, samples)
     if registry is None:
         registry = REGISTRY
-    ids = sorted(registry) if law_filter is None else fnmatch.filter(sorted(registry), law_filter)
+    if law_filter is None:
+        ids = sorted(registry)
+    elif law_filter in registry and not any(c in law_filter for c in "*?["):
+        ids = [law_filter]  # an exact id matches itself alone: no pattern to compile
+    else:
+        ids = fnmatch.filter(sorted(registry), law_filter)
     chosen = [registry[law_id] for law_id in ids]
     if not chosen:
         # an empty run would report ok while checking nothing

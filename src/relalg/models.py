@@ -436,6 +436,10 @@ def load_model(source: str | Path | dict, name: str | None = None) -> AbstractMo
 # the first monoid or converse violation.
 
 
+# a bytes.translate table that maps the byte 0 to 1 and every other byte to 0
+_NOT = b"\1" + bytes(255)
+
+
 def _rows(table) -> tuple[list[bytes], list[bytes]]:
     """A table's rows as bytes, and each padded to a bytes.translate table."""
     rows = [bytes(row) for row in table]
@@ -528,7 +532,10 @@ def _dedekind_search(m: AbstractModel, rs: Iterable[int]) -> Iterator[tuple]:
     comp, tcomp = m._comp_rows
     cols, tcols = m._col_rows
     meets, tmeets = m._meet_rows
-    nleq = [bytes(not v for v in row) for row in m.leq]  # nleq[l][v] == 1  ⇔  not l ⊆ v
+    try:  # nleq[l][v] == 1  ⇔  not l ⊆ v, for any truth values in leq
+        nleq = [row.translate(_NOT) for row in m._leq_rows[0]]
+    except (TypeError, ValueError):  # entries that are not small ints
+        nleq = [bytes(not v for v in row) for row in m.leq]
 
     @lru_cache(maxsize=4096)  # some meets[c][t] ⊄ bound[t]; (c, bound) recurs over (r, s)
     def fails(c: int, bound: bytes) -> bool:

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings
 
@@ -35,6 +37,23 @@ def test_relabelled_copy_is_isomorphic(block):
     assert verify_witness(block, s, w)
     # the singleton row of block is 2 and of s is 0, so phi must pair them
     assert (2, 0) in unpack(w.phi)
+
+
+def test_a_search_leaves_no_reference_cycle(block):
+    # both searches backtrack: the first pair differs and is isomorphic; the
+    # second has equal row and column degrees, but its row of degree 2 meets
+    # the column of degree 2 in one relation and not in the other
+    s = pack(3, 3, [(2, 2), (2, 1), (1, 2), (1, 1), (0, 0)], src="C", dst="D")
+    r2 = pack(3, 3, [(0, 0), (0, 1), (1, 0), (2, 2)])
+    s2 = pack(3, 3, [(0, 1), (0, 2), (1, 0), (2, 0)], src="C", dst="D")
+    gc.collect()
+    gc.disable()
+    try:
+        assert find_isomorphism(block, s) is not None
+        assert find_isomorphism(r2, s2) is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_different_bit_counts_are_never_isomorphic():

@@ -13,6 +13,7 @@ from relalg import (
     Carrier, EnumerationLimit, Relation, cache_clear, complement, compose, converse, from_dict, laws, top,
 )
 from relalg.rel import relation_at
+from relalg.terms import Formula
 from relalg.laws import (
     KIND_VALIDATORS,
     OUT_OF_SCOPE,
@@ -203,10 +204,74 @@ def test_spaces_within_the_sample_count_are_enumerated():
     # heavy, and drawing it 10 times would only repeat it
     report = run_law(REGISTRY["relation-count"], max_size=2, samples=10, budget=1)
     assert (report.mode, report.instances, report.ok) == ("exhaustive", 4, True)
-    # one relation variable: 2 + 4 + 4 instances enumerated, 10 of the 16 2x2
-    # relations drawn
-    report = run_law(REGISTRY["converse-involution"], max_size=2, samples=10, budget=1)
+    # one relation variable under a Python check: 2 + 4 + 4 instances
+    # enumerated, 10 of the 16 2x2 relations drawn
+    law = REGISTRY["iso-self-witness"]
+    assert not isinstance(law.check, Formula) and law.vars == (Var("relation", "A", "B"),)
+    report = run_law(law, max_size=2, samples=10, budget=1)
     assert (report.mode, report.instances) == ("mixed", 20)
+    # a term law with no variables: its draws cost nothing, so only the
+    # sample count enumerates its one instance per size tuple
+    law = REGISTRY["converse-constants"]
+    assert isinstance(law.check, Formula) and law.vars == ()
+    report = run_law(law, max_size=2, samples=1, budget=0)
+    assert (report.mode, report.instances, report.ok) == ("exhaustive", 4, True)
+
+
+def test_a_term_tuple_whose_scan_costs_no_more_than_its_draws_is_enumerated():
+    """converse-involution on R : A~B at max_size=3: the 3x3 tuple has 512
+    instances, more than the samples and past the budget, so it is enumerated
+    only when its scan, 512 instances of cost 1, costs no more than its
+    draws, samples * 1 variable * SLICE_FACTOR."""
+    law = REGISTRY["converse-involution"]
+    assert isinstance(law.check, Formula) and law.vars == (Var("relation", "A", "B"),) and law.cost == 1
+    space = 1 << 9
+    spaces = sum(1 << a * b for a, b in product((1, 2, 3), repeat=2))
+    least = -(-space // laws.SLICE_FACTOR)  # the fewest samples whose draws cost as much as the scan
+    assert 1 < least < space and 1 << 6 <= (least - 1) * laws.SLICE_FACTOR
+    report = run_law(law, max_size=3, samples=least, budget=1)
+    assert (report.mode, report.instances, report.ok) == ("exhaustive", spaces, True)
+    # one sample fewer: the 3x3 tuple is drawn, every smaller one still enumerated
+    report = run_law(law, max_size=3, samples=least - 1, budget=1)
+    assert (report.mode, report.instances, report.ok) == ("mixed", spaces - space + least - 1, True)
+
+
+def test_the_sliced_clause_adds_nothing_under_the_default_budget():
+    # at run_suite's default samples every tuple the clause admits is one the
+    # budget admits already, so the default reports keep their modes
+    widest = max(len(law.vars) for law in REGISTRY.values())
+    assert 2000 * widest * laws.SLICE_FACTOR <= laws.EXHAUSTIVE_BUDGET
+
+
+def test_a_three_variable_term_law_samples_its_largest_size_three_tuple(monkeypatch):
+    scanned = {}
+    scan = laws._scan_sliced
+
+    def recording(law, carriers, typed, pools, rng, samples):
+        scanned[tuple(c.size for c in carriers.values())] = "exhaustive" if rng is None else "sampled"
+        return scan(law, carriers, typed, pools, rng, samples)
+
+    monkeypatch.setattr(laws, "_scan_sliced", recording)
+    law = REGISTRY["dedekind-modular"]
+    assert len(law.vars) == 3
+    report = run_law(law, max_size=3, samples=128, seed=31, budget=4000)
+    assert (report.mode, report.ok) == ("mixed", True)
+    assert len(scanned) == 27
+    assert scanned[(1, 1, 1)] == "exhaustive" and scanned[(3, 3, 3)] == "sampled"
+
+
+def test_a_python_law_keeps_the_rule_without_the_sliced_clause(monkeypatch):
+    """The sliced clause reads only term laws: a Python law's report is the
+    report it gets with the clause switched off, while a term law over the
+    same variable enumerates tuples that the Python law samples."""
+    law = REGISTRY["iso-self-witness"]
+    term = REGISTRY["converse-involution"]
+    settings = dict(max_size=3, samples=10, seed=3, budget=1)
+    python, sliced = run_law(law, **settings).to_dict(), run_law(term, **settings).to_dict()
+    monkeypatch.setattr(laws, "SLICE_FACTOR", 0)
+    assert run_law(law, **settings).to_dict() == python
+    assert python["mode"] == "mixed" and python["instances"] == 2 + 4 + 8 + 4 + 8 + 10 * 4
+    assert sliced["mode"] == "exhaustive" and run_law(term, **settings).to_dict()["mode"] == "mixed"
 
 
 def test_sampled_draws_are_pinned():
@@ -255,7 +320,7 @@ def test_law_filter_globs():
 
 
 @pytest.mark.parametrize(
-    "pattern", ["*index*", "residual-*", "[cd]*", "per-?ndex-equiv", "index-determined-by-domains"]
+    "pattern", ["*index*", "residual-*", "[cd]*", "per-?ndex-equiv", *sorted(REGISTRY)]
 )
 def test_law_filter_selects_what_fnmatch_matches_per_id(pattern):
     # stand-ins with the registry's ids and a check that always holds, so

@@ -436,6 +436,20 @@ def test_violation_generators_match_scalar_oracles(build, broken):
         assert list(OAXIOMS[broken](m)), f"the copy does not break {broken}"
 
 
+@pytest.mark.parametrize("true, false", [(2, 0), (255, 0), (256, 0), (1, None), (0.5, ""), ("x", 0)])
+def test_the_dedekind_search_reads_leq_entries_by_truth(true, false):
+    """A directly built model may hold any truth values in leq: the full
+    Dedekind search, and check_axioms, read them as the 0/1 order they stand
+    for, as the oracle does."""
+    m = _REDUCED["swapped-converse"][0]()
+    n = len(m.elements)
+    odd = dataclasses.replace(m, leq=tuple(tuple(true if v else false for v in row) for row in m.leq))
+    assert odd._irreducibles is None  # so check_axioms runs the full search
+    found = list(models._dedekind_search(odd, range(n)))
+    assert found and found == list(models._dedekind_search(m, range(n))) == list(OAXIOMS["dedekind"](odd))
+    assert check_axioms(odd).counterexamples["dedekind"] == check_axioms(m).counterexamples["dedekind"]
+
+
 @pytest.mark.parametrize("name", list(_REDUCED))
 def test_reduced_cases_keep_or_lose_their_join_irreducibles(name):
     build, _, kept = _REDUCED[name]

@@ -10,6 +10,7 @@ import importlib.util
 import json
 import random
 import sys
+from dataclasses import replace
 from functools import lru_cache
 from itertools import product
 from pathlib import Path
@@ -348,7 +349,9 @@ def test_planted_statements_agree_with_their_python_checks(law_id):
 @pytest.mark.parametrize("law_id", sorted(PLANTED_LETTERS))
 @pytest.mark.parametrize("settings", [
     dict(max_size=2, samples=10),  # exhaustive tuples
-    dict(max_size=3, samples=5, budget=1),  # sampled from the first tuple on
+    # sampled wherever the sample count does not cover the space: a cost
+    # too heavy for the budget and for the sliced clause
+    dict(max_size=3, samples=5, budget=1, cost=10 ** 6),
     # exhaustive under a large budget, cut into batches that hold the
     # leading arguments fixed: all of them, or all but the trailing ones
     dict(max_size=3, samples=10, seed=9, budget=10 ** 12, plane_bits=1),
@@ -358,6 +361,7 @@ def test_a_term_law_reports_what_its_python_check_reported(law_id, settings, mon
     settings = dict(settings)
     monkeypatch.setattr(laws, "PLANE_BITS", settings.pop("plane_bits", laws.PLANE_BITS))
     law = _planted()[law_id]
+    law = replace(law, cost=settings.pop("cost", law.cost))
     python = run_law(law, **settings)
     batches = []
     original = Formula.failures
@@ -390,7 +394,8 @@ def test_sliced_draws_are_the_pinned_draws(monkeypatch):
     random.Random(f"{seed}:{law.id}:{sizes}"), one per argument per instance
     in order, up to and including the first failure."""
     vars = (Var("relation", "A", "A"), Var("coreflexive", "A", "A"))
-    law = Law("zz-planted-meet-is-compose", "R∩p = R∘p", vars, parse("R∩p = R∘p", vars, "Rp"))
+    # a cost too heavy for the sliced clause, so every tuple is drawn
+    law = Law("zz-planted-meet-is-compose", "R∩p = R∘p", vars, parse("R∩p = R∘p", vars, "Rp"), cost=10 ** 6)
     checked = []
     original = Formula.failures
 
@@ -443,7 +448,9 @@ def test_sliced_runs_are_unchanged_under_python_O():
         "planted = PLANTED['zz-planted-meet-compose-distributes']\n"
         "term = Law(planted.id, planted.statement, planted.vars,\n"
         "           parse(planted.statement, planted.vars, 'RST', planted.id))\n"
-        "reports = [run_law(term, 3, 5, 7, 1), run_law(REGISTRY['dedekind-modular'], 2, 50, 7)]\n"
+        "heavy = Law(term.id, term.statement, term.vars, term.check, cost=10 ** 6)\n"
+        "reports = [run_law(term, 3, 5, 7, 1), run_law(heavy, 3, 5, 7, 1),\n"
+        "           run_law(REGISTRY['dedekind-modular'], 2, 50, 7)]\n"
         "print(json.dumps([r.to_dict() for r in reports], sort_keys=True))\n"
     )
     plain = run_python("-c", script)
@@ -451,4 +458,6 @@ def test_sliced_runs_are_unchanged_under_python_O():
     assert plain.returncode == 0, plain.stderr
     assert optimized.returncode == 0, optimized.stderr
     assert plain.stdout == optimized.stdout
-    assert json.loads(plain.stdout)[0]["failures"]
+    term, heavy, _ = json.loads(plain.stdout)
+    assert term["failures"] and heavy["failures"]
+    assert (term["mode"], heavy["mode"]) == ("exhaustive", "sampled")
