@@ -11,13 +11,16 @@ the law's variables. The grammar, from the loosest binding to the tightest:
     conjunction := equivalence ( "and" equivalence )*
     equivalence := comparison ( "≡" comparison )*          a chain
     comparison  := PREDICATE term
+                 | ("∀" | "∃") binders implication
+                 | "(" formula ")"
                  | term ( ("⊆" | "=" | "≠") term )+        a chain
+    binders     := LETTER ":" "point" CARRIER ( "," LETTER ":" "point" CARRIER )* "."
     term        := meet ( "∪" meet )*
     meet        := product ( "∩" product )*
     product     := unary ( ("∘" | "\\" | "/" | "\\\\" | "//") unary )*
     unary       := ("¬" | "index") unary | postfix
     postfix     := primary ( "°" | "<" | ">" | "≺" | "≻" )*
-    primary     := LETTER | constant | "(" term ")"
+    primary     := LETTER | constant | "(" term ")" | "⋃" binders term "if" conjunction
     constant    := ("⊥" | "⊤") [ "[" CARRIER "," CARRIER "]" ]
                  | "𝕀" [ "[" CARRIER "]" ]
 
@@ -27,7 +30,19 @@ symmetric divisions (see factors). The trailing ``for pers P`` restates the
 kinds of the named variables (of every variable, when none is named); the
 parser checks it against them. Letters are bound to the law's variables
 explicitly, one letter per variable in order, since a statement need not
-mention its variables in that order.
+mention its variables in that order. A parenthesis at the place of a
+comparison opens a formula when a comparison, a connective, a predicate word
+or a quantifier stands in it at its own depth before any ``⋃``, and a term
+otherwise, so ``(A and B) ≡ (C and D)`` compares two conjunctions.
+
+A binder ranges its fresh letters over a constant pool, one whose members are
+the same for every instance: ``a:point A`` over the points of carrier A, the
+coreflexives with one element. ``∀ a:point A . φ`` and ``∃ a:point A . φ``
+hold when φ holds for every member, or for some; ``⋃ a:point A, b:point B .
+a∘⊤∘b if a∘⊤∘b ⊆ R`` is the union of the term over the members on which the
+guard holds, and ⊥ when there are none. A quantifier's formula and a union's
+guard end at the next ``,`` (and ``or`` or ``⇒`` for a guard) or closing
+parenthesis. The letters are visible in the binder alone.
 
 A trailing ``where J = index R, λ = J<∘R≺`` binds new letters to terms in
 order; a binding may use the letters bound before it. A bound letter costs
@@ -35,11 +50,17 @@ nothing, as equal subterms are evaluated once. ``index X`` is the index of X
 with the least member of each per-domain class (relation_index, min policy).
 It alone depends on the order of the carriers' elements, so a reduction to
 orbits under renamings of the elements must skip any formula containing it.
+A point binder does not stand in its way: renaming the elements of a carrier
+permutes its points among themselves, so a union, ∀ or ∃ over them keeps its
+value, and a law with point binders stays invariant under renaming.
 
 A PREDICATE is one of the kind words ``per``, ``functional``, ``injective``,
-``difunctional``, ``rectangle`` and ``square``, and applies to the whole term
-after it: ``per R∘S`` is ``per (R∘S)``. ``per`` and ``square`` join the two
-carriers of their term.
+``difunctional``, ``rectangle``, ``square``, ``pair``, ``particle`` and
+``point``, and applies to the whole term after it: ``per R∘S`` is
+``per (R∘S)``. ``per``, ``square``, ``particle`` and ``point`` join the two
+carriers of their term. The last three are defined by binders, for X : A~B:
+``pair X`` is ``∃ a:point A, b:point B . X = a∘⊤∘b``, ``particle X`` is
+``∃ a:point A . X = a∘⊤∘a`` and ``point X`` is ``∃ a:point A . X = a``.
 
 The carriers of each ⊥, ⊤ and 𝕀 are inferred from the variables by
 unification; brackets name them where the variables leave them open, as in
@@ -52,7 +73,8 @@ subterms appear once:
 
 - scalar: ``formula(args, carriers)`` evaluates one instance with the kernel
   operations, the row predicates of domains and relation_index, and returns
-  a bool, so a Formula is a law check;
+  a bool, so a Formula is a law check. A binder loops over the kernel's
+  points;
 - sliced: ``formula.failures(planes, sizes, full)`` evaluates a batch of
   instances at once. Each argument is a list of planes, one int per matrix
   cell in code order, and bit x of every plane belongs to instance x, so
@@ -62,15 +84,29 @@ subterms appear once:
   ``X∘X° ⊆ 𝕀``, ``injective X`` is ``X°∘X ⊆ 𝕀``, ``difunctional X`` is
   ``X∘X°∘X ⊆ X``, ``rectangle X`` is ``X∘⊤∘X ⊆ X`` and ``square X`` is
   ``X° = X and X∘⊤∘X ⊆ X``. ``index X`` keeps cell (i, j) of X where i is
-  the least member of its X≺-class and j of its X≻-class. The result has
-  bit x set when the statement fails on instance x (the bitslicing of E.
-  Biham's DES implementation, FSE 1997).
+  the least member of its X≺-class and j of its X≻-class. A binder runs
+  over the combinations of its members, constant planes; a union masks its
+  term's planes with its guard's plane and ORs them, ∀ ANDs its formula's
+  planes and ∃ ORs them. The result has bit x set when the statement fails on instance x
+  (the bitslicing of E. Biham's DES implementation, FSE 1997).
+
+Both evaluators evaluate an instruction that uses no bound letter once per
+instance or batch, outside every binder. Inside one, the scalar evaluator
+evaluates an instruction once for each member of the letters up to the last
+one it uses. The sliced evaluator evaluates an instruction that uses no
+variable, such as the piece (a∘⊤∘b)∘(b∘⊤∘c), once per batch: its value is
+the same on every instance, so it is held over all member combinations at
+once, bit x of each plane for combination x. The others it evaluates once
+for each combination of the letters they use, so a guard on (a, b) is not
+evaluated again for each c; a binder that is uniform, and whose inputs are
+held, needs no loop at all.
 """
 
 from __future__ import annotations
 
 import re
 from functools import lru_cache, reduce
+from math import prod
 from operator import and_, eq, ne, or_, xor
 from typing import Sequence
 
@@ -80,6 +116,7 @@ from .domains import (
 )
 from .factors import left_residual, right_residual, sym_left_div, sym_right_div
 from .indexcore import relation_index
+from .points import points
 from .rel import bottom, complement, compose, converse, identity, intersect, is_subset, top, union
 
 #: The plural kind words a trailing ``for`` clause may use.
@@ -89,46 +126,249 @@ KIND_WORDS = {
 }
 
 # a symbol (𝕀 too, though Python counts it a letter), a word, or anything else
-_TOKEN = re.compile(r"(\\\\|//|[\\/∘∪∩°¬⊥⊤𝕀()\[\]<>≺≻⊆=≠≡⇒,])|([^\W\d_]+)|(\S)")
+_TOKEN = re.compile(r"(\\\\|//|[\\/∘∪∩°¬⊥⊤𝕀()\[\]<>≺≻⊆=≠≡⇒,⋃∀∃:.])|([^\W\d_]+)|(\S)")
 _PRODUCTS = ("∘", "\\", "/", "\\\\", "//")
 _POSTFIX = ("°", "<", ">", "≺", "≻")
 _COMPARISONS = ("⊆", "=", "≠")
 _CONSTANTS = ("⊥", "⊤", "𝕀")
-_PREDICATES = ("per", "functional", "injective", "difunctional", "rectangle", "square")
+_PREDICATES = ("per", "functional", "injective", "difunctional", "rectangle", "square", "pair", "particle", "point")
+# the predicates defined by binders, and those that join the two carriers of their term
+_DEFINED = ("pair", "particle", "point")
+_HOMOGENEOUS = ("per", "square", "particle", "point")
+# the binders, with the number of their inputs before their letters: a
+# union's term and guard, a quantifier's formula
+_BINDERS = {"⋃": 2, "∀": 1, "∃": 1}
+# the constant pools a binder ranges over; a bound letter's instruction is its pool
+_POOLS = ("point",)
+# what makes a parenthesis at the place of a comparison a formula (see formula_group)
+_FORMULA_TOKENS = _COMPARISONS + ("≡", "⇒", "and", "or", ",", "∀", "∃") + _PREDICATES
 
 
 class Formula:
     """A parsed statement over a law's variables; callable as a law check."""
 
-    __slots__ = ("statement", "letters", "_code")
+    __slots__ = ("statement", "letters", "_code", "_uniform", "_owner", "_held", "_top", "_binders", "_uses")
 
     def __init__(self, statement: str, letters: str, code: list[tuple[str, tuple, tuple]]):
         self.statement, self.letters, self._code = statement, letters, code
+        # an instruction's scope is the bound letters it uses, as a bit mask
+        # of their instructions; a uniform one uses no variable
+        scope: list[int] = []
+        uniform = self._uniform = []
+        binder_of: dict[int, int] = {}
+        for i, (op, ins, dims) in enumerate(code):
+            kids = ins[:_BINDERS[op]] if op in _BINDERS else () if op in _POOLS or op == "var" else ins
+            own = ins[len(kids):] if op in _BINDERS else ()
+            binder_of.update(dict.fromkeys(own, i))
+            scope.append(1 << i if op in _POOLS else reduce(or_, [scope[k] for k in kids], 0)
+                         & ~sum(1 << k for k in own))
+            uniform.append(op != "var" and all(uniform[k] for k in kids))
+        self._top: Sequence[int] = range(len(code))
+        self._owner: Sequence[int | None] = ()
+        self._held: Sequence[bool] = ()
+        self._binders: dict[int, tuple] = {}
+        self._uses: dict[int, tuple[int, ...]] = {}
+        if not binder_of:
+            return
+        # Each instruction runs at the top, once per instance or batch, or in
+        # its owner, the innermost binder whose letters it uses, at the level
+        # of the last of them: levels[k] once the first k letters are set.
+        owner = self._owner = [min((binder_of[k] for k in binder_of if sc >> k & 1), default=None) for sc in scope]
+        self._top = [i for i in self._top if owner[i] is None]
+        levels: dict[int, list[list[int]]] = {
+            b: [[] for _ in range(len(ins) - _BINDERS[op] + 1)] for b, (op, ins, _) in enumerate(code) if op in _BINDERS
+        }
+        for i, (op, ins, dims) in enumerate(code):
+            b = owner[i]
+            if b is not None and op not in _POOLS:
+                own = code[b][1][_BINDERS[code[b][0]]:]
+                uses = tuple(p for p, k in enumerate(own) if scope[i] >> k & 1)
+                levels[b][1 + uses[-1]].append(i)
+                self._uses[i] = uses
+        # The sliced evaluator holds a uniform instruction over all member
+        # combinations of its owner at once, bit x for combination x, when its
+        # inputs allow; it runs once, ahead of its owner's loop, and the others
+        # run in the loop. The owner itself needs no loop when it is uniform
+        # and its inputs are held.
+        held = self._held = [op in _POOLS for op, _, _ in code]
+        for i, (op, ins, dims) in enumerate(code):
+            if owner[i] is not None and uniform[i] and op not in _BINDERS and op not in _POOLS:
+                held[i] = all(held[k] or owner[k] != owner[i] for k in ins)
+        for b, steps in levels.items():
+            op, ins, _ = code[b]
+            sliceable = uniform[b] and all(held[k] or owner[k] != b for k in ins[:_BINDERS[op]])
+            self._binders[b] = (steps, [i for level in steps for i in level if held[i]],
+                                [[i for i in level if not held[i]] for level in steps], sliceable)
 
     def __repr__(self) -> str:
         return f"Formula({self.statement!r}, letters={self.letters!r})"
 
+    def _walk(self, b: int, vals: list, members: list, step):
+        """Set binder b's letters to each combination of their members in
+        turn, running each level's instructions as its letter is set; yield
+        once per combination."""
+        op, ins, _ = self._code[b]
+        own, levels = ins[_BINDERS[op]:], self._binders[b][0]
+
+        def walk(k: int):
+            if k == len(own):
+                yield
+                return
+            for member in members[k]:
+                vals[own[k]] = member
+                for i in levels[k + 1]:
+                    step(i)
+                yield from walk(k + 1)
+
+        return walk(0)
+
     def __call__(self, args, carriers) -> bool:
         """The statement's truth on one instance, by the kernel operations."""
-        vals: list = []
-        for op, ins, dims in self._code:
+        code = self._code
+        vals: list = [None] * len(code)
+
+        def step(i: int) -> None:
+            op, ins, dims = code[i]
             if op == "var":
-                vals.append(args[ins[0]])
+                vals[i] = args[ins[0]]
             elif op in _CONSTANTS:
-                vals.append(_SCALAR[op](*[carriers[tv] for tv in dims]))
+                vals[i] = _SCALAR[op](*[carriers[tv] for tv in dims])
+            elif op in _BINDERS:
+                n = _BINDERS[op]
+                members = [points(carriers[code[k][2][0]]) for k in ins[n:]]
+                walk = self._walk(i, vals, members, step)
+                if op == "⋃":
+                    body, guard = ins[:2]
+                    acc = bottom(carriers[dims[0]], carriers[dims[1]])
+                    for _ in walk:
+                        if vals[guard]:
+                            acc = union(acc, vals[body])
+                    vals[i] = acc
+                else:
+                    vals[i] = (all if op == "∀" else any)(vals[ins[0]] for _ in walk)
             else:
-                vals.append(_SCALAR[op](*[vals[i] for i in ins]))
+                vals[i] = _SCALAR[op](*[vals[k] for k in ins])
+
+        for i in self._top:
+            step(i)
         return vals[-1]
 
     def failures(self, planes: Sequence[list[int]], sizes: dict[str, int], full: int) -> int:
         """The plane of the instances of a batch on which the statement fails."""
-        vals: list = []
-        for op, ins, dims in self._code:
+        code = self._code
+        vals: list = [None] * len(code)
+        bind = self._binding(vals, sizes, full) if self._binders else None
+        for i in self._top:
+            op, ins, dims = code[i]
             if op == "var":
-                vals.append(planes[ins[0]])
+                vals[i] = planes[ins[0]]
+            elif op in _BINDERS:
+                vals[i] = bind(i)
             else:
-                vals.append(_SLICED[op](full, [sizes[tv] for tv in dims], *[vals[i] for i in ins]))
+                vals[i] = _SLICED[op](full, [sizes[tv] for tv in dims], *[vals[k] for k in ins])
         return full & ~vals[-1]
+
+    def _binding(self, vals: list, sizes: dict[str, int], full: int):
+        """The sliced evaluation of a binder, bind(b), on the values of a batch
+        so far. A binder holds what it can over its member combinations and
+        loops over them for the rest (see Formula.__init__)."""
+        code, uniform, owner, held = self._code, self._uniform, self._owner, self._held
+        mask: dict[int, int] = {}  # a running binder's mask of its member combinations
+        at: dict[int, int] = {}  # and the combination its loop is at
+
+        def read(k: int, home, width: int):
+            """Input k for an instruction held over binder home's combinations
+            (None: not held) whose planes are width wide. A uniform value is
+            held, or on one bit in a loop, or batch wide at the top."""
+            v = vals[k]
+            if held[k]:
+                return v if owner[k] == home else _pick(v, at[owner[k]], width)
+            if uniform[k] and width != (1 if owner[k] is not None else full):
+                return _spread(v, width)
+            return v
+
+        def step(i: int) -> None:  # an instruction a binder owns
+            op, ins, dims = code[i]
+            if op in _BINDERS:
+                vals[i] = bind(i)
+                return
+            home = owner[i] if held[i] else None
+            width = mask[home] if held[i] else 1 if uniform[i] else full
+            vals[i] = _SLICED[op](width, [sizes[tv] for tv in dims], *[read(k, home, width) for k in ins])
+
+        def bind(b: int):
+            op, ins, dims = code[b]
+            kids, own = ins[:_BINDERS[op]], ins[_BINDERS[op]:]
+            width = 1 if uniform[b] and owner[b] is not None else full
+            counts = [sizes[code[k][2][0]] for k in own]
+            letters = _member_planes(tuple(counts))
+            mask[b] = m = (1 << prod(counts)) - 1
+            for k, member_planes in zip(own, letters):
+                vals[k] = member_planes
+            _, ahead, levels, sliceable = self._binders[b]
+            for i in ahead:
+                step(i)
+            if sliceable:  # every combination at once
+                body = read(kids[0], b, m)
+                if op == "⋃":
+                    guard = read(kids[1], b, m)
+                    return [width if v & guard else 0 for v in body]
+                return width if (body == m if op == "∀" else body) else 0
+            strides = [prod(counts[j + 1:]) for j in range(len(counts))]
+
+            # a looped instruction that skips an outer letter keeps its value
+            # for each combination of the letters it uses
+            index = [0] * len(counts)
+            kept: dict = {}
+
+            def walk(k: int, x: int):
+                for member in range(counts[k]):
+                    at[b] = here = x + member * strides[k]
+                    index[k] = member
+                    for i in levels[k + 1]:
+                        uses = self._uses[i]
+                        if len(uses) > k:
+                            step(i)
+                            continue
+                        key = (i, *[index[p] for p in uses])
+                        if key in kept:
+                            vals[i] = kept[key]
+                        else:
+                            step(i)
+                            kept[key] = vals[i]
+                    if k + 1 == len(counts):
+                        yield here
+                    else:
+                        yield from walk(k + 1, here)
+
+            if op == "⋃":
+                body, guard = kids
+                acc = [0] * (sizes[dims[0]] * sizes[dims[1]])
+                if held[body] and owner[body] == b:
+                    # a body held over the combinations marks the cells each one's guard fills
+                    filled: list[list[int]] = [[] for _ in range(m.bit_length())]
+                    for c, v in enumerate(vals[body]):
+                        while v:
+                            low = v & -v
+                            filled[low.bit_length() - 1].append(c)
+                            v ^= low
+                    for x in walk(0, 0):
+                        g = read(guard, None, width)
+                        for c in filled[x] if g else ():
+                            acc[c] |= g
+                    return acc
+                for _ in walk(0, 0):
+                    g = read(guard, None, width)
+                    if g:
+                        for c, v in enumerate(read(body, None, width)):
+                            acc[c] |= v & g
+                return acc
+            acc = width if op == "∀" else 0
+            for _ in walk(0, 0):
+                acc = acc & read(kids[0], None, width) if op == "∀" else acc | read(kids[0], None, width)
+            return acc
+
+        return bind
 
 
 # -- parsing ----------------------------------------------------------------------
@@ -136,13 +376,15 @@ class Formula:
 
 class _Node:
     """A parsed subterm or subformula. A term's src and dst are type slots,
-    and dims the slots whose sizes its sliced operation needs."""
+    and dims the slots whose sizes its sliced operation needs. A variable's
+    index is its position and a bound letter's a number of its own; a
+    binder's letters are the nodes of the letters it binds."""
 
-    __slots__ = ("op", "kids", "col", "src", "dst", "dims", "index")
+    __slots__ = ("op", "kids", "col", "src", "dst", "dims", "index", "letters")
 
-    def __init__(self, op, kids, col, src=None, dst=None, dims=(), index=None):
+    def __init__(self, op, kids, col, src=None, dst=None, dims=(), index=None, letters=()):
         self.op, self.kids, self.col, self.src, self.dst = op, kids, col, src, dst
-        self.dims, self.index = dims, index
+        self.dims, self.index, self.letters = dims, index, letters
 
 
 def parse(statement: str, vars: Sequence, letters: str, law_id: str = "",
@@ -167,6 +409,7 @@ class _Parser:
         self.fresh = 0
         self.bound: dict[str, _Node] = {}  # the where clause's letters bound so far
         self.heads: set[str] = set()  # and every letter it binds
+        self.scope: dict[str, _Node] = {}  # the letters of the binders around the current token
 
     def fail(self, col: int, message: str):
         raise ValueError(f"law {self.law_id!r}: column {col}: {message} in {self.statement!r}")
@@ -232,9 +475,15 @@ class _Parser:
         return Formula(self.statement, self.letters, self.compile(root))
 
     def bindings(self) -> None:
-        # a term holds no "=", so every letter followed by one is bound here
-        pairs = zip(self.tokens[self.pos:], self.tokens[self.pos + 1:])
-        self.heads = {self.statement[col - 1] for (tok, col), (nxt, _) in pairs if tok == "letter" and nxt == "="}
+        # every letter that starts the clause or follows a "," outside
+        # parentheses, and is followed by "=", is bound here: a term holds an
+        # "=" only in a union's guard, which ends at such a ","
+        heads, depth = self.heads, 0
+        for at in range(self.pos - 1, len(self.tokens) - 2):
+            tok, (head, col), nxt = self.tokens[at][0], self.tokens[at + 1], self.tokens[at + 2][0]
+            depth += (tok == "(") - (tok == ")")
+            if tok in ("where", ",") and depth == 0 and head == "letter" and nxt == "=":
+                heads.add(self.statement[col - 1])
         while True:
             tok, col = self.take()
             if tok != "letter":
@@ -306,14 +555,92 @@ class _Parser:
         if self.peek() in _PREDICATES:
             word, col = self.take()
             node = self.term()
-            if word in ("per", "square"):
+            if word in _HOMOGENEOUS:
                 self.unify(node.src, node.dst, col, word)
+            if word in _DEFINED:
+                return self.defined(word, node, col)
             return _Node(word, (node,), col, dims=(node.src, node.dst))
+        if self.peek() in ("∀", "∃"):
+            op, col = self.take()
+            named = self.binders()
+            body = self.implication()
+            return _Node(op, (body,), col, letters=self.release(named))
+        if self.peek() == "(" and self.formula_group():
+            self.take()
+            node = self.formula()
+            self.expect(")")
+            return node
         node = self.chain(self.term, _COMPARISONS)
         if node.src is not None:  # a term, compared with nothing
             tok, col = self.take()
             self.fail(col, f"expected one of ⊆ = ≠ after a term, got {self.shown(tok, col)}")
         return node
+
+    def formula_group(self, start: int | None = None) -> bool:
+        """Whether the parenthesis at the current token (or at start) opens a
+        formula: it closes, and a comparison, connective, predicate word,
+        quantifier or formula group stands at its depth before any union,
+        whose guard is a formula inside a term. An unclosed one is a term,
+        which reports the missing ')'."""
+        start = self.pos if start is None else start
+        depth, formula, union = 0, False, False
+        for at in range(start, len(self.tokens)):
+            tok = self.tokens[at][0]
+            if depth == 1 and not (formula or union):
+                union = tok == "⋃"
+                formula = tok in _FORMULA_TOKENS or tok == "(" and self.formula_group(at)
+            depth += (tok == "(") - (tok == ")")
+            if depth == 0:
+                return formula
+        return False
+
+    def binders(self) -> dict[str, _Node]:
+        """LETTER ":" POOL CARRIER ("," ...)* "." — puts fresh letters in
+        scope, each a leaf over its pool, until release."""
+        named: dict[str, _Node] = {}
+        while True:
+            tok, col = self.take()
+            if tok != "letter":
+                self.fail(col, f"expected a bound letter such as 'a:point A', got {self.shown(tok, col)}")
+            letter = self.statement[col - 1]
+            if letter in self.letters or letter in self.heads or letter in self.scope or letter in named:
+                self.fail(col, f"{letter!r} is already bound; a binder binds new letters")
+            self.expect(":")
+            pool, at = self.take()
+            if pool not in _POOLS:
+                self.fail(at, f"expected a pool ({', '.join(_POOLS)}) after ':', got {self.shown(pool, at)}")
+            tok, at = self.take()
+            name = self.statement[at - 1] if tok == "letter" else None
+            if name not in self.type_vars:
+                self.fail(at, f"expected a carrier of the law ({', '.join(self.type_vars)}) after "
+                              f"{pool!r}, got {self.shown(tok, at)}")
+            named[letter] = _Node(pool, (), col, name, name, (name,), index=self.new_slot())
+            if self.peek() != ",":
+                break
+            self.take()
+        self.expect(".")
+        self.scope.update(named)
+        return named
+
+    def release(self, named: dict[str, _Node]) -> tuple[_Node, ...]:
+        """Take a binder's letters out of scope; their nodes, in order."""
+        for letter in named:
+            del self.scope[letter]
+        return tuple(named.values())
+
+    def defined(self, word: str, x: _Node, col: int) -> _Node:
+        """A predicate defined by a binder, for X : A~B: pair X is ∃ a:point A,
+        b:point B . X = a∘⊤∘b, particle X is ∃ a:point A . X = a∘⊤∘a and point
+        X is ∃ a:point A . X = a."""
+        a = _Node("point", (), col, x.src, x.src, (x.src,), index=self.new_slot())
+        b = _Node("point", (), col, x.dst, x.dst, (x.dst,), index=self.new_slot()) if word == "pair" else a
+        if word == "point":
+            named = a
+        else:
+            top = _Node("⊤", (), col, a.dst, b.src, (a.dst, b.src))
+            at = _Node("∘", (a, top), col, a.src, b.src, (a.src, a.dst, b.src))
+            named = _Node("∘", (at, b), col, a.src, b.dst, (a.src, b.src, b.dst))
+        return _Node("∃", (_Node("=", (x, named), col),), col, letters=tuple(dict.fromkeys((a, b))))
 
     def chain(self, operand, ops) -> _Node:
         """operand (op operand)*, meaning each adjacent pair is related."""
@@ -381,6 +708,8 @@ class _Parser:
     def primary(self) -> _Node:
         tok, col = self.take()
         if tok == "letter":
+            if self.statement[col - 1] in self.scope:
+                return self.scope[self.statement[col - 1]]
             if self.statement[col - 1] in self.bound:
                 return self.bound[self.statement[col - 1]]
             index = self.var_index(col)
@@ -395,6 +724,13 @@ class _Parser:
             node = self.term()
             self.expect(")")
             return node
+        if tok == "⋃":
+            named = self.binders()
+            body = self.term()
+            self.expect("if")
+            guard = self.conjunction()
+            return _Node("⋃", (body, guard), col, body.src, body.dst, (body.src, body.dst),
+                         letters=self.release(named))
         self.fail(col, f"expected a term, got {self.shown(tok, col)}")
 
     def carriers_named(self, const: str, slots) -> None:
@@ -426,7 +762,10 @@ class _Parser:
             return name
 
         def emit(node: _Node) -> int:
-            ins = (node.index,) if node.op == "var" else tuple(emit(kid) for kid in node.kids)
+            if node.index is not None:  # a variable or a bound letter
+                ins = (node.index,)
+            else:
+                ins = tuple(emit(kid) for kid in node.kids + node.letters)
             key = (node.op, ins, tuple(carrier(slot, node) for slot in node.dims))
             if key not in seen:
                 seen[key] = len(code)
@@ -445,7 +784,7 @@ def _tokens(text: str, fail) -> list[tuple[str, int]]:
         col = m.start() + 1
         if sym:
             out.append((sym, col))
-        elif word in ("and", "or", "for", "where", "index") or word in KIND_WORDS or word in _PREDICATES:
+        elif word in ("and", "or", "for", "where", "index", "if") or word in KIND_WORDS or word in _PREDICATES:
             out.append((word, col))
         elif word and len(word) == 1:
             out.append(("letter", col))
@@ -481,6 +820,34 @@ _SCALAR = {
 
 def _any(planes) -> int:
     return reduce(or_, planes, 0)
+
+
+def _spread(value, full: int):
+    """A uniform value, computed on one-bit planes, over a batch of mask full."""
+    if isinstance(value, list):
+        return [full if v else 0 for v in value]
+    return full if value else 0
+
+
+def _pick(value, x: int, full: int):
+    """Combination x of a value held over a binder's member combinations,
+    spread over a batch of mask full."""
+    if isinstance(value, list):
+        return [full if v >> x & 1 else 0 for v in value]
+    return full if value >> x & 1 else 0
+
+
+@lru_cache(maxsize=64)
+def _member_planes(counts: tuple[int, ...]) -> tuple[list[int], ...]:
+    """For binder letters over the points of carriers of these sizes, each
+    letter's planes over all member combinations, the first letter's member
+    changing slowest: bit x of every plane belongs to combination x."""
+    total = prod(counts)
+    out, stride = [], total
+    for n in counts:
+        stride //= n
+        out.append(code_planes([1 << i * (n + 1) for i in range(n)], n * n, stride, total // (stride * n)))
+    return tuple(out)
 
 
 def _compose(full, d, x, y):
@@ -519,7 +886,8 @@ def _same_rows(full, x, y, k):
 
 
 def _subset(full, d, x, y):
-    return full & ~_any(a & ~b for a, b in zip(x, y))
+    # a cell empty in x cannot fail, and a spread constant is mostly empty
+    return full & ~_any(a & ~b for a, b in zip(x, y) if a)
 
 
 def _equal(full, d, x, y):

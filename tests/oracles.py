@@ -9,7 +9,7 @@ abstract-model axioms at the end read a model's tables one element at a time.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 Pairs = frozenset  # of (int, int)
 
@@ -60,27 +60,23 @@ def ordom(r: Pairs) -> Pairs:
 
 def operldom(r: Pairs, na: int) -> Pairs:
     """R≺ — relate rows that are equal and non-empty."""
-    def row(a: int) -> frozenset:
-        return frozenset(b for a2, b in r if a2 == a)
-
+    rows = [frozenset(b for a2, b in r if a2 == a) for a in range(na)]
     return frozenset(
         (a, a2)
         for a in range(na)
         for a2 in range(na)
-        if row(a) and row(a) == row(a2)
+        if rows[a] and rows[a] == rows[a2]
     )
 
 
 def operrdom(r: Pairs, nb: int) -> Pairs:
     """R≻ — relate columns that are equal and non-empty."""
-    def col(b: int) -> frozenset:
-        return frozenset(a for a, b2 in r if b2 == b)
-
+    cols = [frozenset(a for a, b2 in r if b2 == b) for b in range(nb)]
     return frozenset(
         (b, b2)
         for b in range(nb)
         for b2 in range(nb)
-        if col(b) and col(b) == col(b2)
+        if cols[b] and cols[b] == cols[b2]
     )
 
 
@@ -194,6 +190,83 @@ def oall_or_nothing(r: Pairs, a: int, b: int) -> str:
 
 def odecompose(r: Pairs) -> list[tuple[int, int]]:
     return sorted(r)
+
+
+# -- the laws about points, pairs and particles, one matrix cell at a time ----------
+#
+# The pair a∘⊤∘b of the points (a, a) and (b, b) is the single cell (a, b); a
+# pair is a relation of one cell, a particle one of one diagonal cell, and so
+# is a point. Each function is the truth of one law on one instance.
+
+
+def _oindex_conditions(r: Pairs, j: Pairs, na: int, nb: int) -> bool:
+    """J ⊆ R, R≺∘J∘R≻ = R, J<∘R≺∘J< = J< and J>∘R≻∘J> = J>."""
+    lpd, rpd, jl, jr = operldom(r, na), operrdom(r, nb), oldom(j), ordom(j)
+    return (
+        j <= r
+        and ocompose(ocompose(lpd, j), rpd) == r
+        and ocompose(ocompose(jl, lpd), jl) == jl
+        and ocompose(ocompose(jr, rpd), jr) == jr
+    )
+
+
+def ois_one_cell(r: Pairs) -> bool:
+    return len(r) == 1
+
+
+def ois_particle(r: Pairs) -> bool:
+    return len(r) == 1 and ois_coreflexive(r)
+
+
+def osaturation(r: Pairs, na: int, nb: int) -> bool:
+    """R is the union of the pairs below it."""
+    return frozenset(cell for cell in product(range(na), range(nb)) if cell in r) == r
+
+
+def odecompose_converse(r: Pairs, na: int, nb: int) -> bool:
+    """R° is the union of the flipped pairs below R."""
+    return frozenset((b, a) for a, b in product(range(na), range(nb)) if (a, b) in r) == oconverse(r)
+
+
+def odecompose_compose(r: Pairs, s: Pairs) -> bool:
+    """R∘S is the union of the pieces (a∘⊤∘b)∘(b'∘⊤∘c) over the pairs below
+    R and S; each piece is a∘⊤∘c where b = b', and empty elsewhere."""
+    pieces = [((a, c), b == b2) for a, b in r for b2, c in s]
+    return frozenset(cell for cell, meets in pieces if meets) == ocompose(r, s)
+
+
+def opoint_saturation(p: Pairs, n: int) -> bool:
+    """A coreflexive is the union of the points below it."""
+    return frozenset(point for i in range(n) for point in [(i, i)] if point in p) == p
+
+
+def opair_domains(r: Pairs) -> bool:
+    """A pair's domains are particles."""
+    return not ois_one_cell(r) or (ois_particle(oldom(r)) and ois_particle(ordom(r)))
+
+
+def opair_point_sandwich(a: Pairs, b: Pairs, na: int, nb: int) -> bool:
+    """a∘⊤∘b is a pair with domains a and b."""
+    z = ocompose(ocompose(a, otop(na, nb)), b)
+    return ois_one_cell(z) and oldom(z) == a and ordom(z) == b
+
+
+def oparticle_point(z: Pairs) -> bool:
+    """A particle, a symmetric pair, is a point, a coreflexive atom, and back."""
+    return (oconverse(z) == z and ois_one_cell(z)) == (ois_coreflexive(z) and len(z) == 1)
+
+
+def oper_index_equiv(p: Pairs, j: Pairs, n: int) -> bool:
+    """For a per P and a coreflexive J: J ⊆ P<, J∘P∘J = J and P∘J∘P = P
+    exactly when J meets the four index conditions for P."""
+    simple = j <= oldom(p) and ocompose(ocompose(j, p), j) == j and ocompose(ocompose(p, j), p) == p
+    return simple == _oindex_conditions(p, j, n, n)
+
+
+def ocore_relation_own_index(r: Pairs, na: int, nb: int) -> bool:
+    """R< = R≺ and R> = R≻ exactly when R indexes itself."""
+    core = oldom(r) == operldom(r, na) and ordom(r) == operrdom(r, nb)
+    return core == _oindex_conditions(r, r, na, nb)
 
 
 # -- the axioms of an abstract model, element by element ----------------------------

@@ -12,7 +12,7 @@ from conftest import pack, run_python, unpack
 from relalg import (
     Carrier, EnumerationLimit, Relation, cache_clear, complement, compose, converse, from_dict, laws, top,
 )
-from relalg.rel import relation_at
+from relalg.rel import _compose_memo, relation_at
 from relalg.terms import Formula
 from relalg.laws import (
     KIND_VALIDATORS,
@@ -197,6 +197,23 @@ def test_heavy_law_mixes_modes_at_size_three():
     report = run_law(REGISTRY["dedekind-modular"], max_size=3, samples=50, seed=1)
     assert report.mode == "mixed"
     assert report.ok
+
+
+def test_decompose_compose_is_exhaustive_at_size_three():
+    # all 2^18 instances of its 3x3x3 tuple fit the default budget at cost 38
+    report = run_law(REGISTRY["decompose-compose"], max_size=3, samples=2000, seed=42)
+    assert (report.mode, report.instances, report.ok) == ("exhaustive", sum(
+        2 ** (b * (a + c)) for a in (1, 2, 3) for b in (1, 2, 3) for c in (1, 2, 3)), True)
+
+
+def test_decompose_compose_leaves_the_compose_memo_alone():
+    # its Python check composed every pair of pairs through the memo; the
+    # statement composes points on planes
+    before = _compose_memo.cache_info()
+    report = run_law(REGISTRY["decompose-compose"], 4, 10, 31, 1)
+    after = _compose_memo.cache_info()
+    assert report.ok and report.instances > 0
+    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 def test_spaces_within_the_sample_count_are_enumerated():

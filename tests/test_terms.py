@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles as o
 from conftest import run_python
 from relalg import laws
 from relalg.laws import REGISTRY, Law, Var, _pool, _term, run_law
@@ -52,6 +53,11 @@ SLICED = {
     "index-is-core-relation", "index-of-itself", "index-via-own-domains", "index-compose-sandwich",
     "per-sandwich-per", "index-ldom-indexes-per", "index-witness-core", "difunction-index-bijection",
     "difunction-index-equiv",
+    # point binders, and the predicate words pair, particle and point they define
+    "decompose-compose", "decompose-converse", "saturation-relation", "point-saturation", "pair-domains",
+    "pair-point-sandwich", "particle-point",
+    # formula parentheses
+    "per-index-equiv", "core-relation-own-index",
 }
 
 # the letters of the planted statements, in variable order
@@ -103,9 +109,46 @@ def _ops(statement: str, vars=R4, letters: str = "RSTU") -> list:
     # a bound letter is its term
     ("J∘S = T where J = index R∘U", "(index R∘U)∘S = T"),
     ("λ = ρ° where J = index R, λ = J<∘S, ρ = S°∘J<", "(index R)<∘S = (S°∘(index R)<)°"),
+    # a parenthesis at the place of a comparison holds a formula, or a term
+    ("(R ⊆ S) ≡ (T ⊆ U)", "R ⊆ S ≡ T ⊆ U"),
+    ("((R ⊆ S)) or T ⊆ U", "R ⊆ S or T ⊆ U"),
+    ("((R∘S)° ∪ T) = U", "(R∘S)° ∪ T = U"),
+    ("S = ⋃ a:point A . a if a ⊆ R", "(S = (⋃ a:point A . a if a ⊆ R))"),
+    # a union's guard is a conjunction, a quantifier's formula an implication
+    ("R = ⋃ a:point A . a if a ⊆ S and a ⊆ T, U = U", "R = (⋃ a:point A . a if (a ⊆ S and a ⊆ T)), U = U"),
+    ("R = ⋃ a:point A . a if a ⊆ S or U = U", "(R = ⋃ a:point A . a if a ⊆ S) or U = U"),
+    ("∀ a:point A . a ⊆ R ⇒ a ⊆ S, U = U", "(∀ a:point A . (a ⊆ R ⇒ a ⊆ S)), U = U"),
 ])
 def test_precedence(loose, bracketed):
     assert _ops(loose) == _ops(bracketed)
+
+
+def test_formula_parentheses_compare_two_conjunctions():
+    code = _ops("(R ⊆ S and S ⊆ T) ≡ (T ⊆ U and U ⊆ R)")
+    iff = code[-1]
+    assert iff[0] == "≡" and [code[k][0] for k in iff[1]] == ["and", "and"]
+    # without them ≡ binds tighter than and
+    code = _ops("R ⊆ S and S ⊆ T ≡ T ⊆ U and U ⊆ R")
+    assert code[-1][0] == "and"
+
+
+def test_binders_bind_fresh_letters_over_points():
+    vars = (Var("relation", "A", "B"),)
+    code = parse("R = ⋃ a:point A, b:point B . a∘⊤∘b if a∘⊤∘b ⊆ R", vars, "R")._code
+    union = code[code[-1][1][1]]
+    assert union[0] == "⋃" and union[2] == ("A", "B")
+    body, guard, *letters = union[1]
+    assert [code[k][0::2] for k in letters] == [("point", ("A",)), ("point", ("B",))]
+    assert code[guard][0] == "⊆"
+    # the letters are in scope in the binder alone, and may be bound again after it
+    parse("∀ a:point A . a∘R ⊆ R, ∃ a:point B . R∘a ⊆ R", vars, "R")
+    # a where clause may bind a union, whose guard may compare
+    assert _ops("W ⊆ T where W = ⋃ a:point A . a if a∘S = a, V = W∘W") == _ops(
+        "(⋃ a:point A . a if a∘S = a) ⊆ T")
+    # a predicate defined by a binder is the binder
+    assert _ops("pair R∘S", R4) == _ops("∃ a:point A, b:point A . R∘S = a∘⊤∘b", R4)
+    assert _ops("particle R", R4) == _ops("∃ a:point A . R = a∘⊤∘a", R4)
+    assert _ops("point R", R4) == _ops("∃ a:point A . R = a", R4)
 
 
 def test_formula_precedence():
@@ -206,6 +249,24 @@ def test_a_qualifier_restates_the_kinds():
     ("J = R where J = J∘R", 17, "'J' is used before its binding"),
     ("R = S where", 12, "expected a binding such as 'J = index R', got the end of the statement"),
     ("R = S where J = R S", 19, "unexpected 'S'"),
+    # formula parentheses and binders
+    ("(R ⊆ S and T) ≡ R = S", 13, "expected one of ⊆ = ≠ after a term, got ')'"),
+    ("R = ⋃ R:point A . R if R ⊆ S", 7, "'R' is already bound; a binder binds new letters"),
+    ("R = ⋃ a:point A, a:point A . a if a ⊆ S", 18, "'a' is already bound"),
+    ("∀ a:point A . ∃ a:point B . R = R", 17, "'a' is already bound"),
+    ("J = R where J = ⋃ J:point A . J if J ⊆ J", 19, "'J' is already bound"),
+    ("R = ⋃ a:pair A . a if a ⊆ S", 9, "expected a pool (point) after ':', got 'pair'"),
+    ("R = ⋃ a:point D . a if a ⊆ S", 15, "expected a carrier of the law (A, B, C) after 'point', got 'D'"),
+    ("R = ⋃ a R", 9, "expected ':', got 'R'"),
+    ("R = ⋃", 6, "expected a bound letter such as 'a:point A', got the end of the statement"),
+    ("R = ⋃ a:point A a", 17, "expected '.', got 'a'"),
+    ("R = ⋃ a:point A . a∘R", 22, "expected 'if', got the end of the statement"),
+    ("R = ⋃ a:point A . a if a", 25, "expected one of ⊆ = ≠ after a term"),
+    ("∀ a:point A . a ⊆ a, a ⊆ R", 22, "unknown letter 'a'"),
+    ("∀ a:point A . a", 16, "expected one of ⊆ = ≠ after a term"),
+    ("R = ⋃ a:point A . a if a ⊆ a", 3, "carrier mismatch: = joins carrier B with carrier A"),
+    ("point R", 1, "carrier mismatch: point joins carrier A with carrier B"),
+    ("pair R ⊆ S", 8, "unexpected '⊆'"),
 ])
 def test_parse_errors_name_the_law_and_the_column(statement, column, message):
     vars = (Var("relation", "A", "B"), Var("relation", "A", "B"), Var("relation", "B", "C"))
@@ -316,6 +377,25 @@ def test_sliced_and_scalar_verdicts_agree_per_instance(law_id):
     "rectangle R∘T, difunctional S°",
     # the min-policy index on the scalar side, on planes on the sliced one
     "J ⊆ S ≡ J∘T ⊆ K∘T where J = index R, K = index S",
+    # formula parentheses
+    "(R ⊆ S or S ⊆ R) ≡ (R∘T = S∘T and R ≠ ⊥)",
+    # binders: a loop over the kernel's points on the scalar side, over
+    # constant planes on the sliced one
+    "R ⊆ ⋃ a:point A, b:point B . a∘⊤∘b if a∘⊤∘b ⊆ S",
+    "R∘T ⊆ ⋃ a:point A, c:point C . a∘⊤∘c if a∘⊤∘c ⊆ S∘T",
+    "∀ a:point A . a∘R ⊆ a∘S or a∘R = ⊥",
+    "∃ b:point B . R∘b = S∘b and R∘b ≠ ⊥",
+    "∀ a:point A . R ⊆ S",  # a binder whose formula does not use its letter
+    "R° = ⋃ a:point A, b:point B . b∘⊤∘a if a∘⊤∘b ⊆ R ∩ S",
+    "R ⊆ ⋃ a:point A . a∘S if a∘R ≠ ⊥",  # a term that varies with the instance
+    # nested binders, wide and uniform
+    "∀ a:point A . ∃ b:point B . a∘⊤∘b ⊆ R ∪ S",
+    "∀ b:point B . R∘b ⊆ ⋃ a:point A . a∘⊤∘b if a∘⊤∘b ⊆ S",
+    "(∃ a:point A . ∀ b:point A . a∘b = b) ⇒ R ⊆ S",
+    "∃ a:point A . (∀ b:point A . a∘b ⊆ a) and a∘R ⊆ a∘S and a∘R ≠ ⊥",
+    # the predicates a binder defines
+    "pair R ∩ S ≡ particle R∘R°",
+    "point R∘R° or pair S∘T",
 ])
 def test_sliced_and_scalar_verdicts_agree_on_every_operation(statement):
     # statements that fail on some instances and hold on others
@@ -333,6 +413,111 @@ def test_sliced_index_is_the_min_policy_index(n, k):
     planes = _SLICED["index"]((1 << count) - 1, (n, k), range_planes(n * k, 1, count))
     a, b = Carrier("A", n), Carrier("B", k)
     assert _plane_bits(planes, count) == [relation_index(_make(a, b, code)).index.code for code in range(count)]
+
+
+# -- the laws that were Python checks, against independent oracles --------------------
+
+# Each law's truth on one instance, from tests/oracles.py: its arguments as
+# frozensets of cells, and each argument's rows and columns.
+ORACLES = {
+    "saturation-relation": lambda args, shapes: o.osaturation(*args, *shapes[0]),
+    "decompose-converse": lambda args, shapes: o.odecompose_converse(*args, *shapes[0]),
+    "decompose-compose": lambda args, shapes: o.odecompose_compose(*args),
+    "point-saturation": lambda args, shapes: o.opoint_saturation(*args, shapes[0][0]),
+    "pair-domains": lambda args, shapes: o.opair_domains(*args),
+    "pair-point-sandwich": lambda args, shapes: o.opair_point_sandwich(*args, shapes[0][0], shapes[1][0]),
+    "particle-point": lambda args, shapes: o.oparticle_point(*args),
+    "per-index-equiv": lambda args, shapes: o.oper_index_equiv(*args, shapes[0][0]),
+    "core-relation-own-index": lambda args, shapes: o.ocore_relation_own_index(*args, *shapes[0]),
+}
+
+HOMOGENEOUS = (Var("relation", "A", "A"),)
+
+# A wrong statement of each law, which its oracle must tell apart from the law:
+# (law, statement, its variables when they are not the law's)
+WRONG = [
+    ("decompose-converse", "R° = ⋃ a:point A, b:point A . a∘⊤∘b if a∘⊤∘b ⊆ R", HOMOGENEOUS),  # pairs not flipped
+    ("saturation-relation", "R = ⋃ a:point A, b:point B . a∘⊤∘b if a∘⊤∘b ⊆ R∘⊤[B,B]", None),
+    ("decompose-compose", "R∘S = ⋃ a:point A, b:point B, c:point C . (a∘⊤∘b)∘(b∘⊤∘c) if a∘⊤∘b ⊆ R", None),
+    ("point-saturation", "p = ⋃ a:point A . a if a ⊆ 𝕀", None),
+    ("pair-domains", "particle R< ⇒ pair R", None),
+    ("pair-point-sandwich", "pair Z and Z° = Z where Z = a∘⊤∘b", (Var("point", "A", "A"),) * 2),
+    ("particle-point", "particle Z ≡ pair Z", None),
+    ("per-index-equiv", "(J ⊆ P< and J∘P∘J = J) ≡ (J ⊆ P and P≺∘J∘P≻ = P and J<∘P≺∘J< = J< and J>∘P≻∘J> = J>)",
+     None),
+    ("core-relation-own-index", "R< = R≺ ≡ (J ⊆ R and R≺∘J∘R≻ = R and J<∘R≺∘J< = J< and J>∘R≻∘J> = J>) where J = R",
+     None),
+]
+
+# every instance of at most 12 matrix bits, over carriers of the sizes the runner takes
+ORACLE_BITS = 12
+
+
+@lru_cache(maxsize=None)
+def _cells(code: int, n: int, k: int) -> frozenset:
+    return frozenset((c // k, c % k) for c in range(n * k) if code >> c & 1)
+
+
+def _oracle_disagreements(formula: Formula, vars, law_id: str) -> tuple[list, int]:
+    """The instances of at most ORACLE_BITS matrix bits on which the sliced
+    verdict of formula differs from law_id's oracle, and the instance count."""
+    oracle = ORACLES[law_id]
+    tvs = list(dict.fromkeys(tv for v in vars for tv in (v.src, v.dst)))
+    wrong, count = [], 0
+    for sizes in product(range(1, laws.MAX_CARRIER_SIZE + 1), repeat=len(tvs)):
+        n = dict(zip(tvs, sizes))
+        shapes = [(n[v.src], n[v.dst]) for v in vars]
+        if sum(a * b for a, b in shapes) > ORACLE_BITS:
+            continue
+        carriers = {tv: Carrier(tv, k) for tv, k in n.items()}
+        instances = list(product(*(_pool(v.kind, carriers[v.src], carriers[v.dst]) for v in vars)))
+        planes = [code_planes(column, a * b) for column, (a, b) in zip(zip(*instances), shapes)]
+        fails = formula.failures(planes, n, (1 << len(instances)) - 1)
+        for x, codes in enumerate(instances):
+            args = [_cells(code, a, b) for code, (a, b) in zip(codes, shapes)]
+            if bool(fails >> x & 1) == oracle(args, shapes):
+                wrong.append((n, codes))
+        count += len(instances)
+    return wrong, count
+
+
+@pytest.mark.parametrize("law_id", sorted(ORACLES))
+def test_a_statement_agrees_with_its_oracle_up_to_12_bits(law_id):
+    law = REGISTRY[law_id]
+    wrong, count = _oracle_disagreements(law.check, law.vars, law_id)
+    assert wrong == [] and count > 0
+
+
+@pytest.mark.parametrize("law_id, statement, vars", WRONG, ids=[law_id for law_id, _, _ in WRONG])
+def test_a_wrong_statement_disagrees_with_the_oracle(law_id, statement, vars):
+    law = REGISTRY[law_id]
+    vars = vars or law.vars
+    formula = parse(statement, vars, law.check.letters, "zz-wrong")
+    wrong, _ = _oracle_disagreements(formula, vars, law_id)
+    assert wrong
+    # its first failure replays one instance at a time, shrunk by the scalar evaluator
+    report = run_law(Law("zz-wrong", statement, vars, formula, law.cost), max_size=3, samples=50, seed=7)
+    (ce,) = report.failures
+    carriers = {tv: Carrier(tv, k) for tv, k in ce.sizes.items()}
+    assert not formula(ce.args, carriers)
+    args = [_cells(r.code, r.src.size, r.dst.size) for r in ce.args]
+    assert ORACLES[law_id](args, [(r.src.size, r.dst.size) for r in ce.args])
+
+
+@pytest.mark.parametrize("word, oracle", [
+    # Z ≠ ⊥, Z = Z∘⊤∘Z, Z< = Z∘Z° and Z> = Z°∘Z
+    ("pair", lambda r, n, k: o.ois_pair(r, n, k)),
+    ("particle", lambda r, n, k: o.ois_pair(r, n, k) and o.oconverse(r) == r),  # a symmetric pair
+    ("point", lambda r, n, k: o.ois_coreflexive(r) and len(r) == 1),  # a coreflexive atom
+])
+def test_the_words_a_binder_defines_are_their_algebraic_definitions(word, oracle):
+    homogeneous = word != "pair"
+    for n, k in [(n, k) for n in range(1, 4) for k in range(1, 4) if not homogeneous or n == k]:
+        vars = (Var("relation", "A", "A" if homogeneous else "B"),)
+        formula = parse(f"{word} R", vars, "R")
+        fails = formula.failures([range_planes(n * k, 1, 1 << n * k)], {"A": n, "B": k}, (1 << (1 << n * k)) - 1)
+        assert [not (fails >> code & 1) for code in range(1 << n * k)] == [
+            oracle(_cells(code, n, k), n, k) for code in range(1 << n * k)]
 
 
 @pytest.mark.parametrize("law_id", sorted(PLANTED_LETTERS))
