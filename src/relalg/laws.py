@@ -21,12 +21,13 @@ the check cannot drift apart. The runner evaluates each size tuple of such a
 law in batches of instances at once, bit-sliced, with the order, draws and
 first failure the scalar scan has on the same tuple in the same mode; the
 failure is then shrunk one instance at a time. The index laws that speak of
-the min-policy index J of R are terms too, through ``where J = index R``.
-The other laws enumerate every index, compute a core, an isomorphism, a pair
-decomposition or a classification, call splitting or per_index by name, or
-speak of matrix cells and counts, which no term of the grammar names, and
-keep a Python check. build_manifest() emits the machine-readable catalogue
-the CLI serves, including the explicit out-of-scope entries.
+the min-policy index J of R are terms too, through ``where J = index R``, and
+so are the laws that take unions over the points of a carrier, through point
+binders. The other laws enumerate every index, compute a core, an isomorphism
+or a classification, call splitting or per_index by name, or speak of matrix
+cells and counts, which no term of the grammar names, and keep a Python check.
+build_manifest() emits the machine-readable catalogue the CLI serves,
+including the explicit out-of-scope entries.
 """
 
 from __future__ import annotations
@@ -34,20 +35,19 @@ from __future__ import annotations
 import fnmatch
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from math import isqrt, prod
 from typing import Callable, Sequence
 
 from . import factors, indexcore, isomorph
 from .terms import Formula, code_planes, fixed_planes, parse, range_planes
-from .points import decompose_to_pairs, is_atom, is_pair, is_particle, is_point, pair_rel, points, union_all
+from .points import is_atom, is_pair, is_point, points
 from .domains import (
     _difunctional_codes, _functional_codes, _ldom_code, _rdom_code, classify, enumerate_pers, is_bijection,
-    is_core_relation, is_coreflexive, is_difunctional, is_functional, is_per, ldom, per_ldom, per_rdom, rdom,
+    is_coreflexive, is_difunctional, is_functional, is_per, ldom, per_ldom, per_rdom, rdom,
 )
 from .rel import (
-    MAX_ENUM_BITS, Carrier, Relation, _compose_memo, _make, _relation_codes, compose, converse,
+    MAX_ENUM_BITS, Carrier, Relation, _make, _relation_codes, compose, converse,
     enumerate_coreflexives, enumerate_relations, from_pairs, is_subset, relation_at,
 )
 
@@ -373,13 +373,10 @@ _term("compose-top-rectangle", "rectangle R∘⊤∘S", "RS", (_rel("A", "B"), _
 # -- indexes and cores ------------------------------------------------------------
 
 
-def c_core_relation_own_index(a, C):
-    (r,) = a
-    return is_core_relation(r) == indexcore.verify_index(r, r).ok
-
-
-_law("core-relation-own-index", "R is a core relation ≡ R indexes itself",
-     (_rel("A", "B"),), c_core_relation_own_index)
+# R is a core relation ≡ R indexes itself: conditions (a)-(d) of indexcore with J = R
+_term("core-relation-own-index",
+      "(R< = R≺ and R> = R≻) ≡ (J ⊆ R and R≺∘J∘R≻ = R and J<∘R≺∘J< = J< and J>∘R≻∘J> = J>) where J = R",
+      "R", (_rel("A", "B"),), cost=1)
 
 
 _term("index-is-core-relation", "J< = J≺ and J> = J≻ and J≺ ⊆ R≺ and J≻ ⊆ R≻ where J = index R", "R",
@@ -512,13 +509,10 @@ _law("per-index-coreflexive", "per_index(P) is a coreflexive satisfying J ⊆ P<
      (_per("A"),), c_per_index_coreflexive, cost=4)
 
 
-def c_per_index_equiv(a, C):
-    p, j = a
-    return _simple_per_index(p, j) == indexcore.verify_index(p, j).ok
-
-
-_law("per-index-equiv", "for pers, the three simple index conditions ≡ the general four",
-     (_per("A"), _cor("A")), c_per_index_equiv, cost=4)
+# for pers, the three simple index conditions ≡ the general four
+_term("per-index-equiv",
+      "(J ⊆ P< and J∘P∘J = J and P∘J∘P = P) ≡ (J ⊆ P and P≺∘J∘P≻ = P and J<∘P≺∘J< = J< and J>∘P≻∘J> = J>) "
+      "for pers P", "PJ", (_per("A"), _cor("A")), cost=4)
 
 
 def c_per_to_relation_index(a, C):
@@ -638,25 +632,9 @@ _law("core-if-iso", "P< ≅ P ⇒ P< = P for pers", (_per("A"),), c_core_if_iso,
 
 _term("point-compose", "a = b ⇒ a∘b = a, a ≠ b ⇒ a∘b = ⊥ for points", "ab", (_pt("A"), _pt("A")))
 
+_term("point-saturation", "p = ⋃ a:point A . a if a ⊆ p", "p", (_cor("A"),), cost=1)
 
-def c_point_saturation(a, C):
-    (p,) = a
-    below = [q for q in points(p.src) if is_subset(q, p)]
-    return union_all(below, p.src, p.src) == p
-
-
-_law("point-saturation", "every coreflexive is the union of the points below it",
-     (_cor("A"),), c_point_saturation)
-
-
-def c_pair_point_sandwich(a, C):
-    x, y = a
-    z = pair_rel(x, y)
-    return is_pair(z) and ldom(z) == x and rdom(z) == y
-
-
-_law("pair-point-sandwich", "a∘⊤∘b is a pair with domains a and b",
-     (_pt("A"), _pt("B")), c_pair_point_sandwich)
+_term("pair-point-sandwich", "pair Z and Z< = a and Z> = b where Z = a∘⊤∘b", "ab", (_pt("A"), _pt("B")), cost=1)
 
 
 def c_pair_characterization(a, C):
@@ -667,80 +645,25 @@ def c_pair_characterization(a, C):
 _law("pair-characterization", "pair ≡ proper atom ≡ single matrix cell",
      (_rel("A", "B"),), c_pair_characterization)
 
+# both against the point-free form: a non-empty coreflexive whose square Z∘⊤∘Z stays in 𝕀
+_term("particle-point", "particle Z ≡ point Z ≡ (Z ⊆ 𝕀 and Z ≠ ⊥ and Z∘⊤∘Z ⊆ 𝕀)", "Z", (_rel("A", "A"),), cost=1)
 
-def c_particle_point(a, C):
-    (z,) = a
-    part = is_particle(z)
-    point = is_coreflexive(z) and bool(z) and is_atom(z, "relations")
-    return part == point
-
-
-_law("particle-point", "particle ≡ point", (_rel("A", "A"),), c_particle_point)
-
-
-def c_pair_domains(a, C):
-    (r,) = a
-    return not is_pair(r) or (is_particle(ldom(r)) and is_particle(rdom(r)))
-
-
-_law("pair-domains", "a pair's domains are particles", (_rel("A", "B"),), c_pair_domains)
-
+_term("pair-domains", "pair R ⇒ particle R< and particle R>", "R", (_rel("A", "B"),), cost=1)
 
 _term("all-or-nothing", "a∘R∘b = ⊥ or a∘R∘b = a∘⊤∘b", "Rab", (_rel("A", "B"), _pt("A"), _pt("B")), cost=3)
 
+_term("saturation-relation", "R = ⋃ a:point A, b:point B . a∘⊤∘b if a∘⊤∘b ⊆ R", "R", (_rel("A", "B"),),
+      cost=4)
 
-@lru_cache(maxsize=None)
-def _pair_table(src: Carrier, dst: Carrier) -> dict[tuple[int, int], Relation]:
-    """a∘⊤∘b for every pair of points, shared across law instances."""
-    left, right = points(src), points(dst)
-    return {
-        (i, j): pair_rel(x, y)
-        for i, x in enumerate(left)
-        for j, y in enumerate(right)
-    }
+_term("decompose-converse", "R° = ⋃ a:point A, b:point B . b∘⊤∘a if a∘⊤∘b ⊆ R", "R", (_rel("A", "B"),),
+      cost=4)
 
-
-def c_saturation_relation(a, C):
-    (r,) = a
-    parts = [pair_rel(x, y) for x, y in decompose_to_pairs(r)]
-    return union_all(parts, r.src, r.dst) == r
-
-
-_law("saturation-relation", "R is the union of the pairs it dominates",
-     (_rel("A", "B"),), c_saturation_relation, cost=4)
-
-
-def c_decompose_converse(a, C):
-    (r,) = a
-    flipped = [pair_rel(y, x) for x, y in decompose_to_pairs(r)]
-    return union_all(flipped, r.dst, r.src) == converse(r)
-
-
-_law("decompose-converse", "R° is the union of the flipped pairs of R",
-     (_rel("A", "B"),), c_decompose_converse, cost=4)
-
-
-def c_decompose_compose(a, C):
-    r, s = a
-    n, m, p = r.src.size, r.dst.size, s.dst.size
-    left = _pair_table(r.src, r.dst)
-    right = _pair_table(s.src, s.dst)
-    out = _pair_table(r.src, s.dst)
-    s_pairs = [(j, k, right[j, k].code) for j, k in s.pairs()]
-    acc = 0
-    for i, j in r.pairs():
-        x = left[i, j].code
-        for j2, k, y in s_pairs:
-            piece = _compose_memo(x, y, n, m, p)
-            if piece != (out[i, k].code if j == j2 else 0):
-                return False
-            acc |= piece
-    return acc == compose(r, s).code
-
-
-_law("decompose-compose", "pairwise composition of pairs reconstructs R∘S",
-     (_rel("A", "B"), _rel("B", "C")), c_decompose_compose, cost=40)
-
+# cost 38: the most at which the default budget enumerates the 2^18 instances of a 3×3×3 tuple
+_term("decompose-compose",
+      "R∘S = ⋃ a:point A, b:point B, c:point C . (a∘⊤∘b)∘(b∘⊤∘c) if a∘⊤∘b ⊆ R and b∘⊤∘c ⊆ S, "
+      "∀ a:point A, b:point B, c:point C . (a∘⊤∘b)∘(b∘⊤∘c) = a∘⊤∘c, "
+      "∀ a:point A, b:point B, d:point B, c:point C . b ≠ d ⇒ (a∘⊤∘b)∘(d∘⊤∘c) = ⊥", "RS",
+      (_rel("A", "B"), _rel("B", "C")), cost=38)
 
 _term("pair-irreducible", "a∘⊤∘b ⊆ R∪S ⇒ a∘⊤∘b ⊆ R or a∘⊤∘b ⊆ S", "RSab",
       (_rel("A", "B"), _rel("A", "B"), _pt("A"), _pt("B")), cost=5)

@@ -87,25 +87,25 @@ subterms appear once:
   the least member of its X≺-class and j of its X≻-class. A binder runs
   over the combinations of its members, constant planes; a union masks its
   term's planes with its guard's plane and ORs them, ∀ ANDs its formula's
-  planes and ∃ ORs them. The result has bit x set when the statement fails on instance x
-  (the bitslicing of E. Biham's DES implementation, FSE 1997).
+  planes and ∃ ORs them. The result has bit x set when the statement fails
+  on instance x (the bitslicing of E. Biham's DES implementation, FSE 1997).
 
 Both evaluators evaluate an instruction that uses no bound letter once per
-instance or batch, outside every binder. Inside one, the scalar evaluator
-evaluates an instruction once for each member of the letters up to the last
-one it uses. The sliced evaluator evaluates an instruction that uses no
-variable, such as the piece (a∘⊤∘b)∘(b∘⊤∘c), once per batch: its value is
-the same on every instance, so it is held over all member combinations at
-once, bit x of each plane for combination x. The others it evaluates once
-for each combination of the letters they use, so a guard on (a, b) is not
-evaluated again for each c; a binder that is uniform, and whose inputs are
-held, needs no loop at all.
+instance or batch, outside every binder. Inside one, a binder's loop moves
+its last letter fastest, and an instruction is evaluated again only when a
+letter up to the last one it uses moves, so a guard on (a, b) is not
+evaluated again for each c. The sliced evaluator also evaluates an
+instruction that uses no variable, such as the piece (a∘⊤∘b)∘(b∘⊤∘c), once
+per batch, ahead of the loop: its value is the same on every instance, so it
+is held over all member combinations at once, bit x of each plane for
+combination x, and the loop reads bit x.
 """
 
 from __future__ import annotations
 
 import re
 from functools import lru_cache, reduce
+from itertools import product
 from math import prod
 from operator import and_, eq, ne, or_, xor
 from typing import Sequence
@@ -147,7 +147,7 @@ _FORMULA_TOKENS = _COMPARISONS + ("≡", "⇒", "and", "or", ",", "∀", "∃") 
 class Formula:
     """A parsed statement over a law's variables; callable as a law check."""
 
-    __slots__ = ("statement", "letters", "_code", "_uniform", "_owner", "_held", "_top", "_binders", "_uses")
+    __slots__ = ("statement", "letters", "_code", "_uniform", "_owner", "_held", "_top", "_binders")
 
     def __init__(self, statement: str, letters: str, code: list[tuple[str, tuple, tuple]]):
         self.statement, self.letters, self._code = statement, letters, code
@@ -167,7 +167,6 @@ class Formula:
         self._owner: Sequence[int | None] = ()
         self._held: Sequence[bool] = ()
         self._binders: dict[int, tuple] = {}
-        self._uses: dict[int, tuple[int, ...]] = {}
         if not binder_of:
             return
         # Each instruction runs at the top, once per instance or batch, or in
@@ -182,45 +181,37 @@ class Formula:
             b = owner[i]
             if b is not None and op not in _POOLS:
                 own = code[b][1][_BINDERS[code[b][0]]:]
-                uses = tuple(p for p, k in enumerate(own) if scope[i] >> k & 1)
-                levels[b][1 + uses[-1]].append(i)
-                self._uses[i] = uses
+                last = max(p for p, k in enumerate(own) if scope[i] >> k & 1)
+                levels[b][1 + last].append(i)
         # The sliced evaluator holds a uniform instruction over all member
         # combinations of its owner at once, bit x for combination x, when its
         # inputs allow; it runs once, ahead of its owner's loop, and the others
-        # run in the loop. The owner itself needs no loop when it is uniform
-        # and its inputs are held.
+        # run in the loop. When the loop moves letters k and after to their
+        # next members, runs[k] are the instructions to evaluate again.
         held = self._held = [op in _POOLS for op, _, _ in code]
         for i, (op, ins, dims) in enumerate(code):
             if owner[i] is not None and uniform[i] and op not in _BINDERS and op not in _POOLS:
                 held[i] = all(held[k] or owner[k] != owner[i] for k in ins)
         for b, steps in levels.items():
-            op, ins, _ = code[b]
-            sliceable = uniform[b] and all(held[k] or owner[k] != b for k in ins[:_BINDERS[op]])
-            self._binders[b] = (steps, [i for level in steps for i in level if held[i]],
-                                [[i for i in level if not held[i]] for level in steps], sliceable)
+            runs = [[i for level in steps[k + 1:] for i in level] for k in range(len(steps) - 1)]
+            self._binders[b] = (runs, [i for level in steps for i in level if held[i]],
+                                [[i for i in run if not held[i]] for run in runs])
 
     def __repr__(self) -> str:
         return f"Formula({self.statement!r}, letters={self.letters!r})"
 
     def _walk(self, b: int, vals: list, members: list, step):
         """Set binder b's letters to each combination of their members in
-        turn, running each level's instructions as its letter is set; yield
-        once per combination."""
+        turn, the last letter changing fastest, and evaluate again what uses
+        the letters that moved; yield once per combination."""
         op, ins, _ = self._code[b]
-        own, levels = ins[_BINDERS[op]:], self._binders[b][0]
-
-        def walk(k: int):
-            if k == len(own):
-                yield
-                return
-            for member in members[k]:
-                vals[own[k]] = member
-                for i in levels[k + 1]:
-                    step(i)
-                yield from walk(k + 1)
-
-        return walk(0)
+        own, runs = ins[_BINDERS[op]:], self._binders[b][0]
+        for combo, start in zip(product(*members), _starts(tuple(map(len, members)))):
+            for k in range(start, len(own)):
+                vals[own[k]] = combo[k]
+            for i in runs[start]:
+                step(i)
+            yield
 
     def __call__(self, args, carriers) -> bool:
         """The statement's truth on one instance, by the kernel operations."""
@@ -301,71 +292,26 @@ class Formula:
             kids, own = ins[:_BINDERS[op]], ins[_BINDERS[op]:]
             width = 1 if uniform[b] and owner[b] is not None else full
             counts = [sizes[code[k][2][0]] for k in own]
-            letters = _member_planes(tuple(counts))
-            mask[b] = m = (1 << prod(counts)) - 1
-            for k, member_planes in zip(own, letters):
+            mask[b] = (1 << prod(counts)) - 1
+            for k, member_planes in zip(own, _member_planes(tuple(counts))):
                 vals[k] = member_planes
-            _, ahead, levels, sliceable = self._binders[b]
+            _, ahead, looped = self._binders[b]
             for i in ahead:
                 step(i)
-            if sliceable:  # every combination at once
-                body = read(kids[0], b, m)
-                if op == "⋃":
-                    guard = read(kids[1], b, m)
-                    return [width if v & guard else 0 for v in body]
-                return width if (body == m if op == "∀" else body) else 0
-            strides = [prod(counts[j + 1:]) for j in range(len(counts))]
-
-            # a looped instruction that skips an outer letter keeps its value
-            # for each combination of the letters it uses
-            index = [0] * len(counts)
-            kept: dict = {}
-
-            def walk(k: int, x: int):
-                for member in range(counts[k]):
-                    at[b] = here = x + member * strides[k]
-                    index[k] = member
-                    for i in levels[k + 1]:
-                        uses = self._uses[i]
-                        if len(uses) > k:
-                            step(i)
-                            continue
-                        key = (i, *[index[p] for p in uses])
-                        if key in kept:
-                            vals[i] = kept[key]
-                        else:
-                            step(i)
-                            kept[key] = vals[i]
-                    if k + 1 == len(counts):
-                        yield here
-                    else:
-                        yield from walk(k + 1, here)
-
-            if op == "⋃":
-                body, guard = kids
-                acc = [0] * (sizes[dims[0]] * sizes[dims[1]])
-                if held[body] and owner[body] == b:
-                    # a body held over the combinations marks the cells each one's guard fills
-                    filled: list[list[int]] = [[] for _ in range(m.bit_length())]
-                    for c, v in enumerate(vals[body]):
-                        while v:
-                            low = v & -v
-                            filled[low.bit_length() - 1].append(c)
-                            v ^= low
-                    for x in walk(0, 0):
-                        g = read(guard, None, width)
-                        for c in filled[x] if g else ():
-                            acc[c] |= g
-                    return acc
-                for _ in walk(0, 0):
-                    g = read(guard, None, width)
+            acc = [0] * (sizes[dims[0]] * sizes[dims[1]]) if op == "⋃" else width if op == "∀" else 0
+            for x, start in enumerate(_starts(tuple(counts))):
+                at[b] = x
+                for i in looped[start]:
+                    step(i)
+                if op == "⋃":  # the term's planes masked with the guard's plane
+                    g = read(kids[1], None, width)
                     if g:
-                        for c, v in enumerate(read(body, None, width)):
+                        for c, v in enumerate(read(kids[0], None, width)):
                             acc[c] |= v & g
-                return acc
-            acc = width if op == "∀" else 0
-            for _ in walk(0, 0):
-                acc = acc & read(kids[0], None, width) if op == "∀" else acc | read(kids[0], None, width)
+                elif op == "∀":
+                    acc &= read(kids[0], None, width)
+                else:
+                    acc |= read(kids[0], None, width)
             return acc
 
         return bind
@@ -837,16 +783,36 @@ def _pick(value, x: int, full: int):
     return full if value >> x & 1 else 0
 
 
+def _starts(counts: tuple[int, ...]) -> list[int]:
+    """For binder letters with these member counts, the last letter changing
+    fastest: at each combination, the first letter that moved to reach it
+    (0 at the first). Letter k moves every prod(counts[k + 1:]) combinations."""
+    total = prod(counts)
+    if not total:  # an empty carrier, as shrinking may reach: no combinations
+        return []
+    out = [0] * total
+    for k in reversed(range(len(counts))):
+        stride = prod(counts[k + 1:])
+        out[::stride] = [k] * (total // stride)
+    return out
+
+
 @lru_cache(maxsize=64)
 def _member_planes(counts: tuple[int, ...]) -> tuple[list[int], ...]:
     """For binder letters over the points of carriers of these sizes, each
     letter's planes over all member combinations, the first letter's member
-    changing slowest: bit x of every plane belongs to combination x."""
+    changing slowest: bit x of every plane belongs to combination x. A
+    letter whose member moves every `stride` combinations is at member i in
+    blocks of stride bits, n·stride bits apart, from bit i·stride; member i
+    is the point whose one cell is (i, i)."""
     total = prod(counts)
     out, stride = [], total
     for n in counts:
         stride //= n
-        out.append(code_planes([1 << i * (n + 1) for i in range(n)], n * n, stride, total // (stride * n)))
+        block = ((1 << stride) - 1) * _repunit(n * stride, total // (n * stride))
+        planes = [0] * (n * n)
+        planes[::n + 1] = [block << i * stride for i in range(n)]
+        out.append(planes)
     return tuple(out)
 
 

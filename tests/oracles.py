@@ -228,11 +228,22 @@ def odecompose_converse(r: Pairs, na: int, nb: int) -> bool:
     return frozenset((b, a) for a, b in product(range(na), range(nb)) if (a, b) in r) == oconverse(r)
 
 
-def odecompose_compose(r: Pairs, s: Pairs) -> bool:
+def opair(a: int, b: int, na: int, nb: int) -> Pairs:
+    """a∘⊤∘b for the points (a, a) of A and (b, b) of B, composed."""
+    return ocompose(ocompose(frozenset({(a, a)}), otop(na, nb)), frozenset({(b, b)}))
+
+
+def odecompose_compose(r: Pairs, s: Pairs, na: int, nb: int, nc: int) -> bool:
     """R∘S is the union of the pieces (a∘⊤∘b)∘(b'∘⊤∘c) over the pairs below
-    R and S; each piece is a∘⊤∘c where b = b', and empty elsewhere."""
-    pieces = [((a, c), b == b2) for a, b in r for b2, c in s]
-    return frozenset(cell for cell, meets in pieces if meets) == ocompose(r, s)
+    R and S, each composed; a piece is a∘⊤∘c where b = b', and empty elsewhere."""
+    union: set = set()
+    for a, b in r:
+        for b2, c in s:
+            piece = ocompose(opair(a, b, na, nb), opair(b2, c, nb, nc))
+            if piece != (opair(a, c, na, nc) if b == b2 else frozenset()):
+                return False
+            union |= piece
+    return union == ocompose(r, s)
 
 
 def opoint_saturation(p: Pairs, n: int) -> bool:

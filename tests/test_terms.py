@@ -422,7 +422,7 @@ def test_sliced_index_is_the_min_policy_index(n, k):
 ORACLES = {
     "saturation-relation": lambda args, shapes: o.osaturation(*args, *shapes[0]),
     "decompose-converse": lambda args, shapes: o.odecompose_converse(*args, *shapes[0]),
-    "decompose-compose": lambda args, shapes: o.odecompose_compose(*args),
+    "decompose-compose": lambda args, shapes: o.odecompose_compose(*args, *shapes[0], shapes[1][1]),
     "point-saturation": lambda args, shapes: o.opoint_saturation(*args, shapes[0][0]),
     "pair-domains": lambda args, shapes: o.opair_domains(*args),
     "pair-point-sandwich": lambda args, shapes: o.opair_point_sandwich(*args, shapes[0][0], shapes[1][0]),
@@ -502,6 +502,16 @@ def test_a_wrong_statement_disagrees_with_the_oracle(law_id, statement, vars):
     assert not formula(ce.args, carriers)
     args = [_cells(r.code, r.src.size, r.dst.size) for r in ce.args]
     assert ORACLES[law_id](args, [(r.src.size, r.dst.size) for r in ce.args])
+
+
+def test_decompose_compose_checks_the_pieces_whose_middle_points_differ():
+    # the oracle composes every piece, so a statement that gets the cross
+    # pieces (a∘⊤∘b)∘(d∘⊤∘c), b ≠ d, wrong disagrees with it
+    law = REGISTRY["decompose-compose"]
+    assert law.check.statement.endswith("b ≠ d ⇒ (a∘⊤∘b)∘(d∘⊤∘c) = ⊥")
+    formula = parse(law.check.statement.replace("(d∘⊤∘c) = ⊥", "(d∘⊤∘c) = a∘⊤∘c"), law.vars, "RS")
+    wrong, _ = _oracle_disagreements(formula, law.vars, "decompose-compose")
+    assert wrong
 
 
 @pytest.mark.parametrize("word, oracle", [
