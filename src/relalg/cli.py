@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import indexcore, isomorph, laws, models
+from . import _MEMOIZED, indexcore, isomorph, laws, models
 from .domains import classify, per_ldom, per_rdom
 from .points import points as carrier_points
 from .rel import (
@@ -214,6 +214,9 @@ def _cmd_laws(args) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     _emit(rep.to_dict(), args.pretty)
+    if args.stats:
+        memos = {fn.__name__: fn.cache_info()._asdict() for fn in _MEMOIZED}
+        print(json.dumps({"memos": memos, "pools": len(laws._POOLS)}), file=sys.stderr)
     return 0 if rep.ok else 1
 
 
@@ -299,6 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--filter", default=None, help="glob over law ids, e.g. 'residual-*'")
     p.add_argument("--manifest", action="store_true", help="print the law catalogue and exit")
+    p.add_argument("--stats", action="store_true", help="print the memos' hits and misses as JSON on stderr")
     p.set_defaults(func=_cmd_laws)
 
     p = sub.add_parser("model", help="check the axioms of an abstract model (bundled name or file)")

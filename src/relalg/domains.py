@@ -44,7 +44,8 @@ from .rel import (
 )
 
 
-@lru_cache(maxsize=1 << 15)
+# laws-size4 leaves the most left domain codes, 1,036.
+@lru_cache(maxsize=1 << 12)
 def _ldom_code(code: int, n: int, k: int) -> int:
     full = (1 << k) - 1
     out = 0
@@ -54,7 +55,8 @@ def _ldom_code(code: int, n: int, k: int) -> int:
     return out
 
 
-@lru_cache(maxsize=1 << 15)
+# laws-size4 leaves the most right domain codes, 831.
+@lru_cache(maxsize=1 << 12)
 def _rdom_code(code: int, k: int) -> int:
     full = (1 << k) - 1
     mask = 0
@@ -64,7 +66,8 @@ def _rdom_code(code: int, k: int) -> int:
     return _diagonal(mask, k)
 
 
-@lru_cache(maxsize=1 << 15)
+# The sweep's 4x3 phase asks again for the codes of its 3x4 phase's per_rdom, about 8k calls before.
+@lru_cache(maxsize=1 << 14)
 def _per_ldom_code(code: int, n: int, k: int) -> int:
     rows = _rows(code, n, k)
     members: dict[int, int] = {}
@@ -78,7 +81,8 @@ def _per_ldom_code(code: int, n: int, k: int) -> int:
     return out
 
 
-@lru_cache(maxsize=1 << 15)
+# Sized as _per_ldom_code, which answers its misses; laws-size4 leaves the most, 749.
+@lru_cache(maxsize=1 << 14)
 def _per_rdom_code(code: int, n: int, k: int) -> int:
     return _per_ldom_code(_converse_memo(code, n, k), k, n)
 

@@ -123,8 +123,11 @@ def _pick(per: int, n: int, policy: str, rng: random.Random | None) -> int:
     return _diagonal(mask, n)
 
 
-# The min and max picks depend on the per alone; a random pick draws afresh.
-_fixed_pick = lru_cache(maxsize=1 << 12)(_pick)
+@lru_cache(maxsize=1 << 12)
+def _fixed_pick(per: int, n: int, policy: str) -> int:
+    """_pick for the min and max policies, which depend on the per alone; a
+    random pick draws afresh."""
+    return _pick(per, n, policy, None)
 
 
 def _transversal(per: int, carrier: Carrier, policy: str, seed: int) -> int:
@@ -133,7 +136,7 @@ def _transversal(per: int, carrier: Carrier, policy: str, seed: int) -> int:
     _check_policy(policy)
     if policy == "random":
         return _pick(per, carrier.size, policy, random.Random(f"{seed}:{carrier.name}:{carrier.size}"))
-    return _fixed_pick(per, carrier.size, policy, None)
+    return _fixed_pick(per, carrier.size, policy)
 
 
 def per_index(p: Relation, policy: str = "min", seed: int = 0) -> Relation:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import pack, run_python, unpack
-from relalg import Carrier, IsoWitness, from_dict, from_pairs, rel, to_dict, verify_witness
+from relalg import _MEMOIZED, Carrier, IsoWitness, from_dict, from_pairs, laws, rel, to_dict, verify_witness
 from relalg.cli import _grid, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -213,6 +213,19 @@ def test_laws_filter(capsys):
     payload = json.loads(out)
     assert code == 0
     assert [r["law"] for r in payload["reports"]] == ["cone-rule"]
+
+
+def test_laws_stats_go_to_stderr_and_leave_stdout_alone(capsys):
+    argv = ("laws", "--max-size", "2", "--samples", "20", "--filter", "index-*")
+    code, plain, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    code, out, err = run_cli(capsys, *argv, "--stats")
+    assert code == 0 and out == plain
+    stats = json.loads(err)
+    assert set(stats["memos"]) == {fn.__name__ for fn in _MEMOIZED}
+    assert set(stats["memos"]["compose"]) == {"hits", "misses", "maxsize", "currsize"}
+    assert stats["memos"]["compose"]["hits"] > 0
+    assert stats["pools"] == len(laws._POOLS) > 0
 
 
 def test_laws_filter_matching_nothing_is_usage_error(capsys):

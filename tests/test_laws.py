@@ -10,7 +10,7 @@ import pytest
 import oracles as o
 from conftest import pack, run_python, unpack
 from relalg import (
-    Carrier, EnumerationLimit, Relation, cache_clear, complement, compose, converse, from_dict, laws, top,
+    _MEMOIZED, Carrier, EnumerationLimit, Relation, cache_clear, complement, compose, converse, from_dict, laws, top,
 )
 from relalg.rel import _compose_memo, relation_at
 from relalg.terms import Formula
@@ -214,6 +214,27 @@ def test_decompose_compose_leaves_the_compose_memo_alone():
     after = _compose_memo.cache_info()
     assert report.ok and report.instances > 0
     assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def _evicted() -> dict:
+    """The memos that dropped an entry, or are full, with their cache_info."""
+    infos = {fn.__name__: fn.cache_info() for fn in _MEMOIZED}
+    return {name: i for name, i in infos.items() if not i.misses == i.currsize < i.maxsize}
+
+
+def test_the_memos_hold_a_size_three_suite_without_evicting():
+    # the settings of perfbench's laws-size3
+    cache_clear()
+    assert run_suite(max_size=3, samples=128, seed=31, budget=4000).ok
+    assert _evicted() == {}
+
+
+def test_the_memos_hold_a_size_four_suite_without_evicting():
+    # the settings of perfbench's laws-size4, which leaves the most converse codes
+    cache_clear()
+    assert run_suite(max_size=4, samples=10, seed=31, budget=1).ok
+    assert converse.cache_info().currsize > 1 << 10
+    assert _evicted() == {}
 
 
 def test_spaces_within_the_sample_count_are_enumerated():
