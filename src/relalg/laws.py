@@ -5,9 +5,10 @@ difunctions, functionals, points) over arbitrary finite carriers. The runner
 instantiates each law over every assignment of carrier sizes up to max_size.
 It enumerates a size tuple's pools exhaustively when the (cost-weighted)
 instance count stays within budget or the instance count within the sample
-count, and a term law's also when the bit-sliced enumeration is estimated to
-cost no more than the draws it replaces (SLICE_FACTOR); otherwise it samples
-with a per-law deterministic RNG. A pool is the codes of one kind on its
+count, and a term law's also when its bit-sliced scan is estimated, from the
+operations its compiled statement runs (Formula.runs), to cost no more than
+the draws it replaces (SLICE_BITS, DRAW_COST); otherwise it samples with a
+per-law deterministic RNG. A pool is the codes of one kind on its
 carriers, in code order; the restricted kinds are generated, not filtered
 from every relation, and every pool is bounded by the matrix bits of its
 carriers. The first failing instance is shrunk to a locally minimal
@@ -52,14 +53,16 @@ from .rel import (
 )
 
 EXHAUSTIVE_BUDGET = 10_000_000
-# What one draw of one argument costs in a sampled term-law scan, in sliced
-# instances of cost 1: the median, about 310, over the term-law size tuples
-# that max_size=3, samples=128, budget=4000 would sample without it
-# (BENCH_exhaustive.json). A term law's size tuple is also enumerated when its
-# sliced scan costs no more than its draws. At most EXHAUSTIVE_BUDGET /
-# (2000 * 4), so that run_suite's defaults enumerate exactly the tuples the
-# budget admits.
-SLICE_FACTOR = 300
+# The two fitted numbers of the sliced scan's estimate (BENCH_cost.json). A
+# sliced operation on carriers whose sizes multiply to p, on planes w bits
+# wide, costs p * (1 + w / SLICE_BITS) units: below SLICE_BITS bits a plane
+# costs mostly its per-call overhead. One draw of one argument, with its share
+# of the sampled planes, costs DRAW_COST units: the most it was measured to
+# cost at 10, 128 and 2000 draws, which is at 10, where the fixed cost of a
+# sampled tuple (seeding its Random) is spread over the fewest draws; so a
+# tuple is sampled only where its draws are cheaper at every count's price.
+SLICE_BITS = 1 << 15
+DRAW_COST = 0.84
 # the most instances a term law evaluates at once: the bits of one plane
 PLANE_BITS = 1 << 20
 # the largest carrier whose square relation pool the enumeration bound admits
@@ -79,7 +82,7 @@ class Law:
     statement: str
     vars: tuple[Var, ...]
     check: Callable[[tuple[Relation, ...], dict[str, Carrier]], bool]
-    cost: int = 1  # rough per-instance op count, weighs the exhaustive/sampled choice
+    cost: int = 1  # rough per-instance op count, weighs the instance count against the budget
     extra_tvs: tuple[str, ...] = ()
 
     def type_vars(self) -> tuple[str, ...]:
@@ -846,10 +849,10 @@ def run_law(
         pools = [_pool(v.kind, src, dst) for v, (src, dst) in zip(law.vars, typed)]
         # a space no larger than the sample count is enumerated: drawing from
         # it would repeat instances and could still miss some; so is a term
-        # law's space whose sliced scan costs no more than its draws
+        # law's space whose sliced scan is estimated to cost no more than its draws
         space = prod(len(p) for p in pools)
         if (space * law.cost <= budget or space <= samples
-                or sliced and space * law.cost <= samples * len(law.vars) * SLICE_FACTOR):
+                or sliced and _scan_pays(law, dict(zip(tvs, sizes)), pools, samples)):
             modes_seen.add("exhaustive")
             rng = None
         else:
@@ -903,11 +906,7 @@ def _scan_sliced(law, carriers, typed, pools, rng, samples):
     sizes = {tv: c.size for tv, c in carriers.items()}
     cells = [src.size * dst.size for src, dst in typed]
     if rng is None:
-        lead = len(pools)
-        batch = 1
-        while lead and batch * len(pools[lead - 1]) <= PLANE_BITS:
-            lead -= 1
-            batch *= len(pools[lead])
+        lead, batch = _geometry(pools)
         full = (1 << batch) - 1
         sliced = []
         stride = batch
@@ -936,6 +935,32 @@ def _scan_sliced(law, carriers, typed, pools, rng, samples):
             x = (bad & -bad).bit_length() - 1
             return start + x + 1, _relations(typed, draws[x])
     return samples, None
+
+
+def _scan_pays(law: Law, sizes: dict[str, int], pools, samples: int) -> bool:
+    """Whether a term law's exhaustive sliced scan of a size tuple is
+    estimated to cost no more than its sampled scan: the draws, and one
+    batch of `samples` instances (see Formula.runs and SLICE_BITS)."""
+    fixed = wide = 0  # a batch of b instances costs fixed + wide * (1 + b / SLICE_BITS)
+    for (p, w), n in law.check.runs(sizes).items():
+        if w is None:
+            wide += n * p
+        else:
+            fixed += n * p * (1 + w / SLICE_BITS)
+    lead, batch = _geometry(pools)
+    scan = prod(len(p) for p in pools[:lead]) * (fixed + wide * (1 + batch / SLICE_BITS))
+    return scan <= samples * len(law.vars) * DRAW_COST + fixed + wide * (1 + samples / SLICE_BITS)
+
+
+def _geometry(pools) -> tuple[int, int]:
+    """An exhaustive sliced scan's batches: how many leading pools it holds
+    fixed per batch, and how many instances a batch holds, at most
+    PLANE_BITS."""
+    lead, batch = len(pools), 1
+    while lead and batch * len(pools[lead - 1]) <= PLANE_BITS:
+        lead -= 1
+        batch *= len(pools[lead])
+    return lead, batch
 
 
 def _decode(x: int, pools) -> tuple[int, ...]:

@@ -104,6 +104,7 @@ combination x, and the loop reads bit x.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from functools import lru_cache, reduce
 from itertools import product
 from math import prod
@@ -147,10 +148,11 @@ _FORMULA_TOKENS = _COMPARISONS + ("≡", "⇒", "and", "or", ",", "∀", "∃") 
 class Formula:
     """A parsed statement over a law's variables; callable as a law check."""
 
-    __slots__ = ("statement", "letters", "_code", "_uniform", "_owner", "_held", "_top", "_binders")
+    __slots__ = ("statement", "letters", "_code", "_uniform", "_owner", "_held", "_top", "_binders", "_plan")
 
     def __init__(self, statement: str, letters: str, code: list[tuple[str, tuple, tuple]]):
         self.statement, self.letters, self._code = statement, letters, code
+        self._plan: list | None = None  # see runs; built on its first call
         # an instruction's scope is the bound letters it uses, as a bit mask
         # of their instructions; a uniform one uses no variable
         scope: list[int] = []
@@ -259,6 +261,52 @@ class Formula:
                 vals[i] = _SLICED[op](full, [sizes[tv] for tv in dims], *[vals[k] for k in ins])
         return full & ~vals[-1]
 
+    def runs(self, sizes: dict[str, int]) -> dict[tuple[int, int | None], int]:
+        """How often the sliced evaluator runs a sliced operation on one
+        batch, by the operation's carrier-size product and plane width in
+        bits, None for the batch's own width: once per batch outside every
+        binder; in a binder, once per batch on planes one bit per member
+        combination when held, else once per combination of the letters up
+        to the last one it uses, one bit wide when uniform (see
+        Formula.__init__)."""
+        if self._plan is None:
+            self._plan = self._schedule()
+        out: dict[tuple[int, int | None], int] = {}
+        # the products are taken inline: run_law asks this of most size tuples
+        for (dims, times, width), count in self._plan:
+            p = 1
+            for tv in dims:
+                p *= sizes[tv]
+            for tv in times:
+                count *= sizes[tv]
+            if width is not None:
+                tvs, width = width, 1
+                for tv in tvs:
+                    width *= sizes[tv]
+            out[p, width] = out.get((p, width), 0) + count
+        return out
+
+    def _schedule(self) -> list[tuple[tuple, int]]:
+        """What runs evaluates: for each (dims, times, width), the type
+        variables whose sizes multiply to an operation's carrier-size
+        product, to its runs per batch and to its plane width (None: the
+        batch's), how many sliced operations share it."""
+        code, held, uniform = self._code, self._held, self._uniform
+        # per instruction: its runs per batch and its plane width
+        times, widths = dict.fromkeys(self._top, ()), dict.fromkeys(self._top, None)
+        # a binder runs in its owner, which comes after it in the code
+        for b in sorted(self._binders, reverse=True):
+            op, ins, _ = code[b]
+            letters = tuple(code[k][2][0] for k in ins[_BINDERS[op]:])
+            every, ahead, _ = self._binders[b]
+            times.update(dict.fromkeys(ahead, times[b]))
+            widths.update(dict.fromkeys(ahead, letters))
+            for k, run in enumerate(every):  # run k holds what uses letter k or a later one
+                for i in run:
+                    if not held[i]:
+                        times[i], widths[i] = times[b] + letters[:k + 1], () if uniform[i] else None
+        return list(Counter((code[i][2], times[i], widths[i]) for i in times if code[i][0] in _SLICED).items())
+
     def _binding(self, vals: list, sizes: dict[str, int], full: int):
         """The sliced evaluation of a binder, bind(b), on the values of a batch
         so far. A binder holds what it can over its member combinations and
@@ -322,9 +370,11 @@ class Formula:
 
 class _Node:
     """A parsed subterm or subformula. A term's src and dst are type slots,
-    and dims the slots whose sizes its sliced operation needs. A variable's
-    index is its position and a bound letter's a number of its own; a
-    binder's letters are the nodes of the letters it binds."""
+    and dims the slots whose sizes its sliced operation needs, or, for a
+    comparison or a lattice operation of terms, the carriers of its terms,
+    which price it (Formula.runs). A variable's index is its position and a
+    bound letter's a number of its own; a binder's letters are the nodes of
+    the letters it binds."""
 
     __slots__ = ("op", "kids", "col", "src", "dst", "dims", "index", "letters")
 
@@ -586,7 +636,8 @@ class _Parser:
             top = _Node("⊤", (), col, a.dst, b.src, (a.dst, b.src))
             at = _Node("∘", (a, top), col, a.src, b.src, (a.src, a.dst, b.src))
             named = _Node("∘", (at, b), col, a.src, b.dst, (a.src, b.src, b.dst))
-        return _Node("∃", (_Node("=", (x, named), col),), col, letters=tuple(dict.fromkeys((a, b))))
+        same = _Node("=", (x, named), col, dims=(x.src, x.dst))
+        return _Node("∃", (same,), col, letters=tuple(dict.fromkeys((a, b))))
 
     def chain(self, operand, ops) -> _Node:
         """operand (op operand)*, meaning each adjacent pair is related."""
@@ -594,9 +645,11 @@ class _Parser:
         while self.peek() in ops:
             op, col = self.take()
             right = operand()
+            dims = ()
             if right.src is not None:  # terms, not formulas
                 self.same_type(left, right, col, op)
-            links.append(_Node(op, (left, right), col))
+                dims = (left.src, left.dst)
+            links.append(_Node(op, (left, right), col, dims=dims))
             left = right
         return reduce(lambda a, b: _Node("and", (a, b), b.col), links) if links else left
 
@@ -612,7 +665,7 @@ class _Parser:
             col = self.take()[1]
             right = operand()
             self.same_type(node, right, col, op)
-            node = _Node(op, (node, right), col, node.src, node.dst)
+            node = _Node(op, (node, right), col, node.src, node.dst, (node.src, node.dst))
         return node
 
     def same_type(self, left: _Node, right: _Node, col: int, op: str) -> None:
@@ -697,7 +750,7 @@ class _Parser:
 
     def compile(self, root: _Node) -> list[tuple[str, tuple, tuple]]:
         """Instructions in evaluation order, each (op, input indices, carrier
-        names the op needs); the last one is the statement's truth."""
+        names of its dims); the last one is the statement's truth."""
         code: list[tuple[str, tuple, tuple]] = []
         seen: dict[tuple, int] = {}
 
@@ -961,8 +1014,17 @@ _SLICED = {
 
 @lru_cache(maxsize=256)
 def _repunit(period: int, count: int) -> int:
-    """count ones, period bits apart, from bit 0."""
-    return int(("0" * (period - 1) + "1") * count, 2)
+    """count ones, period bits apart, from bit 0: built by doubling a block
+    of them, in shifts and ORs of whole words rather than a string of bits."""
+    out, block, width = 0, 1, period  # block holds width // period ones
+    while count:
+        if count & 1:
+            out = out << width | block
+        count >>= 1
+        if count:
+            block |= block << width
+            width *= 2
+    return out
 
 
 def range_planes(cells: int, stride: int, bits: int) -> list[int]:
@@ -989,7 +1051,11 @@ def code_planes(codes: Sequence[int], cells: int, stride: int = 1, reps: int = 1
     if stride > 1:
         widen = {48: "0" * stride, 49: "1" * stride}
         cols = [col.translate(widen) for col in cols]
-    return [int(col * reps, 2) for col in cols]
+    planes = [int(col, 2) for col in cols]
+    if reps > 1:  # the repeats are the sequence's planes times a repunit, not a longer string
+        rep = _repunit(len(codes) * stride, reps)
+        planes = [plane * rep for plane in planes]
+    return planes
 
 
 def fixed_planes(code: int, cells: int, full: int) -> list[int]:

@@ -3,7 +3,7 @@ import json
 import random
 from fnmatch import fnmatch
 from itertools import product
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -257,16 +257,24 @@ def test_spaces_within_the_sample_count_are_enumerated():
 
 
 def test_a_term_tuple_whose_scan_costs_no_more_than_its_draws_is_enumerated():
-    """converse-involution on R : A~B at max_size=3: the 3x3 tuple has 512
-    instances, more than the samples and past the budget, so it is enumerated
-    only when its scan, 512 instances of cost 1, costs no more than its
-    draws, samples * 1 variable * SLICE_FACTOR."""
-    law = REGISTRY["converse-involution"]
-    assert isinstance(law.check, Formula) and law.vars == (Var("relation", "A", "B"),) and law.cost == 1
-    space = 1 << 9
-    spaces = sum(1 << a * b for a, b in product((1, 2, 3), repeat=2))
-    least = -(-space // laws.SLICE_FACTOR)  # the fewest samples whose draws cost as much as the scan
-    assert 1 < least < space and 1 << 6 <= (least - 1) * laws.SLICE_FACTOR
+    """meet-join-absorption on R, S : A~B at max_size=3: the 3x3 tuple has 2^18
+    instances, past the budget, so it is enumerated exactly from the least
+    sample count whose estimated draws, samples * 2 variables * DRAW_COST
+    and one batch of `samples` instances, cost no less than the estimated
+    scan of one batch of 2^18 instances."""
+    law = REGISTRY["meet-join-absorption"]
+    assert isinstance(law.check, Formula) and len(law.vars) == 2 and law.vars[0] == law.vars[1]
+    named, space = {"A": 3, "B": 3}, 1 << 18
+    assert space <= laws.PLANE_BITS
+
+    def priced(bits):  # a width of None is the batch's
+        runs = law.check.runs(named).items()
+        return sum(n * p * (1 + (bits if w is None else w) / laws.SLICE_BITS) for (p, w), n in runs)
+
+    scan = priced(space)
+    least = next(s for s in range(1, space) if scan <= s * 2 * laws.DRAW_COST + priced(s))
+    assert 128 < least < space // 64
+    spaces = sum(1 << 2 * a * b for a, b in product((1, 2, 3), repeat=2))
     report = run_law(law, max_size=3, samples=least, budget=1)
     assert (report.mode, report.instances, report.ok) == ("exhaustive", spaces, True)
     # one sample fewer: the 3x3 tuple is drawn, every smaller one still enumerated
@@ -274,11 +282,36 @@ def test_a_term_tuple_whose_scan_costs_no_more_than_its_draws_is_enumerated():
     assert (report.mode, report.instances, report.ok) == ("mixed", spaces - space + least - 1, True)
 
 
-def test_the_sliced_clause_adds_nothing_under_the_default_budget():
-    # at run_suite's default samples every tuple the clause admits is one the
-    # budget admits already, so the default reports keep their modes
-    widest = max(len(law.vars) for law in REGISTRY.values())
-    assert 2000 * widest * laws.SLICE_FACTOR <= laws.EXHAUSTIVE_BUDGET
+def test_the_estimate_picks_the_pinned_modes_at_laws_size3_settings(monkeypatch):
+    """The modes the estimate gives a fixed set of tuples at perfbench's
+    laws-size3 settings (samples=128, budget=4000), and run_law takes the
+    mode the rule names on every tuple. The two enumerated tuples scan about
+    3x faster than they draw (BENCH_cost.json); 3x3 meet-join-absorption
+    draws about 3x faster than it scans."""
+    pinned = {
+        ("compose-assoc", (1, 3, 3, 1)): "exhaustive",  # 32,768 instances
+        ("compose-assoc", (3, 3, 3, 1)): "sampled",
+        ("dedekind-modular", (3, 3, 3)): "sampled",
+        ("dedekind-modular", (2, 3, 3)): "sampled",
+        ("pair-irreducible", (3, 2)): "exhaustive",  # 24,576 instances
+        ("meet-join-absorption", (3, 3)): "sampled",  # 2^18 instances
+    }
+    seen = {}
+    scan = laws._scan_sliced
+
+    def recording(law, carriers, typed, pools, rng, samples):
+        sizes = tuple(c.size for c in carriers.values())
+        space = prod(len(p) for p in pools)
+        rule = (space * law.cost <= 4000 or space <= samples
+                or laws._scan_pays(law, {tv: c.size for tv, c in carriers.items()}, pools, samples))
+        assert rule == (rng is None), (law.id, sizes)
+        seen[law.id, sizes] = "exhaustive" if rng is None else "sampled"
+        return scan(law, carriers, typed, pools, rng, samples)
+
+    monkeypatch.setattr(laws, "_scan_sliced", recording)
+    for law_id in sorted({law_id for law_id, _ in pinned}):
+        assert run_law(REGISTRY[law_id], max_size=3, samples=128, seed=31, budget=4000).ok
+    assert {key: seen[key] for key in pinned} == pinned
 
 
 def test_a_three_variable_term_law_samples_its_largest_size_three_tuple(monkeypatch):
@@ -299,17 +332,27 @@ def test_a_three_variable_term_law_samples_its_largest_size_three_tuple(monkeypa
 
 
 def test_a_python_law_keeps_the_rule_without_the_sliced_clause(monkeypatch):
-    """The sliced clause reads only term laws: a Python law's report is the
-    report it gets with the clause switched off, while a term law over the
-    same variable enumerates tuples that the Python law samples."""
+    """The estimate reads only term laws: a Python law's report is the same
+    whether the estimate would enumerate every tuple or none, and it is
+    never asked, while a term law over the same variable takes the modes
+    the estimate names."""
     law = REGISTRY["iso-self-witness"]
     term = REGISTRY["converse-involution"]
+    assert law.vars == term.vars and not isinstance(law.check, Formula)
     settings = dict(max_size=3, samples=10, seed=3, budget=1)
-    python, sliced = run_law(law, **settings).to_dict(), run_law(term, **settings).to_dict()
-    monkeypatch.setattr(laws, "SLICE_FACTOR", 0)
-    assert run_law(law, **settings).to_dict() == python
+    python = run_law(law, **settings).to_dict()
     assert python["mode"] == "mixed" and python["instances"] == 2 + 4 + 8 + 4 + 8 + 10 * 4
-    assert sliced["mode"] == "exhaustive" and run_law(term, **settings).to_dict()["mode"] == "mixed"
+    # the estimate enumerates every tuple of the term law at these settings
+    reports = {None: run_law(term, **settings).to_dict()}
+    for pays in (False, True):
+        asked = []
+        monkeypatch.setattr(laws, "_scan_pays", lambda *args, pays=pays: asked.append(args[0].id) or pays)
+        assert run_law(law, **settings).to_dict() == python and asked == []
+        reports[pays] = run_law(term, **settings).to_dict()
+        assert set(asked) == {term.id}
+    assert reports[False]["mode"] == "mixed" and reports[False]["instances"] == python["instances"]
+    assert reports[True]["mode"] == "exhaustive" and reports[True]["instances"] == 2 + 4 + 8 + 4 + 16 + 64 + 8 + 64 + 512
+    assert reports[None] == reports[True]
 
 
 def test_sampled_draws_are_pinned():

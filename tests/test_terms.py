@@ -10,9 +10,11 @@ import importlib.util
 import json
 import random
 import sys
+from collections import Counter
 from dataclasses import replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -23,7 +25,7 @@ from relalg import laws
 from relalg.laws import REGISTRY, Law, Var, _pool, _term, run_law
 from relalg.indexcore import relation_index
 from relalg.rel import Carrier, _make
-from relalg.terms import _SLICED, Formula, code_planes, fixed_planes, parse, range_planes
+from relalg.terms import _SLICED, Formula, _repunit, code_planes, fixed_planes, parse, range_planes
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -323,6 +325,12 @@ def test_planes_hold_the_codes_in_product_order():
     assert _plane_bits(fixed_planes(6, 3, 0b111), 3) == [6, 6, 6]
 
 
+@pytest.mark.parametrize("period", [1, 2, 3, 7, 64, 384])
+def test_a_repunit_holds_count_ones_period_bits_apart(period):
+    for count in (0, 1, 2, 3, 5, 8, 255, 256, 4097):
+        assert _repunit.__wrapped__(period, count) == sum(1 << period * i for i in range(count))
+
+
 # -- the two evaluators agree ----------------------------------------------------------
 
 
@@ -405,6 +413,56 @@ def test_sliced_and_scalar_verdicts_agree_on_every_operation(statement):
     verdicts = {law.check(args, cs) for cs, typed, instances in _instances(law, 2) for codes in instances
                 for args in [tuple(_make(s, d, c) for (s, d), c in zip(typed, codes))]}
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("law_id, sizes", [
+    ("compose-assoc", (1, 3, 2, 2)),
+    ("dedekind-modular", (2, 3, 1)),
+    ("per-domain-alt", (3, 2)),
+    ("index-witness-core", (3, 2)),  # where J = index R
+    ("difunction-index-bijection", (1, 3)),
+    ("decompose-compose", (3, 2, 3)),  # held pieces, guards, a letter past the last one used
+    ("decompose-compose", (2, 1, 2)),
+    ("particle-point", (3,)),  # the words defined by binders
+    ("particle-point", (1,)),
+    ("point-saturation", (3,)),
+    ("zz-nested-binders", (3,)),  # a uniform step on one-bit planes in a loop
+])
+def test_the_estimate_counts_every_sliced_operation(law_id, sizes, monkeypatch):
+    """Formula.runs names every sliced operation a scan runs, by its
+    carrier-size product and plane width: on one sampled batch, and on every
+    batch of an exhaustive scan cut as the runner cuts it."""
+    nested = "∀ a:point A . (∃ b:point A . a∘b = a) and a ⊆ 𝕀 ⇒ a∘R ⊆ R∘⊤"
+    vars = (Var("relation", "A", "A"),)
+    law = REGISTRY.get(law_id) or Law(law_id, nested, vars, parse(nested, vars, "R", law_id))
+    named = dict(zip(law.type_vars(), sizes))
+    carriers = {tv: Carrier(tv, n) for tv, n in named.items()}
+    typed = [(carriers[v.src], carriers[v.dst]) for v in law.vars]
+    pools = [_pool(v.kind, src, dst) for v, (src, dst) in zip(law.vars, typed)]
+    seen = Counter()
+
+    def recording(op, full, d, *args):
+        seen[prod(d), full.bit_length()] += 1
+        return op(full, d, *args)
+
+    def runs(bits, batches=1):  # the estimate for batches of `bits` instances
+        out = Counter()
+        for (p, w), n in law.check.runs(named).items():
+            out[p, bits if w is None else w] += n * batches
+        return out
+
+    for name, op in list(_SLICED.items()):
+        monkeypatch.setitem(_SLICED, name, partial(recording, op))
+    assert laws._scan_sliced(law, carriers, typed, pools, random.Random(5), 7) == (7, None)
+    assert seen == runs(7) and seen
+    seen.clear()
+    monkeypatch.setattr(laws, "PLANE_BITS", 64)
+    lead, batch = laws._geometry(pools)
+    batches = prod(len(pool) for pool in pools[:lead])
+    space = prod(len(pool) for pool in pools)
+    assert batch * batches == space and batch <= 64
+    assert laws._scan_sliced(law, carriers, typed, pools, None, 7) == (space, None)
+    assert seen == runs(batch, batches)
 
 
 @pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 5) for k in range(1, 5) if n * k <= 12])
@@ -545,8 +603,9 @@ def test_planted_statements_agree_with_their_python_checks(law_id):
 @pytest.mark.parametrize("settings", [
     dict(max_size=2, samples=10),  # exhaustive tuples
     # sampled wherever the sample count does not cover the space: a cost
-    # too heavy for the budget and for the sliced clause
-    dict(max_size=3, samples=5, budget=1, cost=10 ** 6),
+    # too heavy for the budget, and draws priced at nothing, so that no
+    # sliced scan is estimated to cost no more than its draws
+    dict(max_size=3, samples=5, budget=1, cost=10 ** 6, draw_cost=0),
     # exhaustive under a large budget, cut into batches that hold the
     # leading arguments fixed: all of them, or all but the trailing ones
     dict(max_size=3, samples=10, seed=9, budget=10 ** 12, plane_bits=1),
@@ -555,6 +614,7 @@ def test_planted_statements_agree_with_their_python_checks(law_id):
 def test_a_term_law_reports_what_its_python_check_reported(law_id, settings, monkeypatch):
     settings = dict(settings)
     monkeypatch.setattr(laws, "PLANE_BITS", settings.pop("plane_bits", laws.PLANE_BITS))
+    monkeypatch.setattr(laws, "DRAW_COST", settings.pop("draw_cost", laws.DRAW_COST))
     law = _planted()[law_id]
     law = replace(law, cost=settings.pop("cost", law.cost))
     python = run_law(law, **settings)
@@ -589,7 +649,8 @@ def test_sliced_draws_are_the_pinned_draws(monkeypatch):
     random.Random(f"{seed}:{law.id}:{sizes}"), one per argument per instance
     in order, up to and including the first failure."""
     vars = (Var("relation", "A", "A"), Var("coreflexive", "A", "A"))
-    # a cost too heavy for the sliced clause, so every tuple is drawn
+    # draws priced at nothing, so every tuple past the sample count is drawn
+    monkeypatch.setattr(laws, "DRAW_COST", 0)
     law = Law("zz-planted-meet-is-compose", "R∩p = R∘p", vars, parse("R∩p = R∘p", vars, "Rp"), cost=10 ** 6)
     checked = []
     original = Formula.failures
@@ -638,14 +699,18 @@ def test_sliced_runs_are_unchanged_under_python_O():
         "import json, sys\n"
         f"sys.path.insert(0, {str(WORKLOADS.parent)!r})\n"
         "from workloads import PLANTED\n"
+        "from relalg import laws\n"
         "from relalg.laws import REGISTRY, Law, run_law\n"
         "from relalg.terms import parse\n"
         "planted = PLANTED['zz-planted-meet-compose-distributes']\n"
         "term = Law(planted.id, planted.statement, planted.vars,\n"
         "           parse(planted.statement, planted.vars, 'RST', planted.id))\n"
         "heavy = Law(term.id, term.statement, term.vars, term.check, cost=10 ** 6)\n"
-        "reports = [run_law(term, 3, 5, 7, 1), run_law(heavy, 3, 5, 7, 1),\n"
-        "           run_law(REGISTRY['dedekind-modular'], 2, 50, 7)]\n"
+        "reports = [run_law(term, 3, 5, 7, 1)]\n"
+        "draw_cost, laws.DRAW_COST = laws.DRAW_COST, 0  # every tuple past the samples drawn\n"
+        "reports.append(run_law(heavy, 3, 5, 7, 1))\n"
+        "laws.DRAW_COST = draw_cost\n"
+        "reports.append(run_law(REGISTRY['dedekind-modular'], 2, 50, 7))\n"
         "print(json.dumps([r.to_dict() for r in reports], sort_keys=True))\n"
     )
     plain = run_python("-c", script)
