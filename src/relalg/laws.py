@@ -23,10 +23,13 @@ law in batches of instances at once, bit-sliced, with the order, draws and
 first failure the scalar scan has on the same tuple in the same mode; the
 failure is then shrunk one instance at a time. The index laws that speak of
 the min-policy index J of R are terms too, through ``where J = index R``, and
-so are the laws that take unions over the points of a carrier, through point
-binders. The other laws enumerate every index, compute a core, an isomorphism
-or a classification, call splitting or per_index by name, or speak of matrix
-cells and counts, which no term of the grammar names, and keep a Python check.
+so are the per laws, since on a per ``index P`` is per_index(P) and J∘P is
+splitting(P); the laws that take unions over the points of a carrier or speak
+of its cells and columns, through point binders; and the laws that check a
+given isomorphism witness, which ``where`` builds. The other laws enumerate
+every index or policy, search for an isomorphism, compute a core or a
+classification, or count relations, which no term of the grammar names, and
+keep a Python check.
 build_manifest() emits the machine-readable catalogue the CLI serves,
 including the explicit out-of-scope entries.
 """
@@ -40,9 +43,9 @@ from itertools import product
 from math import isqrt, prod
 from typing import Callable, Sequence
 
-from . import factors, indexcore, isomorph
+from . import indexcore, isomorph
 from .terms import Formula, code_planes, fixed_planes, parse, range_planes
-from .points import is_atom, is_pair, is_point, points
+from .points import is_point, points
 from .domains import (
     _difunctional_codes, _functional_codes, _ldom_code, _rdom_code, classify, enumerate_pers, is_bijection,
     is_coreflexive, is_difunctional, is_functional, is_per, ldom, per_ldom, per_rdom, rdom,
@@ -277,20 +280,9 @@ _term("sym-division-converse", "(R\\\\S)° = S\\\\R and (R//S)° = S//R", "RS",
       (_rel("A", "B"), _rel("A", "B")))
 
 
-def c_sym_division_columns(a, C):
-    (r,) = a
-    d = factors.sym_right_div(r, r)
-    cols = converse(r).rows
-    n = r.dst.size
-    for b in range(n):
-        for b2 in range(n):
-            if bool(d.rows[b] >> b2 & 1) != (cols[b] == cols[b2]):
-                return False
-    return True
-
-
-_law("sym-division-columns", "(b,b′) ∈ R\\\\R ≡ column b = column b′",
-     (_rel("A", "B"),), c_sym_division_columns, cost=3)
+# b∘⊤∘d is the cell (b, d), and R∘b∘⊤∘d is column b of R moved to column d
+_term("sym-division-columns", "∀ b:point B, d:point B . b∘⊤∘d ⊆ R\\\\R ≡ R∘b∘⊤∘d = R∘d", "R",
+      (_rel("A", "B"),), cost=3)
 
 
 # -- domains ---------------------------------------------------------------------
@@ -344,14 +336,9 @@ _term("injective-char", "injective R ≡ R°∘R ⊆ 𝕀 ≡ R°∘R = R>", "R"
 _term("functional-compose-per", "per f°∘f for functionals f", "f", (_fun("A", "B"),))
 
 
-def c_per_splits(a, C):
-    (p,) = a
-    f = indexcore.splitting(p)
-    j = indexcore.per_index(p)
-    return compose(converse(f), f) == p and compose(f, converse(f)) == j and is_functional(f)
-
-
-_law("per-splits", "P = (J∘P)°∘(J∘P) and J = (J∘P)∘(J∘P)°", (_per("A"),), c_per_splits, cost=4)
+# on a per, index P is per_index(P), and J∘P is splitting(P)
+_term("per-splits", "P = (J∘P)°∘(J∘P) and J = (J∘P)∘(J∘P)° and functional J∘P for pers P where J = index P", "P",
+      (_per("A"),), cost=4)
 
 
 # -- difunctionality -------------------------------------------------------------
@@ -492,24 +479,19 @@ _law("core-isomorphic-index", "a core of R is isomorphic to an index of R via λ
      (_rel("A", "B"),), c_core_isomorphic_index, cost=6)
 
 
-def _simple_per_index(p: Relation, j: Relation) -> bool:
-    """The three simple index conditions for a per: J ⊆ P<, J∘P∘J = J, P∘J∘P = P."""
-    return is_subset(j, ldom(p)) and compose(compose(j, p), j) == j and compose(compose(p, j), p) == p
-
-
 def _per_coreflexive_indexes(p: Relation) -> list[Relation]:
+    """The coreflexives J meeting the three simple index conditions for the
+    per P: J ⊆ P<, J∘P∘J = J, P∘J∘P = P."""
     js = (_make(p.src, p.src, code) for code in _pool("coreflexive", p.src, p.src))
-    return [j for j in js if _simple_per_index(p, j)]
+    return [j for j in js
+            if is_subset(j, ldom(p)) and compose(compose(j, p), j) == j and compose(compose(p, j), p) == p]
 
 
-def c_per_index_coreflexive(a, C):
-    (p,) = a
-    j = indexcore.per_index(p)
-    return is_coreflexive(j) and _simple_per_index(p, j) and indexcore.verify_index(p, j).ok
-
-
-_law("per-index-coreflexive", "per_index(P) is a coreflexive satisfying J ⊆ P<, J∘P∘J = J, P∘J∘P = P",
-     (_per("A"),), c_per_index_coreflexive, cost=4)
+# the index of a per is a coreflexive meeting the three simple conditions and (a)-(d)
+_term("per-index-coreflexive",
+      "J ⊆ 𝕀 and J ⊆ P< and J∘P∘J = J and P∘J∘P = P "
+      "and J ⊆ P and P≺∘J∘P≻ = P and J<∘P≺∘J< = J< and J>∘P≻∘J> = J> for pers P where J = index P", "P",
+      (_per("A"),), cost=4)
 
 
 # for pers, the three simple index conditions ≡ the general four
@@ -559,12 +541,10 @@ _law("relation-index-policies", "every representative policy yields a verified i
 # -- isomorphism -------------------------------------------------------------------
 
 
-def c_iso_self_witness(a, C):
-    (r,) = a
-    return isomorph.verify_witness(r, r, isomorph.IsoWitness(ldom(r), rdom(r)))
-
-
-_law("iso-self-witness", "(R<, R>) witnesses R ≅ R", (_rel("A", "B"),), c_iso_self_witness)
+# (φ, ψ) witnesses R ≅ S: φ∘φ° = R<, φ°∘φ = S<, ψ∘ψ° = R>, ψ°∘ψ = S>, R = φ∘S∘ψ° and φ°∘R∘ψ = S
+_term("iso-self-witness",
+      "φ∘φ° = R< and φ°∘φ = R< and ψ∘ψ° = R> and ψ°∘ψ = R> and R = φ∘R∘ψ° and φ°∘R∘ψ = R "
+      "where φ = R<, ψ = R>", "R", (_rel("A", "B"),))
 
 
 def c_iso_search_sound(a, C):
@@ -597,15 +577,9 @@ _law("iso-domain-transport", "isomorphism transports R<, R>, R≺, R≻",
      (_rel("A", "B"), _rel("A", "B")), c_iso_domain_transport, cost=64)
 
 
-def c_bijection_iso_coreflexive(a, C):
-    (r,) = a
-    if not is_bijection(r):
-        return True
-    return isomorph.verify_witness(r, ldom(r), isomorph.IsoWitness(ldom(r), converse(r)))
-
-
-_law("bijection-iso-coreflexive", "a bijection is isomorphic to its left domain via (R<, R°)",
-     (_rel("A", "B"),), c_bijection_iso_coreflexive)
+_term("bijection-iso-coreflexive",
+      "functional R and injective R ⇒ (φ∘φ° = R< and φ°∘φ = S< and ψ∘ψ° = R> and ψ°∘ψ = S> "
+      "and R = φ∘S∘ψ° and φ°∘R∘ψ = S) where φ = R<, ψ = R°, S = R<", "R", (_rel("A", "B"),))
 
 
 def c_iso_to_coreflexive_bijection(a, C):
@@ -640,13 +614,10 @@ _term("point-saturation", "p = ⋃ a:point A . a if a ⊆ p", "p", (_cor("A"),),
 _term("pair-point-sandwich", "pair Z and Z< = a and Z> = b where Z = a∘⊤∘b", "ab", (_pt("A"), _pt("B")), cost=1)
 
 
-def c_pair_characterization(a, C):
-    (r,) = a
-    return is_pair(r) == (bool(r) and is_atom(r, "relations")) == (r.bit_count() == 1)
-
-
-_law("pair-characterization", "pair ≡ proper atom ≡ single matrix cell",
-     (_rel("A", "B"),), c_pair_characterization)
+# a single cell ≡ the algebraic pair ≡ a proper atom
+_term("pair-characterization",
+      "pair R ≡ (R ≠ ⊥ and R = R∘⊤∘R and R< = R∘R° and R> = R°∘R) "
+      "≡ (R ≠ ⊥ and ∀ a:point A, b:point B . a∘⊤∘b ⊆ R ⇒ a∘⊤∘b = R)", "R", (_rel("A", "B"),))
 
 # both against the point-free form: a non-empty coreflexive whose square Z∘⊤∘Z stays in 𝕀
 _term("particle-point", "particle Z ≡ point Z ≡ (Z ⊆ 𝕀 and Z ≠ ⊥ and Z∘⊤∘Z ⊆ 𝕀)", "Z", (_rel("A", "A"),), cost=1)

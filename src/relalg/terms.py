@@ -850,7 +850,6 @@ def _starts(counts: tuple[int, ...]) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=64)
 def _member_planes(counts: tuple[int, ...]) -> tuple[list[int], ...]:
     """For binder letters over the points of carriers of these sizes, each
     letter's planes over all member combinations, the first letter's member

@@ -280,6 +280,68 @@ def ocore_relation_own_index(r: Pairs, na: int, nb: int) -> bool:
     return core == _oindex_conditions(r, r, na, nb)
 
 
+def osym_division_columns(r: Pairs, na: int, nb: int) -> bool:
+    """(b, d) is in R\\\\R = R\\R ∩ (R\\R)° exactly when columns b and d of R are equal."""
+    res = oleft_residual(r, r, na, nb, nb)
+    div = res & oconverse(res)
+    cols = [frozenset(a for a in range(na) if (a, b) in r) for b in range(nb)]
+    return all(((b, d) in div) == (cols[b] == cols[d]) for b in range(nb) for d in range(nb))
+
+
+def ois_atom(r: Pairs) -> bool:
+    """Non-empty, with no relation strictly between ⊥ and R: every non-empty
+    subset of R is R."""
+    cells = sorted(r)
+    return bool(r) and all(len(chosen) == len(r) for k in range(1, len(r) + 1) for chosen in combinations(cells, k))
+
+
+def opair_characterization(r: Pairs, na: int, nb: int) -> bool:
+    """A single cell, an algebraic pair and a proper atom are the same."""
+    return ois_one_cell(r) == ois_pair(r, na, nb) == ois_atom(r)
+
+
+def owitness(r: Pairs, s: Pairs, phi: Pairs, psi: Pairs) -> bool:
+    """The six witness equations of R ≅ S via (φ, ψ): φ∘φ° = R<, φ°∘φ = S<,
+    ψ∘ψ° = R>, ψ°∘ψ = S>, R = φ∘S∘ψ° and φ°∘R∘ψ = S."""
+    return (
+        ocompose(phi, oconverse(phi)) == oldom(r)
+        and ocompose(oconverse(phi), phi) == oldom(s)
+        and ocompose(psi, oconverse(psi)) == ordom(r)
+        and ocompose(oconverse(psi), psi) == ordom(s)
+        and r == ocompose(ocompose(phi, s), oconverse(psi))
+        and ocompose(ocompose(oconverse(phi), r), psi) == s
+    )
+
+
+def oiso_self_witness(r: Pairs) -> bool:
+    """(R<, R>) witnesses R ≅ R."""
+    return owitness(r, r, oldom(r), ordom(r))
+
+
+def obijection_iso_coreflexive(r: Pairs) -> bool:
+    """A bijection is isomorphic to its left domain via (R<, R°)."""
+    return not (ois_functional(r) and ois_injective(r)) or owitness(r, oldom(r), oldom(r), oconverse(r))
+
+
+def oper_min_index(p: Pairs) -> Pairs:
+    """The coreflexive on the least member of each class of the per P."""
+    return frozenset((a, a) for a, b in p if a == b and not any((h, a) in p for h in range(a)))
+
+
+def oper_splits(p: Pairs) -> bool:
+    """f = J∘P, J the min transversal, is functional with f°∘f = P and f∘f° = J."""
+    j = oper_min_index(p)
+    f = ocompose(j, p)
+    return ocompose(oconverse(f), f) == p and ocompose(f, oconverse(f)) == j and ois_functional(f)
+
+
+def oper_index_coreflexive(p: Pairs, n: int) -> bool:
+    """The min transversal of P is a coreflexive index of P in both senses:
+    one of oper_indexes, and one that meets the four index conditions."""
+    j = oper_min_index(p)
+    return j in oper_indexes(p, n) and _oindex_conditions(p, j, n, n)
+
+
 # -- the axioms of an abstract model, element by element ----------------------------
 #
 # Each function yields the refuting instances of one axiom on a model given as

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,11 +66,12 @@ def test_left_residual_is_largest_solution():
             assert is_subset(t, best)
 
 
-def test_sym_right_div_relates_equal_columns(block):
-    d = sym_right_div(block, block)
-    cols = {b: frozenset(a for a, b2 in unpack(block) if b2 == b) for b in range(3)}
-    expected = {(b, b2) for b in range(3) for b2 in range(3) if cols[b] == cols[b2]}
-    assert unpack(d) == expected
+def test_sym_right_div_relates_equal_columns():
+    for na, nb in product(range(1, 4), repeat=2):
+        for r in _all(na, nb):
+            cols = {b: frozenset(a for a, b2 in unpack(r) if b2 == b) for b in range(nb)}
+            expected = {(b, b2) for b in range(nb) for b2 in range(nb) if cols[b] == cols[b2]}
+            assert unpack(sym_right_div(r, r)) == expected, unpack(r)
 
 
 def test_sym_left_div_relates_equal_rows(block):

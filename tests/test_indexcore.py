@@ -119,6 +119,17 @@ def test_per_index_against_oracle_for_all_small_pers():
             assert unpack(per_index(p, policy="max")) in allowed
 
 
+def test_a_splitting_composed_with_its_converse_is_the_per_index():
+    # f∘f° is the coreflexive index itself, under every policy, and the min
+    # policy keeps the least member of each class
+    for n in (1, 2, 3, 4):
+        for p in enumerate_pers(Carrier("A", n)):
+            for policy, seed in (("min", 0), ("max", 0), ("random", 7)):
+                f = splitting(p, policy, seed)
+                assert compose(f, converse(f)) == per_index(p, policy, seed), (unpack(p), policy)
+            assert unpack(per_index(p)) == o.oper_min_index(unpack(p)), unpack(p)
+
+
 # -- relation_index ----------------------------------------------------------------
 
 

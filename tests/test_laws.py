@@ -1,9 +1,11 @@
 import gc
 import json
 import random
+import re
 from fnmatch import fnmatch
 from itertools import product
 from math import factorial, prod
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +53,15 @@ def test_manifest_stays_in_sync_with_registry():
     assert manifest["out_of_scope"] == [dict(e) for e in OUT_OF_SCOPE]
     assert len(manifest["out_of_scope"]) == 4
     json.dumps(manifest)  # must be serializable as-is
+
+
+def test_the_readme_lists_exactly_the_python_laws():
+    # the README's list of the laws that keep a Python check, each with its reason
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = readme.split("They stay Python checks", 1)[1].split("`laws --manifest`", 1)[0]
+    named = re.findall(r"`([a-z0-9]+(?:-[a-z0-9]+)+)`", listed)
+    python = {law_id for law_id, law in REGISTRY.items() if not isinstance(law.check, Formula)}
+    assert sorted(named) == sorted(python)
 
 
 def test_pool_contents_match_kind_predicates():
@@ -244,7 +255,7 @@ def test_spaces_within_the_sample_count_are_enumerated():
     assert (report.mode, report.instances, report.ok) == ("exhaustive", 4, True)
     # one relation variable under a Python check: 2 + 4 + 4 instances
     # enumerated, 10 of the 16 2x2 relations drawn
-    law = REGISTRY["iso-self-witness"]
+    law = REGISTRY["classify-consistent"]
     assert not isinstance(law.check, Formula) and law.vars == (Var("relation", "A", "B"),)
     report = run_law(law, max_size=2, samples=10, budget=1)
     assert (report.mode, report.instances) == ("mixed", 20)
@@ -336,7 +347,7 @@ def test_a_python_law_keeps_the_rule_without_the_sliced_clause(monkeypatch):
     whether the estimate would enumerate every tuple or none, and it is
     never asked, while a term law over the same variable takes the modes
     the estimate names."""
-    law = REGISTRY["iso-self-witness"]
+    law = REGISTRY["classify-consistent"]
     term = REGISTRY["converse-involution"]
     assert law.vars == term.vars and not isinstance(law.check, Formula)
     settings = dict(max_size=3, samples=10, seed=3, budget=1)

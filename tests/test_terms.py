@@ -60,6 +60,10 @@ SLICED = {
     "pair-point-sandwich", "particle-point",
     # formula parentheses
     "per-index-equiv", "core-relation-own-index",
+    # columns, cells and atoms through point binders, witnesses and the
+    # index of a per through where
+    "sym-division-columns", "pair-characterization", "iso-self-witness", "bijection-iso-coreflexive",
+    "per-splits", "per-index-coreflexive",
 }
 
 # the letters of the planted statements, in variable order
@@ -487,6 +491,12 @@ ORACLES = {
     "particle-point": lambda args, shapes: o.oparticle_point(*args),
     "per-index-equiv": lambda args, shapes: o.oper_index_equiv(*args, shapes[0][0]),
     "core-relation-own-index": lambda args, shapes: o.ocore_relation_own_index(*args, *shapes[0]),
+    "sym-division-columns": lambda args, shapes: o.osym_division_columns(*args, *shapes[0]),
+    "pair-characterization": lambda args, shapes: o.opair_characterization(*args, *shapes[0]),
+    "iso-self-witness": lambda args, shapes: o.oiso_self_witness(*args),
+    "bijection-iso-coreflexive": lambda args, shapes: o.obijection_iso_coreflexive(*args),
+    "per-splits": lambda args, shapes: o.oper_splits(*args),
+    "per-index-coreflexive": lambda args, shapes: o.oper_index_coreflexive(*args, shapes[0][0]),
 }
 
 HOMOGENEOUS = (Var("relation", "A", "A"),)
@@ -505,6 +515,13 @@ WRONG = [
      None),
     ("core-relation-own-index", "R< = R≺ ≡ (J ⊆ R and R≺∘J∘R≻ = R and J<∘R≺∘J< = J< and J>∘R≻∘J> = J>) where J = R",
      None),
+    ("sym-division-columns", "∀ b:point B, d:point B . b∘⊤∘d ⊆ R\\\\R ≡ R∘b∘⊤∘d ⊆ R∘d", None),  # column inclusion
+    ("pair-characterization", "pair R ≡ (R ≠ ⊥ and R = R∘⊤∘R)", None),  # a rectangle, not a pair
+    ("iso-self-witness", "φ∘φ° = R< and ψ∘ψ° = R> and R = φ∘R∘ψ° where φ = R<, ψ = R°∘R", None),
+    ("bijection-iso-coreflexive",
+     "functional R ⇒ (φ∘φ° = R< and ψ∘ψ° = R> and R = φ∘S∘ψ°) where φ = R<, ψ = R°, S = R<", None),
+    ("per-splits", "P = (J∘P)°∘(J∘P) and J = (J∘P)∘(J∘P)° for pers P where J = P<", None),  # every member kept
+    ("per-index-coreflexive", "J ⊆ 𝕀 and J∘P∘J = J and P∘J∘P = P for pers P where J = P<", None),
 ]
 
 # every instance of at most 12 matrix bits, over carriers of the sizes the runner takes
