@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import _MEMOIZED, indexcore, isomorph, laws, models
+from . import _MEMOIZED, indexcore, isomorph, models
 from .domains import classify, per_ldom, per_rdom
 from .points import points as carrier_points
 from .rel import (
@@ -201,6 +201,9 @@ def _cmd_points(args) -> int:
 
 
 def _cmd_laws(args) -> int:
+    # imported here: importing laws parses every statement, which no other command needs
+    from . import laws
+
     if args.manifest:
         _emit(laws.build_manifest(), args.pretty)
         return 0

@@ -21,13 +21,10 @@ sizes with the kernel's code memos (see rel), not on Relation objects: one
 definition of (a)-(d), _index_checks, serves relation_index, verify_index and
 candidate_indexes. A Relation is built only for a value the API returns.
 
-candidate_indexes walks every subset of every sandwich without the kernel
-memos: composition distributes over union, so R≺∘J∘R≻ is the union of the
-blocks R≺∘p∘R≻ over the pairs p of J. Each pair's block is composed once
-per sandwich, and each subset's cover is an OR of blocks (_covering_subsets).
-A subset of a sandwich satisfies (a), (c) and (d) by construction, so this
-screen on (b) is the only one that rejects; each subset that passes it is
-certified on all four conditions by _index_checks before it is returned.
+candidate_indexes lists every index of R without searching: by the theorem
+that an index is the sandwich of its own domains (see its docstring), the
+indexes of R are exactly the sandwiches Jl∘R∘Jr over the transversals Jl of
+R≺ and Jr of R≻, one per pair, each certified by _index_checks.
 
 The partition of a per into its classes is decided once per per code, by
 three memos that relalg.cache_clear empties. _per_classes keeps the class
@@ -45,10 +42,11 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
+from math import prod
 
 from .domains import _core_code, _ldom_code, _per_ldom_code, _per_rdom_code, _rdom_code, is_per
 from .rel import (
-    MAX_ENUM_BITS, Carrier, EnumerationLimit, Relation, _compose_code, _compose_memo, _converse_memo, _diagonal,
+    MAX_ENUM_BITS, Carrier, EnumerationLimit, Relation, _compose_memo, _converse_memo, _diagonal,
     _make, _middle_mismatch, _rows, compose,
 )
 
@@ -209,63 +207,54 @@ def relation_index(r: Relation, policy: str = "min", seed: int = 0) -> IndexCert
     return IndexCertificate(relation=r, index=_make(r.src, r.dst, j), checks=checks)
 
 
-def _covering_subsets(r: int, sandwich: int, n: int, k: int) -> list[int]:
-    """The subsets J of the sandwich with R≺∘J∘R≻ = R, for the n×k code of
-    R, in increasing code order.
-
-    Composition distributes over union, so R≺∘J∘R≻ is the union of the
-    blocks R≺∘p∘R≻ over the pairs p of J. Each pair's block is composed once,
-    without the compose memo, and every subset's cover is an OR: the subsets
-    are listed by doubling, each pair joined to every subset of the pairs
-    below it, and each cover is that subset's cover ORed with the pair's block.
-    """
-    lpd, rpd = _per_ldom_code(r, n, k), _per_rdom_code(r, n, k)
-    subsets, covers = [0], [0]
-    rest = sandwich
-    while rest:
-        pair = rest & -rest
-        block = _compose_code(_compose_code(lpd, pair, n, n, k), rpd, n, k, k)
-        subsets += [sub | pair for sub in subsets]
-        covers += [cover | block for cover in covers]
-        rest ^= pair
-    return [sub for sub, cover in zip(subsets, covers) if cover == r]
-
-
 def candidate_indexes(r: Relation) -> list[Relation]:
-    """Every subset of R that verifies as an index, in relation_code order.
+    """Every index of R, in relation_code order: the sandwich Jl∘R∘Jr for
+    each transversal Jl of R≺ and Jr of R≻ (a coreflexive on one element of
+    each class). These are all the indexes of R, and each appears once:
 
-    Conditions (b)-(d) force J< to pick exactly one element of each R≺-class
-    and J> one of each R≻-class: (c) allows at most one per class, (b) needs
-    at least one. With J ⊆ R this gives J = J<∘J∘J> ⊆ J<∘R∘J>. So only the
-    subsets of the sandwiches Jl∘R∘Jr, over all such transversals Jl and Jr,
-    can be indexes. Every one of them is tested, so a law about all indexes
-    is tested, not assumed. Each is screened on (b) alone, from the blocks
-    R≺∘p∘R≻ of the sandwich's pairs p (_covering_subsets): a subset of a
-    sandwich satisfies (a), (c) and (d) by construction, so (b) is the only
-    condition that rejects one. A subset that passes the screen is returned
-    only if its certificate (_index_checks) holds on all four. Refuses a
-    relation with a sandwich of more than MAX_ENUM_BITS pairs, before any
-    subset is walked; that never happens on carriers of at most 4 elements.
-    This is the package-side enumerator used by the law suite (the test
-    suite cross-checks it against an independent oracle).
+    1. For an index J, (b) and (c) make J< a transversal of R≺: (c) lets
+       J< hold at most one element of each class, and (b) needs at least
+       one, since each a in R< has a pair of R≺∘J∘R≻ = R. Likewise (b) and
+       (d) make J> a transversal of R≻.
+    2. J = J<∘J∘J> ⊆ J<∘R∘J>, by (a).
+    3. Conversely, a pair (x, y) of J<∘R∘J> is in R = R≺∘J∘R≻, so some
+       (x', y') in J has x R≺ x' and y' R≻ y. Then x and x' are both in J<
+       and in one R≺-class, so x = x' by step 1, and y = y' likewise: (x, y)
+       is in J. So J = J<∘R∘J>, the sandwich of its own domains.
+    4. Every transversal sandwich S = Jl∘R∘Jr satisfies (a) to (d). (a)
+       holds as Jl and Jr are coreflexive. A pair (a, b) of R has equal rows
+       with the representative x of its R≺-class and equal columns with the
+       representative y of its R≻-class, so (x, y) is in R and in S, and
+       R ⊆ R≺∘S∘R≻ ⊆ R≺∘R∘R≻ = R gives (b). So S< = Jl and S> = Jr,
+       transversals, which gives (c) and (d), and distinct pairs give
+       distinct indexes.
+
+    Each sandwich is still certified by _index_checks before it is returned;
+    a failure would be a bug, not an input condition, hence RuntimeError.
+    Refuses a relation with more than 2**MAX_ENUM_BITS transversal pairs
+    before composing any sandwich; carriers of at most 15 elements never
+    have more. This is the package-side enumerator used by the law suite
+    (the test suite cross-checks it against an independent oracle).
     """
     code, n, k = r.code, r.src.size, r.dst.size
+    lefts = [_members(cls) for cls in _per_classes(_per_ldom_code(code, n, k), n)]
+    rights = [_members(cls) for cls in _per_classes(_per_rdom_code(code, n, k), k)]
+    count = prod(len(cls) for cls in lefts + rights)
+    if count > 1 << MAX_ENUM_BITS:
+        raise EnumerationLimit(f"relation has {count} pairs of domain transversals; refusing more than "
+                               f"2**{MAX_ENUM_BITS}")
 
-    def transversals(per: int, size: int) -> list[int]:
-        classes = [_members(cls) for cls in _per_classes(per, size)]
+    def transversals(classes: list[tuple[int, ...]], size: int) -> list[int]:
         return [_diagonal(sum(1 << i for i in pick), size) for pick in product(*classes)]
 
-    lefts, rights = transversals(_per_ldom_code(code, n, k), n), transversals(_per_rdom_code(code, n, k), k)
-    sandwiches = [_sandwich(code, left, right, n, k) for left in lefts for right in rights]
-    widest = max(s.bit_count() for s in sandwiches)
-    if widest > MAX_ENUM_BITS:
-        raise EnumerationLimit(f"index sandwich has {widest} pairs; refusing 2**{widest} subsets")
-    found = [
-        j
-        for sandwich in sandwiches
-        for j in _covering_subsets(code, sandwich, n, k)
-        if all(_index_checks(code, j, n, k).values())
-    ]
+    found = []
+    for left in transversals(lefts, n):
+        for right in transversals(rights, k):
+            j = _sandwich(code, left, right, n, k)
+            checks = _index_checks(code, j, n, k)
+            if not all(checks.values()):
+                raise RuntimeError(f"sandwich index failed verification: {checks}")
+            found.append(j)
     return [_make(r.src, r.dst, j) for j in sorted(found)]
 
 

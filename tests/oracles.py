@@ -342,6 +342,19 @@ def oper_index_coreflexive(p: Pairs, n: int) -> bool:
     return j in oper_indexes(p, n) and _oindex_conditions(p, j, n, n)
 
 
+
+def oindex_determined_by_domains(r: Pairs, j: Pairs, na: int, nb: int) -> bool:
+    """An index J of R (one of oindexes) is J<∘R∘J>."""
+    return not _oindex_conditions(r, j, na, nb) or j == ocompose(ocompose(oldom(j), r), ordom(j))
+
+
+def oper_to_relation_index(r: Pairs, j: Pairs, k: Pairs, na: int, nb: int) -> bool:
+    """Coreflexive indexes J of R≺ and K of R≻ (oper_indexes) sandwich an
+    index J∘R∘K of R."""
+    if j not in oper_indexes(operldom(r, na), na) or k not in oper_indexes(operrdom(r, nb), nb):
+        return True
+    return _oindex_conditions(r, ocompose(ocompose(j, r), k), na, nb)
+
 # -- the axioms of an abstract model, element by element ----------------------------
 #
 # Each function yields the refuting instances of one axiom on a model given as

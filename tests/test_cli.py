@@ -190,6 +190,18 @@ def test_points_size_is_bounded(capsys):
     assert len(json.loads(out)["points"]) == 256
 
 
+def test_a_command_that_runs_no_law_leaves_the_laws_unparsed():
+    script = (
+        "import sys\n"
+        "from relalg.cli import main\n"
+        "assert main(['points', '2']) == 0\n"
+        "print('relalg.laws' in sys.modules, 'relalg.terms' in sys.modules)\n"
+    )
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False False"
+
+
 # -- laws -------------------------------------------------------------------------------
 
 

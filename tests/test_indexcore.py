@@ -1,5 +1,3 @@
-from itertools import product
-
 import pytest
 from hypothesis import given, settings
 
@@ -36,9 +34,7 @@ from relalg import (
     top,
     verify_index,
 )
-from relalg.indexcore import (
-    _covering_subsets, _fixed_pick, _index_checks, _members, _per_classes, _quotient_carrier,
-)
+from relalg.indexcore import _fixed_pick, _members, _per_classes, _quotient_carrier
 
 
 def _all(na, nb, src="A", dst="B"):
@@ -228,10 +224,11 @@ def test_verify_index_accepts_every_oracle_index(block):
 
 
 def test_candidate_indexes_match_oracle():
-    for na, nb in ((2, 2), (2, 3), (3, 2)):
+    # every relation of at most 9 matrix bits, 3×3, 1×k and k×1 included
+    for na, nb in [(na, nb) for na in range(1, 10) for nb in range(1, 10) if na * nb <= 9]:
         for r in _all(na, nb):
-            got = {unpack(j) for j in candidate_indexes(r)}
-            assert got == set(o.oindexes(unpack(r), na, nb))
+            got = [unpack(j) for j in candidate_indexes(r)]
+            assert len(got) == len(set(got)) and set(got) == set(o.oindexes(unpack(r), na, nb)), r
 
 
 @pytest.mark.parametrize("pairs", [
@@ -248,34 +245,31 @@ def test_candidate_indexes_of_dense_4x4_match_oracle(pairs):
 
 
 def test_candidate_indexes_leave_the_compose_memo_almost_empty():
-    # 13 pairs, all rows and all columns distinct: one sandwich of 2**13
-    # subsets, each screened from its pairs' blocks without the compose memo
+    # 13 pairs, all rows and all columns distinct: every class has one
+    # member, so there is one pair of transversals and one sandwich
     r = pack(4, 4, [(i, j) for i in range(4) for j in range(4) if (i, j) not in {(0, 0), (1, 1), (2, 2)}])
     cache_clear()
     assert candidate_indexes(r) == [r]
     assert compose.cache_info().currsize < 100
 
 
-def test_covering_screen_agrees_with_condition_b_on_every_subset():
-    # every sandwich of R is a subset S of R: for each S, the screen keeps
-    # exactly the subsets of S that pass (b), rejected ones checked too, in
-    # code order
-    for na, nb in product(range(1, 4), repeat=2):
-        for r in _all(na, nb):
-            subsets = [j for j in range(r.code + 1) if not j & ~r.code]
-            passes = {j: _index_checks(r.code, j, na, nb)["R≺∘J∘R≻ = R"] for j in subsets}
-            for s in subsets:
-                want = [j for j in subsets if not j & ~s and passes[j]]
-                assert _covering_subsets(r.code, s, na, nb) == want, (r, s)
-    cache_clear()
-
-
-def test_candidate_indexes_refuses_a_wide_sandwich():
-    # rows and columns of the complement of 𝕀 are pairwise distinct: the only
-    # sandwich is the relation itself, 20 pairs
+def test_candidate_indexes_of_a_relation_with_distinct_rows_and_columns_is_itself():
+    # rows and columns of the complement of 𝕀 are pairwise distinct: its
+    # only index is itself, all 20 pairs
     r = complement(identity(Carrier("A", 5)))
-    with pytest.raises(EnumerationLimit, match="20 pairs"):
-        candidate_indexes(r)
+    assert candidate_indexes(r) == [r]
+
+
+def test_candidate_indexes_refuses_too_many_transversal_pairs():
+    # a per with 17 two-element classes has 2**17 transversals on each side,
+    # so 2**34 pairs: refused before any sandwich is composed
+    a = Carrier("A", 34)
+    p = from_pairs(a, a, [(2 * c + i, 2 * c + j) for c in range(17) for i in range(2) for j in range(2)])
+    cache_clear()
+    before = compose.cache_info()
+    with pytest.raises(EnumerationLimit, match=r"17179869184 pairs .*2\*\*16"):
+        candidate_indexes(p)
+    assert compose.cache_info() == before
 
 
 # -- splitting ----------------------------------------------------------------------
@@ -475,7 +469,6 @@ CORE_THEOREMS = (
     "core-decomposition-valid",
     "core-quotient-valid",
     "core-isomorphic-index",
-    "index-determined-by-domains",
     "indexes-pairwise-isomorphic",
 )
 
@@ -498,6 +491,13 @@ def test_core_theorem_suite_sampled(r):
 
 def test_core_theorem_suite_on_empty_relation():
     assert not _core_theorems_fail(pack(2, 3, []))
+
+
+def test_every_index_is_the_sandwich_of_its_domains_at_2x2():
+    # index-determined-by-domains ranges J over every relation of R's type
+    for r in _all(2, 2):
+        for j in _all(2, 2):
+            assert not failing_laws(["index-determined-by-domains"], r, j), (r, j)
 
 
 def _difunction_index_laws_fail(r):

@@ -64,6 +64,8 @@ SLICED = {
     # index of a per through where
     "sym-division-columns", "pair-characterization", "iso-self-witness", "bijection-iso-coreflexive",
     "per-splits", "per-index-coreflexive",
+    # every index of R, as a variable with the conditions that make it one as the premise
+    "index-determined-by-domains", "per-to-relation-index",
 }
 
 # the letters of the planted statements, in variable order
@@ -497,6 +499,8 @@ ORACLES = {
     "bijection-iso-coreflexive": lambda args, shapes: o.obijection_iso_coreflexive(*args),
     "per-splits": lambda args, shapes: o.oper_splits(*args),
     "per-index-coreflexive": lambda args, shapes: o.oper_index_coreflexive(*args, shapes[0][0]),
+    "index-determined-by-domains": lambda args, shapes: o.oindex_determined_by_domains(*args, *shapes[0]),
+    "per-to-relation-index": lambda args, shapes: o.oper_to_relation_index(*args, *shapes[0]),
 }
 
 HOMOGENEOUS = (Var("relation", "A", "A"),)
@@ -522,6 +526,12 @@ WRONG = [
      "functional R ⇒ (φ∘φ° = R< and ψ∘ψ° = R> and R = φ∘S∘ψ°) where φ = R<, ψ = R°, S = R<", None),
     ("per-splits", "P = (J∘P)°∘(J∘P) and J = (J∘P)∘(J∘P)° for pers P where J = P<", None),  # every member kept
     ("per-index-coreflexive", "J ⊆ 𝕀 and J∘P∘J = J and P∘J∘P = P for pers P where J = P<", None),
+    # (c) and (d) dropped: a J with two related elements in a domain is no sandwich
+    ("index-determined-by-domains", "J ⊆ R and R≺∘J∘R≻ = R ⇒ J = J<∘R∘J>", None),
+    # P∘J∘P = P and Q∘K∘Q = Q dropped: J = ⊥ is no transversal
+    ("per-to-relation-index",
+     "J ⊆ P< and J∘P∘J = J and K ⊆ Q< and K∘Q∘K = K "
+     "⇒ I ⊆ R and R≺∘I∘R≻ = R and I<∘R≺∘I< = I< and I>∘R≻∘I> = I> where P = R≺, Q = R≻, I = J∘R∘K", None),
 ]
 
 # every instance of at most 12 matrix bits, over carriers of the sizes the runner takes
