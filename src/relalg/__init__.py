@@ -93,16 +93,19 @@ from .rel import (
 __version__ = "0.1.0"
 
 # The memoized kernel operations, each exposing the cache_info and cache_clear
-# of the private memo on codes and sizes that answers it (see rel), and the
-# per-partition memos of indexcore: cache_clear empties every memo through them.
+# of the private memo on codes and sizes that answers it (see rel), the
+# per-partition memos of indexcore, and the bundled models: cache_clear empties
+# every memo through them.
 _MEMOIZED = (
     compose, converse, complement, left_residual, right_residual, sym_left_div, sym_right_div,
-    ldom, rdom, per_ldom, per_rdom, _per_classes, _fixed_pick, _quotient_carrier,
+    ldom, rdom, per_ldom, per_rdom, _per_classes, _fixed_pick, _quotient_carrier, load_bundled,
 )
 
 
 def cache_clear() -> None:
-    """Drop all memoized operation results (tests use this between phases)."""
+    """Drop all memoized results: the kernel operations, the per-partition
+    memos and the bundled models, which the next load_bundled reads again
+    (tests use this between phases)."""
     for fn in _MEMOIZED:
         fn.cache_clear()
 

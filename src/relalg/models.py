@@ -55,6 +55,13 @@ verdicts. So the loader, check_axioms (whose Dedekind precondition reuses the
 three verdicts) and recheck decide each once per model. That is safe because
 AbstractModel is frozen with tuple fields, so no table changes under a cache,
 and dataclasses.replace builds a new instance that recomputes everything.
+
+load_bundled reads and validates each bundled model once per process and
+returns that same AbstractModel to every later call (relalg.cache_clear
+empties its memo). Sharing one instance is safe for the same reasons: its
+fields cannot be rebound, its cached facts derive only from those fields,
+and a changed copy made with dataclasses.replace is a new instance that
+shares none of them.
 """
 
 from __future__ import annotations
@@ -757,6 +764,8 @@ def _data_path(name: str):
     return resources.files("relalg").joinpath(f"data/{name}.json")
 
 
+# One slot per bundled model: a model-axioms pass makes 541 loads of 6 names.
+@lru_cache(maxsize=len(BUNDLED_NAMES))
 def load_bundled(name: str) -> AbstractModel:
     if name not in _EXPECTED:
         raise KeyError(f"no bundled model {name!r}; have {', '.join(BUNDLED_NAMES)}")

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from oracles import OAXIOMS
-from relalg import models
+from relalg import cache_clear, models
 from relalg.models import (
     _VIOLATIONS,
     AbstractModel,
@@ -138,6 +138,43 @@ def test_report_flags_and_ok():
     assert tuple(rep.flags()) == AxiomReport.AXIOMS
     assert not rep.ok
     assert check_axioms(load_bundled("two_element")).ok
+
+
+# -- bundled models are loaded once per process ----------------------------------
+
+
+@pytest.mark.parametrize("name", BUNDLED_NAMES)
+def test_a_bundled_model_is_loaded_once_and_shared(name):
+    assert load_bundled(name) is load_bundled(name)
+
+
+def test_cache_clear_reloads_equal_bundled_models():
+    before = [load_bundled(name) for name in BUNDLED_NAMES]
+    cache_clear()
+    assert load_bundled.cache_info().currsize == 0
+    after = [load_bundled(name) for name in BUNDLED_NAMES]
+    assert all(a is not b and a == b for a, b in zip(after, before))
+
+
+@pytest.mark.parametrize("name", [name for name in BUNDLED_NAMES if name != "one_element"])
+def test_a_broken_copy_of_a_shared_model_leaves_it_intact(name):
+    m = load_bundled(name)
+    check_axioms(m)  # fills the shared model's cached facts
+    # every composite is ⊤: 𝕀 is no unit, so a copy that read the shared
+    # model's cached rows would pass the monoid laws
+    broken = dataclasses.replace(m, comp=tuple((m.top,) * len(row) for row in m.comp))
+    assert not check_axioms(broken).flags()["monoid"]
+    assert load_bundled(name) is m
+    rep, expected = check_axioms(m), models._EXPECTED[name]
+    assert rep.flags() == expected["flags"] and rep.counterexamples == expected["counterexamples"]
+
+
+def test_an_unknown_bundled_name_is_refused_and_not_held():
+    load_bundled("two_element")
+    held = load_bundled.cache_info().currsize
+    with pytest.raises(KeyError, match="no bundled model 'no_such_model'"):
+        load_bundled("no_such_model")
+    assert load_bundled.cache_info().currsize == held
 
 
 # -- the 13-element algebra -------------------------------------------------------

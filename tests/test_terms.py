@@ -349,9 +349,10 @@ def _instances(law: Law, max_size: int):
         yield carriers, typed, list(product(*pools))
 
 
-def _disagreements(formula: Formula, law: Law, max_size: int, reference=None) -> list:
+def _disagreements(formula: Formula, law: Law, max_size: int, reference=None, verdicts=None) -> list:
     """Instances at sizes <= max_size where the sliced verdict differs from the
-    scalar one (or from the reference check)."""
+    scalar one (or from the reference check). Each scalar (or reference)
+    verdict is added to the set verdicts, when one is given."""
     reference = reference or formula
     wrong = []
     for carriers, typed, instances in _instances(law, max_size):
@@ -361,7 +362,10 @@ def _disagreements(formula: Formula, law: Law, max_size: int, reference=None) ->
         fails = formula.failures(planes, {tv: c.size for tv, c in carriers.items()}, full)
         for x, codes in enumerate(instances):
             args = tuple(_make(src, dst, code) for (src, dst), code in zip(typed, codes))
-            if bool(fails >> x & 1) == reference(args, carriers):
+            held = reference(args, carriers)
+            if verdicts is not None:
+                verdicts.add(held)
+            if bool(fails >> x & 1) == held:
                 wrong.append((law.id, {tv: c.size for tv, c in carriers.items()}, codes))
     return wrong
 
@@ -415,9 +419,8 @@ def test_sliced_and_scalar_verdicts_agree_on_every_operation(statement):
     # statements that fail on some instances and hold on others
     vars = (Var("relation", "A", "B"), Var("relation", "A", "B"), Var("relation", "B", "C"))
     law = Law("zz-probe", statement, vars, parse(statement, vars, "RST"))
-    assert _disagreements(law.check, law, 2) == []
-    verdicts = {law.check(args, cs) for cs, typed, instances in _instances(law, 2) for codes in instances
-                for args in [tuple(_make(s, d, c) for (s, d), c in zip(typed, codes))]}
+    verdicts = set()
+    assert _disagreements(law.check, law, 2, verdicts=verdicts) == []
     assert verdicts == {True, False}
 
 
@@ -543,6 +546,12 @@ def _cells(code: int, n: int, k: int) -> frozenset:
     return frozenset((c // k, c % k) for c in range(n * k) if code >> c & 1)
 
 
+# (law id, variable kinds, shapes) -> the mask of the instances, in pool order,
+# on which the law's oracle holds: the law's own statement and every wrong one
+# are compared with one table
+_ORACLE_VERDICTS: dict[tuple, int] = {}
+
+
 def _oracle_disagreements(formula: Formula, vars, law_id: str) -> tuple[list, int]:
     """The instances of at most ORACLE_BITS matrix bits on which the sliced
     verdict of formula differs from law_id's oracle, and the instance count."""
@@ -556,12 +565,15 @@ def _oracle_disagreements(formula: Formula, vars, law_id: str) -> tuple[list, in
             continue
         carriers = {tv: Carrier(tv, k) for tv, k in n.items()}
         instances = list(product(*(_pool(v.kind, carriers[v.src], carriers[v.dst]) for v in vars)))
+        key = (law_id, tuple(v.kind for v in vars), tuple(shapes))
+        if key not in _ORACLE_VERDICTS:
+            _ORACLE_VERDICTS[key] = sum(
+                1 << x for x, codes in enumerate(instances)
+                if oracle([_cells(code, a, b) for code, (a, b) in zip(codes, shapes)], shapes))
+        holds = _ORACLE_VERDICTS[key]
         planes = [code_planes(column, a * b) for column, (a, b) in zip(zip(*instances), shapes)]
         fails = formula.failures(planes, n, (1 << len(instances)) - 1)
-        for x, codes in enumerate(instances):
-            args = [_cells(code, a, b) for code, (a, b) in zip(codes, shapes)]
-            if bool(fails >> x & 1) == oracle(args, shapes):
-                wrong.append((n, codes))
+        wrong += [(n, codes) for x, codes in enumerate(instances) if (fails >> x & 1) == (holds >> x & 1)]
         count += len(instances)
     return wrong, count
 
