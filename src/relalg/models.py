@@ -25,6 +25,17 @@ product_model builds products from the factors' index tables, without names
 or load_model: a product of valid models is valid by construction, and
 check_axioms is what re-verifies one.
 
+The tables are rows of element indexes, and n ≤ 256 lets one byte hold an
+index. So load_model and product_model build every table as a tuple of bytes
+rows: comp, joins and meets hold indexes, leq holds 0 and 1, and conv is one
+bytes object. Indexing a row still yields an int. product_model makes each
+row by joining blocks of the second factor's rows, each shifted by
+a·n2 for the first factor's entry a. A model built directly may hold any
+sequences of ints instead, such as tuples of tuples and leq of bools, and
+leq is read by truth value throughout. The checks read every table through
+bytes rows (_rows), which copies such a table once and costs nothing for a
+bytes row.
+
 The lattice, monoid and Dedekind laws are decided on join-irreducibles
 first, in n²·|J| row comparisons instead of n³. In a finite lattice every
 element is the join of the join-irreducibles J below it (⊥ of none), so a
@@ -37,10 +48,17 @@ yields, so verdicts, first counterexamples and diagnostics do not depend on
 the reduction.
 - meet-over-join, y ∈ J: x∧(y∨z) = (x∧y)∨(x∧z) for y in J extends over y's
   decomposition by induction, and x∧⊥ = ⊥ covers y = ⊥.
-- monoid, y ∈ J, after the unit and zero laws for every x: x∘(y∨z) =
-  x∘y ∨ x∘z extends the same way, with ⊥ a zero for y = ⊥ (join-right
-  likewise), and then both sides of associativity are joins over y's
-  decomposition of instances in J.
+- monoid (_monoid_holds): unit and zero as four whole rows, comp[𝕀] and
+  column 𝕀 against 0, 1, …, n-1 and comp[⊥] and column ⊥ against ⊥ repeated;
+  join-right (y∨z)∘x = y∘x ∨ z∘x for every x with y ∈ J (n·|J| rows); and
+  join-left and associativity for x, y ∈ J only (|J|² rows). Join-right
+  extends over y's decomposition by induction, with ⊥ a zero for y = ⊥, so ∘
+  preserves joins in its left argument. Join-left extends over y the same way
+  while x ∈ J. Then write x = ⋁xᵢ with xᵢ ∈ J (x = ⊥ is covered by the zero
+  law): x∘w = ⋁xᵢ∘w for every w, so x∘(y∨z) = ⋁(xᵢ∘y ∨ xᵢ∘z) = x∘y ∨ x∘z.
+  Associativity extends over y for x ∈ J, both sides now preserving joins in
+  y, and then over x by the same decomposition: (x∘y)∘z = ⋁(xᵢ∘y)∘z =
+  ⋁xᵢ∘(y∘z) = x∘(y∘z).
 - Dedekind, r, s ∈ J, t any, once the reduced lattice and monoid checks hold
   and the converse law has no violation: R∘S ∩ T = ⋁(Rᵢ∘Sⱼ ∩ T) by
   distributivity, and each term is below R∘(S ∩ R°∘T) (and (R ∩ T∘S°)∘S)
@@ -53,8 +71,9 @@ on the instance: the byte rows of comp, its columns, joins, meets and leq, the
 join-irreducibles, the points, and the reduced lattice, monoid and converse
 verdicts. So the loader, check_axioms (whose Dedekind precondition reuses the
 three verdicts) and recheck decide each once per model. That is safe because
-AbstractModel is frozen with tuple fields, so no table changes under a cache,
-and dataclasses.replace builds a new instance that recomputes everything.
+AbstractModel is frozen and its tables are bytes or tuples, so no table
+changes under a cache, and dataclasses.replace builds a new instance that
+recomputes everything.
 
 load_bundled reads and validates each bundled model once per process and
 returns that same AbstractModel to every later call (relalg.cache_clear
@@ -70,14 +89,12 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from importlib import resources
-from itertools import chain, repeat
-from operator import and_, eq, getitem, xor
+from itertools import chain, compress, repeat
+from operator import and_, eq, getitem, itemgetter, xor
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .rel import MAX_INPUT_SIZE, read_json
-
-_BIT = {"0": False, "1": True}
 
 
 class ModelFormatError(ValueError):
@@ -93,14 +110,14 @@ class ModelFormatError(ValueError):
 class AbstractModel:
     name: str
     elements: tuple[str, ...]
-    leq: tuple[tuple[bool, ...], ...]          # leq[i][j]  ⇔  x_i ⊆ x_j
-    comp: tuple[tuple[int, ...], ...]          # comp[i][j] = index of x_i∘x_j
-    conv: tuple[int, ...]
+    leq: tuple[Sequence[int], ...]             # leq[i][j]  ⇔  x_i ⊆ x_j, read by truth value
+    comp: tuple[Sequence[int], ...]            # comp[i][j] = index of x_i∘x_j
+    conv: Sequence[int]
     ident: int
     top: int
     bot: int
-    joins: tuple[tuple[int, ...], ...] = field(repr=False)
-    meets: tuple[tuple[int, ...], ...] = field(repr=False)
+    joins: tuple[Sequence[int], ...] = field(repr=False)
+    meets: tuple[Sequence[int], ...] = field(repr=False)
 
     # -- little element calculus ------------------------------------------
 
@@ -149,16 +166,7 @@ class AbstractModel:
 
     def index_of_per(self, p: int) -> int | None:
         """A coreflexive j with j ⊆ P<, j∘P∘j = j and P∘j∘P = P, if any."""
-        pdom = self.ldom(p)
-        for j in self.coreflexives():
-            if not self.leq[j][pdom]:
-                continue
-            if self.comp[self.comp[j][p]][j] != j:
-                continue
-            if self.comp[self.comp[p][j]][p] != p:
-                continue
-            return j
-        return None
+        return _index_among(self, p, self.coreflexives())
 
     @cached_property
     def _irreducibles(self) -> tuple[int, ...] | None:
@@ -231,11 +239,20 @@ class AbstractModel:
 
     @cached_property
     def _monoid_reduced(self) -> bool:
-        return _holds_on_irreducibles(self, _monoid_search)
+        return self._irreducibles is not None and _monoid_holds(self)
 
     @cached_property
     def _converse_reduced(self) -> bool:
         return self._irreducibles is not None and _converse_holds(self)
+
+
+def _index_among(m: AbstractModel, p: int, coreflexives: list[int]) -> int | None:
+    """The first j of coreflexives that is an index of the per p, if any."""
+    pdom = m.ldom(p)
+    for j in coreflexives:
+        if m.leq[j][pdom] and m.comp[m.comp[j][p]][j] == j and m.comp[m.comp[p][j]][p] == p:
+            return j
+    return None
 
 
 # -- loading -------------------------------------------------------------------
@@ -250,7 +267,7 @@ def _check_size(n: int) -> None:
         _fail("size", f"{n} elements, more than the {MAX_INPUT_SIZE} a model may have")
 
 
-def _refuse_order(elements: tuple[str, ...], up: list[int], joins: list, meets: list) -> None:
+def _refuse_order(elements: tuple[str, ...], up: list[int], down: list[int]) -> None:
     """Raise on the first failure of the order, then of the lattice, in element order."""
     n = len(elements)
     for i in range(n):
@@ -270,10 +287,11 @@ def _refuse_order(elements: tuple[str, ...], up: list[int], joins: list, meets: 
                     f"not transitive: {elements[i]!r} ⊆ {elements[j]!r} ⊆ {elements[k]!r} "
                     f"but not {elements[i]!r} ⊆ {elements[k]!r}",
                 )
+    ups, downs = set(up), set(down)
     for i in range(n):
         for j in range(n):
-            for kind, table in (("join", joins), ("meet", meets)):
-                if table[i][j] is None:
+            for kind, masks, found in (("join", up, ups), ("meet", down, downs)):
+                if masks[i] & masks[j] not in found:
                     _fail("lattice", f"no unique {kind} for {elements[i]!r} and {elements[j]!r}")
 
 
@@ -333,11 +351,12 @@ def load_model(source: str | Path | dict, name: str | None = None) -> AbstractMo
     _check_size(n)
     pos = {x: i for i, x in enumerate(elements)}
 
-    # Names resolve a whole row at a time; only a row that fails is looked at
-    # one cell at a time, to name its first malformed entry.
-    def lookup(names: Iterable) -> list[int] | None:
+    # Names resolve a whole row at a time, into bytes (n ≤ 256); only a row
+    # that fails is looked at one cell at a time, to name its first malformed
+    # entry.
+    def lookup(names: Iterable) -> bytes | None:
         try:
-            return list(map(pos.__getitem__, names))
+            return bytes(map(pos.__getitem__, names))
         except (KeyError, TypeError):
             return None
 
@@ -346,11 +365,11 @@ def load_model(source: str | Path | dict, name: str | None = None) -> AbstractMo
             _fail("format", f"{key}{''.join(f'[{a}]' for a in at)}: unknown element {x!r}")
         return pos[x]
 
-    def resolve_row(row: list, key: str, *at: int) -> tuple[int, ...]:
+    def resolve_row(row: list, key: str, *at: int) -> bytes:
         found = lookup(row)
         if found is None:
-            found = [resolve(x, key, *at, j) for j, x in enumerate(row)]
-        return tuple(found)
+            found = bytes([resolve(x, key, *at, j) for j, x in enumerate(row)])
+        return found
 
     raw_leq = data["leq"]
     if not isinstance(raw_leq, list):
@@ -364,11 +383,12 @@ def load_model(source: str | Path | dict, name: str | None = None) -> AbstractMo
             if not (isinstance(entry, list) and len(entry) == 2):
                 _fail("format", f"leq[{k}]: expected an [x, y] pair, got {entry!r}")
             pairs += resolve(entry[0], "leq", k), resolve(entry[1], "leq", k)
+    ones = [1 << i for i in range(n)]
     up, down = [0] * n, [0] * n  # bitmasks of the elements above / below x_i
     ends = iter(pairs)
     for i, j in zip(ends, ends):
-        up[i] |= 1 << j
-        down[j] |= 1 << i
+        up[i] |= ones[j]
+        down[j] |= ones[i]
 
     raw_comp = data["compose"]
     if not (isinstance(raw_comp, list) and len(raw_comp) == n and all(isinstance(row, list) and len(row) == n for row in raw_comp)):
@@ -389,27 +409,30 @@ def load_model(source: str | Path | dict, name: str | None = None) -> AbstractMo
     # is reflexive and antisymmetric (up[i] ∧ down[i] = {i}) and every join is
     # found, it is transitive as well (see AbstractModel._irreducibles);
     # otherwise _refuse_order names the first failure.
-    ones = [1 << i for i in range(n)]
+    # A missing join or meet is a None, which bytes() refuses. Rows go through
+    # lists: a tuple built from an iterator of unknown length is resized as it
+    # grows, and over a load that fragments the heap.
     by_up = {u: k for k, u in enumerate(up)}
     by_down = {d: k for k, d in enumerate(down)}
-    joins = [list(map(by_up.get, map(u.__and__, up))) for u in up]
-    meets = [list(map(by_down.get, map(d.__and__, down))) for d in down]
-    if not all(map(eq, map(and_, up, down), ones)) or any(None in row for row in chain(joins, meets)):
-        _refuse_order(elements, up, joins, meets)
+    try:
+        joins = tuple([bytes(map(by_up.get, map(u.__and__, up))) for u in up])
+        meets = tuple([bytes(map(by_down.get, map(d.__and__, down))) for d in down])
+    except TypeError:
+        joins = meets = ()
+    if not (joins and all(map(eq, map(and_, up, down), ones))):
+        _refuse_order(elements, up, down)
 
-    # rows go through lists: a tuple built from an iterator of unknown length
-    # is resized as it grows, and over a load that fragments the heap
     model = AbstractModel(
         name=name,
         elements=elements,
-        leq=tuple([tuple([*map(_BIT.__getitem__, f"{u:0{n}b}"[::-1])]) for u in up]),
+        leq=tuple([f"{u:0{n}b}"[::-1].encode().translate(_DIGITS) for u in up]),
         comp=comp,
         conv=conv,
         ident=ident,
         top=tp,
         bot=bt,
-        joins=tuple(map(tuple, joins)),
-        meets=tuple(map(tuple, meets)),
+        joins=joins,
+        meets=meets,
     )
     model.__dict__["_irreducibles"] = _join_irreducibles(down, ones, bt)  # the cached_property, from these masks
 
@@ -443,8 +466,10 @@ def load_model(source: str | Path | dict, name: str | None = None) -> AbstractMo
 # the first monoid or converse violation.
 
 
-# a bytes.translate table that maps the byte 0 to 1 and every other byte to 0
+# bytes.translate tables: _NOT maps the byte 0 to 1 and every other byte to 0,
+# _DIGITS the digits "0" and "1" to the bytes 0 and 1
 _NOT = b"\1" + bytes(255)
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _rows(table) -> tuple[list[bytes], list[bytes]]:
@@ -463,9 +488,10 @@ def _row_violations(tags: tuple, x: int, y: int, lhs: tuple, rhs: tuple) -> Iter
 
 def _lattice_search(m: AbstractModel, ys: Iterable[int]) -> Iterator[tuple]:
     n = len(m.elements)
-    for x in range(n):
-        if not (m.leq[m.bot][x] and m.leq[x][m.top]):
-            yield ("bounds", x)
+    if not (all(m.leq[m.bot]) and all(map(itemgetter(m.top), m.leq))):
+        for x in range(n):
+            if not (m.leq[m.bot][x] and m.leq[x][m.top]):
+                yield ("bounds", x)
     meets, tmeets = m._meet_rows
     joins, tjoins = m._join_rows
     for x in range(n):
@@ -476,7 +502,7 @@ def _lattice_search(m: AbstractModel, ys: Iterable[int]) -> Iterator[tuple]:
                 yield from _row_violations(("meet-over-join",), x, y, lhs, rhs)
 
 
-def _monoid_search(m: AbstractModel, ys: Iterable[int]) -> Iterator[tuple]:
+def _monoid_search(m: AbstractModel) -> Iterator[tuple]:
     n = len(m.elements)
     for x in range(n):
         if m.comp[m.ident][x] != x or m.comp[x][m.ident] != x:
@@ -488,7 +514,7 @@ def _monoid_search(m: AbstractModel, ys: Iterable[int]) -> Iterator[tuple]:
     joins, tjoins = m._join_rows
     for x in range(n):
         cx, tx, colx, tcolx = comp[x], tcomp[x], cols[x], tcols[x]
-        for y in ys:
+        for y in range(n):
             # rows over z of assoc: comp[comp[x][y]][z] == comp[x][comp[y][z]]
             #          join-left: comp[x][joins[y][z]] == joins[comp[x][y]][comp[x][z]]
             #         join-right: comp[joins[y][z]][x] == joins[comp[y][x]][comp[z][x]]
@@ -496,6 +522,31 @@ def _monoid_search(m: AbstractModel, ys: Iterable[int]) -> Iterator[tuple]:
             rhs = (comp[y].translate(tx), cx.translate(tjoins[cx[y]]), colx.translate(tjoins[colx[y]]))
             if lhs != rhs:
                 yield from _row_violations(("assoc", "join-left", "join-right"), x, y, lhs, rhs)
+
+
+def _monoid_holds(m: AbstractModel) -> bool:
+    """No monoid violation, decided with arguments in J (see the module
+    docstring). Needs the tables that m._irreducibles vouches for."""
+    n = len(m.elements)
+    irr = m._irreducibles
+    comp, tcomp = m._comp_rows
+    cols, tcols = m._col_rows
+    joins, tjoins = m._join_rows
+    unit, zero = bytes(range(n)), bytes([m.bot]) * n
+    if not (comp[m.ident] == cols[m.ident] == unit and comp[m.bot] == cols[m.bot] == zero):
+        return False
+    for colx, tcolx in zip(cols, tcols):
+        for y in irr:
+            # join-right: comp[joins[y][z]][x] == joins[comp[y][x]][comp[z][x]] over z
+            if joins[y].translate(tcolx) != colx.translate(tjoins[colx[y]]):
+                return False
+    for x in irr:
+        cx, tx = comp[x], tcomp[x]
+        for y in irr:
+            # assoc and join-left, as in _monoid_search
+            if comp[cx[y]] != comp[y].translate(tx) or joins[y].translate(tx) != cx.translate(tjoins[cx[y]]):
+                return False
+    return True
 
 
 def _converse_search(m: AbstractModel) -> Iterator[tuple]:
@@ -579,7 +630,7 @@ def _lattice_violations(m: AbstractModel) -> Iterator[tuple]:
 
 def _monoid_violations(m: AbstractModel) -> Iterator[tuple]:
     if not m._monoid_reduced:
-        yield from _monoid_search(m, range(len(m.elements)))
+        yield from _monoid_search(m)
 
 
 def _converse_violations(m: AbstractModel) -> Iterator[tuple]:
@@ -604,8 +655,9 @@ def _cone_violations(m: AbstractModel) -> Iterator[tuple]:
 
 
 def _choice_violations(m: AbstractModel) -> Iterator[tuple]:
+    coreflexives = m.coreflexives()
     for p in m.pers():
-        if m.index_of_per(p) is None:
+        if _index_among(m, p, coreflexives) is None:
             yield (p,)
 
 
@@ -630,11 +682,13 @@ def _extensional_violations(m: AbstractModel) -> Iterator[tuple]:
 
 def _universal_choice_violations(m: AbstractModel) -> Iterator[tuple]:
     n = len(m.elements)
-    # the f with f∘f° ⊆ 𝕀, each with its rdom(f): facts of f alone
-    rdoms = {f: m.rdom(f) for f in range(n) if m.leq[m.comp[f][m.conv[f]]][m.ident]}
+    # the f with f∘f° ⊆ 𝕀, by their rdom(f): facts of f alone
+    by_rdom: dict[int, list[int]] = {}
+    for f in range(n):
+        if m.leq[m.comp[f][m.conv[f]]][m.ident]:
+            by_rdom.setdefault(m.rdom(f), []).append(f)
     for r in range(n):
-        rd = m.rdom(r)
-        if not any(m.leq[f][r] and d == rd for f, d in rdoms.items()):
+        if not any(m.leq[f][r] for f in by_rdom.get(m.rdom(r), ())):
             yield (r,)
 
 
@@ -784,15 +838,16 @@ def bundled_models() -> list[BundledModel]:
 
 def model_to_dict(m: AbstractModel) -> dict:
     """The JSON shape load_model accepts, with leq listed in index order."""
-    n = len(m.elements)
+    elements = m.elements
+    name = elements.__getitem__
     return {
-        "elements": list(m.elements),
-        "leq": [[m.elements[i], m.elements[j]] for i in range(n) for j in range(n) if m.leq[i][j]],
-        "compose": [[m.elements[m.comp[i][j]] for j in range(n)] for i in range(n)],
-        "converse": [m.elements[m.conv[i]] for i in range(n)],
-        "identity": m.elements[m.ident],
-        "top": m.elements[m.top],
-        "bottom": m.elements[m.bot],
+        "elements": list(elements),
+        "leq": [[x, y] for x, row in zip(elements, m.leq) for y in compress(elements, row)],
+        "compose": [list(map(name, row)) for row in m.comp],
+        "converse": list(map(name, m.conv)),
+        "identity": elements[m.ident],
+        "top": elements[m.top],
+        "bottom": elements[m.bot],
     }
 
 
@@ -817,15 +872,22 @@ def product_model(m1: AbstractModel, m2: AbstractModel, name: str | None = None)
     if len(set(elements)) != len(elements):  # factor names containing "|" can collide
         _fail("format", "'elements' contains duplicates")
 
-    def lift(t1: tuple, t2: tuple) -> tuple:
-        return tuple(tuple([a * n2 + b for a in r1 for b in r2]) for r1 in t1 for r2 in t2)
+    # shift[a] maps b to the index a*n2 + b of (x_a, y_b)
+    shift = [bytes(range(a * n2, (a + 1) * n2)).ljust(256, b"\0") for a in range(len(m1.elements))]
 
+    def lift(t1: Iterable, t2: Iterable) -> tuple[bytes, ...]:
+        # row (r1, r2) is the blocks r2 shifted by a, for a in r1
+        blocks = [[r2.translate(s) for s in shift] for r2 in map(bytes, t2)]
+        return tuple([b"".join(map(block.__getitem__, r1)) for r1 in t1 for block in blocks])
+
+    zero = bytes(n2)
+    leq2 = [bytes(map(bool, r2)) for r2 in m2.leq]
     return AbstractModel(
         name=name or f"{m1.name}x{m2.name}",
         elements=elements,
-        leq=tuple(tuple([a and b for a in r1 for b in r2]) for r1 in m1.leq for r2 in m2.leq),
+        leq=tuple([b"".join([r2 if a else zero for a in r1]) for r1 in m1.leq for r2 in leq2]),
         comp=lift(m1.comp, m2.comp),
-        conv=tuple([a * n2 + b for a in m1.conv for b in m2.conv]),
+        conv=lift((m1.conv,), (m2.conv,))[0],
         ident=m1.ident * n2 + m2.ident,
         top=m1.top * n2 + m2.top,
         bot=m1.bot * n2 + m2.bot,

@@ -1,12 +1,15 @@
 import dataclasses
 import json
+import math
 import random
 from collections import Counter
+from itertools import product
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
-from oracles import OAXIOMS
+from oracles import OAXIOMS, omonoid
 from relalg import cache_clear, models
 from relalg.models import (
     _VIOLATIONS,
@@ -409,6 +412,12 @@ def _swap_joins(m: AbstractModel, first: tuple[str, str], second: tuple[str, str
     return dataclasses.replace(m, joins=tuple(map(tuple, joins)))
 
 
+# (field, seed) of each _perturbed copy; comp changes are where the reduced
+# monoid decision has to find the fault, so they get the most seeds
+_PERTURBATIONS = [(field, seed) for field in ("comp", "joins", "meets", "conv", "leq")
+                  for seed in range(20 if field == "comp" else 3)]
+
+
 def _perturbed(field: str, seed: int) -> AbstractModel:
     """desharnais13 × two_element with one cell of one table changed at random."""
     m = product_model(load_bundled("desharnais13"), load_bundled("two_element"))
@@ -457,9 +466,8 @@ def _differential_cases():
         yield pytest.param(build, broken, id=name)
     for name, (build, broken, _) in _REDUCED.items():
         yield pytest.param(build, broken, id=name)
-    for field in ("comp", "joins", "meets", "conv", "leq"):
-        for seed in range(3):
-            yield pytest.param(lambda field=field, seed=seed: _perturbed(field, seed), None, id=f"{field}-{seed}")
+    for field, seed in _PERTURBATIONS:
+        yield pytest.param(lambda field=field, seed=seed: _perturbed(field, seed), None, id=f"{field}-{seed}")
 
 
 @pytest.mark.parametrize("build,broken", _differential_cases())
@@ -497,12 +505,75 @@ def test_perturbed_copies_break_something():
     """Each seeded copy is refuted by some oracle, so the differential cases
     above compare nonempty lists; comp and conv changes keep the lattice, so
     there the reduced decision is what has to find the fault."""
-    for field in ("comp", "joins", "meets", "conv", "leq"):
-        for seed in range(3):
-            m = _perturbed(field, seed)
-            assert any(next(oracle(m), None) for oracle in OAXIOMS.values()), (field, seed)
-            if field in ("comp", "conv"):
-                assert m._irreducibles is not None, (field, seed)
+    for field, seed in _PERTURBATIONS:
+        m = _perturbed(field, seed)
+        assert any(next(oracle(m), None) for oracle in OAXIOMS.values()), (field, seed)
+        if field in ("comp", "conv"):
+            assert m._irreducibles is not None, (field, seed)
+
+
+def _single_cell_changes(m: AbstractModel) -> Iterator[AbstractModel]:
+    """Every copy of m with one cell of comp set to another element."""
+    n = len(m.elements)
+    for i, row in enumerate(m.comp):
+        for j in range(n):
+            for v in range(n):
+                if v != row[j]:
+                    changed = bytearray(row)
+                    changed[j] = v
+                    yield dataclasses.replace(m, comp=(*m.comp[:i], bytes(changed), *m.comp[i + 1:]))
+
+
+def _join_right_changes(m: AbstractModel) -> Iterator[AbstractModel]:
+    """Every copy of m with one cell comp[i][y], i join-irreducible, set to
+    another element, and each row x the join of the rows of the
+    join-irreducibles below x. On a distributive lattice ∘ then still
+    preserves joins in its left argument, so a fault has to be found by the
+    unit, zero, join-left or associativity checks."""
+    n = len(m.elements)
+    irr = m._irreducibles
+    below = [[i for i in irr if m.leq[i][x]] for x in range(n)]
+    for i in irr:
+        for y in range(n):
+            for v in range(n):
+                if v != m.comp[i][y]:
+                    rows = {j: bytearray(m.comp[j]) for j in irr}
+                    rows[i][y] = v
+                    comp = tuple(bytes([m.join_all(rows[j][z] for j in below[x]) for z in range(n)]) for x in range(n))
+                    yield dataclasses.replace(m, comp=comp)
+
+
+@pytest.mark.parametrize("f1,f2", [("two_element", "three_element"), ("three_element", "three_element_unit_top")])
+def test_the_reduced_monoid_decision_holds_exactly_when_the_oracle_finds_nothing(f1, f2):
+    """_monoid_holds decides the monoid laws with arguments in J only; on
+    every single-cell change of comp, and on every change that keeps ∘
+    join-preserving on the left, it agrees with the scalar oracle, and the
+    generator still yields the oracle's full ordered list."""
+    m = product_model(load_bundled(f1), load_bundled(f2))
+    outcomes = Counter()
+    for changed in [m, *_single_cell_changes(m), *_join_right_changes(m)]:
+        expected = list(omonoid(changed))
+        assert changed._irreducibles is not None
+        holds = models._monoid_holds(changed)
+        outcomes[holds] += 1
+        assert holds == (not expected)
+        assert list(_VIOLATIONS["monoid"](changed)) == expected
+    assert outcomes[True] and outcomes[False]
+
+
+def test_the_reduced_monoid_decision_on_every_table_of_three_element():
+    """All 3^9 composition tables on three_element, the chain bot < id < top:
+    some break only a unit or zero row or column, which the changes above
+    never do without a failure in J as well."""
+    m = load_bundled("three_element")
+    holding = []
+    for cells in product(range(3), repeat=9):
+        changed = dataclasses.replace(m, comp=(bytes(cells[:3]), bytes(cells[3:6]), bytes(cells[6:])))
+        holds = models._monoid_holds(changed)
+        assert holds == (next(omonoid(changed), None) is None), cells
+        if holds:
+            holding.append(cells)
+    assert tuple(b"".join(m.comp)) in holding
 
 
 # -- join-irreducibles ---------------------------------------------------------------
@@ -785,6 +856,71 @@ def test_load_bundled_rejects_unknown_name():
         load_bundled("five_element")
 
 
+def _ordered_products(limit: int) -> list[tuple[str, ...]]:
+    """Every ordered product of one, two or three bundled models with at most limit elements."""
+    sizes = {name: len(load_bundled(name).elements) for name in BUNDLED_NAMES}
+    out = []
+    for k in (1, 2, 3):
+        out += [t for t in product(BUNDLED_NAMES, repeat=k) if math.prod(map(sizes.get, t)) <= limit]
+    return out
+
+
+def _build(factors: tuple[str, ...]) -> AbstractModel:
+    m = load_bundled(factors[0])
+    for name in factors[1:]:
+        m = product_model(m, load_bundled(name))
+    return m
+
+
+@pytest.mark.parametrize("build", [*_irreducible_cases(), pytest.param(lambda: _build(("two_element",) * 3), id="two^3")])
+def test_loaded_and_product_tables_are_bytes_rows(build):
+    m = build()
+    n = len(m.elements)
+    for f in ("leq", "comp", "joins", "meets"):
+        table = getattr(m, f)
+        assert type(table) is tuple and len(table) == n, f
+        assert all(type(row) is bytes and len(row) == n for row in table), f
+    assert type(m.conv) is bytes and len(m.conv) == n
+    assert set(b"".join(m.leq)) <= {0, 1}
+    assert m.comp[m.ident][m.top] == m.top  # indexing yields element indexes
+
+
+def test_every_small_product_round_trips_field_by_field():
+    """load_model(model_to_dict(p)) rebuilds the product's tables exactly,
+    joins and meets included, for every product of at most 64 elements."""
+    cases = _ordered_products(64)
+    assert len(cases) > 196  # the pinned benchmark products, and those of product_two_two
+    for factors in cases:
+        p = _build(factors)
+        again = load_model(model_to_dict(p), name=p.name)
+        for f in dataclasses.fields(AbstractModel):
+            assert getattr(again, f.name) == getattr(p, f.name), (factors, f.name)
+
+
+def _outputs(m: AbstractModel) -> tuple:
+    rep = check_axioms(m)
+    return rep.flags(), rep.counterexamples, {a: list(v(m)) for a, v in _VIOLATIONS.items()}
+
+
+def _with_tuple_rows(m: AbstractModel) -> AbstractModel:
+    return dataclasses.replace(
+        m, leq=tuple(tuple(map(bool, row)) for row in m.leq), comp=tuple(map(tuple, m.comp)),
+        conv=tuple(m.conv), joins=tuple(map(tuple, m.joins)), meets=tuple(map(tuple, m.meets)))
+
+
+@pytest.mark.parametrize("build", [
+    *_irreducible_cases(),
+    *(pytest.param(build, id=name) for name, (build, _) in _BROKEN.items()),
+    *(pytest.param(build, id=name) for name, (build, _, _) in _REDUCED.items()),
+])
+def test_a_copy_with_tuple_rows_checks_the_same(build):
+    """Models built directly may hold any int sequences as rows."""
+    m = build()
+    copy = _with_tuple_rows(m)
+    assert type(copy.comp[0]) is tuple and type(copy.leq[0][0]) is bool
+    assert _outputs(copy) == _outputs(m)
+
+
 def test_model_to_dict_round_trips():
     for name in BUNDLED_NAMES:
         m = load_bundled(name)
@@ -820,7 +956,7 @@ def test_load_and_check_decide_each_reduced_law_once(monkeypatch):
     """check_axioms and its Dedekind precondition reuse the verdicts and the
     rows the loader reached on the same model."""
     calls = Counter()
-    for fn in ("_rows", "_lattice_search", "_monoid_search", "_converse_holds"):
+    for fn in ("_rows", "_lattice_search", "_monoid_holds", "_converse_holds"):
         def counted(*args, fn=fn, original=getattr(models, fn)):
             calls[fn] += 1
             return original(*args)
@@ -828,21 +964,17 @@ def test_load_and_check_decide_each_reduced_law_once(monkeypatch):
     product = product_model(load_bundled("desharnais13"), load_bundled("two_element"))
     calls.clear()
     m = load_model(model_to_dict(product), name="d13x2")
-    assert calls == {"_rows": 4, "_monoid_search": 1, "_converse_holds": 1}  # comp, cols, joins, leq
+    assert calls == {"_rows": 4, "_monoid_holds": 1, "_converse_holds": 1}  # comp, cols, joins, leq
     rep = check_axioms(m)
     assert rep.lattice and rep.monoid and rep.converse and rep.dedekind and not rep.ok
     for axiom, ce in rep.counterexamples.items():
         assert recheck(m, axiom, ce)
-    assert calls == {"_rows": 5, "_lattice_search": 1, "_monoid_search": 1, "_converse_holds": 1}
+    assert calls == {"_rows": 5, "_lattice_search": 1, "_monoid_holds": 1, "_converse_holds": 1}
 
 
 def test_a_replaced_copy_recomputes_what_its_original_kept():
     def broken(m):
         return _conv_fixing(_set_comp(m, "E|top", "E|top", "id|top"), "b|top")
-
-    def outputs(m):
-        rep = check_axioms(m)
-        return rep.flags(), rep.counterexamples, {a: list(v(m)) for a, v in _VIOLATIONS.items()}
 
     def product():
         return product_model(load_bundled("desharnais13"), load_bundled("two_element"))
@@ -851,7 +983,7 @@ def test_a_replaced_copy_recomputes_what_its_original_kept():
     rep = check_axioms(checked)
     assert rep.monoid and rep.converse
     copy, fresh = broken(checked), broken(product())
-    flags, ces, violations = outputs(copy)
+    flags, ces, violations = _outputs(copy)
     assert not flags["monoid"] and not flags["converse"]
-    assert (flags, ces, violations) == outputs(fresh)
+    assert (flags, ces, violations) == _outputs(fresh)
 
