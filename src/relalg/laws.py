@@ -51,11 +51,11 @@ from . import indexcore, isomorph
 from .terms import Formula, code_planes, fixed_planes, parse, range_planes
 from .points import is_point, points
 from .domains import (
-    _difunctional_codes, _functional_codes, classify, enumerate_pers, is_bijection, is_coreflexive,
-    is_difunctional, is_functional, is_per, ldom, per_ldom, per_rdom, rdom,
+    _difunctional_codes, _functional_codes, _ldom_code, _rdom_code, classify, enumerate_pers, is_bijection,
+    is_coreflexive, is_difunctional, is_functional, is_per, ldom, per_ldom, per_rdom, rdom,
 )
 from .rel import (
-    MAX_ENUM_BITS, Carrier, Relation, _make, _relation_codes, compose, converse,
+    MAX_ENUM_BITS, Carrier, Relation, _compose_memo, _make, _relation_codes, compose, converse,
     enumerate_coreflexives, enumerate_relations, from_pairs, relation_at,
 )
 
@@ -403,19 +403,23 @@ _term("index-ldom-indexes-per",
 
 def c_indexes_pairwise_isomorphic(a, C):
     (r,) = a
-    lpd, rpd = per_ldom(r), per_rdom(r)
+    A, B, n, k = r.src, r.dst, r.src.size, r.dst.size
+    lpd, rpd = per_ldom(r).code, per_rdom(r).code
     cands = indexcore.candidate_indexes(r)
+    # per index: its domains, and the first legs X<∘R≺ and X>∘R≻ of the witnesses it starts
+    doms = [(_ldom_code(x.code, n, k), _rdom_code(x.code, k)) for x in cands]
+    heads = [(_compose_memo(xl, lpd, n, n, n), _compose_memo(xr, rpd, k, k, k)) for xl, xr in doms]
     return all(
         isomorph.verify_witness(
             x,
             y,
             isomorph.IsoWitness(
-                compose(compose(ldom(x), lpd), ldom(y)),
-                compose(compose(rdom(x), rpd), rdom(y)),
+                _make(A, A, _compose_memo(hl, yl, n, n, n)),
+                _make(B, B, _compose_memo(hr, yr, k, k, k)),
             ),
         )
-        for x in cands
-        for y in cands
+        for x, (hl, hr) in zip(cands, heads)
+        for y, (yl, yr) in zip(cands, doms)
     )
 
 

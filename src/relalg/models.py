@@ -37,17 +37,28 @@ bytes rows (_rows), which copies such a table once and costs nothing for a
 bytes row.
 
 The lattice, monoid and Dedekind laws are decided on join-irreducibles
-first, in n²·|J| row comparisons instead of n³. In a finite lattice every
-element is the join of the join-irreducibles J below it (⊥ of none), so a
-law that is a join of its instances holds when it holds for arguments in J.
-The preconditions are those AbstractModel._irreducibles vouches for: leq a
-partial order, joins and meets its lubs and glbs, bot the least element,
-every table over the element indexes. If they fail, or the reduced check
-finds a fault, the full ordered search runs; it is the only thing that
+first, in at most n²·|J| row comparisons instead of n³. In a finite lattice
+every element is the join of the join-irreducibles J below it (⊥ of none),
+so a law that is a join of its instances holds when it holds for arguments
+in J. The preconditions are those AbstractModel._irreducibles vouches for:
+leq a partial order, joins and meets its lubs and glbs, bot the least
+element, every table over the element indexes. If they fail, or the reduced
+check finds a fault, the full ordered search runs; it is the only thing that
 yields, so verdicts, first counterexamples and diagnostics do not depend on
 the reduction.
-- meet-over-join, y ∈ J: x∧(y∨z) = (x∧y)∨(x∧z) for y in J extends over y's
-  decomposition by induction, and x∧⊥ = ⊥ covers y = ⊥.
+- lattice (_lattice_holds): the bounds as one mask, ⊤ above every element
+  (⊥ is least by the preconditions), and meet-over-join by join-primality:
+  each y ∈ J is join-prime, y ≤ a∨b only if y ≤ a or y ≤ b (Birkhoff; Davey
+  and Priestley, Introduction to Lattices and Order, ch. 5). The elements
+  not above y form a down-set, and it is nonempty (it holds ⊥, as y ≠ ⊥)
+  and closed under joins exactly when y is join-prime; in a finite lattice
+  such a down-set is the down-set of its join. So y is join-prime iff the
+  complement of its up-set is the down-set of some element: one set lookup
+  per y. If the lattice is distributive, y ∈ J and y ≤ a∨b, then y =
+  y∧(a∨b) = (y∧a)∨(y∧b), so y = y∧a or y = y∧b. Conversely, let every
+  y ∈ J be join-prime. x∧(y∨z) ≥ (x∧y)∨(x∧z) in any lattice. Each j ∈ J
+  below x∧(y∨z) is below x and below y or z, so below x∧y or x∧z, and
+  x∧(y∨z), the join of those j, is below (x∧y)∨(x∧z).
 - monoid (_monoid_holds): unit and zero as four whole rows, comp[𝕀] and
   column 𝕀 against 0, 1, …, n-1 and comp[⊥] and column ⊥ against ⊥ repeated;
   join-right (y∨z)∘x = y∘x ∨ z∘x for every x with y ∈ J (n·|J| rows); and
@@ -68,6 +79,7 @@ bytes.translate comparison, monotonicity as one mask inclusion.
 
 Each model keeps what the checks derive from its tables, as cached_propertys
 on the instance: the byte rows of comp, its columns, joins, meets and leq, the
+order's up- and down-set masks (which load_model sets from its own), the
 join-irreducibles, the points, and the reduced lattice, monoid and converse
 verdicts. So the loader, check_axioms (whose Dedekind precondition reuses the
 three verdicts) and recheck decide each once per model. That is safe because
@@ -145,6 +157,11 @@ class AbstractModel:
 
     def atoms(self) -> list[int]:
         """Elements whose only strict lower bound is ⊥ (⊥ qualifies vacuously)."""
+        masks = self._masks
+        if masks is not None:  # the strict down-set of x is down[x] ^ ones[x]
+            _, down, ones = masks
+            lows = (0, ones[self.bot])
+            return [x for x, below in enumerate(map(xor, down, ones)) if below in lows]
         out = []
         for x in range(len(self.elements)):
             if all(not self.leq[q][x] or q == x or q == self.bot for q in range(len(self.elements))):
@@ -178,7 +195,8 @@ class AbstractModel:
         order is kept as masks with element j at bit 8·j (int.from_bytes of a
         0/1 row); reflexivity and antisymmetry are up ∧ down = {x}, and
         joins[i][j] is the lub iff its up-set is up[i] ∧ up[j], which in a
-        reflexive antisymmetric relation implies transitivity too.
+        reflexive antisymmetric relation implies transitivity too. Sets
+        _masks to those masks when it vouches for them.
         """
         n = len(self.elements)
         tables = (self.comp, self.joins, self.meets)
@@ -206,7 +224,17 @@ class AbstractModel:
             and all(list(map(down.__getitem__, row)) == list(map(d.__and__, down)) for d, row in zip(down, self.meets))
         ):
             return None
-        return _join_irreducibles(down, ones, self.bot)
+        irr = _join_irreducibles(down, ones, self.bot)
+        if irr is not None:
+            self.__dict__["_masks"] = up, down, ones
+        return irr
+
+    @cached_property
+    def _masks(self) -> tuple[list[int], list[int], list[int]] | None:
+        """The order as (up-sets, down-sets, each element's own bit), one int
+        mask per element, when _irreducibles vouches for it; else None.
+        _irreducibles and load_model set it with the masks they derive."""
+        return None if self._irreducibles is None else self.__dict__["_masks"]
 
     # The tables as rows for the searches (see _rows), built on first use.
 
@@ -235,7 +263,7 @@ class AbstractModel:
 
     @cached_property
     def _lattice_reduced(self) -> bool:
-        return _holds_on_irreducibles(self, _lattice_search)
+        return self._irreducibles is not None and _lattice_holds(self)
 
     @cached_property
     def _monoid_reduced(self) -> bool:
@@ -306,6 +334,23 @@ def _join_irreducibles(down: list[int], ones: list[int], bot: int) -> tuple[int,
         return None
     principal = set(down)
     return tuple(x for x, below in enumerate(map(xor, down, ones)) if below in principal)
+
+
+def _bound_table(masks: list[int]) -> tuple[bytes, ...]:
+    """The table of the k with masks[k] == masks[i] & masks[j], as bytes rows.
+
+    Each entry is looked up once per unordered pair: row i's upper part (j ≥ i)
+    is derived, and its part below the diagonal is column i of the upper
+    triangle, read back by stride, since & commutes. A missing entry is a
+    None, which bytes() refuses with TypeError. Rows go through lists: a
+    tuple built from an iterator of unknown length is resized as it grows,
+    and over a load that fragments the heap.
+    """
+    n = len(masks)
+    by_mask = {u: k for k, u in enumerate(masks)}
+    upper = [bytes(map(by_mask.get, map(and_, repeat(u, n - i), masks[i:]))) for i, u in enumerate(masks)]
+    tri = b"".join([bytes(i) + t for i, t in enumerate(upper)])  # n×n, zero below the diagonal
+    return tuple([tri[i : i * n : n] + t for i, t in enumerate(upper)])
 
 
 def load_model(source: str | Path | dict, name: str | None = None) -> AbstractModel:
@@ -409,15 +454,9 @@ def load_model(source: str | Path | dict, name: str | None = None) -> AbstractMo
     # is reflexive and antisymmetric (up[i] ∧ down[i] = {i}) and every join is
     # found, it is transitive as well (see AbstractModel._irreducibles);
     # otherwise _refuse_order names the first failure.
-    # A missing join or meet is a None, which bytes() refuses. Rows go through
-    # lists: a tuple built from an iterator of unknown length is resized as it
-    # grows, and over a load that fragments the heap.
-    by_up = {u: k for k, u in enumerate(up)}
-    by_down = {d: k for k, d in enumerate(down)}
     try:
-        joins = tuple([bytes(map(by_up.get, map(u.__and__, up))) for u in up])
-        meets = tuple([bytes(map(by_down.get, map(d.__and__, down))) for d in down])
-    except TypeError:
+        joins, meets = _bound_table(up), _bound_table(down)
+    except TypeError:  # a missing join or meet
         joins = meets = ()
     if not (joins and all(map(eq, map(and_, up, down), ones))):
         _refuse_order(elements, up, down)
@@ -434,7 +473,8 @@ def load_model(source: str | Path | dict, name: str | None = None) -> AbstractMo
         joins=joins,
         meets=meets,
     )
-    model.__dict__["_irreducibles"] = _join_irreducibles(down, ones, bt)  # the cached_property, from these masks
+    irr = _join_irreducibles(down, ones, bt)  # the cached_propertys, from these masks
+    model.__dict__.update(_irreducibles=irr, _masks=None if irr is None else (up, down, ones))
 
     # Structural invariants of the type itself. These are data errors, not
     # axioms under investigation, so they refuse the load — one distinct
@@ -486,7 +526,7 @@ def _row_violations(tags: tuple, x: int, y: int, lhs: tuple, rhs: tuple) -> Iter
                 yield (tag, x, y, z)
 
 
-def _lattice_search(m: AbstractModel, ys: Iterable[int]) -> Iterator[tuple]:
+def _lattice_search(m: AbstractModel) -> Iterator[tuple]:
     n = len(m.elements)
     if not (all(m.leq[m.bot]) and all(map(itemgetter(m.top), m.leq))):
         for x in range(n):
@@ -495,11 +535,21 @@ def _lattice_search(m: AbstractModel, ys: Iterable[int]) -> Iterator[tuple]:
     meets, tmeets = m._meet_rows
     joins, tjoins = m._join_rows
     for x in range(n):
-        for y in ys:
+        for y in range(n):
             # meets[x][joins[y][z]] == joins[meets[x][y]][meets[x][z]] over z
             lhs, rhs = (joins[y].translate(tmeets[x]),), (meets[x].translate(tjoins[meets[x][y]]),)
             if lhs != rhs:
                 yield from _row_violations(("meet-over-join",), x, y, lhs, rhs)
+
+
+def _lattice_holds(m: AbstractModel) -> bool:
+    """No lattice violation: top above every element, and every y ∈ J
+    join-prime (see the module docstring). Needs the masks that
+    m._irreducibles vouches for, and with them bot as the least element."""
+    up, down, ones = m._masks
+    full = sum(ones)
+    principal = set(down)
+    return down[m.top] == full and all(full ^ up[y] in principal for y in m._irreducibles)
 
 
 def _monoid_search(m: AbstractModel) -> Iterator[tuple]:
@@ -611,13 +661,6 @@ def _dedekind_search(m: AbstractModel, rs: Iterable[int]) -> Iterator[tuple]:
                         yield (r, s, t)
 
 
-def _holds_on_irreducibles(m: AbstractModel, search: Callable) -> bool:
-    """Whether the search finds nothing with its quantified y (or r and s)
-    ranging over the join-irreducibles only."""
-    irr = m._irreducibles
-    return irr is not None and next(search(m, irr), None) is None
-
-
 # The reduced decisions. Each generator below first decides its law on the
 # join-irreducibles; the full ordered search runs, and is the only thing that
 # yields, when that fails or m._irreducibles is None.
@@ -625,7 +668,7 @@ def _holds_on_irreducibles(m: AbstractModel, search: Callable) -> bool:
 
 def _lattice_violations(m: AbstractModel) -> Iterator[tuple]:
     if not m._lattice_reduced:
-        yield from _lattice_search(m, range(len(m.elements)))
+        yield from _lattice_search(m)
 
 
 def _monoid_violations(m: AbstractModel) -> Iterator[tuple]:
@@ -643,7 +686,7 @@ def _dedekind_violations(m: AbstractModel) -> Iterator[tuple]:
         m._lattice_reduced
         and m._monoid_reduced
         and m._converse_reduced
-        and _holds_on_irreducibles(m, _dedekind_search)
+        and next(_dedekind_search(m, m._irreducibles), None) is None  # r, s ∈ J
     ):
         yield from _dedekind_search(m, range(len(m.elements)))
 

@@ -9,7 +9,7 @@ from typing import Iterator
 
 import pytest
 
-from oracles import OAXIOMS, omonoid
+from oracles import OAXIOMS, olattice, omonoid
 from relalg import cache_clear, models
 from relalg.models import (
     _VIOLATIONS,
@@ -382,6 +382,53 @@ def _m3() -> AbstractModel:
                          conv=tuple(range(n)), ident=4, top=4, bot=0, joins=joins, meets=meets)
 
 
+def _lattice_model(name: str, elements: tuple[str, ...], leq: list[list[bool]]) -> AbstractModel | None:
+    """The bounded lattice with this order, with meet as composition and its
+    greatest element as unit like _m3, or None if the order lacks a join or a
+    meet or its first element is not least and its last greatest. Joins and
+    meets are found by brute force over the bounds of each pair."""
+    n = len(elements)
+    if not (all(leq[0]) and all(row[-1] for row in leq)):
+        return None
+
+    def extremum(bounds: list[int], below: bool) -> int | None:
+        best = [b for b in bounds if all(leq[c][b] if below else leq[b][c] for c in bounds)]
+        return best[0] if best else None
+
+    joins = [[extremum([k for k in range(n) if leq[i][k] and leq[j][k]], False) for j in range(n)] for i in range(n)]
+    meets = [[extremum([k for k in range(n) if leq[k][i] and leq[k][j]], True) for j in range(n)] for i in range(n)]
+    if any(None in row for row in joins + meets):
+        return None
+    meets = tuple(map(tuple, meets))
+    return AbstractModel(name=name, elements=elements, leq=tuple(map(tuple, leq)), comp=meets,
+                         conv=tuple(range(n)), ident=n - 1, top=n - 1, bot=0,
+                         joins=tuple(map(tuple, joins)), meets=meets)
+
+
+def _n5() -> AbstractModel:
+    """The pentagon N5 (⊥ < a < c < ⊤ and ⊥ < b < ⊤): not distributive."""
+    below = {0: {0}, 1: {0, 1}, 2: {0, 1, 2}, 3: {0, 3}, 4: set(range(5))}
+    leq = [[i in below[j] for j in range(5)] for i in range(5)]
+    return _lattice_model("n5", ("bot", "a", "c", "b", "top"), leq)
+
+
+def _bounded_lattices(most: int) -> Iterator[AbstractModel]:
+    """Every lattice on the elements 0, …, n-1 for n ≤ most with 0 least and
+    n-1 greatest, labelled: each partial order of the n-2 elements between,
+    by brute force over their pairs."""
+    for n in range(1, most + 1):
+        inner = range(1, n - 1)
+        cells = [(i, j) for i in inner for j in inner if i < j]
+        for kinds in product(range(3), repeat=len(cells)):  # incomparable, i < j or j < i
+            leq = [[i == j or i == 0 or j == n - 1 for j in range(n)] for i in range(n)]
+            for (i, j), kind in zip(cells, kinds):
+                leq[i][j], leq[j][i] = kind == 1, kind == 2
+            if all(leq[i][k] or not (leq[i][j] and leq[j][k]) for i in inner for j in inner for k in inner):
+                m = _lattice_model(f"lattice{n}", tuple(f"e{i}" for i in range(n)), leq)
+                if m is not None:
+                    yield m
+
+
 def _conv_fixing(m: AbstractModel, x: str) -> AbstractModel:
     conv = list(m.conv)
     conv[m.idx(x)] = m.idx(x)
@@ -401,6 +448,7 @@ _BROKEN = {
     "permuted-comp": (lambda: _swap_comp(load_bundled("desharnais13"), ("a", "top"), ("b", "c")), "monoid"),
     "non-associative": (lambda: _set_comp(load_bundled("desharnais13"), "E", "E", "id"), "monoid"),
     "non-distributive": (_m3, "lattice"),
+    "pentagon": (_n5, "lattice"),
     "bad-converse": (lambda: _conv_fixing(load_bundled("desharnais13"), "b"), "converse"),
 }
 
@@ -619,6 +667,96 @@ def test_join_irreducibles_need_a_lattice_with_bot_least():
     assert dataclasses.replace(two, conv=(0,))._irreducibles is None
 
 
+# -- the lattice law by join-primality --------------------------------------------
+
+
+def test_the_lattice_decision_on_every_bounded_lattice_of_at_most_six_elements():
+    """_lattice_reduced, which asks every join-irreducible to be join-prime,
+    is True exactly when the oracle finds no violation, and check_axioms
+    reports the oracle's first instance, on each of the 238 labelled bounded
+    lattices of at most 6 elements."""
+    lattices = list(_bounded_lattices(6))
+    outcomes = Counter()
+    for m in lattices:
+        expected = list(olattice(m))
+        assert m._irreducibles is not None
+        assert m._lattice_reduced == (not expected), m.leq
+        first = check_axioms(m).counterexamples.get("lattice")
+        assert first == (models._names(m, expected[0]) if expected else None), m.leq
+        outcomes[bool(expected)] += 1
+    assert outcomes == {False: 102, True: 136}
+    assert {_m3().leq, _n5().leq} <= {m.leq for m in lattices}
+
+
+def _lattice_cell_changes(m: AbstractModel) -> Iterator[AbstractModel]:
+    """Every copy of m with one cell of joins or meets set to another element,
+    one cell of leq flipped, or another element as top or as bot."""
+    n = len(m.elements)
+    for bound in ("top", "bot"):
+        for v in range(n):
+            if v != getattr(m, bound):
+                yield dataclasses.replace(m, **{bound: v})
+    for field in ("joins", "meets", "leq"):
+        table = getattr(m, field)
+        for i in range(n):
+            for j in range(n):
+                for v in (not table[i][j],) if field == "leq" else range(n):
+                    if v != table[i][j]:
+                        rows = list(map(bytearray, table))
+                        rows[i][j] = v
+                        yield dataclasses.replace(m, **{field: tuple(map(bytes, rows))})
+
+
+@pytest.mark.parametrize("name", ["two_element", "three_element", "three_element_unit_top"])
+def test_the_lattice_decision_on_single_cell_changes(name):
+    """A change the reduced decision cannot vouch for runs the full search,
+    and one it can is decided exactly; both give the oracle's list."""
+    outcomes = Counter()
+    for m in _lattice_cell_changes(load_bundled(name)):
+        expected = list(olattice(m))
+        if m._lattice_reduced:
+            assert not expected
+        elif m._irreducibles is not None:
+            assert expected
+        assert list(_VIOLATIONS["lattice"](m)) == expected
+        assert check_axioms(m).counterexamples.get("lattice") == (models._names(m, expected[0]) if expected else None)
+        outcomes[m._irreducibles is not None, bool(expected)] += 1
+    assert outcomes[False, True] and outcomes[False, False]
+
+
+# -- atoms ----------------------------------------------------------------------------
+
+
+def _defined_atoms(m: AbstractModel) -> list[int]:
+    """The x such that every q with leq[q][x] is x or ⊥, by truth value."""
+    n = len(m.elements)
+    return [x for x in range(n) if all(not m.leq[q][x] or q == x or q == m.bot for q in range(n))]
+
+
+def _atom_cases():
+    for name in BUNDLED_NAMES:
+        yield pytest.param(lambda name=name: load_bundled(name), id=name)
+    yield pytest.param(lambda: [_build(factors) for factors in _ordered_products(64)], id="products")
+    yield pytest.param(_m3, id="M3")
+    yield pytest.param(_n5, id="N5")
+
+
+@pytest.mark.parametrize("build", _atom_cases())
+def test_atoms_and_points_match_the_definition(build):
+    """atoms() reads the strict down-sets off the order's masks; a copy whose
+    leq holds other truth values has no masks and reads leq itself."""
+    built = build()
+    for m in built if isinstance(built, list) else [built]:
+        atoms = _defined_atoms(m)
+        points = tuple(x for x in atoms if x != m.bot and m.leq[x][m.ident])
+        fresh = dataclasses.replace(m)
+        assert fresh._masks is not None
+        assert fresh.atoms() == atoms and fresh._points == points, m.name
+        truthy = dataclasses.replace(m, leq=tuple(tuple(2 if v else 0 for v in row) for row in m.leq))
+        assert truthy._masks is None
+        assert truthy.atoms() == atoms and truthy._points == points, m.name
+
+
 # -- products ----------------------------------------------------------------------
 
 
@@ -784,8 +922,20 @@ def _order_data(elements: list[str], pairs: list[tuple[str, str]]) -> dict:
         (_order_data(["x", "y"], []), "lattice", "no unique join for 'x' and 'y'"),
         (FIXTURES / "corrupt_order.json", "order", "not antisymmetric: 'id' and 'top'"),
         (FIXTURES / "corrupt_lattice.json", "lattice", "no unique join for 'x' and 'y'"),
+        # bot < a < x, y: only x ∨ y is missing, at (3, 2) below the diagonal
+        # and at (2, 3) in the upper triangle, the half the loader derives
+        (_order_data(["bot", "a", "y", "x"], [("bot", "a"), ("bot", "x"), ("bot", "y"), ("a", "x"), ("a", "y")]),
+         "lattice", "no unique join for 'y' and 'x'"),
+        # x, y < a < top: only x ∧ y is missing
+        (_order_data(["top", "a", "y", "x"], [("a", "top"), ("x", "top"), ("y", "top"), ("x", "a"), ("y", "a")]),
+         "lattice", "no unique meet for 'y' and 'x'"),
+        # u ⊆ y ⊆ u: every meet and join of the up- and down-sets exists
+        (_order_data(["bot", "u", "y", "top"], [("bot", "u"), ("bot", "y"), ("bot", "top"), ("u", "y"),
+                                                ("y", "u"), ("u", "top"), ("y", "top")]),
+         "order", "not antisymmetric: 'u' and 'y'"),
     ],
-    ids=["antisymmetry", "transitivity", "join", "meet", "join-first", "corrupt_order", "corrupt_lattice"],
+    ids=["antisymmetry", "transitivity", "join", "meet", "join-first", "corrupt_order", "corrupt_lattice",
+         "join-below-diagonal", "meet-only", "antisymmetry-with-all-bounds"],
 )
 def test_loader_order_and_lattice_diagnostics_exact(data, category, message):
     with pytest.raises(ModelFormatError) as exc:
@@ -885,9 +1035,22 @@ def test_loaded_and_product_tables_are_bytes_rows(build):
     assert m.comp[m.ident][m.top] == m.top  # indexing yields element indexes
 
 
+def _full_bound_tables(leq: tuple) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
+    """joins and meets derived on every ordered pair: the k whose up-set
+    (down-set) is the intersection of those of i and j."""
+    n = len(leq)
+    up = [sum(1 << j for j in range(n) if leq[i][j]) for i in range(n)]
+    down = [sum(1 << i for i in range(n) if leq[i][j]) for j in range(n)]
+    at_up, at_down = {u: k for k, u in enumerate(up)}, {d: k for k, d in enumerate(down)}
+    return (tuple(bytes(at_up[up[i] & up[j]] for j in range(n)) for i in range(n)),
+            tuple(bytes(at_down[down[i] & down[j]] for j in range(n)) for i in range(n)))
+
+
 def test_every_small_product_round_trips_field_by_field():
     """load_model(model_to_dict(p)) rebuilds the product's tables exactly,
-    joins and meets included, for every product of at most 64 elements."""
+    joins and meets included, for every product of at most 64 elements; and
+    its joins and meets, derived once per unordered pair, are those of the
+    full table."""
     cases = _ordered_products(64)
     assert len(cases) > 196  # the pinned benchmark products, and those of product_two_two
     for factors in cases:
@@ -895,6 +1058,7 @@ def test_every_small_product_round_trips_field_by_field():
         again = load_model(model_to_dict(p), name=p.name)
         for f in dataclasses.fields(AbstractModel):
             assert getattr(again, f.name) == getattr(p, f.name), (factors, f.name)
+        assert (again.joins, again.meets) == _full_bound_tables(again.leq), factors
 
 
 def _outputs(m: AbstractModel) -> tuple:
@@ -956,7 +1120,7 @@ def test_load_and_check_decide_each_reduced_law_once(monkeypatch):
     """check_axioms and its Dedekind precondition reuse the verdicts and the
     rows the loader reached on the same model."""
     calls = Counter()
-    for fn in ("_rows", "_lattice_search", "_monoid_holds", "_converse_holds"):
+    for fn in ("_rows", "_lattice_search", "_lattice_holds", "_monoid_holds", "_converse_holds"):
         def counted(*args, fn=fn, original=getattr(models, fn)):
             calls[fn] += 1
             return original(*args)
@@ -969,7 +1133,9 @@ def test_load_and_check_decide_each_reduced_law_once(monkeypatch):
     assert rep.lattice and rep.monoid and rep.converse and rep.dedekind and not rep.ok
     for axiom, ce in rep.counterexamples.items():
         assert recheck(m, axiom, ce)
-    assert calls == {"_rows": 5, "_lattice_search": 1, "_monoid_holds": 1, "_converse_holds": 1}
+    # the lattice law is decided on the masks, so its full search never runs
+    assert calls == {"_rows": 5, "_lattice_holds": 1, "_monoid_holds": 1, "_converse_holds": 1}
+    assert calls["_lattice_search"] == 0
 
 
 def test_a_replaced_copy_recomputes_what_its_original_kept():
