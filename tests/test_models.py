@@ -9,6 +9,7 @@ from typing import Iterator
 
 import pytest
 
+from conftest import run_python
 from oracles import OAXIOMS, olattice, omonoid
 from relalg import cache_clear, models
 from relalg.models import (
@@ -531,13 +532,13 @@ def test_violation_generators_match_scalar_oracles(build, broken):
 
 @pytest.mark.parametrize("true, false", [(2, 0), (255, 0), (256, 0), (1, None), (0.5, ""), ("x", 0)])
 def test_the_dedekind_search_reads_leq_entries_by_truth(true, false):
-    """A directly built model may hold any truth values in leq: the full
-    Dedekind search, and check_axioms, read them as the 0/1 order they stand
-    for, as the oracle does."""
+    """A directly built model may hold any truth values in leq: construction
+    stores them as the 0/1 order they stand for, so the full Dedekind search
+    and check_axioms find what they find on the original, as the oracle does."""
     m = _REDUCED["swapped-converse"][0]()
     n = len(m.elements)
     odd = dataclasses.replace(m, leq=tuple(tuple(true if v else false for v in row) for row in m.leq))
-    assert odd._irreducibles is None  # so check_axioms runs the full search
+    assert odd.leq == m.leq and odd == m
     found = list(models._dedekind_search(odd, range(n)))
     assert found and found == list(models._dedekind_search(m, range(n))) == list(OAXIOMS["dedekind"](odd))
     assert check_axioms(odd).counterexamples["dedekind"] == check_axioms(m).counterexamples["dedekind"]
@@ -663,8 +664,11 @@ def test_join_irreducibles_need_a_lattice_with_bot_least():
     assert chain._irreducibles == (1, 2)
     intransitive = tuple(tuple(v and (i, j) != (0, 2) for j, v in enumerate(row)) for i, row in enumerate(chain.leq))
     assert dataclasses.replace(chain, leq=intransitive)._irreducibles is None  # e0 ⊆ e1 ⊆ e2 but not e0 ⊆ e2
-    assert dataclasses.replace(two, comp=((0, 0), (0, 2)))._irreducibles is None  # no element 2
-    assert dataclasses.replace(two, conv=(0,))._irreducibles is None
+    # a table over other elements is no model, and is refused at construction
+    with pytest.raises(ModelFormatError, match=r"^format: comp\[1\]\[1\]: 2 is not an element index 0\.\.1$"):
+        dataclasses.replace(two, comp=((0, 0), (0, 2)))
+    with pytest.raises(ModelFormatError, match="^format: 'conv' must hold 2 element indexes$"):
+        dataclasses.replace(two, conv=(0,))
 
 
 # -- the lattice law by join-primality --------------------------------------------
@@ -743,17 +747,17 @@ def _atom_cases():
 
 @pytest.mark.parametrize("build", _atom_cases())
 def test_atoms_and_points_match_the_definition(build):
-    """atoms() reads the strict down-sets off the order's masks; a copy whose
-    leq holds other truth values has no masks and reads leq itself."""
+    """atoms() reads the strict down-sets off the order's masks, which a copy
+    derives from its leq; a copy whose leq holds other truth values stores
+    the same 0/1 rows."""
     built = build()
     for m in built if isinstance(built, list) else [built]:
         atoms = _defined_atoms(m)
         points = tuple(x for x in atoms if x != m.bot and m.leq[x][m.ident])
         fresh = dataclasses.replace(m)
-        assert fresh._masks is not None
         assert fresh.atoms() == atoms and fresh._points == points, m.name
         truthy = dataclasses.replace(m, leq=tuple(tuple(2 if v else 0 for v in row) for row in m.leq))
-        assert truthy._masks is None
+        assert truthy.leq == m.leq
         assert truthy.atoms() == atoms and truthy._points == points, m.name
 
 
@@ -861,10 +865,51 @@ def test_models_over_256_elements_are_refused():
         load_model(_chain_data(257))
     assert exc.value.category == "size"
     assert str(exc.value) == "size: 257 elements, more than the 256 a model may have"
-    big = dataclasses.replace(load_bundled("two_element"), elements=tuple(f"e{i}" for i in range(257)))
-    for call in (lambda: check_axioms(big), lambda: recheck(big, "cone", ("e1",))):
-        with pytest.raises(ValueError, match="257 elements, more than the 256"):
-            call()
+    with pytest.raises(ModelFormatError) as exc:
+        dataclasses.replace(load_bundled("two_element"), elements=tuple(f"e{i}" for i in range(257)))
+    assert str(exc.value) == "size: 257 elements, more than the 256 a model may have"
+
+
+# two_element is bot < top with top = 𝕀; each change below is no model at
+# all, whatever its laws, and construction refuses it
+_REFUSED = {
+    "entry-2": (dict(comp=((0, 0), (0, 2))), "format", "comp[1][1]: 2 is not an element index 0..1"),
+    "entry-negative": (dict(comp=((0, -1), (0, 1))), "format", "comp[0][1]: -1 is not an element index 0..1"),
+    "entry-300": (dict(joins=((0, 1), (1, 300))), "format", "joins[1][1]: 300 is not an element index 0..1"),
+    "entry-not-int": (dict(meets=((0, 0), (0, 1.0))), "format", "meets[1][1]: 1.0 is not an element index 0..1"),
+    "entry-bool": (dict(conv=(False, True)), "format", "conv[0]: False is not an element index 0..1"),
+    "ragged-leq": (dict(leq=((1, 1), (0,))), "format", "'leq' must be a 2x2 table"),
+    "short-conv": (dict(conv=(0,)), "format", "'conv' must hold 2 element indexes"),
+    "ident-5": (dict(ident=5), "format", "ident: 5 is not an element index 0..1"),
+    "ident-negative": (dict(ident=-1), "format", "ident: -1 is not an element index 0..1"),
+    "top-true": (dict(top=True), "format", "top: True is not an element index 0..1"),
+    "size-257": (dict(elements=tuple(f"e{i}" for i in range(257))), "size",
+                 "257 elements, more than the 256 a model may have"),
+    "duplicate-names": (dict(elements=("x", "x")), "format", "'elements' contains duplicates"),
+}
+
+
+@pytest.mark.parametrize("changes,category,message", _REFUSED.values(), ids=_REFUSED)
+def test_a_direct_build_that_is_no_model_is_refused(changes, category, message):
+    with pytest.raises(ModelFormatError) as exc:
+        dataclasses.replace(load_bundled("two_element"), **changes)
+    assert exc.value.category == category
+    assert str(exc.value) == f"{category}: {message}"
+
+
+def test_a_direct_build_is_refused_under_python_O():
+    script = (
+        "import dataclasses\n"
+        "from relalg.models import ModelFormatError, load_bundled\n"
+        "assert False, 'asserts must be off'\n"
+        "try:\n"
+        "    dataclasses.replace(load_bundled('two_element'), joins=((0, 1), (1, 300)))\n"
+        "except ModelFormatError as e:\n"
+        "    print(e)\n"
+    )
+    proc = run_python("-O", "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "format: joins[1][1]: 300 is not an element index 0..1\n"
 
 
 def test_product_breaks_exactly_the_cone_rule():
@@ -1078,10 +1123,14 @@ def _with_tuple_rows(m: AbstractModel) -> AbstractModel:
     *(pytest.param(build, id=name) for name, (build, _, _) in _REDUCED.items()),
 ])
 def test_a_copy_with_tuple_rows_checks_the_same(build):
-    """Models built directly may hold any int sequences as rows."""
+    """Models built directly may give any int sequences as rows, and leq
+    rows of truth values; construction stores them as bytes rows."""
     m = build()
     copy = _with_tuple_rows(m)
-    assert type(copy.comp[0]) is tuple and type(copy.leq[0][0]) is bool
+    assert copy == m and hash(copy) == hash(m)
+    for f in ("leq", "comp", "joins", "meets"):
+        assert all(type(row) is bytes for row in getattr(copy, f)), f
+    assert type(copy.conv) is bytes
     assert _outputs(copy) == _outputs(m)
 
 
@@ -1120,7 +1169,7 @@ def test_load_and_check_decide_each_reduced_law_once(monkeypatch):
     """check_axioms and its Dedekind precondition reuse the verdicts and the
     rows the loader reached on the same model."""
     calls = Counter()
-    for fn in ("_rows", "_lattice_search", "_lattice_holds", "_monoid_holds", "_converse_holds"):
+    for fn in ("_rows", "_lattice_search", "_lattice_holds", "_monoid_holds", "_converse_search"):
         def counted(*args, fn=fn, original=getattr(models, fn)):
             calls[fn] += 1
             return original(*args)
@@ -1128,13 +1177,13 @@ def test_load_and_check_decide_each_reduced_law_once(monkeypatch):
     product = product_model(load_bundled("desharnais13"), load_bundled("two_element"))
     calls.clear()
     m = load_model(model_to_dict(product), name="d13x2")
-    assert calls == {"_rows": 4, "_monoid_holds": 1, "_converse_holds": 1}  # comp, cols, joins, leq
+    assert calls == {"_rows": 4, "_monoid_holds": 1, "_converse_search": 1}  # comp, cols, joins, leq
     rep = check_axioms(m)
     assert rep.lattice and rep.monoid and rep.converse and rep.dedekind and not rep.ok
     for axiom, ce in rep.counterexamples.items():
         assert recheck(m, axiom, ce)
     # the lattice law is decided on the masks, so its full search never runs
-    assert calls == {"_rows": 5, "_lattice_holds": 1, "_monoid_holds": 1, "_converse_holds": 1}
+    assert calls == {"_rows": 5, "_lattice_holds": 1, "_monoid_holds": 1, "_converse_search": 1}
     assert calls["_lattice_search"] == 0
 
 
