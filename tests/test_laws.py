@@ -55,6 +55,22 @@ def test_manifest_stays_in_sync_with_registry():
     json.dumps(manifest)  # must be serializable as-is
 
 
+def test_only_a_python_check_carries_a_cost_weight():
+    # a statement's scan is priced from the statement (Formula.runs), so its
+    # instances weigh 1 against the budget; a Python check keeps its weight
+    python = {
+        "classify-consistent": 4, "core-decomposition-valid": 6, "core-domains": 6, "core-if-iso": 64,
+        "core-isomorphic-index": 6, "core-quotient-valid": 6, "indexes-pairwise-isomorphic": 64,
+        "iso-domain-transport": 64, "iso-search-sound": 64, "iso-to-coreflexive-bijection": 64,
+        "relation-count": 64, "relation-index-policies": 8,
+    }
+    costs = {law_id: entry["cost"] for law_id, entry in build_manifest()["laws"].items()}
+    assert {law_id: costs[law_id] for law_id in python} == python
+    statements = {law_id for law_id, law in REGISTRY.items() if isinstance(law.check, Formula)}
+    assert statements == set(REGISTRY) - set(python)
+    assert {costs[law_id] for law_id in statements} == {1}
+
+
 def test_the_readme_lists_exactly_the_python_laws():
     # the README's list of the laws that keep a Python check, each with its reason
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -211,10 +227,43 @@ def test_heavy_law_mixes_modes_at_size_three():
 
 
 def test_decompose_compose_is_exhaustive_at_size_three():
-    # all 2^18 instances of its 3x3x3 tuple fit the default budget at cost 38
+    # all 2^18 instances of its 3x3x3 tuple fit the default budget of 10^7 instances
     report = run_law(REGISTRY["decompose-compose"], max_size=3, samples=2000, seed=42)
     assert (report.mode, report.instances, report.ok) == ("exhaustive", sum(
         2 ** (b * (a + c)) for a in (1, 2, 3) for b in (1, 2, 3) for c in (1, 2, 3)), True)
+
+
+def test_every_term_tuple_within_the_budget_is_enumerated_at_criterion_2_settings(monkeypatch):
+    """The nine term laws with size-3 tuples of more than one plane and at
+    most EXHAUSTIVE_BUDGET instances: under the default settings every tuple
+    within the budget is enumerated, however many operations its statement
+    runs."""
+    heavy = ["compose-assoc", "compose-join-left", "compose-join-right", "meet-compose-sub", "dedekind-modular",
+             "dedekind-modular-dual", "left-residual-galois", "right-residual-galois", "pair-irreducible"]
+    seen = {}
+    scan = laws._scan_sliced
+
+    def recording(law, carriers, typed, pools, rng, samples):
+        sizes = tuple(c.size for c in carriers.values())
+        seen[law.id, sizes] = (prod(len(p) for p in pools), "exhaustive" if rng is None else "sampled")
+        return scan(law, carriers, typed, pools, rng, samples)
+
+    monkeypatch.setattr(laws, "_scan_sliced", recording)
+    for law_id in heavy:
+        law = REGISTRY[law_id]
+        assert isinstance(law.check, Formula) and run_law(law, 3, 2000, 42).ok
+        assert sum(key[0] == law_id for key in seen) == 3 ** len(law.type_vars())
+    within = {key: mode for key, (space, mode) in seen.items() if space <= laws.EXHAUSTIVE_BUDGET}
+    assert set(within.values()) == {"exhaustive"}
+    # each law has a tuple within the budget that takes more than one plane
+    assert {key[0] for key in within if seen[key][0] > laws.PLANE_BITS} == set(heavy)
+
+
+def test_pair_irreducible_is_exhaustive_at_size_three():
+    # R, S : A~B and the points a of A and b of B: 4^(|A||B|) |A| |B| instances a tuple
+    report = run_law(REGISTRY["pair-irreducible"], 3, 2000, 42)
+    assert (report.mode, report.instances, report.ok) == ("exhaustive", sum(
+        2 ** (2 * a * b) * a * b for a, b in product((1, 2, 3), repeat=2)), True)
 
 
 def test_decompose_compose_leaves_the_compose_memo_alone():
