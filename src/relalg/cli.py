@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import _MEMOIZED, indexcore, isomorph, models
@@ -65,21 +66,7 @@ def _grid(r: Relation) -> str:
 
 def _cmd_classify(args) -> int:
     r = _load_relation(args.relation)
-    rep = classify(r)
-    payload = {
-        "relation": to_dict(r),
-        "classification": {
-            "coreflexive": rep.coreflexive,
-            "functional": rep.functional,
-            "injective": rep.injective,
-            "bijection": rep.bijection,
-            "per": rep.per,
-            "difunctional": rep.difunctional,
-            "rectangle": rep.rectangle,
-            "square": rep.square,
-            "core_relation": rep.core_relation,
-        },
-    }
+    payload = {"relation": to_dict(r), "classification": asdict(classify(r))}
     if args.pretty:
         print(_grid(r))
         for name, val in payload["classification"].items():
@@ -146,10 +133,10 @@ def _cmd_index(args) -> int:
 
 def _cmd_core(args) -> int:
     r = _load_relation(args.relation)
-    dec = indexcore.core_of(r, mode=args.mode, policy=args.policy, seed=args.seed)
     if args.dot:
         print(_dot_bipartite(r, indexcore.relation_index(r, policy=args.policy, seed=args.seed).index))
         return 0
+    dec = indexcore.core_of(r, mode=args.mode, policy=args.policy, seed=args.seed)
     payload = {
         "relation": to_dict(r),
         "mode": dec.mode,

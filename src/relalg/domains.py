@@ -21,25 +21,27 @@ difunctional, rectangle, square) are decided on the rows of the matrix, with
 no composition: a per's nonempty rows contain their own index and agree with
 the rows of their members, a difunction's rows are equal or disjoint, and so
 on. `per_characterizations` and `difunctional_characterizations` keep the
-point-free forms, so the laws that compare the two are a cross-check between
-independent definitions.
+point-free forms, and the tests compare them with the row predicates, a
+cross-check between independent definitions; the registry's per-equivalents
+and difunctional-equivalents state the same equivalences as parsed statements
+and call neither.
 
 The four domain operators are memoized on codes and sizes, as the kernel's
 operations are (see rel), so their results carry the caller's carriers.
-classify evaluates its flags on one tuple of rows and its checks on codes,
-and so does is_core_relation; neither builds a Relation.
+classify evaluates its flags on one tuple of rows and its core flag on codes,
+as is_core_relation does; neither builds a Relation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from typing import Iterator
 
 from . import factors
 from .rel import (
-    MAX_ENUM_BITS, Carrier, EnumerationLimit, Relation, _compose_memo, _converse_memo, _diagonal, _make,
+    MAX_ENUM_BITS, Carrier, EnumerationLimit, Relation, _converse_memo, _diagonal, _make,
     _rows, _served_by, compose, converse, intersect, is_coreflexive, is_subset,
 )
 
@@ -304,15 +306,9 @@ def difunctional_characterizations(r: Relation) -> dict[str, bool]:
 
 @dataclass(frozen=True)
 class PredicateReport:
-    """Structural classification of one relation.
-
-    The flags are decided on rows, by the predicates above. `checks` holds
-    the point-free equalities behind them, keyed by formula, so a caller can
-    see *why* a flag is set; the difunctional and rectangle flags share their
-    evaluation with their formulas, and core_relation is the conjunction of
-    the two domain equalities. Homogeneous-only formulas are omitted for
-    heterogeneous relations (their flags are False).
-    """
+    """Structural classification of one relation, each flag decided on rows
+    by the predicates above (core_relation on codes, by is_core_relation's
+    test). The homogeneous-only flags are False for heterogeneous relations."""
 
     coreflexive: bool
     functional: bool
@@ -323,39 +319,22 @@ class PredicateReport:
     rectangle: bool
     square: bool
     core_relation: bool
-    checks: dict[str, bool] = field(default_factory=dict, compare=False)
 
 
 def classify(r: Relation) -> PredicateReport:
     code, n, k = r.code, r.src.size, r.dst.size
-    rows, conv, homogeneous = _rows(code, n, k), _converse_memo(code, n, k), r.src == r.dst
-    left, right = _ldom_code(code, n, k), _rdom_code(code, k)
+    rows, homogeneous = _rows(code, n, k), r.src == r.dst
     functional, injective = _functional_rows(rows), _injective_rows(rows)
-    difunctional, rectangle = _difunctional_rows(rows), _rectangle_rows(rows)
-    left_core, right_core = left == _per_ldom_code(code, n, k), right == _per_rdom_code(code, n, k)
-    checks = {
-        "R∘R° = R<": _compose_memo(code, conv, n, k, n) == left,
-        "R°∘R = R>": _compose_memo(conv, code, k, n, k) == right,
-        "R∘R°∘R ⊆ R": difunctional,
-        "R = R∘⊤∘R": rectangle,
-        "R< = R≺": left_core,
-        "R> = R≻": right_core,
-    }
-    if homogeneous:
-        checks["R = R°"] = conv == code
-        checks["R∘R ⊆ R"] = not _compose_memo(code, code, n, n, n) & ~code
-        checks["R ⊆ 𝕀"] = not code & ~_diagonal((1 << n) - 1, n)
     rep = PredicateReport(
         coreflexive=is_coreflexive(r),
         functional=functional,
         injective=injective,
         bijection=functional and injective,
         per=homogeneous and _per_rows(rows),
-        difunctional=difunctional,
-        rectangle=rectangle,
+        difunctional=_difunctional_rows(rows),
+        rectangle=_rectangle_rows(rows),
         square=homogeneous and _square_rows(rows),
-        core_relation=left_core and right_core,
-        checks=checks,
+        core_relation=_core_code(code, n, k),
     )
     # structural sanity: these implications are theorems, not opinions
     if not ((not rep.square or rep.rectangle) and (not rep.per or rep.difunctional)

@@ -19,18 +19,14 @@ from .rel import CarrierMismatch, Relation
 from .rel import _compose_code, _converse_code, _converse_memo, _full, _make, _served_by
 
 
-def _require_sources(r: Relation, s: Relation) -> None:
+def _require_sources(op: str, r: Relation, s: Relation) -> None:
     if r.src is not s.src and r.src != s.src:
-        raise CarrierMismatch(
-            f"left_residual: source carriers disagree ({r.src.name} vs {s.src.name})"
-        )
+        raise CarrierMismatch(f"{op}: source carriers disagree ({r.src.name} vs {s.src.name})")
 
 
-def _require_targets(r: Relation, s: Relation) -> None:
+def _require_targets(op: str, r: Relation, s: Relation) -> None:
     if r.dst is not s.dst and r.dst != s.dst:
-        raise CarrierMismatch(
-            f"right_residual: target carriers disagree ({r.dst.name} vs {s.dst.name})"
-        )
+        raise CarrierMismatch(f"{op}: target carriers disagree ({r.dst.name} vs {s.dst.name})")
 
 
 # laws-size3 leaves the most left residual codes, 685.
@@ -70,26 +66,26 @@ def _sym_left_div_code(rc: int, sc: int, na: int, nb: int, nc: int) -> int:
 @_served_by(_left_residual_code)
 def left_residual(r: Relation, s: Relation) -> Relation:
     """R\\S = ¬(R°∘¬S) : (b,c) present iff no a has a R b without a S c."""
-    _require_sources(r, s)
+    _require_sources("left_residual", r, s)
     return _make(r.dst, s.dst, _left_residual_code(r.code, s.code, r.src.size, r.dst.size, s.dst.size))
 
 
 @_served_by(_right_residual_code)
 def right_residual(r: Relation, s: Relation) -> Relation:
     """R/S = ¬(¬R∘S°) : (a,b) present iff no c has b S c without a R c."""
-    _require_targets(r, s)
+    _require_targets("right_residual", r, s)
     return _make(r.src, s.src, _right_residual_code(r.code, s.code, r.src.size, s.src.size, r.dst.size))
 
 
 @_served_by(_sym_right_div_code)
 def sym_right_div(r: Relation, s: Relation) -> Relation:
     """R\\\\S = R\\S ∩ (S\\R)° : relate b to c when column_R(b) = column_S(c)."""
-    _require_sources(r, s)
+    _require_sources("sym_right_div", r, s)
     return _make(r.dst, s.dst, _sym_right_div_code(r.code, s.code, r.src.size, r.dst.size, s.dst.size))
 
 
 @_served_by(_sym_left_div_code)
 def sym_left_div(r: Relation, s: Relation) -> Relation:
     """R//S = R/S ∩ (S/R)° : relate a to c when row_R(a) = row_S(c)."""
-    _require_targets(r, s)
+    _require_targets("sym_left_div", r, s)
     return _make(r.src, s.src, _sym_left_div_code(r.code, s.code, r.src.size, s.src.size, r.dst.size))

@@ -79,10 +79,12 @@ class Carrier:
     _interned: WeakValueDictionary = WeakValueDictionary()
 
     def __new__(cls, name: str, size: int, labels: Iterable[str] | None = None):
-        if not isinstance(size, int) or size < 0:
+        if not isinstance(size, int) or isinstance(size, bool) or size < 0:
             raise ValueError(f"carrier {name!r}: size must be a non-negative int, got {size!r}")
         if labels is not None:
             labels = tuple(labels)
+            if not all(isinstance(x, str) for x in labels):
+                raise ValueError(f"carrier {name!r}: labels must be strings, got {labels!r}")
             if len(labels) != size:
                 raise ValueError(f"carrier {name!r}: {len(labels)} labels for size {size}")
             if len(set(labels)) != len(labels):

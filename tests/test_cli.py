@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import pack, run_python, unpack
-from relalg import _MEMOIZED, Carrier, IsoWitness, from_dict, from_pairs, laws, rel, to_dict, verify_witness
+from relalg import _MEMOIZED, Carrier, IsoWitness, from_dict, from_pairs, indexcore, laws, rel, to_dict, verify_witness
 from relalg.cli import _grid, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -128,6 +128,22 @@ def test_core_quotient_keeps_class_labels_distinct(capsys, tmp_path):
     assert (code, err) == (0, "")
     labels = json.loads(out)["core"]["src"]["labels"]
     assert labels == ['{"a,b"}', "{a,b}"]
+
+
+@pytest.mark.parametrize("mode", ["same-type", "quotient"])
+@pytest.mark.parametrize("policy", ["min", "max", "random"])
+def test_core_dot_draws_the_index_without_a_core(capsys, monkeypatch, mode, policy):
+    options = ["--dot", "--policy", policy, "--seed", "3"]
+    code, index_dot, _ = run_cli(capsys, "index", BLOCK, *options)
+    assert code == 0
+
+    def no_core(*args, **kwargs):
+        raise AssertionError("core --dot built a core decomposition")
+
+    monkeypatch.setattr(indexcore, "core_of", no_core)
+    code, core_dot, err = run_cli(capsys, "core", BLOCK, "--mode", mode, *options)
+    assert (code, err) == (0, "")
+    assert core_dot == index_dot
 
 
 def test_core_same_type_matches_index(capsys):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given
@@ -32,7 +33,7 @@ from relalg import (
     rdom,
     top,
 )
-from relalg.rel import relation_at
+from relalg.rel import _compose_memo, relation_at
 
 
 def _all(na, nb, src="A", dst="B"):
@@ -165,8 +166,6 @@ def test_classify_block(block):
     rep = classify(block)
     assert rep.difunctional and not rep.functional and not rep.per
     assert not rep.coreflexive and not rep.rectangle
-    assert rep.checks["R∘R°∘R ⊆ R"] is True
-    assert rep.checks["R = R∘⊤∘R"] is False
 
 
 def test_classify_identity():
@@ -182,37 +181,58 @@ def test_classify_flags_cohere(r):
         assert rep.rectangle
 
 
-def _literal_checks(r):
-    """Every formula classify reports, evaluated as written, point-free."""
-    rc = converse(r)
-    left = intersect(identity(r.src), compose(r, rc))  # R< = 𝕀 ∩ R∘R°
-    right = intersect(identity(r.dst), compose(rc, r))  # R> = 𝕀 ∩ R°∘R
+def _literal_flags(r):
+    """The nine flags classify reports, each evaluated by its formula as written, point-free."""
+    rc, homogeneous = converse(r), r.src == r.dst
+    rrc, rcr = compose(r, rc), compose(rc, r)
+    left = intersect(identity(r.src), rrc)  # R< = 𝕀 ∩ R∘R°
+    right = intersect(identity(r.dst), rcr)  # R> = 𝕀 ∩ R°∘R
     over = complement(compose(complement(r), rc))  # R/R = ¬(¬R∘R°)
     under = complement(compose(rc, complement(r)))  # R\R = ¬(R°∘¬R)
     per_left = compose(intersect(over, converse(over)), left)  # R≺ = (R//R)∘R<
     per_right = compose(right, intersect(under, converse(under)))  # R≻ = R>∘(R\\R)
-    checks = {
-        "R∘R° = R<": compose(r, rc) == left,
-        "R°∘R = R>": compose(rc, r) == right,
-        "R∘R°∘R ⊆ R": compose(compose(r, rc), r) <= r,
-        "R = R∘⊤∘R": r == compose(compose(r, top(r.dst, r.src)), r),
-        "R< = R≺": left == per_left,
-        "R> = R≻": right == per_right,
+    functional = rrc <= identity(r.src)  # R∘R° ⊆ 𝕀
+    injective = rcr <= identity(r.dst)  # R°∘R ⊆ 𝕀
+    rectangle = r == compose(compose(r, top(r.dst, r.src)), r)  # R = R∘⊤∘R
+    return {
+        "coreflexive": homogeneous and r <= identity(r.src),
+        "functional": functional,
+        "injective": injective,
+        "bijection": functional and injective,
+        "per": homogeneous and r == rc and compose(r, r) <= r,
+        "difunctional": compose(rrc, r) <= r,
+        "rectangle": rectangle,
+        "square": homogeneous and rectangle and r == rc,
+        "core_relation": left == per_left and right == per_right,
     }
-    if r.src == r.dst:
-        checks["R = R°"] = r == rc
-        checks["R∘R ⊆ R"] = compose(r, r) <= r
-        checks["R ⊆ 𝕀"] = r <= identity(r.src)
-    return checks
 
 
-def test_classify_checks_are_their_formulas():
-    # the flags are decided on rows; the report's keyed formulas must still
-    # hold literally, on every relation of every shape up to 3x3
+def _small_and_sampled():
+    """Every relation of every shape up to 3x3, square shapes on one carrier
+    and on two, then a seeded sample of 4x4 ones on one carrier."""
     for na in range(4):
         for nb in range(4):
-            for r in _all(na, nb) + (_all(na, nb, dst="A") if na == nb else []):
-                assert classify(r).checks == _literal_checks(r), r
+            yield from _all(na, nb)
+            if na == nb:
+                yield from _all(na, nb, dst="A")
+    a = Carrier("A", 4)
+    for code in random.Random(31).sample(range(1 << 16), 256):
+        yield relation_at(a, a, code)
+
+
+def test_classify_flags_are_their_formulas():
+    # the flags are decided on rows and codes; each must still be its
+    # point-free formula
+    for r in _small_and_sampled():
+        assert asdict(classify(r)) == _literal_flags(r), r
+
+
+def test_classify_makes_no_composition():
+    before = _compose_memo.cache_info()
+    for r in _small_and_sampled():
+        classify(r)
+    after = _compose_memo.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 # -- enumeration of pers -------------------------------------------------------------------

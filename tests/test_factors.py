@@ -96,9 +96,15 @@ def test_residual_types():
 
 
 def test_residual_carrier_mismatch():
+    # each operation names itself, though two pairs of them share their check
     r = pack(2, 3, [(0, 0)])
     s = pack(3, 2, [(0, 0)], src="X", dst="C")
-    with pytest.raises(CarrierMismatch):
-        left_residual(r, s)
-    with pytest.raises(CarrierMismatch):
-        right_residual(r, s)
+    for op, message in [
+        (left_residual, "left_residual: source carriers disagree (A vs X)"),
+        (right_residual, "right_residual: target carriers disagree (B vs C)"),
+        (sym_right_div, "sym_right_div: source carriers disagree (A vs X)"),
+        (sym_left_div, "sym_left_div: target carriers disagree (B vs C)"),
+    ]:
+        with pytest.raises(CarrierMismatch) as err:
+            op(r, s)
+        assert str(err.value) == message

@@ -78,6 +78,19 @@ def test_carrier_rejects_negative_size():
         Carrier("A", -1)
 
 
+@pytest.mark.parametrize("size,labels,message", [
+    (True, None, "size must be a non-negative int, got True"),
+    (False, None, "size must be a non-negative int, got False"),
+    (2, [1, 2], "labels must be strings, got (1, 2)"),
+    (2, ["x", None], "labels must be strings, got ('x', None)"),
+    (1, [b"x"], "labels must be strings, got (b'x',)"),
+])
+def test_carrier_rejects_bool_sizes_and_labels_that_are_not_strings(size, labels, message):
+    with pytest.raises(ValueError) as err:
+        Carrier("A", size, labels)
+    assert str(err.value) == f"carrier 'A': {message}"
+
+
 # -- construction and access --------------------------------------------------------
 
 
