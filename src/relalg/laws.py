@@ -22,18 +22,20 @@ the check cannot drift apart. The runner evaluates each size tuple of such a
 law in batches of instances at once, bit-sliced, with the order, draws and
 first failure the scalar scan has on the same tuple in the same mode; the
 failure is then shrunk one instance at a time. The index laws that speak of
-the min-policy index J of R are terms too, through ``where J = index R``, and
-so are the per laws, since on a per ``index P`` is per_index(P) and J∘P is
-splitting(P); the laws that take unions over the points of a carrier or speak
-of its cells and columns, through point binders; and the laws that check a
-given isomorphism witness, which ``where`` builds. A law about every index
-of R takes the index as a variable, with the conditions that make it one as
-its premise: index-determined-by-domains ranges J over all relations of R's
-type, per-to-relation-index ranges J and K over the coreflexives. The other
-laws compare every pair of indexes (indexcore.candidate_indexes) or run
-every policy, search for an isomorphism, compute a core or a classification,
-or count relations, which no term of the grammar names, and keep a Python
-check.
+the min-policy index J of R are terms too, through ``where J = index R``;
+among them core-domains, the core lemma for the core C = λ∘R∘ρ° that the legs
+λ = J<∘R≺ and ρ = J>∘R≻ build (core_of checks the same equations on its own
+decomposition on every call). So are the per laws, since on a per ``index P``
+is per_index(P) and J∘P is splitting(P); the laws that take unions over the
+points of a carrier or speak of its cells and columns, through point binders;
+and the laws that check a given isomorphism witness, which ``where`` builds.
+A law about every index of R takes the index as a variable, with the
+conditions that make it one as its premise: index-determined-by-domains
+ranges J over all relations of R's type, per-to-relation-index ranges J and K
+over the coreflexives. The other laws compare every pair of indexes
+(indexcore.candidate_indexes) or run every policy, search for an isomorphism,
+test what core_of or classify returns, or count relations, which no term of
+the grammar names, and keep a Python check.
 build_manifest() emits the machine-readable catalogue the CLI serves,
 including the explicit out-of-scope entries.
 """
@@ -452,18 +454,8 @@ _law("core-quotient-valid", "quotient core decomposition satisfies all leg equat
      (_rel("A", "B"),), c_core_quotient_valid, cost=6)
 
 
-def c_core_domains(a, C):
-    (r,) = a
-    dec = indexcore.core_of(r, "quotient")
-    return (
-        rdom(dec.lam) == ldom(r)
-        and ldom(dec.core) == ldom(dec.lam)
-        and rdom(dec.rho) == rdom(r)
-        and rdom(dec.core) == ldom(dec.rho)
-    )
-
-
-_law("core-domains", "R< = λ>, C< = λ<, R> = ρ>, C> = ρ<", (_rel("A", "B"),), c_core_domains, cost=6)
+_term("core-domains", "R< = λ>, C< = λ<, R> = ρ>, C> = ρ< where J = index R, λ = J<∘R≺, ρ = J>∘R≻, C = λ∘R∘ρ°",
+      "R", (_rel("A", "B"),))
 
 
 def c_core_isomorphic_index(a, C):

@@ -220,12 +220,12 @@ class AbstractModel:
     @cached_property
     def _masks(self) -> tuple[list[int], list[int], list[int]]:
         """The order as (up-sets, down-sets, each element's own bit), one int
-        mask per element: element j at bit 8·j, int.from_bytes of a leq row
-        or column. load_model presets it with its own masks, element j at
-        bit j; the checks read an element's bit only through ones."""
-        up = [int.from_bytes(row, "little") for row in self.leq]
-        down = [int.from_bytes(bytes(col), "little") for col in zip(*self.leq)]
-        return up, down, [1 << 8 * x for x in range(len(self.leq))]
+        mask per element with element j at bit j, from the leq rows and
+        columns; load_model presets the same masks."""
+        ones = [1 << x for x in range(len(self.leq))]
+        up = [sum(compress(ones, row)) for row in self.leq]
+        down = [sum(compress(ones, col)) for col in zip(*self.leq)]
+        return up, down, ones
 
     # The tables as rows for the searches (see _rows), built on first use.
 

@@ -89,6 +89,8 @@ class Carrier:
                 raise ValueError(f"carrier {name!r}: {len(labels)} labels for size {size}")
             if len(set(labels)) != len(labels):
                 raise ValueError(f"carrier {name!r}: labels must be pairwise distinct")
+            if labels == tuple(map(str, range(size))):
+                labels = None  # the default labels, given explicitly: one carrier, however built
         key = (str(name), size, labels)
         self = cls._interned.get(key)
         if self is None:

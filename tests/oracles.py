@@ -355,6 +355,16 @@ def oper_to_relation_index(r: Pairs, j: Pairs, k: Pairs, na: int, nb: int) -> bo
         return True
     return _oindex_conditions(r, ocompose(ocompose(j, r), k), na, nb)
 
+
+def ocore_domains(r: Pairs, na: int, nb: int) -> bool:
+    """For the min-policy index J of R, λ = J<∘R≺, ρ = J>∘R≻ and the core
+    C = λ∘R∘ρ°: R< = λ>, C< = λ<, R> = ρ> and C> = ρ<."""
+    j = ocompose(ocompose(oper_min_index(operldom(r, na)), r), oper_min_index(operrdom(r, nb)))
+    lam = ocompose(oldom(j), operldom(r, na))
+    rho = ocompose(ordom(j), operrdom(r, nb))
+    c = ocompose(ocompose(lam, r), oconverse(rho))
+    return oldom(r) == ordom(lam) and oldom(c) == oldom(lam) and ordom(r) == ordom(rho) and ordom(c) == oldom(rho)
+
 # -- the axioms of an abstract model, element by element ----------------------------
 #
 # Each function yields the refuting instances of one axiom on a model given as

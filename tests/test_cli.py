@@ -1,7 +1,5 @@
 import json
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -419,10 +417,6 @@ def test_help_exits_zero(capsys):
 
 
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "relalg", "points", "1"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_python("-m", "relalg", "points", "1")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["points"]

@@ -59,7 +59,7 @@ def test_only_a_python_check_carries_a_cost_weight():
     # a statement's scan is priced from the statement (Formula.runs), so its
     # instances weigh 1 against the budget; a Python check keeps its weight
     python = {
-        "classify-consistent": 4, "core-decomposition-valid": 6, "core-domains": 6, "core-if-iso": 64,
+        "classify-consistent": 4, "core-decomposition-valid": 6, "core-if-iso": 64,
         "core-isomorphic-index": 6, "core-quotient-valid": 6, "indexes-pairwise-isomorphic": 64,
         "iso-domain-transport": 64, "iso-search-sound": 64, "iso-to-coreflexive-bijection": 64,
         "relation-count": 64, "relation-index-policies": 8,

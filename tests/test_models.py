@@ -152,6 +152,16 @@ def test_a_bundled_model_is_loaded_once_and_shared(name):
     assert load_bundled(name) is load_bundled(name)
 
 
+@pytest.mark.parametrize("name", BUNDLED_NAMES)
+def test_a_copy_computes_the_masks_load_model_presets(name):
+    # one layout, element j at bit j, whether load_model presets the masks
+    # or a copy computes them from its leq rows
+    m = load_bundled(name)
+    copy = dataclasses.replace(m)
+    assert "_masks" in m.__dict__ and "_masks" not in copy.__dict__
+    assert copy._masks == m._masks
+
+
 def test_cache_clear_reloads_equal_bundled_models():
     before = [load_bundled(name) for name in BUNDLED_NAMES]
     cache_clear()

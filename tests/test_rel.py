@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -61,6 +63,17 @@ def test_carrier_default_labels():
 def test_carrier_custom_labels():
     c = Carrier("People", 2, labels=("ann", "bob"))
     assert c.labels == ("ann", "bob")
+
+
+def test_carriers_with_the_default_labels_are_one_object():
+    # given explicitly or left out, by a pickle or a deep copy: one interned carrier
+    c = Carrier("A", 3)
+    assert Carrier("A", 3, ["0", "1", "2"]) is c
+    assert pickle.loads(pickle.dumps(c)) is c
+    assert copy.deepcopy(c) is c
+    labelled = Carrier("A", 3, ["x", "y", "z"])
+    assert labelled is not c and labelled.labels == ("x", "y", "z")
+    assert pickle.loads(pickle.dumps(labelled)) is labelled and copy.deepcopy(labelled) is labelled
 
 
 def test_carrier_rejects_wrong_label_count():

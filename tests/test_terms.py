@@ -66,6 +66,8 @@ SLICED = {
     "per-splits", "per-index-coreflexive",
     # every index of R, as a variable with the conditions that make it one as the premise
     "index-determined-by-domains", "per-to-relation-index",
+    # the core lemma, for the core the index's legs build
+    "core-domains",
 }
 
 # the letters of the planted statements, in variable order
@@ -504,6 +506,7 @@ ORACLES = {
     "per-index-coreflexive": lambda args, shapes: o.oper_index_coreflexive(*args, shapes[0][0]),
     "index-determined-by-domains": lambda args, shapes: o.oindex_determined_by_domains(*args, *shapes[0]),
     "per-to-relation-index": lambda args, shapes: o.oper_to_relation_index(*args, *shapes[0]),
+    "core-domains": lambda args, shapes: o.ocore_domains(*args, *shapes[0]),
 }
 
 HOMOGENEOUS = (Var("relation", "A", "A"),)
@@ -535,6 +538,9 @@ WRONG = [
     ("per-to-relation-index",
      "J ⊆ P< and J∘P∘J = J and K ⊆ Q< and K∘Q∘K = K "
      "⇒ I ⊆ R and R≺∘I∘R≻ = R and I<∘R≺∘I< = I< and I>∘R≻∘I> = I> where P = R≺, Q = R≻, I = J∘R∘K", None),
+    # C< = J< is one member of each R≺-class, λ> all of them
+    ("core-domains", "R< = λ>, C< = λ>, R> = ρ>, C> = ρ< where J = index R, λ = J<∘R≺, ρ = J>∘R≻, C = λ∘R∘ρ°",
+     None),
 ]
 
 # every instance of at most 12 matrix bits, over carriers of the sizes the runner takes
