@@ -46,7 +46,7 @@ from .rel import (
 )
 
 
-# laws-size4 leaves the most left domain codes, 1,036.
+# laws-size4 leaves the most left domain codes, 739.
 @lru_cache(maxsize=1 << 12)
 def _ldom_code(code: int, n: int, k: int) -> int:
     full = (1 << k) - 1
@@ -57,7 +57,7 @@ def _ldom_code(code: int, n: int, k: int) -> int:
     return out
 
 
-# laws-size4 leaves the most right domain codes, 831.
+# laws-size3 and criterion 2 leave the most right domain codes, 585.
 @lru_cache(maxsize=1 << 12)
 def _rdom_code(code: int, k: int) -> int:
     full = (1 << k) - 1
@@ -83,8 +83,9 @@ def _per_ldom_code(code: int, n: int, k: int) -> int:
     return out
 
 
-# laws-size4 leaves the most, 749. The sweep's reuse across phases is held by
-# _per_ldom_code, which answers this memo's misses: 2^14 would save 63 of 9,299.
+# laws-size3 and criterion 2 leave the most, 683. The sweep's reuse across
+# phases is held by _per_ldom_code, which answers this memo's misses: 2^14
+# would save 63 of 9,299.
 @lru_cache(maxsize=1 << 12)
 def _per_rdom_code(code: int, n: int, k: int) -> int:
     return _per_ldom_code(_converse_memo(code, n, k), k, n)

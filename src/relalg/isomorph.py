@@ -9,6 +9,15 @@ bijections between the left domains and between the right domains along which
 the two matrices agree, so the search below is a small backtracking matcher
 over domain elements with degree pruning.
 
+Before any search, find_isomorphism compares invariants that isomorphic
+relations share, cheapest first: the number of pairs; the sizes of the two
+domains and the sorted row degrees, read from the rows alone; then the sorted
+column degrees. A pair that differs in one of them is not isomorphic, whatever
+the size of its domains, so the MAX_POINTS refusal applies only to a pair that
+agrees in all of them and leaves a search to run. The rows are not memoized,
+and only the columns go through the converse memo, so a pair settled on its
+pair count or its rows leaves no entry in any kernel memo.
+
 Rows, columns and the six equations are computed on int codes with the
 kernel's code memos (see rel); the only Relations built are φ and ψ.
 """
@@ -16,7 +25,8 @@ kernel's code memos (see rel); the only Relations built are φ and ψ.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
+from operator import or_
 
 from .domains import _ldom_code, _rdom_code, ldom, rdom
 from .rel import CarrierMismatch, Relation, _compose_memo, _converse_memo, _make, _rows
@@ -69,31 +79,38 @@ def verify_witness(r: Relation, s: Relation, w: IsoWitness) -> bool:
 def find_isomorphism(r: Relation, s: Relation) -> IsoWitness | None:
     """Search for a witness; None means the relations are not isomorphic.
 
-    Exhaustive over bijections of the left domains (with degree pruning), so
-    the answer is definitive. Refuses relations whose left or right domain
-    exceeds MAX_POINTS elements.
+    The invariants come first, in order of cost (see the module docstring):
+    a pair that differs in its number of pairs, in a domain size or in its
+    sorted row or column degrees gets None without a search. Otherwise the
+    search is exhaustive over bijections of the left domains (with degree
+    pruning), so the answer is definitive. It is refused, with
+    SearchSpaceExceeded, when the left or right domain exceeds MAX_POINTS
+    elements.
     """
     if r == s:
         # a relation is isomorphic to itself via its own domains
         return IsoWitness(ldom(r), rdom(r))
+    if r.code.bit_count() != s.code.bit_count():
+        return None
 
     # rows as target masks, columns as source masks; the domains are the
     # nonempty ones, and degrees are bit counts
     na, nb, nc, nd = r.src.size, r.dst.size, s.src.size, s.dst.size
-    rows_r, cols_r = _rows(r.code, na, nb), _rows(_converse_memo(r.code, na, nb), nb, na)
-    rows_s, cols_s = _rows(s.code, nc, nd), _rows(_converse_memo(s.code, nc, nd), nd, nc)
-    da, ea = [a for a, m in enumerate(rows_r) if m], [b for b, m in enumerate(cols_r) if m]
-    db, eb = [x for x, m in enumerate(rows_s) if m], [c for c, m in enumerate(cols_s) if m]
-    if len(da) != len(db) or len(ea) != len(eb):
+    rows_r, rows_s = _rows(r.code, na, nb), _rows(s.code, nc, nd)
+    da, db = [a for a, m in enumerate(rows_r) if m], [x for x, m in enumerate(rows_s) if m]
+    # the right domain is the union of the rows
+    if len(da) != len(db) or reduce(or_, rows_r, 0).bit_count() != reduce(or_, rows_s, 0).bit_count():
+        return None
+    if sorted(rows_r[a].bit_count() for a in da) != sorted(rows_s[x].bit_count() for x in db):
+        return None
+    cols_r, cols_s = _rows(_converse_memo(r.code, na, nb), nb, na), _rows(_converse_memo(s.code, nc, nd), nd, nc)
+    ea, eb = [b for b, m in enumerate(cols_r) if m], [c for c, m in enumerate(cols_s) if m]
+    if sorted(cols_r[b].bit_count() for b in ea) != sorted(cols_s[c].bit_count() for c in eb):
         return None
     if max(len(da), len(ea)) > MAX_POINTS:
         raise SearchSpaceExceeded(
             f"domains have {len(da)} and {len(ea)} points (limit {MAX_POINTS})"
         )
-    if sorted(rows_r[a].bit_count() for a in da) != sorted(rows_s[x].bit_count() for x in db):
-        return None
-    if sorted(cols_r[b].bit_count() for b in ea) != sorted(cols_s[c].bit_count() for c in eb):
-        return None
 
     f: dict[int, int] = {}
     g = _backtrack(0, f, set(), da, db, rows_r, rows_s, partial(_match_columns, da, ea, eb, cols_r, cols_s))

@@ -843,28 +843,37 @@ def _scan_scalar(law, carriers, typed, pools, rng, samples):
 
 def _scan_sliced(law, carriers, typed, pools, rng, samples):
     """The scan of a term law: batches of at most PLANE_BITS instances, each
-    evaluated at once on planes (see terms). An exhaustive scan slices the
-    trailing arguments and holds the leading ones fixed per batch; a sampled
-    one makes the draws of the scalar scan, in the same order."""
+    evaluated at once on planes (see terms). An exhaustive scan cuts the
+    product order into consecutive batches (see _geometry): it slices the
+    trailing arguments and holds the leading ones fixed per batch, but for a
+    chunk of codes of the last held one when that is a relation pool, whose
+    low cells it slices too; a sampled one makes the draws of the scalar scan,
+    in the same order."""
     sizes = {tv: c.size for tv, c in carriers.items()}
     cells = [src.size * dst.size for src, dst in typed]
     if rng is None:
-        lead, batch = _geometry(pools)
+        lead, chunk, batch = _geometry(pools)
         full = (1 << batch) - 1
+        # a chunk is aligned, so its codes share every cell but the low k
+        k = chunk.bit_length() - 1
+        stride = batch // chunk
+        low = range_planes(k, stride, batch)
         sliced = []
-        stride = batch
         for pool, n in zip(pools[lead:], cells[lead:]):
             stride //= len(pool)
             if isinstance(pool, range):
                 sliced.append(range_planes(n, stride, batch))
             else:
                 sliced.append(code_planes(pool, n, stride, batch // (stride * len(pool))))
-        for q, fixed in enumerate(product(*pools[:lead])):
-            planes = [fixed_planes(code, n, full) for code, n in zip(fixed, cells)] + sliced
-            bad = law.check.failures(planes, sizes, full)
+        held = [*pools[:lead - 1], pools[lead - 1][::chunk]] if lead else []
+        for q, fixed in enumerate(product(*held)):
+            planes = [fixed_planes(code, n, full) for code, n in zip(fixed, cells)]
+            if k:
+                planes[lead - 1][:k] = low
+            bad = law.check.failures(planes + sliced, sizes, full)
             if bad:
-                x = (bad & -bad).bit_length() - 1
-                return q * batch + x + 1, _relations(typed, fixed + _decode(x, pools[lead:]))
+                x = q * batch + (bad & -bad).bit_length() - 1
+                return x + 1, _relations(typed, _decode(x, pools))
         return prod(len(p) for p in pools), None
     draw = rng.randrange
     sized = [(pool, len(pool)) for pool in pools]
@@ -890,20 +899,29 @@ def _scan_pays(law: Law, sizes: dict[str, int], pools, samples: int) -> bool:
             wide += n * p
         else:
             fixed += n * p * (1 + w / SLICE_BITS)
-    lead, batch = _geometry(pools)
-    scan = prod(len(p) for p in pools[:lead]) * (fixed + wide * (1 + batch / SLICE_BITS))
+    batch = _geometry(pools)[2]
+    scan = prod(len(p) for p in pools) // batch * (fixed + wide * (1 + batch / SLICE_BITS))
     return scan <= samples * len(law.vars) * DRAW_COST + fixed + wide * (1 + samples / SLICE_BITS)
 
 
-def _geometry(pools) -> tuple[int, int]:
-    """An exhaustive sliced scan's batches: how many leading pools it holds
-    fixed per batch, and how many instances a batch holds, at most
-    PLANE_BITS."""
+def _geometry(pools) -> tuple[int, int, int]:
+    """An exhaustive sliced scan's batches, each a consecutive run of the
+    product order: how many leading pools it holds fixed per batch, how many
+    consecutive codes of the last of them a batch takes, and how many
+    instances a batch holds, at most PLANE_BITS. The trailing pools fill a
+    batch whole. A held relation pool, range(2^cells), is cut into aligned
+    power-of-two chunks, the chunk doubled while the batch stays within
+    min(SLICE_BITS, PLANE_BITS), where a plane costs mostly its per-call
+    overhead; any other held pool gives one code per batch."""
     lead, batch = len(pools), 1
     while lead and batch * len(pools[lead - 1]) <= PLANE_BITS:
         lead -= 1
         batch *= len(pools[lead])
-    return lead, batch
+    chunk = 1
+    if lead and isinstance(pools[lead - 1], range):
+        while 2 * chunk * batch <= min(SLICE_BITS, PLANE_BITS):
+            chunk *= 2
+    return lead, chunk, chunk * batch
 
 
 def _decode(x: int, pools) -> tuple[int, ...]:

@@ -176,6 +176,17 @@ def oisomorphic(r: Pairs, s: Pairs, na: int, nb: int) -> bool:
     return False
 
 
+def ocanonical(r: Pairs) -> tuple:
+    """The least relabelling of r's domains onto 0, 1, ...: two relations, on
+    carriers of any sizes, are isomorphic exactly when these are equal."""
+    da, db = sorted({a for a, _ in r}), sorted({b for _, b in r})
+    return min(
+        tuple(sorted((sigma[da.index(a)], tau[db.index(b)]) for a, b in r))
+        for sigma in permutations(range(len(da)))
+        for tau in permutations(range(len(db)))
+    )
+
+
 # -- points and the all-or-nothing outcome -----------------------------------------
 
 

@@ -171,6 +171,16 @@ def test_iso_negative_exits_one(capsys, tmp_path):
     assert json.loads(out) == {"isomorphic": False}
 
 
+def test_iso_settled_on_invariants_exits_one_past_the_search_limit(capsys, tmp_path):
+    # both domains have 9 points, past isomorph.MAX_POINTS, but the pair
+    # counts differ, so no search is refused
+    a = write_rel(tmp_path, "diag.json", pack(9, 9, [(i, i) for i in range(9)]))
+    b = write_rel(tmp_path, "more.json", pack(9, 9, [(i, i) for i in range(9)] + [(0, 1)], src="C", dst="D"))
+    code, out, _ = run_cli(capsys, "iso", a, b)
+    assert code == 1
+    assert json.loads(out) == {"isomorphic": False}
+
+
 # -- decompose / points -----------------------------------------------------------------
 
 

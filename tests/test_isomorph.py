@@ -15,6 +15,7 @@ from relalg import (
     enumerate_relations,
     find_isomorphism,
     identity,
+    isomorph,
     ldom,
     rdom,
     top,
@@ -70,14 +71,37 @@ def test_same_profile_different_shape():
     assert find_isomorphism(r, s) is None
 
 
-def test_exhaustive_2x2_pairs_agree_with_oracle():
-    rels = list(enumerate_relations(Carrier("A", 2), Carrier("B", 2)))
-    others = list(enumerate_relations(Carrier("C", 2), Carrier("D", 2)))
+def test_pairs_that_differ_in_an_invariant_get_none_before_any_column(monkeypatch):
+    # the pair count, the domain sizes and the row degrees are read from the
+    # code and its rows; only the column check asks the converse memo
+    def no_columns(*args):
+        raise AssertionError("the columns were built")
+
+    monkeypatch.setattr(isomorph, "_converse_memo", no_columns)
+    differing = {
+        "pair count": ([(0, 0)], [(0, 0), (1, 1)]),
+        "left domain": ([(0, 0), (0, 1)], [(0, 0), (1, 1)]),
+        "right domain": ([(0, 0), (1, 0)], [(0, 0), (1, 1)]),
+        "row degrees": ([(0, 0), (0, 1), (0, 2), (1, 0), (2, 0)], [(0, 0), (0, 1), (1, 1), (1, 2), (2, 0)]),
+    }
+    for name, (r, s) in differing.items():
+        assert find_isomorphism(pack(3, 3, r), pack(3, 3, s, src="C", dst="D")) is None, name
+
+
+SHAPES = [(n, m) for n in (1, 2, 3) for m in (1, 2, 3) if n * m <= 6]
+
+
+@pytest.mark.parametrize("left, right", [(a, b) for a in SHAPES for b in SHAPES],
+                         ids=lambda shape: f"{shape[0]}x{shape[1]}")
+def test_exhaustive_small_pairs_agree_with_oracle(left, right):
+    rels = list(enumerate_relations(Carrier("A", left[0]), Carrier("B", left[1])))
+    others = list(enumerate_relations(Carrier("C", right[0]), Carrier("D", right[1])))
+    forms = [o.ocanonical(unpack(s)) for s in others]
     for r in rels:
-        for s in others:
+        want = o.ocanonical(unpack(r))
+        for s, form in zip(others, forms):
             w = find_isomorphism(r, s)
-            want = o.oisomorphic(unpack(r), unpack(s), 2, 2)
-            assert (w is not None) == want
+            assert (w is not None) == (form == want), (r, s)
             if w is not None:
                 assert verify_witness(r, s, w)
 
@@ -146,6 +170,10 @@ def test_search_space_guard():
     s = top(Carrier("C", 9), Carrier("D", 9))
     with pytest.raises(SearchSpaceExceeded):
         find_isomorphism(r, s)
+    # the refusal comes only where a search remains: both domains have 9
+    # points, but the pair counts differ
+    shifted = pack(9, 9, [(i, i) for i in range(9)] + [(0, 1)], src="C", dst="D")
+    assert find_isomorphism(identity(Carrier("A", 9)), shifted) is None
     # the guard is a limit on domain points, not carrier size
     sparse = pack(9, 9, [(0, 0)])
     sparse2 = pack(9, 9, [(4, 7)], src="C", dst="D")

@@ -468,8 +468,8 @@ def test_the_estimate_counts_every_sliced_operation(law_id, sizes, monkeypatch):
     assert seen == runs(7) and seen
     seen.clear()
     monkeypatch.setattr(laws, "PLANE_BITS", 64)
-    lead, batch = laws._geometry(pools)
-    batches = prod(len(pool) for pool in pools[:lead])
+    lead, chunk, batch = laws._geometry(pools)
+    batches = prod(len(pool) for pool in pools[:lead]) // chunk
     space = prod(len(pool) for pool in pools)
     assert batch * batches == space and batch <= 64
     assert laws._scan_sliced(law, carriers, typed, pools, None, 7) == (space, None)
@@ -652,7 +652,8 @@ def test_planted_statements_agree_with_their_python_checks(law_id):
     # sliced scan is estimated to cost no more than its draws
     dict(max_size=3, samples=5, budget=1, cost=10 ** 6, draw_cost=0),
     # exhaustive under a large budget, cut into batches that hold the
-    # leading arguments fixed: all of them, or all but the trailing ones
+    # leading arguments fixed: all of them, or all but the trailing ones,
+    # the last held one a chunk of codes at a time (compose-commutes at 4)
     dict(max_size=3, samples=10, seed=9, budget=10 ** 12, plane_bits=1),
     dict(max_size=3, samples=10, seed=9, budget=10 ** 12, plane_bits=4),
 ], ids=["exhaustive", "sampled", "chunked-1", "chunked-4"])
