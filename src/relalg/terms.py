@@ -1,4 +1,4 @@
-"""Point-free statements parsed once, evaluated one instance or a batch at a time.
+"""Point-free statements parsed once and evaluated a batch of instances at a time.
 
 A law statement such as ``T ⊆ R\\S ≡ R∘T ⊆ S`` is parsed into a Formula over
 the law's variables. The grammar, from the loosest binding to the tightest:
@@ -68,37 +68,37 @@ unification; brackets name them where the variables leave them open, as in
 carriers stay open, one that joins two different carriers, or one that does
 not parse raises ValueError naming the law and the column.
 
-A Formula has two evaluators over one instruction list, in which equal
-subterms appear once:
+A Formula has one evaluator, over an instruction list in which equal subterms
+appear once. ``formula.failures(planes, sizes, full)`` evaluates a batch of
+instances at once. Each argument is a list of planes, one int per matrix cell
+in code order, and bit x of every plane belongs to instance x, so composition
+is an OR of ANDs, converse permutes the planes and complement XORs them with
+``full``, the mask of the batch. A predicate is its point-free form: ``per
+X`` is ``X° = X and X∘X ⊆ X``, ``functional X`` is ``X∘X° ⊆ 𝕀``, ``injective
+X`` is ``X°∘X ⊆ 𝕀``, ``difunctional X`` is ``X∘X°∘X ⊆ X``, ``rectangle X`` is
+``X∘⊤∘X ⊆ X`` and ``square X`` is ``X° = X and X∘⊤∘X ⊆ X``. ``index X`` keeps
+cell (i, j) of X where i is the least member of its X≺-class and j of its
+X≻-class. A binder runs over the combinations of its members, constant
+planes; a union masks its term's planes with its guard's plane and ORs them,
+∀ ANDs its formula's planes and ∃ ORs them. The result has bit x set when the
+statement fails on instance x (the bitslicing of E. Biham's DES
+implementation, FSE 1997).
 
-- scalar: ``formula(args, carriers)`` evaluates one instance with the kernel
-  operations, the row predicates of domains and relation_index, and returns
-  a bool, so a Formula is a law check. A binder loops over the kernel's
-  points;
-- sliced: ``formula.failures(planes, sizes, full)`` evaluates a batch of
-  instances at once. Each argument is a list of planes, one int per matrix
-  cell in code order, and bit x of every plane belongs to instance x, so
-  composition is an OR of ANDs, converse permutes the planes and complement
-  XORs them with ``full``, the mask of the batch. A predicate is its
-  point-free form: ``per X`` is ``X° = X and X∘X ⊆ X``, ``functional X`` is
-  ``X∘X° ⊆ 𝕀``, ``injective X`` is ``X°∘X ⊆ 𝕀``, ``difunctional X`` is
-  ``X∘X°∘X ⊆ X``, ``rectangle X`` is ``X∘⊤∘X ⊆ X`` and ``square X`` is
-  ``X° = X and X∘⊤∘X ⊆ X``. ``index X`` keeps cell (i, j) of X where i is
-  the least member of its X≺-class and j of its X≻-class. A binder runs
-  over the combinations of its members, constant planes; a union masks its
-  term's planes with its guard's plane and ORs them, ∀ ANDs its formula's
-  planes and ∃ ORs them. The result has bit x set when the statement fails
-  on instance x (the bitslicing of E. Biham's DES implementation, FSE 1997).
+A call ``formula(args, carriers)`` on one instance, Relations over Carriers,
+is a batch of one: it returns the statement's truth, so a Formula is a law
+check, with which the runner shrinks and replays a failure. Shrinking drops
+carrier elements down to none, so a carrier may be empty: nothing is related
+through it, rows of no cells are all equal and all empty, and a binder over
+it has no member combinations, so ∀ holds, ∃ fails and ⋃ is ⊥.
 
-Both evaluators evaluate an instruction that uses no bound letter once per
-instance or batch, outside every binder. Inside one, a binder's loop moves
-its last letter fastest, and an instruction is evaluated again only when a
-letter up to the last one it uses moves, so a guard on (a, b) is not
-evaluated again for each c. The sliced evaluator also evaluates an
-instruction that uses no variable, such as the piece (a∘⊤∘b)∘(b∘⊤∘c), once
-per batch, ahead of the loop: its value is the same on every instance, so it
-is held over all member combinations at once, bit x of each plane for
-combination x, and the loop reads bit x.
+An instruction that uses no bound letter is evaluated once per batch, outside
+every binder. Inside one, a binder's loop moves its last letter fastest, and
+an instruction is evaluated again only when a letter up to the last one it
+uses moves, so a guard on (a, b) is not evaluated again for each c. An
+instruction that uses no variable, such as the piece (a∘⊤∘b)∘(b∘⊤∘c), is
+evaluated once per batch, ahead of the loop: its value is the same on every
+instance, so it is held over all member combinations at once, bit x of each
+plane for combination x, and the loop reads bit x.
 """
 
 from __future__ import annotations
@@ -106,19 +106,9 @@ from __future__ import annotations
 import re
 from collections import Counter
 from functools import lru_cache, reduce
-from itertools import product
 from math import prod
-from operator import and_, eq, ne, or_, xor
+from operator import and_, or_, xor
 from typing import Sequence
-
-from .domains import (
-    is_difunctional, is_functional, is_injective, is_per, is_rectangle, is_square, ldom, per_ldom, per_rdom,
-    rdom,
-)
-from .factors import left_residual, right_residual, sym_left_div, sym_right_div
-from .indexcore import relation_index
-from .points import points
-from .rel import bottom, complement, compose, converse, identity, intersect, is_subset, top, union
 
 #: The plural kind words a trailing ``for`` clause may use.
 KIND_WORDS = {
@@ -185,7 +175,7 @@ class Formula:
                 own = code[b][1][_BINDERS[code[b][0]]:]
                 last = max(p for p, k in enumerate(own) if scope[i] >> k & 1)
                 levels[b][1 + last].append(i)
-        # The sliced evaluator holds a uniform instruction over all member
+        # The evaluator holds a uniform instruction over all member
         # combinations of its owner at once, bit x for combination x, when its
         # inputs allow; it runs once, ahead of its owner's loop, and the others
         # run in the loop. When the loop moves letters k and after to their
@@ -202,49 +192,11 @@ class Formula:
     def __repr__(self) -> str:
         return f"Formula({self.statement!r}, letters={self.letters!r})"
 
-    def _walk(self, b: int, vals: list, members: list, step):
-        """Set binder b's letters to each combination of their members in
-        turn, the last letter changing fastest, and evaluate again what uses
-        the letters that moved; yield once per combination."""
-        op, ins, _ = self._code[b]
-        own, runs = ins[_BINDERS[op]:], self._binders[b][0]
-        for combo, start in zip(product(*members), _starts(tuple(map(len, members)))):
-            for k in range(start, len(own)):
-                vals[own[k]] = combo[k]
-            for i in runs[start]:
-                step(i)
-            yield
-
     def __call__(self, args, carriers) -> bool:
-        """The statement's truth on one instance, by the kernel operations."""
-        code = self._code
-        vals: list = [None] * len(code)
-
-        def step(i: int) -> None:
-            op, ins, dims = code[i]
-            if op == "var":
-                vals[i] = args[ins[0]]
-            elif op in _CONSTANTS:
-                vals[i] = _SCALAR[op](*[carriers[tv] for tv in dims])
-            elif op in _BINDERS:
-                n = _BINDERS[op]
-                members = [points(carriers[code[k][2][0]]) for k in ins[n:]]
-                walk = self._walk(i, vals, members, step)
-                if op == "⋃":
-                    body, guard = ins[:2]
-                    acc = bottom(carriers[dims[0]], carriers[dims[1]])
-                    for _ in walk:
-                        if vals[guard]:
-                            acc = union(acc, vals[body])
-                    vals[i] = acc
-                else:
-                    vals[i] = (all if op == "∀" else any)(vals[ins[0]] for _ in walk)
-            else:
-                vals[i] = _SCALAR[op](*[vals[k] for k in ins])
-
-        for i in self._top:
-            step(i)
-        return vals[-1]
+        """The statement's truth on one instance of Relations over Carriers:
+        failures on a batch of one."""
+        planes = [fixed_planes(r.code, r.src.size * r.dst.size, 1) for r in args]
+        return not self.failures(planes, {tv: c.size for tv, c in carriers.items()}, 1)
 
     def failures(self, planes: Sequence[list[int]], sizes: dict[str, int], full: int) -> int:
         """The plane of the instances of a batch on which the statement fails."""
@@ -262,13 +214,12 @@ class Formula:
         return full & ~vals[-1]
 
     def runs(self, sizes: dict[str, int]) -> dict[tuple[int, int | None], int]:
-        """How often the sliced evaluator runs a sliced operation on one
-        batch, by the operation's carrier-size product and plane width in
-        bits, None for the batch's own width: once per batch outside every
-        binder; in a binder, once per batch on planes one bit per member
-        combination when held, else once per combination of the letters up
-        to the last one it uses, one bit wide when uniform (see
-        Formula.__init__)."""
+        """How often the evaluator runs a sliced operation on one batch, by
+        the operation's carrier-size product and plane width in bits, None
+        for the batch's own width: once per batch outside every binder; in a
+        binder, once per batch on planes one bit per member combination when
+        held, else once per combination of the letters up to the last one it
+        uses, one bit wide when uniform (see Formula.__init__)."""
         if self._plan is None:
             self._plan = self._schedule()
         out: dict[tuple[int, int | None], int] = {}
@@ -795,22 +746,7 @@ def _tokens(text: str, fail) -> list[tuple[str, int]]:
     return out
 
 
-# -- the scalar evaluator -----------------------------------------------------------
-
-_SCALAR = {
-    "⊥": bottom, "⊤": top, "𝕀": identity,
-    "∘": compose, "°": converse, "¬": complement, "∩": intersect, "∪": union,
-    "<": ldom, ">": rdom, "≺": per_ldom, "≻": per_rdom,
-    "\\": left_residual, "/": right_residual, "\\\\": sym_right_div, "//": sym_left_div,
-    "⊆": is_subset, "=": eq, "≠": ne, "≡": eq,
-    "per": is_per, "functional": is_functional, "injective": is_injective,
-    "difunctional": is_difunctional, "rectangle": is_rectangle, "square": is_square,
-    "index": lambda x: relation_index(x).index,
-    "⇒": lambda a, b: not a or b, "and": lambda a, b: a and b, "or": lambda a, b: a or b,
-}
-
-
-# -- the sliced evaluator -----------------------------------------------------------
+# -- the evaluator ---------------------------------------------------------------------
 #
 # A matrix value is a list of planes in code order (cell (i, j) of an n×k value
 # at index i*k + j); a truth value is one plane. Every operation takes the
@@ -858,6 +794,8 @@ def _member_planes(counts: tuple[int, ...]) -> tuple[list[int], ...]:
     blocks of stride bits, n·stride bits apart, from bit i·stride; member i
     is the point whose one cell is (i, i)."""
     total = prod(counts)
+    if not total:  # an empty carrier: no combinations, so every plane is empty
+        return tuple([0] * (n * n) for n in counts)
     out, stride = [], total
     for n in counts:
         stride //= n
@@ -870,6 +808,8 @@ def _member_planes(counts: tuple[int, ...]) -> tuple[list[int], ...]:
 
 def _compose(full, d, x, y):
     n, m, p = d
+    if not m:  # through an empty carrier nothing is related
+        return [0] * (n * p)
     out = []
     for i in range(0, n * m, m):
         row = x[i:i + m]
@@ -896,8 +836,12 @@ def _diagonal(n: int, cells) -> list[int]:
     return out
 
 
-def _same_rows(full, x, y, k):
-    """Cell (a, b) is set where row a of x (n×k) equals row b of y (m×k)."""
+def _same_rows(full, d, x, y):
+    """Cell (a, b) is set where row a of x (n×k) equals row b of y (m×k),
+    for d = (n, m, k)."""
+    n, m, k = d
+    if not k:  # rows of no cells are all equal
+        return [full] * (n * m)
     xs = [x[i:i + k] for i in range(0, len(x), k)]
     ys = [y[i:i + k] for i in range(0, len(y), k)]
     return [full & ~_any(map(xor, r, s)) for r in xs for s in ys]
@@ -916,10 +860,19 @@ def _identity(full, d):
     return _diagonal(d[0], [full] * d[0])
 
 
+def _ldom(full, d, x):
+    n, k = d
+    if not k:  # rows of no cells are all empty
+        return [0] * (n * n)
+    return _diagonal(n, [_any(x[i:i + k]) for i in range(0, n * k, k)])
+
+
 def _per_ldom(full, d, x):
     n, k = d
+    if not k:
+        return [0] * (n * n)
     nonempty = [_any(x[i:i + k]) for i in range(0, n * k, k)]
-    same = _same_rows(full, x, x, k)
+    same = _same_rows(full, (n, n, k), x, x)
     return [same[c] & nonempty[c // n] for c in range(n * n)]
 
 
@@ -981,15 +934,16 @@ _SLICED = {
     "¬": _complement,
     "∩": lambda full, d, x, y: list(map(and_, x, y)),
     "∪": lambda full, d, x, y: list(map(or_, x, y)),
-    "<": lambda full, d, x: _diagonal(d[0], [_any(x[i:i + d[1]]) for i in range(0, len(x), d[1])]),
+    "<": _ldom,
     ">": lambda full, d, x: _diagonal(d[1], [_any(x[j::d[1]]) for j in range(d[1])]),
     "≺": _per_ldom,
     "≻": lambda full, d, x: _per_ldom(full, (d[1], d[0]), _converse(full, d, x)),
     "\\": _left_residual,
     "/": _right_residual,
     # columns (rows) of R and S that agree
-    "\\\\": lambda full, d, r, s: _same_rows(full, _converse(full, d[:2], r), _converse(full, d[::2], s), d[0]),
-    "//": lambda full, d, r, s: _same_rows(full, r, s, d[2]),
+    "\\\\": lambda full, d, r, s: _same_rows(full, (d[1], d[2], d[0]), _converse(full, d[:2], r),
+                                              _converse(full, d[::2], s)),
+    "//": _same_rows,
     "⊆": _subset,
     "=": _equal,
     "≠": lambda full, d, x, y: _any(map(xor, x, y)),

@@ -376,6 +376,93 @@ def ocore_domains(r: Pairs, na: int, nb: int) -> bool:
     c = ocompose(ocompose(lam, r), oconverse(rho))
     return oldom(r) == ordom(lam) and oldom(c) == oldom(lam) and ordom(r) == ordom(rho) and ordom(c) == oldom(rho)
 
+# -- a compiled statement, read as plain data ----------------------------------------
+#
+# A statement compiles to a list of instructions (op, inputs, dims), each input
+# the index of an earlier instruction and dims the type variables of the
+# carriers the op needs; the last instruction is the statement's truth. A
+# variable is ("var", (k,), ()), and a bound letter ("point", (slot,), (A,)).
+# A binder's inputs are its term and guard (⋃) or its formula (∀, ∃), then its
+# letters. oevaluate reads these one instance at a time with the functions
+# above, and so shares nothing with the package's evaluator.
+
+
+def _omin_index(r: Pairs, na: int, nb: int) -> Pairs:
+    """The cells (i, j) of R where i is the least of its R≺-class and j of its R≻-class."""
+    return ocompose(ocompose(oper_min_index(operldom(r, na)), r), oper_min_index(operrdom(r, nb)))
+
+
+_OTERMS = {
+    "⊥": lambda n: frozenset(),
+    "⊤": lambda n: otop(*n),
+    "𝕀": lambda n: oid(*n),
+    "∘": lambda n, r, s: ocompose(r, s),
+    "°": lambda n, r: oconverse(r),
+    "¬": lambda n, r: otop(*n) - r,
+    "∩": lambda n, r, s: r & s,
+    "∪": lambda n, r, s: r | s,
+    "<": lambda n, r: oldom(r),
+    ">": lambda n, r: ordom(r),
+    "≺": lambda n, r: operldom(r, n[0]),
+    "≻": lambda n, r: operrdom(r, n[1]),
+    "\\": lambda n, r, s: oleft_residual(r, s, *n),
+    "/": lambda n, r, s: oright_residual(r, s, *n),
+    # R\\S = R\S ∩ (S\R)° and R//S = R/S ∩ (S/R)°
+    "\\\\": lambda n, r, s: oleft_residual(r, s, *n) & oconverse(oleft_residual(s, r, n[0], n[2], n[1])),
+    "//": lambda n, r, s: oright_residual(r, s, *n) & oconverse(oright_residual(s, r, n[1], n[0], n[2])),
+    "index": lambda n, r: _omin_index(r, *n),
+    "⊆": lambda n, r, s: r <= s,
+    "=": lambda n, r, s: r == s,
+    "≠": lambda n, r, s: r != s,
+    "≡": lambda n, a, b: a == b,
+    "⇒": lambda n, a, b: not a or b,
+    "and": lambda n, a, b: a and b,
+    "or": lambda n, a, b: a or b,
+    "per": lambda n, r: ois_per(r),
+    "functional": lambda n, r: ois_functional(r),
+    "injective": lambda n, r: ois_injective(r),
+    "difunctional": lambda n, r: ois_difunctional(r),
+    "rectangle": lambda n, r: ois_rectangle(r, *n),
+    "square": lambda n, r: ois_square(r, n[0]),
+}
+
+# the binders, with the number of their inputs before their letters
+_OBINDERS = {"⋃": 2, "∀": 1, "∃": 1}
+
+
+def oevaluate(code, args, sizes) -> bool:
+    """The truth of a compiled statement on one instance: args are its
+    arguments as sets of cells, in variable order, and sizes maps each type
+    variable to its carrier's size. A binder runs over the points of its
+    letters' carriers (opoints), one combination at a time."""
+    values: dict = {}  # (instruction, the members of the letters in scope) -> value
+
+    def value(i: int, env: tuple):
+        op, ins, dims = code[i]
+        if op == "var":
+            return args[ins[0]]
+        if op == "point":
+            return dict(env)[i]
+        key = (i, env)
+        if key not in values:
+            n = [sizes[tv] for tv in dims]
+            if op in _OBINDERS:
+                kids, letters = ins[:_OBINDERS[op]], ins[_OBINDERS[op]:]
+                combos = [env + tuple(zip(letters, members))
+                          for members in product(*(opoints(sizes[code[k][2][0]]) for k in letters))]
+                if op == "⋃":
+                    body, guard = kids
+                    out = frozenset().union(*(value(body, e) for e in combos if value(guard, e)))
+                else:
+                    out = (all if op == "∀" else any)(value(kids[0], e) for e in combos)
+            else:
+                out = _OTERMS[op](n, *(value(k, env) for k in ins))
+            values[key] = out
+        return values[key]
+
+    return value(len(code) - 1, ())
+
+
 # -- the axioms of an abstract model, element by element ----------------------------
 #
 # Each function yields the refuting instances of one axiom on a model given as

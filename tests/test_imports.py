@@ -3,7 +3,9 @@
 A stdlib ``ast`` scan: every name a module-level import binds must be read
 somewhere in the module. ``relalg/__init__.py`` is exempt, since its imports
 are the public surface. Annotations are parsed code here (the modules use
-``from __future__ import annotations`` rather than quoted annotations).
+``from __future__ import annotations`` rather than quoted annotations). The
+statement evaluator, ``relalg/terms.py``, imports no other module of the
+package.
 """
 
 import ast
@@ -51,3 +53,20 @@ def test_no_unused_module_level_imports(path):
 def test_the_scan_sees_an_unused_import():
     tree = ast.parse("import os.path\nfrom json import dumps, loads\nx: dumps = 1\n")
     assert set(_imported(tree)) - _used(tree) == {"os", "loads"}
+
+
+def test_the_statement_evaluator_imports_no_other_module_of_the_package():
+    """relalg.terms parses and evaluates statements on planes alone: it
+    shares no operation with the kernel it checks."""
+    path = ROOT / "src" / "relalg" / "terms.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = ["." * node.level + (node.module or "")]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found += [name for name in names if name.startswith(".") or name.split(".")[0] == "relalg"]
+    assert found == []

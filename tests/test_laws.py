@@ -12,7 +12,8 @@ import pytest
 import oracles as o
 from conftest import pack, run_python, unpack
 from relalg import (
-    _MEMOIZED, Carrier, EnumerationLimit, Relation, cache_clear, complement, compose, converse, from_dict, laws, top,
+    _MEMOIZED, Carrier, EnumerationLimit, Relation, cache_clear, complement, compose, converse, from_dict, isomorph,
+    laws, top,
 )
 from relalg.rel import _compose_memo, relation_at
 from relalg.terms import Formula
@@ -586,6 +587,19 @@ def test_counterexample_serializes_and_round_trips():
     (ce,) = payload["failures"]
     rebuilt = [from_dict(d) for d in ce["args"]]
     assert [unpack(r) for r in rebuilt] == [unpack(r) for r in report.failures[0].args]
+
+
+def test_a_refused_isomorphism_search_fails_the_law_loudly(monkeypatch):
+    """A search refused past isomorph.MAX_POINTS raises out of the law's
+    check: it is never a pass. The identities on two elements pass every
+    invariant, so only the search could settle them."""
+    law = REGISTRY["iso-to-coreflexive-bijection"]
+    a, b, c = Carrier("A", 2), Carrier("B", 2), Carrier("C", 2)
+    args = (pack(2, 2, [(0, 0), (1, 1)]), pack(2, 2, [(0, 0), (1, 1)], src="C", dst="C"))
+    assert law.check(args, {"A": a, "B": b, "C": c})
+    monkeypatch.setattr(isomorph, "MAX_POINTS", 1)
+    with pytest.raises(isomorph.SearchSpaceExceeded):
+        law.check(args, {"A": a, "B": b, "C": c})
 
 
 def test_shrink_insists_on_a_failing_start():
