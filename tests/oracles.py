@@ -367,14 +367,33 @@ def oper_to_relation_index(r: Pairs, j: Pairs, k: Pairs, na: int, nb: int) -> bo
     return _oindex_conditions(r, ocompose(ocompose(j, r), k), na, nb)
 
 
-def ocore_domains(r: Pairs, na: int, nb: int) -> bool:
-    """For the min-policy index J of R, λ = J<∘R≺, ρ = J>∘R≻ and the core
-    C = λ∘R∘ρ°: R< = λ>, C< = λ<, R> = ρ> and C> = ρ<."""
+def _ocore(r: Pairs, na: int, nb: int) -> tuple[Pairs, Pairs, Pairs, Pairs]:
+    """The min-policy index J of R, the legs λ = J<∘R≺ and ρ = J>∘R≻, and the
+    core C = λ∘R∘ρ°."""
     j = ocompose(ocompose(oper_min_index(operldom(r, na)), r), oper_min_index(operrdom(r, nb)))
     lam = ocompose(oldom(j), operldom(r, na))
     rho = ocompose(ordom(j), operrdom(r, nb))
-    c = ocompose(ocompose(lam, r), oconverse(rho))
+    return j, lam, rho, ocompose(ocompose(lam, r), oconverse(rho))
+
+
+def ocore_domains(r: Pairs, na: int, nb: int) -> bool:
+    """For the core of _ocore: R< = λ>, C< = λ<, R> = ρ> and C> = ρ<."""
+    _, lam, rho, c = _ocore(r, na, nb)
     return oldom(r) == ordom(lam) and oldom(c) == oldom(lam) and ordom(r) == ordom(rho) and ordom(c) == oldom(rho)
+
+
+def ocore_decomposition(r: Pairs, na: int, nb: int) -> bool:
+    """For the core of _ocore: λ°∘λ = R≺, λ∘λ° = λ<, ρ°∘ρ = R≻, ρ∘ρ° = ρ<,
+    C< = C≺ and C> = C≻ (a core relation), λ> = R<, C< = λ<, ρ> = R>,
+    C> = ρ<, and C = J, which meets the four index conditions."""
+    j, lam, rho, c = _ocore(r, na, nb)
+    return (
+        ocompose(oconverse(lam), lam) == operldom(r, na) and ocompose(lam, oconverse(lam)) == oldom(lam)
+        and ocompose(oconverse(rho), rho) == operrdom(r, nb) and ocompose(rho, oconverse(rho)) == oldom(rho)
+        and oldom(c) == operldom(c, na) and ordom(c) == operrdom(c, nb)
+        and ordom(lam) == oldom(r) and oldom(c) == oldom(lam) and ordom(rho) == ordom(r) and ordom(c) == oldom(rho)
+        and c == j and _oindex_conditions(r, c, na, nb)
+    )
 
 # -- a compiled statement, read as plain data ----------------------------------------
 #

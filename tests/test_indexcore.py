@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -35,6 +37,7 @@ from relalg import (
     verify_index,
 )
 from relalg.indexcore import _fixed_pick, _members, _per_classes, _quotient_carrier
+from relalg.rel import relation_at
 
 
 def _all(na, nb, src="A", dst="B"):
@@ -318,11 +321,18 @@ def test_core_quotient_of_bijection_keeps_all_pairs():
     assert dec.core.bit_count() == 3
 
 
-def test_core_quotient_verifies_exhaustively_at_2x3():
-    for r in _all(2, 3):
-        dec = core_of(r, "quotient")
-        checks = dec.verify()
-        assert all(checks.values()), {k: v for k, v in checks.items() if not v}
+def test_core_of_verifies_in_both_modes_up_to_3x3_and_on_seeded_4x4():
+    """core_of raises RuntimeError unless its own equations hold, so the
+    registry states them for the same-type core (core-decomposition-valid)
+    and only calls the quotient mode (core-quotient-valid). Here both modes
+    return, verify, and the same-type core is the index."""
+    a, b, rng = Carrier("A", 4), Carrier("B", 4), random.Random(4)
+    rs = [r for na in range(1, 4) for nb in range(1, 4) for r in _all(na, nb)]
+    rs += [relation_at(a, b, rng.getrandbits(16)) for _ in range(256)]
+    for r in rs:
+        same = core_of(r, "same-type")
+        assert same.core == relation_index(r).index and all(same.verify().values()), r
+        assert all(core_of(r, "quotient").verify().values()), r
 
 
 def test_core_quotient_lives_on_its_legs_carriers():

@@ -12,8 +12,8 @@ import pytest
 import oracles as o
 from conftest import pack, run_python, unpack
 from relalg import (
-    _MEMOIZED, Carrier, EnumerationLimit, Relation, cache_clear, complement, compose, converse, from_dict, isomorph,
-    laws, top,
+    _MEMOIZED, Carrier, EnumerationLimit, Relation, cache_clear, complement, compose, converse, from_dict, indexcore,
+    isomorph, laws, top,
 )
 from relalg.rel import _compose_memo, relation_at
 from relalg.terms import Formula
@@ -60,7 +60,7 @@ def test_only_a_python_check_carries_a_cost_weight():
     # a statement's scan is priced from the statement (Formula.runs), so its
     # instances weigh 1 against the budget; a Python check keeps its weight
     python = {
-        "classify-consistent": 4, "core-decomposition-valid": 6, "core-if-iso": 64,
+        "classify-consistent": 4, "core-if-iso": 64,
         "core-isomorphic-index": 6, "core-quotient-valid": 6, "indexes-pairwise-isomorphic": 64,
         "iso-domain-transport": 64, "iso-search-sound": 64, "iso-to-coreflexive-bijection": 64,
         "relation-count": 64, "relation-index-policies": 8,
@@ -291,10 +291,10 @@ def test_the_memos_hold_a_size_three_suite_without_evicting():
 
 
 def test_the_memos_hold_a_size_four_suite_without_evicting():
-    # the settings of perfbench's laws-size4, which leaves the most converse codes
+    # the settings of perfbench's laws-size4, which leaves the most per_ldom codes
     cache_clear()
     assert run_suite(max_size=4, samples=10, seed=31, budget=1).ok
-    assert converse.cache_info().currsize > 700
+    assert converse.cache_info().currsize > 550
     assert _evicted() == {}
 
 
@@ -600,6 +600,32 @@ def test_a_refused_isomorphism_search_fails_the_law_loudly(monkeypatch):
     monkeypatch.setattr(isomorph, "MAX_POINTS", 1)
     with pytest.raises(isomorph.SearchSpaceExceeded):
         law.check(args, {"A": a, "B": b, "C": c})
+
+
+def test_a_failed_certificate_is_a_shrunk_counterexample(monkeypatch):
+    """core_of raises RuntimeError unless its decomposition verifies, and
+    core-quotient-valid only calls it: with the certificate broken on every
+    relation of two or more pairs, the law reports one shrunk counterexample,
+    which fails again on replay, instead of ending the run."""
+    verify = indexcore.CoreDecomposition.verify
+
+    def broken(dec):
+        return {**verify(dec), "C = λ∘R∘ρ°": dec.relation.bit_count() < 2}
+
+    monkeypatch.setattr(indexcore.CoreDecomposition, "verify", broken)
+    law = REGISTRY["core-quotient-valid"]
+    report = run_law(law, 3, 50, 1)
+    (ce,) = report.failures
+    assert ce.sizes == {"A": 1, "B": 2} and [r.bit_count() for r in ce.args] == [2]
+    # shrink replays it: it must fail, and no smaller instance does
+    assert shrink(law, {tv: Carrier(tv, n) for tv, n in ce.sizes.items()}, ce.args) == ce
+
+
+def test_a_refusal_inside_a_check_ends_the_run(monkeypatch):
+    # a refused input is no verdict: unlike a failed certificate, it propagates
+    monkeypatch.setattr(isomorph, "MAX_POINTS", 1)
+    with pytest.raises(isomorph.SearchSpaceExceeded):
+        run_law(REGISTRY["iso-to-coreflexive-bijection"], 2, 10, 1)
 
 
 def test_shrink_insists_on_a_failing_start():

@@ -135,6 +135,21 @@ def test_coreflexive_constructor():
         coreflexive(Carrier("A", 3), [3])
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda a: relation_at(a, a, 1.0), ValueError, "code 1.0 out of range for a 2x2 relation, or not an int"),
+    (lambda a: relation_at(a, a, True), ValueError, "code True out of range for a 2x2 relation, or not an int"),
+    (lambda a: coreflexive(a, [True]), ValueError, "member True is not an element of carrier 'A' of size 2"),
+    (lambda a: coreflexive(a, [1.5]), ValueError, "member 1.5 is not an element of carrier 'A' of size 2"),
+    (lambda a: from_pairs(a, a, [(True, False)]), RelationFormatError,
+     "pairs[0]: source index True is not an element of carrier 'A' of size 2"),
+], ids=["relation_at-float", "relation_at-bool", "coreflexive-bool", "coreflexive-float", "from_pairs-bool"])
+def test_constructors_refuse_a_value_that_is_not_an_int(build, error, message):
+    # a bool is an int to Python, and a float may equal one; neither is an element or a code
+    with pytest.raises(error) as err:
+        build(Carrier("A", 2))
+    assert str(err.value) == message
+
+
 def test_constants():
     a, b = Carrier("A", 2), Carrier("B", 3)
     assert unpack(top(a, b)) == o.otop(2, 3)

@@ -68,8 +68,8 @@ SLICED = {
     "per-splits", "per-index-coreflexive",
     # every index of R, as a variable with the conditions that make it one as the premise
     "index-determined-by-domains", "per-to-relation-index",
-    # the core lemma, for the core the index's legs build
-    "core-domains",
+    # the core lemma, and the equations core_of certifies, for the core the index's legs build
+    "core-domains", "core-decomposition-valid",
 }
 
 # the letters of the planted statements, in variable order
@@ -539,6 +539,7 @@ ORACLES = {
     "index-determined-by-domains": lambda args, shapes: o.oindex_determined_by_domains(*args, *shapes[0]),
     "per-to-relation-index": lambda args, shapes: o.oper_to_relation_index(*args, *shapes[0]),
     "core-domains": lambda args, shapes: o.ocore_domains(*args, *shapes[0]),
+    "core-decomposition-valid": lambda args, shapes: o.ocore_decomposition(*args, *shapes[0]),
 }
 
 HOMOGENEOUS = (Var("relation", "A", "A"),)
@@ -573,6 +574,10 @@ WRONG = [
     # C< = J< is one member of each R≺-class, λ> all of them
     ("core-domains", "R< = λ>, C< = λ>, R> = ρ>, C> = ρ< where J = index R, λ = J<∘R≺, ρ = J>∘R≻, C = λ∘R∘ρ°",
      None),
+    # legs on the domains, not the per domains: λ°∘λ = R≺ fails where two rows of R are equal
+    ("core-decomposition-valid",
+     "λ°∘λ = R≺ and λ∘λ° = λ< and ρ°∘ρ = R≻ and ρ∘ρ° = ρ< and C = J where J = index R, λ = J<∘R<, ρ = J>∘R>, "
+     "C = λ∘R∘ρ°", None),
 ]
 
 # every instance of at most 12 matrix bits, over carriers of the sizes the runner takes
