@@ -29,7 +29,8 @@ def _require_targets(op: str, r: Relation, s: Relation) -> None:
         raise CarrierMismatch(f"{op}: target carriers disagree ({r.dst.name} vs {s.dst.name})")
 
 
-# laws-size3 leaves the most left residual codes, 685.
+# After a laws-size3 or laws-size4 pass it holds 4 codes, all from shrinking
+# the planted zz-planted-residual-cancel, and after criterion 2 none.
 @lru_cache(maxsize=1 << 12)
 def _left_residual_code(rc: int, sc: int, na: int, nb: int, nc: int) -> int:
     """R\\S (nb×nc) of R (na×nb) and S (na×nc)."""
@@ -45,7 +46,7 @@ def _right_residual_code(rc: int, sc: int, na: int, nb: int, nc: int) -> int:
     return bad ^ _full(na, nb)
 
 
-# laws-size3 and criterion 2 leave the most right division codes, 682.
+# A laws-size3, laws-size4 or criterion-2 pass leaves no codes in it.
 @lru_cache(maxsize=1 << 12)
 def _sym_right_div_code(rc: int, sc: int, na: int, nb: int, nc: int) -> int:
     """R\\\\S (nb×nc) of R (na×nb) and S (na×nc)."""

@@ -77,7 +77,8 @@ EXHAUSTIVE_BUDGET = 10_000_000
 # tuple is sampled only where its draws are cheaper at every count's price.
 SLICE_BITS = 1 << 15
 DRAW_COST = 0.84
-# the most instances a term law evaluates at once: the bits of one plane
+# the most bits of one plane, and so the most instances a term law evaluates
+# at once (fewer where binders widen its planes, see _most_instances)
 PLANE_BITS = 1 << 20
 # the largest carrier whose square relation pool the enumeration bound admits
 MAX_CARRIER_SIZE = isqrt(MAX_ENUM_BITS)
@@ -832,7 +833,7 @@ def _scan_scalar(law, carriers, typed, pools, rng, samples):
 
 
 def _scan_sliced(law, carriers, typed, pools, rng, samples):
-    """The scan of a term law: batches of at most PLANE_BITS instances, each
+    """The scan of a term law: batches of at most _most_instances, each
     evaluated at once on planes (see terms). An exhaustive scan cuts the
     product order into consecutive batches (see _geometry): it slices the
     trailing arguments and holds the leading ones fixed per batch, but for a
@@ -841,8 +842,9 @@ def _scan_sliced(law, carriers, typed, pools, rng, samples):
     in the same order."""
     sizes = {tv: c.size for tv, c in carriers.items()}
     cells = [src.size * dst.size for src, dst in typed]
+    combinations = law.check.combinations(sizes)
     if rng is None:
-        lead, chunk, batch = _geometry(pools)
+        lead, chunk, batch = _geometry(pools, combinations)
         full = (1 << batch) - 1
         # a chunk is aligned, so its codes share every cell but the low k
         k = chunk.bit_length() - 1
@@ -867,8 +869,9 @@ def _scan_sliced(law, carriers, typed, pools, rng, samples):
         return prod(len(p) for p in pools), None
     draw = rng.randrange
     sized = [(pool, len(pool)) for pool in pools]
-    for start in range(0, samples, PLANE_BITS):
-        batch = min(PLANE_BITS, samples - start)
+    cut = _most_instances(combinations)
+    for start in range(0, samples, cut):
+        batch = min(cut, samples - start)
         draws = [[pool[draw(n)] for pool, n in sized] for _ in range(batch)]
         full = (1 << batch) - 1
         planes = [code_planes(column, n) for column, n in zip(zip(*draws), cells)]
@@ -883,35 +886,45 @@ def _scan_pays(law: Law, sizes: dict[str, int], pools, samples: int) -> bool:
     """Whether a term law's exhaustive sliced scan of a size tuple is
     estimated to cost no more than its sampled scan: the draws, and one
     batch of `samples` instances (see Formula.runs and SLICE_BITS)."""
-    fixed = wide = 0  # a batch of b instances costs fixed + wide * (1 + b / SLICE_BITS)
-    for (p, w), n in law.check.runs(sizes).items():
-        if w is None:
+    fixed = wide = spread = 0  # a batch of b instances costs fixed + wide + spread * b / SLICE_BITS
+    for (p, c, per_instance), n in law.check.runs(sizes).items():
+        if per_instance:
             wide += n * p
+            spread += n * p * c
         else:
-            fixed += n * p * (1 + w / SLICE_BITS)
-    batch = _geometry(pools)[2]
-    scan = prod(len(p) for p in pools) // batch * (fixed + wide * (1 + batch / SLICE_BITS))
-    return scan <= samples * len(law.vars) * DRAW_COST + fixed + wide * (1 + samples / SLICE_BITS)
+            fixed += n * p * (1 + c / SLICE_BITS)
+    batch = _geometry(pools, law.check.combinations(sizes))[2]
+    scan = prod(len(p) for p in pools) // batch * (fixed + wide + spread * batch / SLICE_BITS)
+    return scan <= samples * len(law.vars) * DRAW_COST + fixed + wide + spread * samples / SLICE_BITS
 
 
-def _geometry(pools) -> tuple[int, int, int]:
+def _geometry(pools, combinations: int) -> tuple[int, int, int]:
     """An exhaustive sliced scan's batches, each a consecutive run of the
     product order: how many leading pools it holds fixed per batch, how many
     consecutive codes of the last of them a batch takes, and how many
-    instances a batch holds, at most PLANE_BITS. The trailing pools fill a
-    batch whole. A held relation pool, range(2^cells), is cut into aligned
-    power-of-two chunks, the chunk doubled while the batch stays within
-    min(SLICE_BITS, PLANE_BITS), where a plane costs mostly its per-call
-    overhead; any other held pool gives one code per batch."""
+    instances a batch holds, at most _most_instances(combinations). The
+    trailing pools fill a batch whole. A held relation pool, range(2^cells),
+    is cut into aligned power-of-two chunks, the chunk doubled while the
+    batch stays within that and SLICE_BITS, where a plane costs mostly its
+    per-call overhead; any other held pool gives one code per batch."""
+    bits = _most_instances(combinations)
     lead, batch = len(pools), 1
-    while lead and batch * len(pools[lead - 1]) <= PLANE_BITS:
+    while lead and batch * len(pools[lead - 1]) <= bits:
         lead -= 1
         batch *= len(pools[lead])
     chunk = 1
     if lead and isinstance(pools[lead - 1], range):
-        while 2 * chunk * batch <= min(SLICE_BITS, PLANE_BITS):
+        while 2 * chunk * batch <= min(SLICE_BITS, bits):
             chunk *= 2
     return lead, chunk, chunk * batch
+
+
+def _most_instances(combinations: int) -> int:
+    """The most instances a batch of a statement holds: its binders lay
+    their member combinations beside the instances, so its widest planes
+    are the batch times its most `combinations` (Formula.combinations) bits,
+    at most PLANE_BITS. An empty carrier's none count as one."""
+    return max(1, PLANE_BITS // max(1, combinations))
 
 
 def _decode(x: int, pools) -> tuple[int, ...]:

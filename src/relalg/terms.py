@@ -78,11 +78,11 @@ X`` is ``X° = X and X∘X ⊆ X``, ``functional X`` is ``X∘X° ⊆ 𝕀``, ``
 X`` is ``X°∘X ⊆ 𝕀``, ``difunctional X`` is ``X∘X°∘X ⊆ X``, ``rectangle X`` is
 ``X∘⊤∘X ⊆ X`` and ``square X`` is ``X° = X and X∘⊤∘X ⊆ X``. ``index X`` keeps
 cell (i, j) of X where i is the least member of its X≺-class and j of its
-X≻-class. A binder runs over the combinations of its members, constant
-planes; a union masks its term's planes with its guard's plane and ORs them,
-∀ ANDs its formula's planes and ∃ ORs them. The result has bit x set when the
-statement fails on instance x (the bitslicing of E. Biham's DES
-implementation, FSE 1997).
+X≻-class. A binder lays the combinations of its members beside the
+instances, as more bits of the same planes; a union masks its term's planes
+with its guard's plane and ORs the combinations together, ∀ ANDs them and ∃
+ORs them. The result has bit x set when the statement fails on instance x
+(the bitslicing of E. Biham's DES implementation, FSE 1997).
 
 A call ``formula(args, carriers)`` on one instance, Relations over Carriers,
 is a batch of one: it returns the statement's truth, so a Formula is a law
@@ -91,14 +91,22 @@ carrier elements down to none, so a carrier may be empty: nothing is related
 through it, rows of no cells are all equal and all empty, and a binder over
 it has no member combinations, so ∀ holds, ∃ fails and ⋃ is ⊥.
 
-An instruction that uses no bound letter is evaluated once per batch, outside
-every binder. Inside one, a binder's loop moves its last letter fastest, and
-an instruction is evaluated again only when a letter up to the last one it
-uses moves, so a guard on (a, b) is not evaluated again for each c. An
-instruction that uses no variable, such as the piece (a∘⊤∘b)∘(b∘⊤∘c), is
-evaluated once per batch, ahead of the loop: its value is the same on every
-instance, so it is held over all member combinations at once, bit x of each
-plane for combination x, and the loop reads bit x.
+Every instruction is evaluated once per batch, in one pass over the list. A
+value spans a unit times the member combinations of its span, the letters
+around it up to the last one it uses: a binder's inputs span the binder's own
+span, then its letters in order. The unit is the batch when the value uses a
+variable or no letter, and one bit otherwise: a value on letters alone, such
+as the piece (a∘⊤∘b)∘(b∘⊤∘c), is the same on every instance and is computed
+once for all of them. Bit u + unit·x of a plane belongs to instance u at
+combination x, where the first letter moves fastest. So an input is widened
+to its reader's span: each bit of a one-bit value is stretched to a run as
+wide as the batch, a batch-wide value with no letter (the ⊤ of a∘⊤∘b) is
+narrowed to one bit, and the value is repeated, by doubling, over the
+reader's further letters, which move slower. A binder's own letters are the
+slowest of its inputs' span, and ∀, ∃ and ⋃ fold them by halving. The widest
+planes (Formula.combinations) are the batch times the combinations of a
+binder's inputs, and the runner shrinks the batch to keep them within one
+plane's bits.
 """
 
 from __future__ import annotations
@@ -129,8 +137,9 @@ _HOMOGENEOUS = ("per", "square", "particle", "point")
 # the binders, with the number of their inputs before their letters: a
 # union's term and guard, a quantifier's formula
 _BINDERS = {"⋃": 2, "∀": 1, "∃": 1}
-# the constant pools a binder ranges over; a bound letter's instruction is its pool
-_POOLS = ("point",)
+# the constant pools a binder ranges over, each with its members' codes on a
+# carrier of n elements, in code order; a bound letter's instruction is its pool
+_POOLS = {"point": lambda n: [1 << i * (n + 1) for i in range(n)]}
 # what makes a parenthesis at the place of a comparison a formula (see formula_group)
 _FORMULA_TOKENS = _COMPARISONS + ("≡", "⇒", "and", "or", ",", "∀", "∃") + _PREDICATES
 
@@ -138,56 +147,71 @@ _FORMULA_TOKENS = _COMPARISONS + ("≡", "⇒", "and", "or", ",", "∀", "∃") 
 class Formula:
     """A parsed statement over a law's variables; callable as a law check."""
 
-    __slots__ = ("statement", "letters", "_code", "_uniform", "_owner", "_held", "_top", "_binders", "_plan")
+    __slots__ = ("statement", "letters", "_code", "_steps", "_folds", "_plan", "_widest")
 
     def __init__(self, statement: str, letters: str, code: list[tuple[str, tuple, tuple]]):
         self.statement, self.letters, self._code = statement, letters, code
-        self._plan: list | None = None  # see runs; built on its first call
+        # per instruction: op, inputs, dims, its span's carriers and unit
+        # (None: no letters, batch wide) and how each input is read (None:
+        # every one as it is, never for a binder); a binder's inputs are its kids
+        self._steps: list[tuple] = [(op, ins, dims, None, None) for op, ins, dims in code]
+        self._folds: dict[int, tuple[tuple[str, ...], bool]] = {}  # a binder's own carriers, its inputs' unit
+        self._widest: tuple[tuple[str, ...], ...] = ()  # the spans of the binders' inputs, the widest
+        if any(op in _BINDERS for op, _, _ in code):
+            self._span_binders()
+        self._plan = list(Counter((dims, *(span or ((), True))) for op, _, dims, span, _ in self._steps
+                                  if op in _SLICED).items())
+
+    def _span_binders(self) -> None:
+        """Lay out the values of a statement with binders (see the module
+        docstring): each one's span and unit, and how it reads its inputs."""
+        code = self._code
         # an instruction's scope is the bound letters it uses, as a bit mask
         # of their instructions; a uniform one uses no variable
         scope: list[int] = []
-        uniform = self._uniform = []
-        binder_of: dict[int, int] = {}
+        uniform: list[bool] = []
         for i, (op, ins, dims) in enumerate(code):
             kids = ins[:_BINDERS[op]] if op in _BINDERS else () if op in _POOLS or op == "var" else ins
-            own = ins[len(kids):] if op in _BINDERS else ()
-            binder_of.update(dict.fromkeys(own, i))
             scope.append(1 << i if op in _POOLS else reduce(or_, [scope[k] for k in kids], 0)
-                         & ~sum(1 << k for k in own))
+                         & ~sum(1 << k for k in ins[len(kids):]))
             uniform.append(op != "var" and all(uniform[k] for k in kids))
-        self._top: Sequence[int] = range(len(code))
-        self._owner: Sequence[int | None] = ()
-        self._held: Sequence[bool] = ()
-        self._binders: dict[int, tuple] = {}
-        if not binder_of:
-            return
-        # Each instruction runs at the top, once per instance or batch, or in
-        # its owner, the innermost binder whose letters it uses, at the level
-        # of the last of them: levels[k] once the first k letters are set.
-        owner = self._owner = [min((binder_of[k] for k in binder_of if sc >> k & 1), default=None) for sc in scope]
-        self._top = [i for i in self._top if owner[i] is None]
-        levels: dict[int, list[list[int]]] = {
-            b: [[] for _ in range(len(ins) - _BINDERS[op] + 1)] for b, (op, ins, _) in enumerate(code) if op in _BINDERS
-        }
+        # around[k] is letter k's span; a binder comes after the binders
+        # inside it, whose letters' spans extend its own
+        around: dict[int, tuple[int, ...]] = {}
+
+        def spanned(mask: int) -> tuple[int, ...]:
+            return max((around[k] for k in around if mask >> k & 1), key=len, default=())
+
+        for b in reversed(range(len(code))):
+            op, ins, _ = code[b]
+            if op in _BINDERS:
+                own, outer = ins[_BINDERS[op]:], spanned(scope[b])
+                around.update((k, outer + own[:p + 1]) for p, k in enumerate(own))
+        spans = [spanned(sc) for sc in scope]
+        wide = [not (u and s) for u, s in zip(uniform, spans)]  # batch wide, or one bit
+
+        def carriers(letters: tuple[int, ...]) -> tuple[str, ...]:
+            return tuple(code[k][2][0] for k in letters)
+
+        def widening(k: int, to: tuple[int, ...], to_wide: bool):
+            """How input k is widened to a reader's span and unit: (+1 to
+            stretch it from one bit to the batch, -1 to narrow it to one
+            bit, its span's carriers, the carriers to repeat it over, the
+            reader's unit), or None as it is."""
+            if wide[k] == to_wide and len(spans[k]) == len(to):
+                return None
+            return to_wide - wide[k], carriers(spans[k]), carriers(to[len(spans[k]):]), to_wide
+
         for i, (op, ins, dims) in enumerate(code):
-            b = owner[i]
-            if b is not None and op not in _POOLS:
-                own = code[b][1][_BINDERS[code[b][0]]:]
-                last = max(p for p, k in enumerate(own) if scope[i] >> k & 1)
-                levels[b][1 + last].append(i)
-        # The evaluator holds a uniform instruction over all member
-        # combinations of its owner at once, bit x for combination x, when its
-        # inputs allow; it runs once, ahead of its owner's loop, and the others
-        # run in the loop. When the loop moves letters k and after to their
-        # next members, runs[k] are the instructions to evaluate again.
-        held = self._held = [op in _POOLS for op, _, _ in code]
-        for i, (op, ins, dims) in enumerate(code):
-            if owner[i] is not None and uniform[i] and op not in _BINDERS and op not in _POOLS:
-                held[i] = all(held[k] or owner[k] != owner[i] for k in ins)
-        for b, steps in levels.items():
-            runs = [[i for level in steps[k + 1:] for i in level] for k in range(len(steps) - 1)]
-            self._binders[b] = (runs, [i for level in steps for i in level if held[i]],
-                                [[i for i in run if not held[i]] for run in runs])
+            to, to_wide = spans[i], wide[i]
+            if op in _BINDERS:  # its inputs span its own letters too, at its unit
+                ins, own = ins[:_BINDERS[op]], ins[_BINDERS[op]:]
+                to, to_wide = around[own[-1]], not uniform[i]
+                self._folds[i] = carriers(own), to_wide
+            reads = () if op == "var" or op in _POOLS else tuple(widening(k, to, to_wide) for k in ins)
+            span = (carriers(spans[i]), wide[i]) if spans[i] else None
+            self._steps[i] = (op, ins, dims, span, reads if any(reads) or op in _BINDERS else None)
+        self._widest = tuple({carriers(around[code[b][1][-1]]) for b in self._folds})
 
     def __repr__(self) -> str:
         return f"Formula({self.statement!r}, letters={self.letters!r})"
@@ -200,120 +224,68 @@ class Formula:
 
     def failures(self, planes: Sequence[list[int]], sizes: dict[str, int], full: int) -> int:
         """The plane of the instances of a batch on which the statement fails."""
-        code = self._code
-        vals: list = [None] * len(code)
-        bind = self._binding(vals, sizes, full) if self._binders else None
-        for i in self._top:
-            op, ins, dims = code[i]
-            if op == "var":
-                vals[i] = planes[ins[0]]
-            elif op in _BINDERS:
-                vals[i] = bind(i)
-            else:
-                vals[i] = _SLICED[op](full, [sizes[tv] for tv in dims], *[vals[k] for k in ins])
+        bits = full.bit_length()
+        masks: dict[tuple, int] = {}  # a span's
+        vals: list = [None] * len(self._steps)
+        widened: dict[tuple, object] = {}  # an input as read, once for its readers
+
+        def read(k: int, how) -> object:
+            if how is None:
+                return vals[k]
+            if (k, how) not in widened:
+                widened[k, how] = _widen(vals[k], how, sizes, full)
+            return widened[k, how]
+
+        for i, (op, ins, dims, span, reads) in enumerate(self._steps):
+            if span is None and reads is None:  # a variable, or an operation on the batch alone
+                if op == "var":
+                    vals[i] = planes[ins[0]]
+                else:
+                    vals[i] = _SLICED[op](full, [sizes[tv] for tv in dims], *[vals[k] for k in ins])
+                continue
+            tvs, wide = span or ((), True)
+            if op in _POOLS:  # held for every combination of the letters before it
+                vals[i] = _letter_planes(op, sizes[dims[0]], _count(sizes, tvs[:-1]))
+                continue
+            args = [vals[k] for k in ins] if reads is None else [read(k, how) for k, how in zip(ins, reads)]
+            if op in _BINDERS:  # it folds its own letters, the slowest combinations of its inputs
+                own, unit = self._folds[i]
+                period, count = (bits if unit else 1) * _count(sizes, tvs), _count(sizes, own)
+                if op == "⋃":  # the term's planes masked with the guard's plane
+                    out = [_fold(v & args[1], period, count, False) for v in args[0]]
+                else:
+                    out = _fold(args[0], period, count, op == "∀")
+                vals[i] = out if unit == wide else _widen(out, (1, (), (), True), sizes, full)
+                continue
+            mask = masks.get(span)  # an operation off the fast path has a span
+            if mask is None:
+                mask = masks[span] = (1 << (bits if wide else 1) * _count(sizes, tvs)) - 1
+            vals[i] = _SLICED[op](mask, [sizes[tv] for tv in dims], *args)
         return full & ~vals[-1]
 
-    def runs(self, sizes: dict[str, int]) -> dict[tuple[int, int | None], int]:
+    def combinations(self, sizes: dict[str, int]) -> int:
+        """The most member combinations a plane of the statement spans, so
+        its widest planes are this many times the batch's width."""
+        if not self._widest:
+            return 1
+        return max(_count(sizes, tvs) for tvs in self._widest)
+
+    def runs(self, sizes: dict[str, int]) -> dict[tuple[int, int, bool], int]:
         """How often the evaluator runs a sliced operation on one batch, by
-        the operation's carrier-size product and plane width in bits, None
-        for the batch's own width: once per batch outside every binder; in a
-        binder, once per batch on planes one bit per member combination when
-        held, else once per combination of the letters up to the last one it
-        uses, one bit wide when uniform (see Formula.__init__)."""
-        if self._plan is None:
-            self._plan = self._schedule()
-        out: dict[tuple[int, int | None], int] = {}
+        the operation's carrier-size product, the member combinations its
+        planes span and whether they are batch wide: each runs once per
+        batch, on planes of that many bits, times the batch's width when
+        batch wide (see the module docstring)."""
+        out: dict[tuple[int, int, bool], int] = {}
         # the products are taken inline: run_law asks this of most size tuples
-        for (dims, times, width), count in self._plan:
-            p = 1
+        for (dims, tvs, wide), count in self._plan:
+            p = c = 1
             for tv in dims:
                 p *= sizes[tv]
-            for tv in times:
-                count *= sizes[tv]
-            if width is not None:
-                tvs, width = width, 1
-                for tv in tvs:
-                    width *= sizes[tv]
-            out[p, width] = out.get((p, width), 0) + count
+            for tv in tvs:
+                c *= sizes[tv]
+            out[p, c, wide] = out.get((p, c, wide), 0) + count
         return out
-
-    def _schedule(self) -> list[tuple[tuple, int]]:
-        """What runs evaluates: for each (dims, times, width), the type
-        variables whose sizes multiply to an operation's carrier-size
-        product, to its runs per batch and to its plane width (None: the
-        batch's), how many sliced operations share it."""
-        code, held, uniform = self._code, self._held, self._uniform
-        # per instruction: its runs per batch and its plane width
-        times, widths = dict.fromkeys(self._top, ()), dict.fromkeys(self._top, None)
-        # a binder runs in its owner, which comes after it in the code
-        for b in sorted(self._binders, reverse=True):
-            op, ins, _ = code[b]
-            letters = tuple(code[k][2][0] for k in ins[_BINDERS[op]:])
-            every, ahead, _ = self._binders[b]
-            times.update(dict.fromkeys(ahead, times[b]))
-            widths.update(dict.fromkeys(ahead, letters))
-            for k, run in enumerate(every):  # run k holds what uses letter k or a later one
-                for i in run:
-                    if not held[i]:
-                        times[i], widths[i] = times[b] + letters[:k + 1], () if uniform[i] else None
-        return list(Counter((code[i][2], times[i], widths[i]) for i in times if code[i][0] in _SLICED).items())
-
-    def _binding(self, vals: list, sizes: dict[str, int], full: int):
-        """The sliced evaluation of a binder, bind(b), on the values of a batch
-        so far. A binder holds what it can over its member combinations and
-        loops over them for the rest (see Formula.__init__)."""
-        code, uniform, owner, held = self._code, self._uniform, self._owner, self._held
-        mask: dict[int, int] = {}  # a running binder's mask of its member combinations
-        at: dict[int, int] = {}  # and the combination its loop is at
-
-        def read(k: int, home, width: int):
-            """Input k for an instruction held over binder home's combinations
-            (None: not held) whose planes are width wide. A uniform value is
-            held, or on one bit in a loop, or batch wide at the top."""
-            v = vals[k]
-            if held[k]:
-                return v if owner[k] == home else _pick(v, at[owner[k]], width)
-            if uniform[k] and width != (1 if owner[k] is not None else full):
-                return _spread(v, width)
-            return v
-
-        def step(i: int) -> None:  # an instruction a binder owns
-            op, ins, dims = code[i]
-            if op in _BINDERS:
-                vals[i] = bind(i)
-                return
-            home = owner[i] if held[i] else None
-            width = mask[home] if held[i] else 1 if uniform[i] else full
-            vals[i] = _SLICED[op](width, [sizes[tv] for tv in dims], *[read(k, home, width) for k in ins])
-
-        def bind(b: int):
-            op, ins, dims = code[b]
-            kids, own = ins[:_BINDERS[op]], ins[_BINDERS[op]:]
-            width = 1 if uniform[b] and owner[b] is not None else full
-            counts = [sizes[code[k][2][0]] for k in own]
-            mask[b] = (1 << prod(counts)) - 1
-            for k, member_planes in zip(own, _member_planes(tuple(counts))):
-                vals[k] = member_planes
-            _, ahead, looped = self._binders[b]
-            for i in ahead:
-                step(i)
-            acc = [0] * (sizes[dims[0]] * sizes[dims[1]]) if op == "⋃" else width if op == "∀" else 0
-            for x, start in enumerate(_starts(tuple(counts))):
-                at[b] = x
-                for i in looped[start]:
-                    step(i)
-                if op == "⋃":  # the term's planes masked with the guard's plane
-                    g = read(kids[1], None, width)
-                    if g:
-                        for c, v in enumerate(read(kids[0], None, width)):
-                            acc[c] |= v & g
-                elif op == "∀":
-                    acc &= read(kids[0], None, width)
-                else:
-                    acc |= read(kids[0], None, width)
-            return acc
-
-        return bind
 
 
 # -- parsing ----------------------------------------------------------------------
@@ -757,55 +729,6 @@ def _any(planes) -> int:
     return reduce(or_, planes, 0)
 
 
-def _spread(value, full: int):
-    """A uniform value, computed on one-bit planes, over a batch of mask full."""
-    if isinstance(value, list):
-        return [full if v else 0 for v in value]
-    return full if value else 0
-
-
-def _pick(value, x: int, full: int):
-    """Combination x of a value held over a binder's member combinations,
-    spread over a batch of mask full."""
-    if isinstance(value, list):
-        return [full if v >> x & 1 else 0 for v in value]
-    return full if value >> x & 1 else 0
-
-
-def _starts(counts: tuple[int, ...]) -> list[int]:
-    """For binder letters with these member counts, the last letter changing
-    fastest: at each combination, the first letter that moved to reach it
-    (0 at the first). Letter k moves every prod(counts[k + 1:]) combinations."""
-    total = prod(counts)
-    if not total:  # an empty carrier, as shrinking may reach: no combinations
-        return []
-    out = [0] * total
-    for k in reversed(range(len(counts))):
-        stride = prod(counts[k + 1:])
-        out[::stride] = [k] * (total // stride)
-    return out
-
-
-def _member_planes(counts: tuple[int, ...]) -> tuple[list[int], ...]:
-    """For binder letters over the points of carriers of these sizes, each
-    letter's planes over all member combinations, the first letter's member
-    changing slowest: bit x of every plane belongs to combination x. A
-    letter whose member moves every `stride` combinations is at member i in
-    blocks of stride bits, n·stride bits apart, from bit i·stride; member i
-    is the point whose one cell is (i, i)."""
-    total = prod(counts)
-    if not total:  # an empty carrier: no combinations, so every plane is empty
-        return tuple([0] * (n * n) for n in counts)
-    out, stride = [], total
-    for n in counts:
-        stride //= n
-        block = ((1 << stride) - 1) * _repunit(n * stride, total // (n * stride))
-        planes = [0] * (n * n)
-        planes[::n + 1] = [block << i * stride for i in range(n)]
-        out.append(planes)
-    return tuple(out)
-
-
 def _compose(full, d, x, y):
     n, m, p = d
     if not m:  # through an empty carrier nothing is related
@@ -965,11 +888,11 @@ _SLICED = {
 # -- planes of the arguments ----------------------------------------------------------
 
 
-@lru_cache(maxsize=256)
-def _repunit(period: int, count: int) -> int:
-    """count ones, period bits apart, from bit 0: built by doubling a block
-    of them, in shifts and ORs of whole words rather than a string of bits."""
-    out, block, width = 0, 1, period  # block holds width // period ones
+def _repeat(value: int, period: int, count: int) -> int:
+    """count copies of value, period bits apart, from bit 0: built by
+    doubling a block of them, in shifts and ORs of whole words rather than
+    a product or a string of bits."""
+    out, block, width = 0, value, period  # block holds width // period copies
     while count:
         if count & 1:
             out = out << width | block
@@ -978,6 +901,12 @@ def _repunit(period: int, count: int) -> int:
             block |= block << width
             width *= 2
     return out
+
+
+@lru_cache(maxsize=256)
+def _repunit(period: int, count: int) -> int:
+    """count ones, period bits apart, from bit 0."""
+    return _repeat(1, period, count)
 
 
 def range_planes(cells: int, stride: int, bits: int) -> list[int]:
@@ -1005,12 +934,68 @@ def code_planes(codes: Sequence[int], cells: int, stride: int = 1, reps: int = 1
         widen = {48: "0" * stride, 49: "1" * stride}
         cols = [col.translate(widen) for col in cols]
     planes = [int(col, 2) for col in cols]
-    if reps > 1:  # the repeats are the sequence's planes times a repunit, not a longer string
-        rep = _repunit(len(codes) * stride, reps)
-        planes = [plane * rep for plane in planes]
+    if reps > 1:  # the repeats are doubled planes, not a longer string
+        planes = [_repeat(plane, len(codes) * stride, reps) for plane in planes]
     return planes
 
 
 def fixed_planes(code: int, cells: int, full: int) -> list[int]:
     """Planes of one code held for the whole batch."""
     return [full if code >> c & 1 else 0 for c in range(cells)]
+
+
+# -- binders: planes over member combinations (see the module docstring) ----------------
+
+
+@lru_cache(maxsize=64)
+def _letter_planes(pool: str, n: int, stride: int) -> tuple[int, ...]:
+    """Planes of a bound letter over its pool's members on a carrier of n
+    elements, each member held for `stride` consecutive combinations."""
+    return tuple(code_planes(_POOLS[pool](n), n * n, stride))
+
+
+def _count(sizes: dict[str, int], tvs: tuple[str, ...]) -> int:
+    """The member combinations of letters over carriers tvs."""
+    return prod(map(sizes.__getitem__, tvs))
+
+
+def _widen(value, how: tuple, sizes: dict[str, int], full: int):
+    """A value on a reader's wider span and unit, as widening(...) in
+    Formula._span_binders says how: each bit of a one-bit value stretched to a
+    run as wide as the batch of mask full, or a batch-wide one with no
+    letters narrowed to one bit; then repeated over the reader's further
+    letters, which are slower than its own."""
+    change, tvs, more, wide = how
+    period, times = (full.bit_length() if wide else 1) * _count(sizes, tvs), _count(sizes, more)
+
+    def each(v: int) -> int:
+        if change > 0:  # a value on letters alone has few set bits
+            v, bits = 0, v
+            while bits:
+                low = bits & -bits
+                v |= full << (low.bit_length() - 1) * full.bit_length()
+                bits ^= low
+        elif change:
+            v &= 1
+        return _repeat(v, period, times)
+
+    return each(value) if isinstance(value, int) else [each(v) for v in value]
+
+
+def _fold(value: int, period: int, count: int, every: bool) -> int:
+    """The AND (every) or the OR of count blocks of period bits, by halving:
+    the top half of the blocks onto the bottom half. No blocks give all
+    ones, or none."""
+    if not count:
+        return (1 << period) - 1 if every else 0
+    while count > 1:
+        half = count // 2
+        keep = (count - half) * period
+        top = value >> keep
+        if every:  # the middle block, of an odd count, meets nothing
+            value &= top | ((1 << keep) - (1 << half * period))
+        else:
+            value = (value & ((1 << keep) - 1)) | top
+        count -= half
+    return value
+

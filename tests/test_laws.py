@@ -328,9 +328,9 @@ def test_a_term_tuple_whose_scan_costs_no_more_than_its_draws_is_enumerated():
     named, space = {"A": 3, "B": 3}, 1 << 18
     assert space <= laws.PLANE_BITS
 
-    def priced(bits):  # a width of None is the batch's
+    def priced(bits):  # a batch-wide plane is c times the batch's width
         runs = law.check.runs(named).items()
-        return sum(n * p * (1 + (bits if w is None else w) / laws.SLICE_BITS) for (p, w), n in runs)
+        return sum(n * p * (1 + c * (bits if wide else 1) / laws.SLICE_BITS) for (p, c, wide), n in runs)
 
     scan = priced(space)
     least = next(s for s in range(1, space) if scan <= s * 2 * laws.DRAW_COST + priced(s))

@@ -445,6 +445,10 @@ def test_sliced_verdicts_agree_on_empty_carriers(law_id):
     "∀ b:point B . R∘b ⊆ ⋃ a:point A . a∘⊤∘b if a∘⊤∘b ⊆ S",
     "(∃ a:point A . ∀ b:point A . a∘b = b) ⇒ R ⊆ S",
     "∃ a:point A . (∀ b:point A . a∘b ⊆ a) and a∘R ⊆ a∘S and a∘R ≠ ⊥",
+    # an inner binder that uses an outer letter other than the last one
+    "∀ a:point A, c:point C . (∃ b:point B . a∘⊤∘b ⊆ R) or a∘S∘T∘c = ⊥",
+    # a binder whose formula uses only constants of the statement and its letters
+    "(∃ a:point A . a∘⊤ = ⊤[A,B] or ¬(a ∪ ⊤[A,A]) ≠ ⊥) ⇒ R ⊆ S",
     # the predicates a binder defines
     "pair R ∩ S ≡ particle R∘R°",
     "point R∘R° or pair S∘T",
@@ -458,18 +462,30 @@ def test_sliced_and_scalar_verdicts_agree_on_every_operation(statement):
     assert verdicts == {True, False}
 
 
+def test_a_constant_read_on_letters_alone_is_narrowed_to_one_bit():
+    """The ⊤ is batch wide outside the binder and one bit per combination
+    inside it, under a complement that would keep any bits it spilled: on
+    three points the ∃'s fold would move them onto a combination."""
+    vars = (Var("relation", "A", "A"),)
+    statement = "(∃ a:point A . ¬(a ∪ ⊤) ≠ ⊥) or R = ⊥"
+    law = Law("zz-probe", statement, vars, parse(statement, vars, "R"))
+    verdicts = set()
+    assert _disagreements(law.check, law, [(3,)], verdicts=verdicts) == []
+    assert verdicts == {True, False}
+
+
 @pytest.mark.parametrize("law_id, sizes", [
     ("compose-assoc", (1, 3, 2, 2)),
     ("dedekind-modular", (2, 3, 1)),
     ("per-domain-alt", (3, 2)),
     ("index-witness-core", (3, 2)),  # where J = index R
     ("difunction-index-bijection", (1, 3)),
-    ("decompose-compose", (3, 2, 3)),  # held pieces, guards, a letter past the last one used
+    ("decompose-compose", (3, 2, 3)),  # one-bit pieces, guards, a letter past the last one used
     ("decompose-compose", (2, 1, 2)),
     ("particle-point", (3,)),  # the words defined by binders
     ("particle-point", (1,)),
     ("point-saturation", (3,)),
-    ("zz-nested-binders", (3,)),  # a uniform step on one-bit planes in a loop
+    ("zz-nested-binders", (3,)),  # a uniform binder on one-bit planes inside a binder
 ])
 def test_the_estimate_counts_every_sliced_operation(law_id, sizes, monkeypatch):
     """Formula.runs names every sliced operation a scan runs, by its
@@ -490,8 +506,8 @@ def test_the_estimate_counts_every_sliced_operation(law_id, sizes, monkeypatch):
 
     def runs(bits, batches=1):  # the estimate for batches of `bits` instances
         out = Counter()
-        for (p, w), n in law.check.runs(named).items():
-            out[p, bits if w is None else w] += n * batches
+        for (p, c, wide), n in law.check.runs(named).items():
+            out[p, c * (bits if wide else 1)] += n * batches
         return out
 
     for name, op in list(_SLICED.items()):
@@ -500,12 +516,21 @@ def test_the_estimate_counts_every_sliced_operation(law_id, sizes, monkeypatch):
     assert seen == runs(7) and seen
     seen.clear()
     monkeypatch.setattr(laws, "PLANE_BITS", 64)
-    lead, chunk, batch = laws._geometry(pools)
+    combinations = law.check.combinations(named)
+    lead, chunk, batch = laws._geometry(pools, combinations)
     batches = prod(len(pool) for pool in pools[:lead]) // chunk
     space = prod(len(pool) for pool in pools)
-    assert batch * batches == space and batch <= 64
+    assert batch * batches == space and batch * combinations <= 64
+    # an empty carrier leaves no combinations, and nothing to divide by
+    binders = any(op in ("⋃", "∀", "∃") for op, _, _ in law.check._code)
+    assert law.check.combinations(dict.fromkeys(named, 0)) == (0 if binders else 1)
+    assert laws._geometry(pools, 0) == laws._geometry(pools, 1)
     assert laws._scan_sliced(law, carriers, typed, pools, None, 7) == (space, None)
     assert seen == runs(batch, batches)
+    assert max(width for _, width in seen) <= 64  # no plane is wider than PLANE_BITS
+    seen.clear()  # nor a sampled batch's, cut as narrow
+    assert laws._scan_sliced(law, carriers, typed, pools, random.Random(5), 7) == (7, None)
+    assert max(width for _, width in seen) <= 64
 
 
 @pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 5) for k in range(1, 5) if n * k <= 12])
