@@ -833,8 +833,8 @@ def _scan_scalar(law, carriers, typed, pools, rng, samples):
 
 
 def _scan_sliced(law, carriers, typed, pools, rng, samples):
-    """The scan of a term law: batches of at most _most_instances, each
-    evaluated at once on planes (see terms). An exhaustive scan cuts the
+    """The scan of a term law: batches of at most _most_instances(...)
+    instances, each evaluated at once on planes (see terms). An exhaustive scan cuts the
     product order into consecutive batches (see _geometry): it slices the
     trailing arguments and holds the leading ones fixed per batch, but for a
     chunk of codes of the last held one when that is a relation pool, whose
@@ -907,14 +907,14 @@ def _geometry(pools, combinations: int) -> tuple[int, int, int]:
     is cut into aligned power-of-two chunks, the chunk doubled while the
     batch stays within that and SLICE_BITS, where a plane costs mostly its
     per-call overhead; any other held pool gives one code per batch."""
-    bits = _most_instances(combinations)
+    most = _most_instances(combinations)
     lead, batch = len(pools), 1
-    while lead and batch * len(pools[lead - 1]) <= bits:
+    while lead and batch * len(pools[lead - 1]) <= most:
         lead -= 1
         batch *= len(pools[lead])
     chunk = 1
     if lead and isinstance(pools[lead - 1], range):
-        while 2 * chunk * batch <= min(SLICE_BITS, bits):
+        while 2 * chunk * batch <= min(SLICE_BITS, most):
             chunk *= 2
     return lead, chunk, chunk * batch
 

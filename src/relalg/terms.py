@@ -180,6 +180,8 @@ class Formula:
         around: dict[int, tuple[int, ...]] = {}
 
         def spanned(mask: int) -> tuple[int, ...]:
+            """The span of a value using these letters: their spans are
+            prefixes of one another, and the last letter's the longest."""
             return max((around[k] for k in around if mask >> k & 1), key=len, default=())
 
         for b in reversed(range(len(code))):
