@@ -4,10 +4,12 @@ The registry, with perfbench's planted false laws, is run at three settings,
 the two laws workloads' and acceptance criterion 2's (max_size=3,
 samples=2000), each at seeds 31 and 73. tests/reports.json pins, per run and
 law, the mode, the instance count and the first shrunk counterexample, with
-the SHA-256 of the bytes that ``relalg laws --manifest`` prints. So a change
-to the evaluator, the scans or the shrinker that alters a verdict, a mode, a
-draw or a shrunk shape fails here and names the law. A change meant to alter
-them rewrites the fixture with
+the SHA-256 of the bytes that ``relalg laws --manifest`` prints, and the same
+three of the run of each wrong statement in tests/test_terms.py (WRONG), whose
+counterexamples pin shrinking a shape the registry does not fail on. So a
+change to the evaluator, the scans or the shrinker that alters a verdict, a
+mode, a draw or a shrunk shape fails here and names the law. A change meant
+to alter them rewrites the fixture with
 
     PYTHONPATH=src python tests/test_reports.py --write
 
@@ -27,6 +29,7 @@ from relalg.laws import REGISTRY, run_suite
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import LAWS3, LAWS4, PLANTED  # noqa: E402
+from test_terms import WRONG, wrong_run  # noqa: E402
 
 FIXTURE = Path(__file__).with_name("reports.json")
 
@@ -48,13 +51,23 @@ def manifest_digest() -> str:
     return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
 
 
+def _entry(r) -> dict:
+    """A report's mode, instance count and first counterexample (None if it held)."""
+    return {"mode": r.mode, "instances": r.instances,
+            "counterexample": r.failures[0].to_dict() if r.failures else None}
+
+
 @lru_cache(maxsize=None)
 def report(setting: str, seed: int) -> dict:
-    """Per law: its mode, instance count and first counterexample (None if it held)."""
+    """Per law, its entry."""
     suite = run_suite(seed=seed, registry={**REGISTRY, **PLANTED}, **SETTINGS[setting])
-    return {r.law_id: {"mode": r.mode, "instances": r.instances,
-                       "counterexample": r.failures[0].to_dict() if r.failures else None}
-            for r in suite.reports}
+    return {r.law_id: _entry(r) for r in suite.reports}
+
+
+@lru_cache(maxsize=None)
+def wrong_reports() -> dict:
+    """Per law, the entry of its wrong statement's run."""
+    return {law_id: _entry(wrong_run(law_id, statement, vars)[1]) for law_id, statement, vars in WRONG}
 
 
 def runs() -> list[str]:
@@ -79,14 +92,22 @@ def test_every_report_is_pinned():
         assert not changed, (run, changed)
 
 
+def test_every_wrong_statement_report_is_pinned():
+    pinned, got = _fixture()["wrong"], wrong_reports()
+    assert sorted(pinned) == sorted(got) and len(got) == len(WRONG)
+    assert not sorted(law for law in got if got[law] != pinned[law])
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+    def lines(entries: dict, indent: str) -> str:  # one law a line
+        return f",\n{indent}".join(f"{json.dumps(law)}: {json.dumps(entry, ensure_ascii=False)}"
+                                   for law, entry in sorted(entries.items()))
+
     blocks = []
     for run in runs():
         setting, seed = run.split("@")
-        # one law a line
-        lines = ",\n   ".join(f"{json.dumps(law)}: {json.dumps(entry, ensure_ascii=False)}"
-                              for law, entry in sorted(report(setting, int(seed)).items()))
-        blocks.append(f'  {json.dumps(run)}: {{\n   {lines}\n  }}')
+        blocks.append(f'  {json.dumps(run)}: {{\n   {lines(report(setting, int(seed)), "   ")}\n  }}')
     runs_text = ",\n".join(blocks)
     FIXTURE.write_text(f'{{\n "manifest_sha256": {json.dumps(manifest_digest())},\n'
-                       f' "runs": {{\n{runs_text}\n }}\n}}\n', encoding="utf-8")
+                       f' "runs": {{\n{runs_text}\n }},\n'
+                       f' "wrong": {{\n  {lines(wrong_reports(), "  ")}\n }}\n}}\n', encoding="utf-8")

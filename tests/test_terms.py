@@ -653,15 +653,21 @@ def test_a_statement_agrees_with_its_oracle_up_to_12_bits(law_id):
     assert wrong == [] and count > 0
 
 
+def wrong_run(law_id: str, statement: str, vars) -> tuple[Formula, laws.LawReport]:
+    """A wrong statement of law_id, parsed, and its run, which shrinks its
+    first failure (tests/reports.json pins the run)."""
+    law = REGISTRY[law_id]
+    formula = parse(statement, vars or law.vars, law.check.letters, "zz-wrong")
+    return formula, run_law(Law("zz-wrong", statement, vars or law.vars, formula, law.cost),
+                            max_size=3, samples=50, seed=7)
+
+
 @pytest.mark.parametrize("law_id, statement, vars", WRONG, ids=[law_id for law_id, _, _ in WRONG])
 def test_a_wrong_statement_disagrees_with_the_oracle(law_id, statement, vars):
-    law = REGISTRY[law_id]
-    vars = vars or law.vars
-    formula = parse(statement, vars, law.check.letters, "zz-wrong")
-    wrong, _ = _oracle_disagreements(formula, vars, law_id)
+    formula, report = wrong_run(law_id, statement, vars)
+    wrong, _ = _oracle_disagreements(formula, vars or REGISTRY[law_id].vars, law_id)
     assert wrong
     # its first failure replays as a batch of one, shrunk one instance at a time
-    report = run_law(Law("zz-wrong", statement, vars, formula, law.cost), max_size=3, samples=50, seed=7)
     (ce,) = report.failures
     carriers = {tv: Carrier(tv, k) for tv, k in ce.sizes.items()}
     assert not formula(ce.args, carriers)
