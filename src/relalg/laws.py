@@ -520,7 +520,7 @@ def c_iso_search_sound(a, C):
     return True
 
 
-_law("iso-search-sound", "found witnesses verify; equal relations are found isomorphic",
+_law("iso-search-sound", "a witness find_isomorphism finds by search verifies",
      (_rel("A", "B"), _rel("A", "B")), c_iso_search_sound, cost=64)
 
 
