@@ -54,13 +54,14 @@ A point binder does not stand in its way: renaming the elements of a carrier
 permutes its points among themselves, so a union, ∀ or ∃ over them keeps its
 value, and a law with point binders stays invariant under renaming.
 
-A PREDICATE is one of the kind words ``per``, ``functional``, ``injective``,
+A PREDICATE is one of the words ``per``, ``functional``, ``injective``,
 ``difunctional``, ``rectangle``, ``square``, ``pair``, ``particle`` and
-``point``, and applies to the whole term after it: ``per R∘S`` is
-``per (R∘S)``. ``per``, ``square``, ``particle`` and ``point`` join the two
-carriers of their term. The last three are defined by binders, for X : A~B:
-``pair X`` is ``∃ a:point A, b:point B . X = a∘⊤∘b``, ``particle X`` is
-``∃ a:point A . X = a∘⊤∘a`` and ``point X`` is ``∃ a:point A . X = a``.
+``point``, each defined once, in this grammar, over a term X : A~B in
+_DEFINITIONS. A word applies to the whole term after it, ``per R∘S`` is
+``per (R∘S)``, and reads as its definition with X standing for that term and
+A and B for its carriers. No letter of the statement is visible there, so a
+variable or bound letter may be named X, a or b. ``per``, ``square``,
+``particle`` and ``point`` first join the two carriers of their term.
 
 The carriers of each ⊥, ⊤ and 𝕀 are inferred from the variables by
 unification; brackets name them where the variables leave them open, as in
@@ -73,12 +74,11 @@ appear once. ``formula.failures(planes, sizes, full)`` evaluates a batch of
 instances at once. Each argument is a list of planes, one int per matrix cell
 in code order, and bit x of every plane belongs to instance x, so composition
 is an OR of ANDs, converse permutes the planes and complement XORs them with
-``full``, the mask of the batch. A predicate is its point-free form: ``per
-X`` is ``X° = X and X∘X ⊆ X``, ``functional X`` is ``X∘X° ⊆ 𝕀``, ``injective
-X`` is ``X°∘X ⊆ 𝕀``, ``difunctional X`` is ``X∘X°∘X ⊆ X``, ``rectangle X`` is
-``X∘⊤∘X ⊆ X`` and ``square X`` is ``X° = X and X∘⊤∘X ⊆ X``. ``index X`` keeps
-cell (i, j) of X where i is the least member of its X≺-class and j of its
-X≻-class. A binder lays the combinations of its members beside the
+``full``, the mask of the batch. A predicate word is the instructions of
+its definition, so the evaluator knows only the primitive operations and
+shares equal subterms between a definition and its statement. ``index X``
+keeps cell (i, j) of X where i is the least member of its X≺-class and j of
+its X≻-class. A binder lays the combinations of its members beside the
 instances, as more bits of the same planes; a union masks its term's planes
 with its guard's plane and ORs the combinations together, ∀ ANDs them and ∃
 ORs them. The result has bit x set when the statement fails on instance x
@@ -113,6 +113,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from copy import copy
 from functools import lru_cache, reduce
 from math import prod
 from operator import and_, or_, xor
@@ -130,9 +131,20 @@ _PRODUCTS = ("∘", "\\", "/", "\\\\", "//")
 _POSTFIX = ("°", "<", ">", "≺", "≻")
 _COMPARISONS = ("⊆", "=", "≠")
 _CONSTANTS = ("⊥", "⊤", "𝕀")
-_PREDICATES = ("per", "functional", "injective", "difunctional", "rectangle", "square", "pair", "particle", "point")
-# the predicates defined by binders, and those that join the two carriers of their term
-_DEFINED = ("pair", "particle", "point")
+# the predicate words, each defined in the grammar over its term X : A~B (see
+# _Parser.defined), as in G. Schmidt and T. Ströhlein, Relations and Graphs
+# (1993); and those that join the two carriers of their term
+_DEFINITIONS = {
+    "per": "X° = X and X∘X ⊆ X",
+    "functional": "X∘X° ⊆ 𝕀",
+    "injective": "X°∘X ⊆ 𝕀",
+    "difunctional": "X∘X°∘X ⊆ X",
+    "rectangle": "X∘⊤∘X ⊆ X",
+    "square": "X° = X and X∘⊤∘X ⊆ X",
+    "pair": "∃ a:point A, b:point B . X = a∘⊤∘b",
+    "particle": "∃ a:point A . X = a∘⊤∘a",
+    "point": "∃ a:point A . X = a",
+}
 _HOMOGENEOUS = ("per", "square", "particle", "point")
 # the binders, with the number of their inputs before their letters: a
 # union's term and guard, a quantifier's formula
@@ -141,7 +153,7 @@ _BINDERS = {"⋃": 2, "∀": 1, "∃": 1}
 # carrier of n elements, in code order; a bound letter's instruction is its pool
 _POOLS = {"point": lambda n: [1 << i * (n + 1) for i in range(n)]}
 # what makes a parenthesis at the place of a comparison a formula (see formula_group)
-_FORMULA_TOKENS = _COMPARISONS + ("≡", "⇒", "and", "or", ",", "∀", "∃") + _PREDICATES
+_FORMULA_TOKENS = _COMPARISONS + ("≡", "⇒", "and", "or", ",", "∀", "∃") + tuple(_DEFINITIONS)
 
 
 class Formula:
@@ -323,7 +335,8 @@ class _Parser:
             raise ValueError(f"law {law_id!r}: letters {letters!r} must name its {len(vars)} "
                              "variables, one distinct letter each")
         self.statement, self.vars, self.letters = statement, vars, letters
-        self.type_vars = list(dict.fromkeys([tv for v in vars for tv in (v.src, v.dst)] + list(extra_tvs)))
+        # the carriers a statement may name, each its own slot
+        self.carriers = {tv: tv for tv in [tv for v in vars for tv in (v.src, v.dst)] + list(extra_tvs)}
         self.tokens = _tokens(statement, self.fail)
         self.pos = 0
         self.links: dict = {}  # union-find over type slots: carrier names and fresh ints
@@ -473,14 +486,12 @@ class _Parser:
         return self.chain(self.comparison, ("≡",))
 
     def comparison(self) -> _Node:
-        if self.peek() in _PREDICATES:
+        if self.peek() in _DEFINITIONS:
             word, col = self.take()
             node = self.term()
-            if word in _HOMOGENEOUS:
+            if word in _HOMOGENEOUS:  # here, so that a mismatch names the word
                 self.unify(node.src, node.dst, col, word)
-            if word in _DEFINED:
-                return self.defined(word, node, col)
-            return _Node(word, (node,), col, dims=(node.src, node.dst))
+            return self.defined(word, node)
         if self.peek() in ("∀", "∃"):
             op, col = self.take()
             named = self.binders()
@@ -532,10 +543,11 @@ class _Parser:
                 self.fail(at, f"expected a pool ({', '.join(_POOLS)}) after ':', got {self.shown(pool, at)}")
             tok, at = self.take()
             name = self.statement[at - 1] if tok == "letter" else None
-            if name not in self.type_vars:
-                self.fail(at, f"expected a carrier of the law ({', '.join(self.type_vars)}) after "
+            if name not in self.carriers:
+                self.fail(at, f"expected a carrier of the law ({', '.join(self.carriers)}) after "
                               f"{pool!r}, got {self.shown(tok, at)}")
-            named[letter] = _Node(pool, (), col, name, name, (name,), index=self.new_slot())
+            slot = self.carriers[name]
+            named[letter] = _Node(pool, (), col, slot, slot, (slot,), index=self.new_slot())
             if self.peek() != ",":
                 break
             self.take()
@@ -549,20 +561,19 @@ class _Parser:
             del self.scope[letter]
         return tuple(named.values())
 
-    def defined(self, word: str, x: _Node, col: int) -> _Node:
-        """A predicate defined by a binder, for X : A~B: pair X is ∃ a:point A,
-        b:point B . X = a∘⊤∘b, particle X is ∃ a:point A . X = a∘⊤∘a and point
-        X is ∃ a:point A . X = a."""
-        a = _Node("point", (), col, x.src, x.src, (x.src,), index=self.new_slot())
-        b = _Node("point", (), col, x.dst, x.dst, (x.dst,), index=self.new_slot()) if word == "pair" else a
-        if word == "point":
-            named = a
-        else:
-            top = _Node("⊤", (), col, a.dst, b.src, (a.dst, b.src))
-            at = _Node("∘", (a, top), col, a.src, b.src, (a.src, a.dst, b.src))
-            named = _Node("∘", (at, b), col, a.src, b.dst, (a.src, b.src, b.dst))
-        same = _Node("=", (x, named), col, dims=(x.src, x.dst))
-        return _Node("∃", (same,), col, letters=tuple(dict.fromkeys((a, b))))
+    def defined(self, word: str, x: _Node) -> _Node:
+        """A predicate word applied to the term x: its definition, parsed with
+        X standing for x and A and B for x's carriers, and in a scope of its
+        own, so that no letter of the statement clashes with the
+        definition's. Its slots are the statement's: one union-find, one count."""
+        sub = copy(self)
+        sub.statement, sub.pos = _DEFINITIONS[word], 0
+        sub.tokens = _tokens(sub.statement, sub.fail)
+        sub.letters, sub.bound, sub.heads, sub.scope = "", {"X": x}, set(), {}
+        sub.carriers = {"A": x.src, "B": x.dst}
+        node = sub.formula()
+        self.fresh = sub.fresh
+        return node
 
     def chain(self, operand, ops) -> _Node:
         """operand (op operand)*, meaning each adjacent pair is related."""
@@ -665,10 +676,10 @@ class _Parser:
                 self.expect(",")
             tok, col = self.take()
             name = self.statement[col - 1] if tok == "letter" else None
-            if name not in self.type_vars:
-                self.fail(col, f"expected a carrier of the law ({', '.join(self.type_vars)}) in the "
+            if name not in self.carriers:
+                self.fail(col, f"expected a carrier of the law ({', '.join(self.carriers)}) in the "
                                f"brackets of {const}, got {self.shown(tok, col)}")
-            self.unify(slot, name, col, const)
+            self.unify(slot, self.carriers[name], col, const)
         self.expect("]")
 
     # -- instructions -------------------------------------------------------------
@@ -708,7 +719,7 @@ def _tokens(text: str, fail) -> list[tuple[str, int]]:
         col = m.start() + 1
         if sym:
             out.append((sym, col))
-        elif word in ("and", "or", "for", "where", "index", "if") or word in KIND_WORDS or word in _PREDICATES:
+        elif word in ("and", "or", "for", "where", "index", "if") or word in KIND_WORDS or word in _DEFINITIONS:
             out.append((word, col))
         elif word and len(word) == 1:
             out.append(("letter", col))
@@ -825,31 +836,6 @@ def _right_residual(full, d, r, s):  # R/S = ¬(¬R∘S°)
                                          _converse(full, (nb, nc), s)))
 
 
-# the predicates, point-free, on X : n×k with d = (n, k)
-
-
-def _per(full, d, x):  # X° = X and X∘X ⊆ X
-    n = d[0]
-    return _equal(full, d, x, _converse(full, d, x)) & _subset(full, d, _compose(full, (n, n, n), x, x), x)
-
-
-def _functional(full, d, x):  # X∘X° ⊆ 𝕀
-    n, k = d
-    return _subset(full, d, _compose(full, (n, k, n), x, _converse(full, d, x)), _identity(full, d))
-
-
-def _difunctional(full, d, x):  # X∘X°∘X ⊆ X
-    n, k = d
-    xxc = _compose(full, (n, k, n), x, _converse(full, d, x))
-    return _subset(full, d, _compose(full, (n, n, k), xxc, x), x)
-
-
-def _rectangle(full, d, x):  # X∘⊤∘X ⊆ X
-    n, k = d
-    xt = _compose(full, (n, k, n), x, [full] * (k * n))
-    return _subset(full, d, _compose(full, (n, n, k), xt, x), x)
-
-
 _SLICED = {
     "⊥": lambda full, d: [0] * (d[0] * d[1]),
     "⊤": lambda full, d: [full] * (d[0] * d[1]),
@@ -876,13 +862,6 @@ _SLICED = {
     "⇒": lambda full, d, a, b: full & ~(a & ~b),
     "and": lambda full, d, a, b: a & b,
     "or": lambda full, d, a, b: a | b,
-    "per": _per,
-    "functional": _functional,
-    # X°∘X ⊆ 𝕀 is X° functional
-    "injective": lambda full, d, x: _functional(full, d[::-1], _converse(full, d, x)),
-    "difunctional": _difunctional,
-    "rectangle": _rectangle,
-    "square": lambda full, d, x: _equal(full, d, x, _converse(full, d, x)) & _rectangle(full, d, x),
     "index": _index,
 }
 

@@ -437,12 +437,6 @@ _OTERMS = {
     "⇒": lambda n, a, b: not a or b,
     "and": lambda n, a, b: a and b,
     "or": lambda n, a, b: a or b,
-    "per": lambda n, r: ois_per(r),
-    "functional": lambda n, r: ois_functional(r),
-    "injective": lambda n, r: ois_injective(r),
-    "difunctional": lambda n, r: ois_difunctional(r),
-    "rectangle": lambda n, r: ois_rectangle(r, *n),
-    "square": lambda n, r: ois_square(r, n[0]),
 }
 
 # the binders, with the number of their inputs before their letters

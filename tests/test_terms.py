@@ -27,7 +27,7 @@ from relalg import laws
 from relalg.laws import REGISTRY, Law, Var, _pool, _term, run_law
 from relalg.indexcore import relation_index
 from relalg.rel import Carrier, _make
-from relalg.terms import _SLICED, Formula, _repunit, code_planes, fixed_planes, parse, range_planes
+from relalg.terms import _DEFINITIONS, _SLICED, Formula, _repunit, code_planes, fixed_planes, parse, range_planes
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -214,10 +214,30 @@ def test_brackets_name_the_carriers_of_a_constant():
 
 
 def test_a_predicate_checks_one_term():
+    # a word is its definition, with X the whole term after it
     vars = (Var("relation", "A", "B"), Var("relation", "B", "A"))
-    code = parse("per R∘S and functional R", vars, "RS")._code
-    assert [(op, d) for op, _, d in code if op in ("per", "functional")] == [("per", ("A", "A")),
-                                                                           ("functional", ("A", "B"))]
+    assert _ops("per R∘S and functional R", vars, "RS") == _ops(
+        "(R∘S)° = R∘S and (R∘S)∘(R∘S) ⊆ R∘S and R∘R° ⊆ 𝕀", vars, "RS")
+    for word, definition in _DEFINITIONS.items():  # over R4, whose one carrier is A
+        assert _ops(f"{word} R∘S ∪ T") == _ops(definition.replace("X", "(R∘S ∪ T)").replace("B", "A")), word
+    # no evaluator knows a word, and the oracle interpreter knows the same operations
+    assert not _DEFINITIONS.keys() & _SLICED.keys() and o._OTERMS.keys() == _SLICED.keys()
+
+
+@pytest.mark.parametrize("statement, renamed, letters", [
+    # a variable, a where-bound letter or a binder letter named as a
+    # letter of a word's definition: the definition does not see it
+    ("pair a", "pair R", "a"),
+    ("particle b ⇒ point X∘b", "particle S ⇒ point R∘S", "Xb"),
+    ("pair a where a = R∘R", "pair c where c = R∘R", "R"),
+    ("point X ⇒ particle b where b = R<, X = b∘R", "point Y ⇒ particle c where c = R<, Y = c∘R", "R"),
+    ("∃ a:point A . pair a∘R", "∃ c:point A . pair c∘R", "R"),
+    ("∀ b:point A . particle b∘⊤∘b", "∀ d:point A . particle d∘⊤∘d", "R"),
+    ("∃ X:point A . point X and pair X∘R", "∃ Y:point A . point Y and pair Y∘R", "R"),
+])
+def test_a_word_sees_no_letter_of_its_statement(statement, renamed, letters):
+    vars = (Var("relation", "A", "A"),) * len(letters)
+    assert _ops(statement, vars, letters) == _ops(renamed, vars, "RS"[:len(letters)])
 
 
 def test_a_qualifier_restates_the_kinds():
@@ -279,6 +299,9 @@ def test_a_qualifier_restates_the_kinds():
     ("R = ⋃ a:point A . a if a ⊆ a", 3, "carrier mismatch: = joins carrier B with carrier A"),
     ("point R", 1, "carrier mismatch: point joins carrier A with carrier B"),
     ("pair R ⊆ S", 8, "unexpected '⊆'"),
+    # a word's term with open carriers: the term's constant is named, not the definition
+    ("functional ⊤∘R or R = S", 12, "the carriers of ⊤ are not fixed by the variables"),
+    ("pair ⊥ or R = S", 6, "the carriers of ⊥ are not fixed by the variables"),
 ])
 def test_parse_errors_name_the_law_and_the_column(statement, column, message):
     vars = (Var("relation", "A", "B"), Var("relation", "A", "B"), Var("relation", "B", "C"))
@@ -486,6 +509,7 @@ def test_a_constant_read_on_letters_alone_is_narrowed_to_one_bit():
     ("particle-point", (1,)),
     ("point-saturation", (3,)),
     ("zz-nested-binders", (3,)),  # a uniform binder on one-bit planes inside a binder
+    ("per-domains-are-pers", (3, 2)),  # the predicate words' definitions
 ])
 def test_the_estimate_counts_every_sliced_operation(law_id, sizes, monkeypatch):
     """Formula.runs names every sliced operation a scan runs, by its
@@ -690,9 +714,18 @@ def test_decompose_compose_checks_the_pieces_whose_middle_points_differ():
     ("pair", lambda r, n, k: o.ois_pair(r, n, k)),
     ("particle", lambda r, n, k: o.ois_pair(r, n, k) and o.oconverse(r) == r),  # a symmetric pair
     ("point", lambda r, n, k: o.ois_coreflexive(r) and len(r) == 1),  # a coreflexive atom
+    ("per", lambda r, n, k: o.ois_per(r)),
+    ("functional", lambda r, n, k: o.ois_functional(r)),
+    ("injective", lambda r, n, k: o.ois_injective(r)),
+    ("difunctional", lambda r, n, k: o.ois_difunctional(r)),
+    ("rectangle", lambda r, n, k: o.ois_rectangle(r, n, k)),
+    ("square", lambda r, n, k: o.ois_square(r, n)),
 ])
 def test_the_words_a_binder_defines_are_their_algebraic_definitions(word, oracle):
-    homogeneous = word != "pair"
+    """Every predicate word, on every relation up to 3×3, against its oracle:
+    the oracle interpreter never sees a word, only its definition's
+    operations, so this is what checks the definitions themselves."""
+    homogeneous = word in ("per", "square", "particle", "point")
     for n, k in [(n, k) for n in range(1, 4) for k in range(1, 4) if not homogeneous or n == k]:
         vars = (Var("relation", "A", "A" if homogeneous else "B"),)
         formula = parse(f"{word} R", vars, "R")
