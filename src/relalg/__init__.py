@@ -49,7 +49,6 @@ from .models import (
     AxiomReport,
     BUNDLED_NAMES,
     ModelFormatError,
-    bundled_models,
     check_axioms,
     load_bundled,
     load_model,
@@ -129,7 +128,6 @@ __all__ = [
     "SearchSpaceExceeded",
     "all_or_nothing",
     "bottom",
-    "bundled_models",
     "cache_clear",
     "candidate_indexes",
     "check_axioms",

@@ -159,7 +159,7 @@ def _cmd_iso(args) -> int:
     s = _load_relation(args.right)
     try:
         w = isomorph.find_isomorphism(r, s)
-    except (isomorph.SearchSpaceExceeded, CarrierMismatch) as exc:
+    except isomorph.SearchSpaceExceeded as exc:
         raise _UsageError(str(exc)) from exc
     if w is None:
         _emit({"isomorphic": False}, args.pretty)

@@ -957,8 +957,6 @@ def run_suite(
         registry = REGISTRY
     if law_filter is None:
         ids = sorted(registry)
-    elif law_filter in registry and not any(c in law_filter for c in "*?["):
-        ids = [law_filter]  # an exact id matches itself alone: no pattern to compile
     else:
         ids = fnmatch.filter(sorted(registry), law_filter)
     chosen = [registry[law_id] for law_id in ids]

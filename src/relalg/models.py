@@ -802,57 +802,10 @@ def recheck(m: AbstractModel, axiom: str, counterexample: tuple[str, ...]) -> bo
 # -- bundled models --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BundledModel:
-    name: str
-    model: AbstractModel
-    expected: AxiomReport
-
-
-# Expected verdicts for the models shipped in relalg/data. The flag values and
-# counterexamples were computed by check_axioms itself and then frozen here, so
-# any behavioral drift in the checker (or a corrupted data file) shows up as a
-# mismatch. See tests/test_models.py for the independent reconstruction of the
-# thirteen-element table.
-_EXPECTED: dict[str, dict] = {
-    "one_element": dict(
-        flags=dict(lattice=True, monoid=True, converse=True, dedekind=True, cone=True,
-                   choice=True, all_or_nothing=True, extensional=True, universal_choice=True),
-        counterexamples={},
-    ),
-    "two_element": dict(
-        flags=dict(lattice=True, monoid=True, converse=True, dedekind=True, cone=True,
-                   choice=True, all_or_nothing=True, extensional=True, universal_choice=True),
-        counterexamples={},
-    ),
-    "three_element": dict(
-        flags=dict(lattice=True, monoid=True, converse=True, dedekind=True, cone=True,
-                   choice=False, all_or_nothing=False, extensional=True, universal_choice=True),
-        counterexamples={"choice": ("top",), "all_or_nothing": ("id", "id", "id")},
-    ),
-    "three_element_unit_top": dict(
-        flags=dict(lattice=True, monoid=True, converse=True, dedekind=True, cone=False,
-                   choice=True, all_or_nothing=True, extensional=False, universal_choice=True),
-        counterexamples={"cone": ("a",), "extensional": ("id",)},
-    ),
-    "four_element_point": dict(
-        flags=dict(lattice=True, monoid=True, converse=True, dedekind=True, cone=False,
-                   choice=False, all_or_nothing=True, extensional=False, universal_choice=True),
-        counterexamples={"cone": ("a",), "choice": ("top",), "extensional": ("id",)},
-    ),
-    "desharnais13": dict(
-        flags=dict(lattice=True, monoid=True, converse=True, dedekind=True, cone=True,
-                   choice=False, all_or_nothing=True, extensional=False, universal_choice=True),
-        counterexamples={"choice": ("E",), "extensional": ("id",)},
-    ),
-    "product_two_two": dict(
-        flags=dict(lattice=True, monoid=True, converse=True, dedekind=True, cone=False,
-                   choice=True, all_or_nothing=True, extensional=True, universal_choice=True),
-        counterexamples={"cone": ("bot|top",)},
-    ),
-}
-
-BUNDLED_NAMES = tuple(_EXPECTED)
+BUNDLED_NAMES = (
+    "one_element", "two_element", "three_element", "three_element_unit_top",
+    "four_element_point", "desharnais13", "product_two_two",
+)
 
 
 def _data_path(name: str):
@@ -862,19 +815,10 @@ def _data_path(name: str):
 # One slot per bundled model: a model-axioms pass makes 541 loads of 6 names.
 @lru_cache(maxsize=len(BUNDLED_NAMES))
 def load_bundled(name: str) -> AbstractModel:
-    if name not in _EXPECTED:
+    if name not in BUNDLED_NAMES:
         raise KeyError(f"no bundled model {name!r}; have {', '.join(BUNDLED_NAMES)}")
     with resources.as_file(_data_path(name)) as path:
         return load_model(path, name=name)
-
-
-def bundled_models() -> list[BundledModel]:
-    out = []
-    for name, exp in _EXPECTED.items():
-        model = load_bundled(name)
-        expected = AxiomReport(counterexamples=dict(exp["counterexamples"]), **exp["flags"])
-        out.append(BundledModel(name=name, model=model, expected=expected))
-    return out
 
 
 def model_to_dict(m: AbstractModel) -> dict:

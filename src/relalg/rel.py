@@ -176,9 +176,6 @@ class Relation:
     def bit_count(self) -> int:
         return self.code.bit_count()
 
-    def is_homogeneous(self) -> bool:
-        return self.src == self.dst
-
     # -- operator sugar (delegates to the module-level functions) ----------
 
     def __matmul__(self, other: "Relation") -> "Relation":

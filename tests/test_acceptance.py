@@ -15,6 +15,7 @@ import pytest
 
 import oracles as o
 from conftest import pack, unpack
+from test_models import EXPECTED_COUNTEREXAMPLES, EXPECTED_FLAGS
 from relalg import (
     Carrier,
     ModelFormatError,
@@ -247,40 +248,22 @@ def test_criterion_08_all_or_nothing_everywhere():
 # -- 9: the qualitative axiom matrix of the bundled finite models ---------------
 
 
-# expected verdicts for the bundled models, kept test-local on purpose:
-# a change to either this table or the package's must break the build
-MATRIX = {
-    "one_element": dict(cone=True, choice=True, all_or_nothing=True, extensional=True),
-    "two_element": dict(cone=True, choice=True, all_or_nothing=True, extensional=True),
-    "three_element": dict(
-        cone=True, extensional=True, choice=False, all_or_nothing=False, universal_choice=True
-    ),
-    "four_element_point": dict(all_or_nothing=True, cone=False, choice=False, extensional=False),
-    "desharnais13": dict(cone=True, all_or_nothing=True, choice=False),
-}
-
-
 @criterion(9, "axiom matrix over the bundled models, every ✗ re-refuted", budget=60)
 def test_criterion_09_axiom_matrix_exact():
     verdicts = refuted = 0
-    for name, expected in MATRIX.items():
+    for name, expected in EXPECTED_FLAGS.items():
         model = load_bundled(name)
         report = check_axioms(model)
         flags = report.flags()
         for axiom, want in expected.items():
             assert flags[axiom] == want, (name, axiom)
             verdicts += 1
-        for axiom, holds in flags.items():
-            if not holds:
-                ce = report.counterexamples[axiom]
-                assert recheck(model, axiom, ce), (name, axiom, ce)
-                refuted += 1
-    # the annotated witnesses: no index for ⊤, a collapsed cone at a, no index for E
-    assert check_axioms(load_bundled("three_element")).counterexamples["choice"] == ("top",)
-    assert check_axioms(load_bundled("four_element_point")).counterexamples["cone"] == ("a",)
-    d13 = load_bundled("desharnais13")
-    assert len(d13.elements) == 13
-    assert check_axioms(d13).counterexamples["choice"] == ("E",)
+        # among them the annotated witnesses: no index for ⊤ in three_element,
+        # a collapsed cone at a in four_element_point, no index for E in desharnais13
+        assert report.counterexamples == EXPECTED_COUNTEREXAMPLES[name], name
+        for axiom, ce in report.counterexamples.items():
+            assert recheck(model, axiom, ce), (name, axiom, ce)
+            refuted += 1
     return f"{verdicts} verdicts exact, {refuted} stored counterexamples re-refuted"
 
 

@@ -7,6 +7,7 @@ import pytest
 from conftest import pack, run_python, unpack
 from relalg import _MEMOIZED, Carrier, IsoWitness, from_dict, from_pairs, indexcore, laws, rel, to_dict, verify_witness
 from relalg.cli import _grid, main
+from relalg.models import load_bundled, model_to_dict
 
 FIXTURES = Path(__file__).parent / "fixtures"
 BLOCK = str(FIXTURES / "block.json")
@@ -144,6 +145,23 @@ def test_core_dot_draws_the_index_without_a_core(capsys, monkeypatch, mode, poli
     assert core_dot == index_dot
 
 
+def test_index_pretty_prints_grids_and_checks(capsys):
+    code, out, err = run_cli(capsys, "--pretty", "index", BLOCK)
+    assert (code, err) == (0, "")
+    assert out == (
+        "      0   1   2\n  0   x   x   .\n  1   x   x   .\n  2   .   .   x\n"
+        "index:\n"
+        "      0   1   2\n  0   x   .   .\n  1   .   .   .\n  2   .   .   x\n"
+        "  J ⊆ R: ok\n  R≺∘J∘R≻ = R: ok\n  J<∘R≺∘J< = J<: ok\n  J>∘R≻∘J> = J>: ok\n"
+    )
+
+
+def test_core_pretty_prints_mode_and_grid(capsys):
+    code, out, err = run_cli(capsys, "--pretty", "core", BLOCK)
+    assert (code, err) == (0, "")
+    assert out == "mode: same-type\ncore:\n      0   1   2\n  0   x   .   .\n  1   .   .   .\n  2   .   .   x\n"
+
+
 def test_core_same_type_matches_index(capsys):
     _, core_out, _ = run_cli(capsys, "core", BLOCK)
     _, index_out, _ = run_cli(capsys, "index", BLOCK)
@@ -179,6 +197,16 @@ def test_iso_settled_on_invariants_exits_one_past_the_search_limit(capsys, tmp_p
     code, out, _ = run_cli(capsys, "iso", a, b)
     assert code == 1
     assert json.loads(out) == {"isomorphic": False}
+
+
+def test_iso_past_the_search_limit_is_a_usage_error(capsys, tmp_path):
+    # two 9-point permutations agree on every invariant, so only a search
+    # could settle them, and it is refused
+    a = write_rel(tmp_path, "diag.json", pack(9, 9, [(i, i) for i in range(9)]))
+    b = write_rel(tmp_path, "cycle.json", pack(9, 9, [(i, (i + 1) % 9) for i in range(9)], src="C", dst="D"))
+    code, out, err = run_cli(capsys, "iso", a, b)
+    assert (code, out) == (2, "")
+    assert err == "relalg: error: domains have 9 and 9 points (limit 8)\n"
 
 
 # -- decompose / points -----------------------------------------------------------------
@@ -410,6 +438,38 @@ def test_bad_field_reports_path(capsys, tmp_path):
     code, _, err = run_cli(capsys, "classify", str(path))
     assert code == 2
     assert "pairs[0]" in err
+
+
+_A = {"name": "A", "size": 2}
+_MODEL = model_to_dict(load_bundled("two_element"))
+
+# command, file content and the message after the path
+_BAD_FILES = {
+    "duplicate-pair": ("classify", {"src": _A, "dst": _A, "pairs": [[0, 0], [0, 0]]},
+                       "pairs[1]: duplicate pair [0, 0]"),
+    "carrier-not-object": ("classify", {"src": 5, "dst": _A, "pairs": []}, "src: expected an object, got int"),
+    "name-not-string": ("classify", {"src": {"name": 5, "size": 2}, "dst": _A, "pairs": []},
+                        "src.name: expected a string, got 5"),
+    "model-not-object": ("model", [], "[format] expected a JSON object, got list"),
+    "leq-not-list": ("model", {**_MODEL, "leq": 5}, "[format] 'leq' must be a list of [x, y] pairs"),
+    "converse-short": ("model", {**_MODEL, "converse": ["bot"]},
+                       "[format] 'converse' must be a list of 2 element names"),
+    "elements-not-strings": ("model", {**_MODEL, "elements": [1, 2]},
+                             "[format] 'elements' must be a nonempty list of strings"),
+    "not-reflexive": ("model", {"elements": ["a"], "leq": [], "compose": [["a"]], "converse": ["a"],
+                                "identity": "a", "top": "a", "bottom": "a"},
+                      "[order] not reflexive: 'a' ⊆ 'a' missing"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_FILES))
+def test_bad_file_is_an_exact_diagnostic(capsys, tmp_path, case):
+    command, content, message = _BAD_FILES[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    code, out, err = run_cli(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert err == f"relalg: error: {path}: {message}\n"
 
 
 def test_missing_relation_file(capsys):

@@ -78,6 +78,12 @@ def test_per_index_rejects_unknown_policy():
         per_index(p, policy="fancy")
 
 
+def test_per_index_refuses_a_heterogeneous_relation():
+    with pytest.raises(ValueError) as e:
+        per_index(top(Carrier("A", 2), Carrier("B", 2)))
+    assert str(e.value) == "per_index: needs a homogeneous relation, got A~B"
+
+
 def test_per_index_rejects_non_per():
     asym = pack(2, 2, [(0, 1)], dst="A")
     with pytest.raises(ValueError, match="not symmetric"):
@@ -187,6 +193,13 @@ def test_relation_index_lands_in_oracle_set_sampled(r):
 
 
 # -- verify_index -------------------------------------------------------------------
+
+
+def test_verify_index_refuses_a_candidate_of_another_type():
+    a = Carrier("A", 2)
+    with pytest.raises(ValueError) as e:
+        verify_index(top(a, Carrier("B", 2)), identity(a))
+    assert str(e.value) == "index candidate has type A~A, relation has A~B"
 
 
 def test_verify_index_on_full_relation_fails_only_sharpness():

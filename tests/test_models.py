@@ -18,7 +18,6 @@ from relalg.models import (
     AxiomReport,
     BUNDLED_NAMES,
     ModelFormatError,
-    bundled_models,
     check_axioms,
     load_bundled,
     load_model,
@@ -29,8 +28,8 @@ from relalg.models import (
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-# Independent copy of the expected verdict matrix. test_models and the package
-# each carry one; a change to either without the other is a failure.
+# The expected verdict matrix of the bundled models, and below it the first
+# counterexample check_axioms reports for each failed axiom.
 EXPECTED_FLAGS = {
     "one_element": dict(lattice=True, monoid=True, converse=True, dedekind=True,
                         cone=True, choice=True, all_or_nothing=True,
@@ -55,6 +54,15 @@ EXPECTED_FLAGS = {
     "product_two_two": dict(lattice=True, monoid=True, converse=True, dedekind=True,
                             cone=False, choice=True, all_or_nothing=True,
                             extensional=True, universal_choice=True),
+}
+EXPECTED_COUNTEREXAMPLES = {
+    "one_element": {},
+    "two_element": {},
+    "three_element": {"choice": ("top",), "all_or_nothing": ("id", "id", "id")},
+    "three_element_unit_top": {"cone": ("a",), "extensional": ("id",)},
+    "four_element_point": {"cone": ("a",), "choice": ("top",), "extensional": ("id",)},
+    "desharnais13": {"choice": ("E",), "extensional": ("id",)},
+    "product_two_two": {"cone": ("bot|top",)},
 }
 
 
@@ -90,9 +98,8 @@ def test_axiom_matrix(name):
 
 
 def test_shipped_expectations_agree_with_matrix():
-    for bm in bundled_models():
-        assert bm.expected.flags() == EXPECTED_FLAGS[bm.name]
-        assert check_axioms(bm.model).counterexamples == bm.expected.counterexamples
+    for name in BUNDLED_NAMES:
+        assert check_axioms(load_bundled(name)).counterexamples == EXPECTED_COUNTEREXAMPLES[name]
 
 
 @pytest.mark.parametrize("name", list(EXPECTED_FLAGS))
@@ -179,8 +186,8 @@ def test_a_broken_copy_of_a_shared_model_leaves_it_intact(name):
     broken = dataclasses.replace(m, comp=tuple((m.top,) * len(row) for row in m.comp))
     assert not check_axioms(broken).flags()["monoid"]
     assert load_bundled(name) is m
-    rep, expected = check_axioms(m), models._EXPECTED[name]
-    assert rep.flags() == expected["flags"] and rep.counterexamples == expected["counterexamples"]
+    rep = check_axioms(m)
+    assert rep.flags() == EXPECTED_FLAGS[name] and rep.counterexamples == EXPECTED_COUNTEREXAMPLES[name]
 
 
 def test_an_unknown_bundled_name_is_refused_and_not_held():
@@ -205,6 +212,11 @@ def test_desharnais13_structure():
     assert [e[x] for x in m.points()] == ["a"]
     assert [e[x] for x in m.coreflexives()] == ["bot", "a", "id"]
     assert [e[x] for x in m.pers()] == ["bot", "a", "id", "E", "top"]
+
+
+def test_idx_refuses_an_unknown_name():
+    with pytest.raises(KeyError, match="model 'two_element' has no element 'nope'"):
+        load_bundled("two_element").idx("nope")
 
 
 def test_desharnais13_E_has_no_index_but_top_does():

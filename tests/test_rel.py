@@ -142,7 +142,9 @@ def test_coreflexive_constructor():
     (lambda a: coreflexive(a, [1.5]), ValueError, "member 1.5 is not an element of carrier 'A' of size 2"),
     (lambda a: from_pairs(a, a, [(True, False)]), RelationFormatError,
      "pairs[0]: source index True is not an element of carrier 'A' of size 2"),
-], ids=["relation_at-float", "relation_at-bool", "coreflexive-bool", "coreflexive-float", "from_pairs-bool"])
+    (lambda a: from_pairs(a, a, [(0,)]), RelationFormatError, "pairs[0]: expected an [i, j] pair, got (0,)"),
+], ids=["relation_at-float", "relation_at-bool", "coreflexive-bool", "coreflexive-float", "from_pairs-bool",
+        "from_pairs-short"])
 def test_constructors_refuse_a_value_that_is_not_an_int(build, error, message):
     # a bool is an int to Python, and a float may equal one; neither is an element or a code
     with pytest.raises(error) as err:

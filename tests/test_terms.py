@@ -589,6 +589,8 @@ ORACLES = {
     "per-to-relation-index": lambda args, shapes: o.oper_to_relation_index(*args, *shapes[0]),
     "core-domains": lambda args, shapes: o.ocore_domains(*args, *shapes[0]),
     "core-decomposition-valid": lambda args, shapes: o.ocore_decomposition(*args, *shapes[0]),
+    # a term law from the start, here for its wrong statement below
+    "domain-empty": lambda args, shapes: bool(o.oldom(args[0])) == bool(args[0]) == bool(o.ordom(args[0])),
 }
 
 HOMOGENEOUS = (Var("relation", "A", "A"),)
@@ -627,6 +629,9 @@ WRONG = [
     ("core-decomposition-valid",
      "λ°∘λ = R≺ and λ∘λ° = λ< and ρ°∘ρ = R≻ and ρ∘ρ° = ρ< and C = J where J = index R, λ = J<∘R<, ρ = J>∘R>, "
      "C = λ∘R∘ρ°", None),
+    # first fails on ⊥ over 1×1 and shrinks to A = B = 0: the one run here
+    # whose counterexample the shrinker's element drops make
+    ("domain-empty", "R< = ⊥ ≡ R ≠ ⊥", None),
 ]
 
 # every instance of at most 12 matrix bits, over carriers of the sizes the runner takes
