@@ -16,7 +16,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import _MEMOIZED, indexcore, isomorph, models
-from .domains import classify, per_ldom, per_rdom
+from .domains import classify
 from .points import points as carrier_points
 from .rel import (
     CarrierMismatch,
@@ -54,10 +54,13 @@ def _emit(payload: dict, pretty: bool) -> None:
 
 
 def _grid(r: Relation) -> str:
-    lines = ["    " + " ".join(f"{lab:>3s}" for lab in r.dst.labels)]
+    """r's matrix, each column (the row labels' too) as wide as its widest label, at least 3."""
+    side = max([3, *map(len, r.src.labels)])
+    widths = [max(3, len(lab)) for lab in r.dst.labels]
+    lines = [" " * side + " " + " ".join(lab.rjust(w) for lab, w in zip(r.dst.labels, widths))]
     for lab, bits in zip(r.src.labels, r.rows):
-        row = " ".join(f"{'  x' if (bits >> j) & 1 else '  .'}" for j in range(r.dst.size))
-        lines.append(f"{lab:>3s} {row}")
+        row = " ".join(("x" if bits >> j & 1 else ".").rjust(w) for j, w in enumerate(widths))
+        lines.append(f"{lab.rjust(side)} {row}")
     return "\n".join(lines)
 
 
@@ -82,23 +85,25 @@ def _dot_quoted(text: str) -> str:
 
 
 def _dot_bipartite(r: Relation, index: Relation) -> str:
-    """Bipartite drawing: one cluster per per-domain class, index edges bold."""
+    """Bipartite drawing: one cluster per class of the quotient core, index edges bold."""
     out = ["digraph relation {", "  rankdir=LR;", "  node [shape=circle];"]
+    dec = indexcore.core_of(r, "quotient")
 
-    def side(prefix: str, per: Relation) -> None:
-        labels = per.src.labels
-        for n, mask in enumerate(indexcore._per_classes(per.code, per.src.size)):
-            out.append(f"  subgraph cluster_{prefix}{n} {{")
-            out.append(f"    label={_dot_quoted(indexcore._class_label(labels, mask))};")
-            for i in indexcore._members(mask):
-                out.append(f"    {prefix}{i} [label={_dot_quoted(labels[i])}];")
+    def side(prefix: str, leg: Relation) -> None:
+        labels, rows = leg.dst.labels, leg.rows
+        for x, (label, row) in enumerate(zip(leg.src.labels, rows)):
+            out.append(f"  subgraph cluster_{prefix}{x} {{")
+            out.append(f"    label={_dot_quoted(label)};")
+            for i in range(row.bit_length()):
+                if row >> i & 1:
+                    out.append(f"    {prefix}{i} [label={_dot_quoted(labels[i])}];")
             out.append("  }")
-        for i in range(per.src.size):
-            if (i, i) not in per:
+        for i in range(leg.dst.size):
+            if not any(row >> i & 1 for row in rows):  # in no class
                 out.append(f"  {prefix}{i} [label={_dot_quoted(labels[i])}, style=dashed];")
 
-    side("s", per_ldom(r))
-    side("t", per_rdom(r))
+    side("s", dec.lam)
+    side("t", dec.rho)
     for i, j in r.pairs():
         style = ' [color=crimson, penwidth=2.0]' if (i, j) in index else ""
         out.append(f"  s{i} -> t{j}{style};")
@@ -133,9 +138,6 @@ def _cmd_index(args) -> int:
 
 def _cmd_core(args) -> int:
     r = _load_relation(args.relation)
-    if args.dot:
-        print(_dot_bipartite(r, indexcore.relation_index(r, policy=args.policy, seed=args.seed).index))
-        return 0
     dec = indexcore.core_of(r, mode=args.mode, policy=args.policy, seed=args.seed)
     payload = {
         "relation": to_dict(r),
@@ -149,6 +151,8 @@ def _cmd_core(args) -> int:
         print(f"mode: {dec.mode}")
         print("core:")
         print(_grid(dec.core))
+        for name, val in payload["checks"].items():
+            print(f"  {name}: {'ok' if val else 'FAIL'}")
     else:
         _emit(payload, args.pretty)
     return 0
@@ -157,10 +161,7 @@ def _cmd_core(args) -> int:
 def _cmd_iso(args) -> int:
     r = _load_relation(args.left)
     s = _load_relation(args.right)
-    try:
-        w = isomorph.find_isomorphism(r, s)
-    except isomorph.SearchSpaceExceeded as exc:
-        raise _UsageError(str(exc)) from exc
+    w = isomorph.find_isomorphism(r, s)
     if w is None:
         _emit({"isomorphic": False}, args.pretty)
         return 1
@@ -270,7 +271,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=indexcore.CORE_MODES, default="same-type")
     p.add_argument("--policy", choices=indexcore.POLICIES, default="min")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dot", action="store_true")
     p.set_defaults(func=_cmd_core)
 
     p = sub.add_parser("iso", help="search for an isomorphism witness between two relations")
@@ -311,7 +311,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except (_UsageError, RelationFormatError, models.ModelFormatError, CarrierMismatch, EnumerationLimit) as exc:
+    except (_UsageError, RelationFormatError, models.ModelFormatError, CarrierMismatch, EnumerationLimit,
+            isomorph.SearchSpaceExceeded) as exc:
         print(f"relalg: error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,7 +28,7 @@ R≺ and Jr of R≻, one per pair, each certified by _index_checks.
 
 The partition of a per into its classes is decided once per per code, by
 three memos that relalg.cache_clear empties. _per_classes keeps the class
-masks, which every transversal, candidate_indexes and the CLI's drawing read.
+masks, which every transversal, candidate_indexes and the quotient legs read.
 _fixed_pick keeps the min- and max-policy transversals. _quotient_carrier
 keeps a quotient leg's class carrier and code, keyed on the labels of the
 carrier it lands on as well as its size, since class labels are built from

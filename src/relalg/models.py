@@ -836,10 +836,11 @@ def model_to_dict(m: AbstractModel) -> dict:
     }
 
 
-def product_model(m1: AbstractModel, m2: AbstractModel, name: str | None = None) -> AbstractModel:
+def product_model(m1: AbstractModel, m2: AbstractModel) -> AbstractModel:
     """Componentwise product of two models, built from the factors' tables.
 
-    The pair (x_i, y_j) is element i*n2 + j, named "x_i|y_j". The order is the
+    The product is named "<m1>x<m2>" after its factors, and the pair
+    (x_i, y_j) is element i*n2 + j, named "x_i|y_j". The order is the
     conjunction of the factors' orders, and composition, converse, joins,
     meets and the constants act on each component, so the product of two
     valid models is a valid model and load_model is not run on it. So a
@@ -865,7 +866,7 @@ def product_model(m1: AbstractModel, m2: AbstractModel, name: str | None = None)
 
     zero = bytes(n2)
     return _model(
-        name=name or f"{m1.name}x{m2.name}",
+        name=f"{m1.name}x{m2.name}",
         elements=elements,
         leq=tuple([b"".join([r2 if a else zero for a in r1]) for r1 in m1.leq for r2 in m2.leq]),
         comp=lift(m1.comp, m2.comp),

@@ -24,18 +24,14 @@ def points(carrier: Carrier) -> list[Relation]:
     return [_make(carrier, carrier, 1 << i * (n + 1)) for i in range(n)]  # bit i*n + i is (i, i)
 
 
-def is_atom(r: Relation, lattice: str = "relations") -> bool:
-    """No element sits strictly between ⊥ and r (⊥ itself passes vacuously).
+def is_atom(r: Relation) -> bool:
+    """No relation sits strictly between ⊥ and r (⊥ itself passes vacuously).
 
-    lattice "relations" ranges q over all sub-relations, "coreflexives" over
-    coreflexive ones only (and then r must be coreflexive). Either way this is
-    decided on the code: a relation with two or more bits has a strictly
-    smaller one-bit sub-relation, and that is coreflexive when r is.
+    Decided on the code: a relation with two or more bits has a strictly
+    smaller one-bit sub-relation. Every sub-relation of a coreflexive is
+    coreflexive, so a coreflexive is an atom among the coreflexives exactly
+    when it is one among all relations.
     """
-    if lattice not in ("relations", "coreflexives"):
-        raise ValueError(f"unknown lattice {lattice!r}")
-    if lattice == "coreflexives" and not is_coreflexive(r):
-        raise ValueError("is_atom over the coreflexive lattice needs a coreflexive input")
     return r.bit_count() <= 1
 
 
@@ -43,7 +39,7 @@ def is_point(p: Relation) -> bool:
     """Proper coreflexive atom. Heterogeneous input is a type error."""
     if p.src != p.dst:
         raise ValueError(f"a point must be homogeneous, got {p.src.name}~{p.dst.name}")
-    return bool(p) and is_coreflexive(p) and is_atom(p, "coreflexives")
+    return bool(p) and is_coreflexive(p) and is_atom(p)
 
 
 def is_pair(z: Relation) -> bool:

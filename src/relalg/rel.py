@@ -412,7 +412,7 @@ _compose_memo = lru_cache(maxsize=1 << 13)(_compose_code)
 _converse_memo = lru_cache(maxsize=1 << 12)(_converse_code)
 
 
-# No laws run or sweep calls it: term laws take ¬ on planes, and only shrinking or R.__invert__ calls it.
+# No laws run or sweep calls it: term laws take ¬ on planes, and only complement and R.__invert__ reach it.
 @lru_cache(maxsize=1 << 12)
 def _complement_code(code: int, n: int, k: int) -> int:
     return code ^ _full(n, k)

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from conftest import pack, run_python, unpack
-from relalg import _MEMOIZED, Carrier, IsoWitness, from_dict, from_pairs, indexcore, laws, rel, to_dict, verify_witness
+from relalg import _MEMOIZED, Carrier, IsoWitness, from_dict, from_pairs, laws, rel, to_dict, verify_witness
 from relalg.cli import _grid, main
 from relalg.models import load_bundled, model_to_dict
 
@@ -129,20 +129,25 @@ def test_core_quotient_keeps_class_labels_distinct(capsys, tmp_path):
     assert labels == ['{"a,b"}', "{a,b}"]
 
 
-@pytest.mark.parametrize("mode", ["same-type", "quotient"])
-@pytest.mark.parametrize("policy", ["min", "max", "random"])
-def test_core_dot_draws_the_index_without_a_core(capsys, monkeypatch, mode, policy):
-    options = ["--dot", "--policy", policy, "--seed", "3"]
-    code, index_dot, _ = run_cli(capsys, "index", BLOCK, *options)
-    assert code == 0
-
-    def no_core(*args, **kwargs):
-        raise AssertionError("core --dot built a core decomposition")
-
-    monkeypatch.setattr(indexcore, "core_of", no_core)
-    code, core_dot, err = run_cli(capsys, "core", BLOCK, "--mode", mode, *options)
+def test_dot_draws_an_element_in_no_class_dashed(capsys, tmp_path):
+    # row 1 and column 1 are empty: neither element is in a per-domain class
+    path = write_rel(tmp_path, "corner.json", pack(2, 2, [(0, 0)]))
+    code, out, err = run_cli(capsys, "index", path, "--dot")
     assert (code, err) == (0, "")
-    assert core_dot == index_dot
+    assert out == (
+        "digraph relation {\n  rankdir=LR;\n  node [shape=circle];\n"
+        '  subgraph cluster_s0 {\n    label="{0}";\n    s0 [label="0"];\n  }\n'
+        '  s1 [label="1", style=dashed];\n'
+        '  subgraph cluster_t0 {\n    label="{0}";\n    t0 [label="0"];\n  }\n'
+        '  t1 [label="1", style=dashed];\n'
+        "  s0 -> t0 [color=crimson, penwidth=2.0];\n}\n"
+    )
+
+
+def test_core_dot_is_an_unrecognized_argument(capsys):
+    code, out, err = run_cli(capsys, "core", BLOCK, "--dot")
+    assert (code, out) == (2, "")
+    assert err.endswith("relalg: error: unrecognized arguments: --dot\n")
 
 
 def test_index_pretty_prints_grids_and_checks(capsys):
@@ -159,7 +164,23 @@ def test_index_pretty_prints_grids_and_checks(capsys):
 def test_core_pretty_prints_mode_and_grid(capsys):
     code, out, err = run_cli(capsys, "--pretty", "core", BLOCK)
     assert (code, err) == (0, "")
-    assert out == "mode: same-type\ncore:\n      0   1   2\n  0   x   .   .\n  1   .   .   .\n  2   .   .   x\n"
+    assert out == (
+        "mode: same-type\ncore:\n      0   1   2\n  0   x   .   .\n  1   .   .   .\n  2   .   .   x\n"
+        + _CORE_CHECKS
+    )
+
+
+# the ten equations of CoreDecomposition.verify, as --pretty core prints them
+_CORE_CHECKS = (
+    "  λ°∘λ = R≺: ok\n  λ∘λ° = λ<: ok\n  ρ°∘ρ = R≻: ok\n  ρ∘ρ° = ρ<: ok\n  C = λ∘R∘ρ°: ok\n"
+    "  C is a core relation: ok\n  λ> = R<: ok\n  C< = λ<: ok\n  ρ> = R>: ok\n  C> = ρ<: ok\n"
+)
+
+
+def test_core_pretty_grid_fits_class_labels(capsys):
+    code, out, err = run_cli(capsys, "--pretty", "core", "--mode", "quotient", BLOCK)
+    assert (code, err) == (0, "")
+    assert out == "mode: quotient\ncore:\n      {0,1} {2}\n{0,1}     x   .\n  {2}     .   x\n" + _CORE_CHECKS
 
 
 def test_core_same_type_matches_index(capsys):
@@ -410,6 +431,8 @@ _UNREADABLE = {
     "deep": (b"[" * 200000 + b"\n", (1, 200000), "arrays and objects nested 200000 deep, too deep to parse"),
     "deep-after-string": (b'{"a": "[[[", "b": ' + b"[" * 100000, (1, 100018),
                           "arrays and objects nested 100001 deep, too deep to parse"),
+    "deep-after-closing": (b"[[[]], " + b"[" * 3000 + b"]" * 3000 + b"]", (1, 3007),
+                           "arrays and objects nested 3001 deep, too deep to parse"),
     "long-integer": (b'{"src": [' + b"7" * 5000 + b"]}", (1, 10), "integer of more than 4300 digits"),
 }
 

@@ -64,17 +64,17 @@ def test_is_particle_is_symmetric_pair():
 
 
 def test_is_atom_both_lattices():
-    single = pack(2, 2, [(0, 1)])
-    assert is_atom(single)
-    assert not is_atom(pack(2, 2, [(0, 0), (0, 1)]))
+    # a coreflexive is an atom among the coreflexives exactly when it is one
+    # among all relations, so one answer serves both lattices
     assert is_atom(pack(2, 2, []))  # vacuously: nothing strictly below bottom
-    assert is_atom(pack(2, 2, [(0, 0)], dst="A"), "coreflexives")
-    # two diagonal bits form a coreflexive atom candidate that fails
-    assert not is_atom(pack(2, 2, [(0, 0), (1, 1)], dst="A"), "coreflexives")
-    with pytest.raises(ValueError, match="lattice"):
-        is_atom(single, "ideals")
-    with pytest.raises(ValueError, match="coreflexive"):
-        is_atom(single, "coreflexives")
+    for pairs, dst, atom in [
+        ([(0, 1)], "B", True),
+        ([(0, 0), (0, 1)], "B", False),
+        ([(0, 0)], "A", True),
+        ([(0, 0), (1, 1)], "A", False),  # two diagonal bits: a coreflexive that is no atom
+    ]:
+        r = pack(2, 2, pairs, dst=dst)
+        assert is_atom(r) == o.ois_atom(unpack(r)) == atom, pairs
 
 
 def _strict_nonempty_subsets(r: frozenset):
@@ -93,20 +93,20 @@ def test_is_atom_and_is_point_match_a_sub_relation_scan(na, nb):
         if na != nb:
             continue
         if not o.ois_coreflexive(pairs):
-            with pytest.raises(ValueError, match="coreflexive"):
-                is_atom(r, "coreflexives")
             assert not is_point(r)
             continue
         atom = not any(o.ois_coreflexive(q) for q in below)
-        assert is_atom(r, "coreflexives") == atom, sorted(pairs)
+        assert is_atom(r) == atom, sorted(pairs)
         assert is_point(r) == (bool(pairs) and atom), sorted(pairs)
 
 
 def test_off_diagonal_two_bit_is_atomic_among_coreflexives_but_not_coreflexive():
     # {(0,1),(1,0)} has no coreflexive strictly between bottom and itself,
-    # but the lattice mode refuses non-coreflexive inputs outright
-    with pytest.raises(ValueError):
-        is_atom(pack(2, 2, [(0, 1), (1, 0)], dst="A"), "coreflexives")
+    # but it is no atom among all relations, and no point
+    r = pack(2, 2, [(0, 1), (1, 0)], dst="A")
+    assert not any(o.ois_coreflexive(frozenset([pair])) for pair in unpack(r))
+    assert not is_atom(r) and not o.ois_atom(unpack(r))
+    assert not is_point(r)
 
 
 def test_pair_rel_singles_out_one_cell():
