@@ -144,8 +144,10 @@ def test_dot_draws_an_element_in_no_class_dashed(capsys, tmp_path):
     )
 
 
-def test_core_dot_is_an_unrecognized_argument(capsys):
-    code, out, err = run_cli(capsys, "core", BLOCK, "--dot")
+@pytest.mark.parametrize("mode", ["same-type", "quotient"])
+@pytest.mark.parametrize("policy", ["min", "max", "random"])
+def test_core_dot_is_an_unrecognized_argument(capsys, mode, policy):
+    code, out, err = run_cli(capsys, "core", BLOCK, "--mode", mode, "--dot", "--policy", policy, "--seed", "3")
     assert (code, out) == (2, "")
     assert err.endswith("relalg: error: unrecognized arguments: --dot\n")
 
