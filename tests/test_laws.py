@@ -2,7 +2,7 @@ import gc
 import json
 import random
 import re
-from fnmatch import fnmatch
+from fnmatch import filter as fnmatch_filter, fnmatch
 from itertools import product
 from math import factorial, prod
 from pathlib import Path
@@ -474,6 +474,28 @@ def test_law_filter_selects_what_fnmatch_matches_per_id(pattern):
     assert [r.law_id for r in suite.reports] == want
     with pytest.raises(ValueError, match=r"no law matches the filter 'no-such-law-\*'"):
         run_suite(max_size=1, samples=1, law_filter="no-such-law-*", registry=stubs)
+
+
+def test_a_plain_id_is_looked_up_and_a_glob_is_matched(monkeypatch):
+    """A filter with none of * ? [ selects the id equal to it, or nothing,
+    without compiling a pattern; any other filter goes through fnmatch."""
+    stubs = {i: Law(i, "stub", (Var("relation", "A", "A"),), lambda args, cs: True) for i in REGISTRY}
+    globbed = []
+    monkeypatch.setattr(laws.fnmatch, "filter", lambda names, pat: globbed.append(pat) or fnmatch_filter(names, pat))
+    for law_id in ("compose-assoc", "index-of-itself", "zz-no-such-law", "compose-assoc ", "Compose-assoc"):
+        want = [i for i in sorted(REGISTRY) if fnmatch(i, law_id)]
+        assert want == ([law_id] if law_id in REGISTRY else [])
+        if want:
+            suite = run_suite(max_size=1, samples=1, law_filter=law_id, registry=stubs)
+            assert [r.law_id for r in suite.reports] == want
+        else:
+            with pytest.raises(ValueError, match="no law matches"):
+                run_suite(max_size=1, samples=1, law_filter=law_id, registry=stubs)
+    assert globbed == []
+    for pattern in ("compose-asso?", "compose-[a]ssoc", "*-assoc"):
+        suite = run_suite(max_size=1, samples=1, law_filter=pattern, registry=stubs)
+        assert [r.law_id for r in suite.reports] == ["compose-assoc"]
+    assert globbed == ["compose-asso?", "compose-[a]ssoc", "*-assoc"]
 
 
 # -- deliberate falsification (the harness must be able to fail) --------------------
