@@ -18,11 +18,12 @@ argument, and no carrier element dropped, without the law recovering.
 Law ids are stable and descriptive; `statement` carries the point-free
 formula. A law registered with _term has no Python check: its statement is
 parsed (see terms) and the parsed Formula is the check, so the statement and
-the check cannot drift apart. The runner evaluates each size tuple of such a
-law in batches of instances at once, bit-sliced, with the order, draws and
-first failure the scalar scan has on the same tuple in the same mode; the
-failure is then shrunk one instance at a time, each a batch of one of the
-same evaluator (terms has no other). The index laws that speak of
+the check cannot drift apart. The runner builds each size tuple of such a
+law in batches of instances, bit-sliced, with the order, draws and first
+failure the scalar scan has on the same tuple in the same mode, and evaluates
+consecutive batches of a binder-free statement together, whichever tuples
+they come from (_scan_sliced); the failure is then shrunk one instance at a
+time, each a batch of one of the same evaluator (terms has no other). The index laws that speak of
 the min-policy index J of R are terms too, through ``where J = index R``;
 among them core-domains, the core lemma for the core C = λ∘R∘ρ° that the legs
 λ = J<∘R≺ and ρ = J>∘R≻ build, and core-decomposition-valid, the ten equations
@@ -50,8 +51,10 @@ from __future__ import annotations
 import fnmatch
 import random
 from dataclasses import dataclass
-from itertools import product
+from functools import lru_cache
+from itertools import accumulate, product
 from math import isqrt, prod
+from operator import or_
 from typing import Callable, Sequence
 
 from . import indexcore, isomorph
@@ -769,77 +772,169 @@ def run_law(
     seed: int = 42,
     budget: int = EXHAUSTIVE_BUDGET,
 ) -> LawReport:
+    """Check a law on every size tuple up to max_size, in product order,
+    each enumerated or sampled (see the module docstring), until the first
+    failure, which is shrunk. A term law's scan builds each tuple's batches
+    on its own and evaluates consecutive ones together (see _scan_sliced),
+    so it may build a tuple past the failing one; the mode and the instance
+    count are those of the tuples up to the failing one."""
     _check_run(max_size, samples)
-    modes_seen: set[str] = set()
-    instances = 0
-    failures: list[Counterexample] = []
     tvs = law.type_vars()
     sliced = isinstance(law.check, Formula)
+    drawn: list[bool] = []  # whether each size tuple built so far is sampled
+
+    def size_tuples():
+        for sizes in product(range(1, max_size + 1), repeat=len(tvs)):
+            carriers = {tv: Carrier(tv, n) for tv, n in zip(tvs, sizes)}
+            # every kind's pool holds ⊥ or a point at sizes >= 1, so none is empty
+            typed = [(carriers[v.src], carriers[v.dst]) for v in law.vars]
+            pools = [_pool(v.kind, src, dst) for v, (src, dst) in zip(law.vars, typed)]
+            # a space no larger than the sample count is enumerated: drawing from
+            # it would repeat instances and could still miss some; so is a term
+            # law's space whose sliced scan is estimated to cost no more than its draws
+            space = prod(len(p) for p in pools)
+            if (space * law.cost <= budget or space <= samples
+                    or sliced and _scan_pays(law, dict(zip(tvs, sizes)), pools, samples)):
+                rng = None
+            else:
+                rng = random.Random(f"{seed}:{law.id}:{sizes}")
+            drawn.append(rng is not None)
+            yield carriers, typed, pools, rng
+
     scan = _scan_sliced if sliced else _scan_scalar
-    for sizes in product(range(1, max_size + 1), repeat=len(tvs)):
-        carriers = {tv: Carrier(tv, n) for tv, n in zip(tvs, sizes)}
-        # every kind's pool holds ⊥ or a point at sizes >= 1, so none is empty
-        typed = [(carriers[v.src], carriers[v.dst]) for v in law.vars]
-        pools = [_pool(v.kind, src, dst) for v, (src, dst) in zip(law.vars, typed)]
-        # a space no larger than the sample count is enumerated: drawing from
-        # it would repeat instances and could still miss some; so is a term
-        # law's space whose sliced scan is estimated to cost no more than its draws
-        space = prod(len(p) for p in pools)
-        if (space * law.cost <= budget or space <= samples
-                or sliced and _scan_pays(law, dict(zip(tvs, sizes)), pools, samples)):
-            modes_seen.add("exhaustive")
-            rng = None
-        else:
-            modes_seen.add("sampled")
-            rng = random.Random(f"{seed}:{law.id}:{sizes}")
-        checked, failed = scan(law, carriers, typed, pools, rng, samples)
-        instances += checked
-        if failed is not None:
-            failures.append(shrink(law, carriers, failed))
-            break
-    mode = "mixed" if len(modes_seen) > 1 else modes_seen.pop()
+    instances, failed = scan(law, size_tuples(), samples)
+    failures: list[Counterexample] = []
+    if failed is not None:
+        t, carriers, args = failed
+        del drawn[t + 1:]
+        failures.append(shrink(law, carriers, args))
+    modes = {"sampled" if d else "exhaustive" for d in drawn}
     return LawReport(
         law_id=law.id,
         statement=law.statement,
-        mode=mode,
+        mode="mixed" if len(modes) > 1 else modes.pop(),
         instances=instances,
         failures=failures,
         seed=seed,
     )
 
 
-# A scan checks one size tuple: every instance in product order when rng is
-# None, else `samples` draws. It returns the number of instances checked and
-# the first failing one, or None.
+# A scan checks a stream of size tuples, each (carriers, typed, pools, rng):
+# every instance in product order when rng is None, else `samples` draws. It
+# returns the number of instances checked up to and including the first
+# failing one, and that failure as (its tuple's position, carriers, args), or
+# None.
 
 
-def _scan_scalar(law, carriers, typed, pools, rng, samples):
-    if rng is None:
-        # each pool's relations are built once, for this size tuple only
-        source = product(*(
-            [_make(src, dst, code) for code in pool] for (src, dst), pool in zip(typed, pools)
-        ))
-    else:
-        source = (
-            tuple(_make(src, dst, pool[rng.randrange(len(pool))]) for (src, dst), pool in zip(typed, pools))
-            for _ in range(samples)
-        )
+def _scan_scalar(law, tuples, samples):
     checked = 0
-    for args in source:
-        checked += 1
-        if _fails(law, args, carriers):
-            return checked, args
+    for t, (carriers, typed, pools, rng) in enumerate(tuples):
+        if rng is None:
+            # each pool's relations are built once, for this size tuple only
+            source = product(*(
+                [_make(src, dst, code) for code in pool] for (src, dst), pool in zip(typed, pools)
+            ))
+        else:
+            source = (
+                tuple(_make(src, dst, pool[rng.randrange(len(pool))]) for (src, dst), pool in zip(typed, pools))
+                for _ in range(samples)
+            )
+        for args in source:
+            checked += 1
+            if _fails(law, args, carriers):
+                return checked, (t, carriers, args)
     return checked, None
 
 
-def _scan_sliced(law, carriers, typed, pools, rng, samples):
-    """The scan of a term law: batches of at most _most_instances(...)
-    instances, each evaluated at once on planes (see terms). An exhaustive scan cuts the
-    product order into consecutive batches (see _geometry): it slices the
-    trailing arguments and holds the leading ones fixed per batch, but for a
-    chunk of codes of the last held one when that is a relation pool, whose
-    low cells it slices too; a sampled one makes the draws of the scalar scan,
-    in the same order."""
+def _scan_sliced(law, tuples, samples):
+    """The scan of a term law: each size tuple's batches, built by _batches,
+    evaluated in groups of consecutive batches (see _groups). The lowest
+    failing bit of a group is the first failure in order: the batch it falls
+    in, and the bit less the widths of the batches before it, name the size
+    tuple and the instance."""
+    checked = 0
+    for group, width in _groups(law, tuples, samples):
+        bad = _group_failures(law.check, group, width)
+        if bad:
+            x = (bad & -bad).bit_length() - 1
+            for t, carriers, typed, _, w, codes in group:
+                if x < w:
+                    return checked + x + 1, (t, carriers, _relations(typed, codes(x)))
+                x, checked = x - w, checked + w
+        checked += width
+    return checked, None
+
+
+def _groups(law, tuples, samples):
+    """The batches of a term law's size tuples, in order, as groups of
+    consecutive batches, each (t, carriers, typed, planes, width, codes), and
+    each group with its width. A group holds batches, of one tuple or of
+    several, while their instances number at most SLICE_BITS (and
+    PLANE_BITS); it is evaluated at once at the largest size of each type
+    variable among them (see _group_failures). A batch of a statement with
+    binders, whose pools and planes depend on the carriers' sizes, is a
+    group of its own, as is one that fills SLICE_BITS; a group that can take
+    no more is given before the next batch is built."""
+    alone, most = law.check.binders, min(SLICE_BITS, PLANE_BITS)
+    group, width = [], 0
+    for t, (carriers, typed, pools, rng) in enumerate(tuples):
+        for planes, w, codes in _batches(law, carriers, typed, pools, rng, samples):
+            if group and width + w > most:
+                yield group, width
+                group, width = [], 0
+            group.append((t, carriers, typed, planes, w, codes))
+            width += w
+            if alone or width >= most:
+                yield group, width
+                group, width = [], 0
+    if group:
+        yield group, width
+
+
+def _group_failures(formula: Formula, group, width: int) -> int:
+    """The failures of a group of batches: bit x of a batch at bit x plus
+    the widths of the batches before it. A batch alone is evaluated at its
+    own sizes. Otherwise each batch's planes are moved into the cells of
+    the group's shape, the largest size of each type variable, and up past
+    the batches before it, and each type variable's element masks hold the
+    bits of the batches whose carrier has the element (see terms)."""
+    full = (1 << width) - 1
+    if len(group) == 1:
+        _, carriers, _, planes, _, _ = group[0]
+        return formula.failures(planes, {tv: c.size for tv, c in carriers.items()}, full)
+    shape = {tv: max(batch[1][tv].size for batch in group) for tv in group[0][1]}
+    held = {tv: [0] * (n + 1) for tv, n in shape.items()}  # the instances whose carrier has n elements
+    joined = [[0] * (shape[src.name] * shape[dst.name]) for src, dst in group[0][2]]
+    at = 0
+    for _, carriers, typed, planes, w, _ in group:
+        ones = ((1 << w) - 1) << at
+        for tv, c in carriers.items():
+            held[tv][c.size] |= ones
+        for out, (src, dst), arg in zip(joined, typed, planes):
+            for c, v in zip(_cells_in(src.size, dst.size, shape[dst.name]), arg):
+                if v:
+                    out[c] |= v << at
+        at += w
+    # element e is on the instances whose carrier has more than e elements
+    masks = {tv: list(accumulate(reversed(counts[1:]), or_))[::-1] for tv, counts in held.items()}
+    return formula.failures(joined, masks, full)
+
+
+@lru_cache(maxsize=None)
+def _cells_in(n: int, k: int, stride: int) -> tuple[int, ...]:
+    """Where the cells of an n×k value go in rows of `stride` cells."""
+    return tuple(i * stride + j for i in range(n) for j in range(k))
+
+
+def _batches(law, carriers, typed, pools, rng, samples):
+    """One size tuple's batches, in order, each (planes, width, codes): the
+    arguments' planes over `width` instances, at most
+    _most_instances(...), and the codes of instance x. An exhaustive scan
+    cuts the product order into consecutive batches (see _geometry): it
+    slices the trailing arguments and holds the leading ones fixed per
+    batch, but for a chunk of codes of the last held one when that is a
+    relation pool, whose low cells it slices too; a sampled one makes the
+    draws of the scalar scan, in the same order."""
     sizes = {tv: c.size for tv, c in carriers.items()}
     cells = [src.size * dst.size for src, dst in typed]
     combinations = law.check.combinations(sizes)
@@ -862,30 +957,25 @@ def _scan_sliced(law, carriers, typed, pools, rng, samples):
             planes = [fixed_planes(code, n, full) for code, n in zip(fixed, cells)]
             if k:
                 planes[lead - 1][:k] = low
-            bad = law.check.failures(planes + sliced, sizes, full)
-            if bad:
-                x = q * batch + (bad & -bad).bit_length() - 1
-                return x + 1, _relations(typed, _decode(x, pools))
-        return prod(len(p) for p in pools), None
+            yield planes + sliced, batch, lambda x, start=q * batch: _decode(start + x, pools)
+        return
     draw = rng.randrange
     sized = [(pool, len(pool)) for pool in pools]
     cut = _most_instances(combinations)
     for start in range(0, samples, cut):
         batch = min(cut, samples - start)
         draws = [[pool[draw(n)] for pool, n in sized] for _ in range(batch)]
-        full = (1 << batch) - 1
-        planes = [code_planes(column, n) for column, n in zip(zip(*draws), cells)]
-        bad = law.check.failures(planes, sizes, full)
-        if bad:
-            x = (bad & -bad).bit_length() - 1
-            return start + x + 1, _relations(typed, draws[x])
-    return samples, None
+        yield [code_planes(column, n) for column, n in zip(zip(*draws), cells)], batch, draws.__getitem__
 
 
 def _scan_pays(law: Law, sizes: dict[str, int], pools, samples: int) -> bool:
     """Whether a term law's exhaustive sliced scan of a size tuple is
     estimated to cost no more than its sampled scan: the draws, and one
-    batch of `samples` instances (see Formula.runs and SLICE_BITS)."""
+    batch of `samples` instances (see Formula.runs and SLICE_BITS). It
+    prices the tuple as if its batches were evaluated alone, at its own
+    sizes, though _scan_sliced may evaluate them with other tuples', so a
+    tuple's mode does not depend on its neighbours and stays the one
+    tests/reports.json pins."""
     fixed = wide = spread = 0  # a batch of b instances costs fixed + wide + spread * b / SLICE_BITS
     for (p, c, per_instance), n in law.check.runs(sizes).items():
         if per_instance:

@@ -71,18 +71,30 @@ not parse raises ValueError naming the law and the column.
 
 A Formula has one evaluator, over an instruction list in which equal subterms
 appear once. ``formula.failures(planes, sizes, full)`` evaluates a batch of
-instances at once. Each argument is a list of planes, one int per matrix cell
-in code order, and bit x of every plane belongs to instance x, so composition
-is an OR of ANDs, converse permutes the planes and complement XORs them with
-``full``, the mask of the batch. A predicate word is the instructions of
-its definition, so the evaluator knows only the primitive operations and
-shares equal subterms between a definition and its statement. ``index X``
-keeps cell (i, j) of X where i is the least member of its X≺-class and j of
-its X≻-class. A binder lays the combinations of its members beside the
-instances, as more bits of the same planes; a union masks its term's planes
-with its guard's plane and ORs the combinations together, ∀ ANDs them and ∃
-ORs them. The result has bit x set when the statement fails on instance x
-(the bitslicing of E. Biham's DES implementation, FSE 1997).
+instances at once, ``full`` the mask of their bits. Each argument is a list of
+planes, one int per matrix cell in code order, and bit x of every plane
+belongs to instance x, so composition is an OR of ANDs and converse permutes
+the planes. The instances' carriers are data of the batch, not its shape:
+``sizes`` gives each type variable either one size for every instance or its
+element masks, one plane per element of the largest carrier, with bit x set
+where instance x's carrier holds that element; one size n stands for n masks
+equal to ``full``. The planes are laid out at the largest sizes, and every
+cell outside an instance's carriers is 0 on it. Only ⊤, 𝕀, ¬ (and through it
+``\\`` and ``/``) and the row and column agreements ``\\\\`` and ``//`` read
+the masks: cell (i, i) of 𝕀 is element i's mask, a cell of ⊤ is the AND of its
+row's and its column's element masks, ¬ XORs each cell with that, and an
+agreement of two rows is masked with it. Every other operation keeps zeros as
+zeros, so the comparisons need no masks. A statement with binders takes one
+size per type variable, as its pools and the spans of its values depend on it.
+A predicate word is the instructions of its definition, so the evaluator knows
+only the primitive operations and shares equal subterms between a definition
+and its statement. ``index X`` keeps cell (i, j) of X where i is the least
+member of its X≺-class and j of its X≻-class. A binder lays the combinations
+of its members beside the instances, as more bits of the same planes; a union
+masks its term's planes with its guard's plane and ORs the combinations
+together, ∀ ANDs them and ∃ ORs them. The result has bit x set when the
+statement fails on instance x (the bitslicing of E. Biham's DES
+implementation, FSE 1997).
 
 A call ``formula(args, carriers)`` on one instance, Relations over Carriers,
 is a batch of one: it returns the statement's truth, so a Formula is a law
@@ -115,6 +127,7 @@ import re
 from collections import Counter
 from copy import copy
 from functools import lru_cache, reduce
+from itertools import product
 from math import prod
 from operator import and_, or_, xor
 from typing import Sequence
@@ -236,10 +249,22 @@ class Formula:
         planes = [fixed_planes(r.code, r.src.size * r.dst.size, 1) for r in args]
         return not self.failures(planes, {tv: c.size for tv, c in carriers.items()}, 1)
 
-    def failures(self, planes: Sequence[list[int]], sizes: dict[str, int], full: int) -> int:
-        """The plane of the instances of a batch on which the statement fails."""
+    def failures(self, planes: Sequence[list[int]], sizes: dict, full: int) -> int:
+        """The plane of the instances of a batch on which the statement fails.
+        sizes gives each type variable's carrier: its size, the same on
+        every instance, or its element masks, one plane per element with
+        the bit of each instance whose carrier holds it (see the module
+        docstring). A statement with binders takes sizes alone."""
+        carriers = {}
+        for tv, n in sizes.items():
+            if isinstance(n, int):
+                carriers[tv] = [full] * n
+            elif self._folds:
+                raise ValueError(f"{self.statement!r} binds letters, so its carriers are one size per batch")
+            else:
+                carriers[tv] = n
         bits = full.bit_length()
-        masks: dict[tuple, int] = {}  # a span's
+        spans: dict[tuple, tuple] = {}  # a span's mask and carriers
         vals: list = [None] * len(self._steps)
         widened: dict[tuple, object] = {}  # an input as read, once for its readers
 
@@ -255,7 +280,7 @@ class Formula:
                 if op == "var":
                     vals[i] = planes[ins[0]]
                 else:
-                    vals[i] = _SLICED[op](full, [sizes[tv] for tv in dims], *[vals[k] for k in ins])
+                    vals[i] = _SLICED[op](full, [carriers[tv] for tv in dims], *[vals[k] for k in ins])
                 continue
             tvs, wide = span or ((), True)
             if op in _POOLS:  # held for every combination of the letters before it
@@ -271,11 +296,18 @@ class Formula:
                     out = _fold(args[0], period, count, op == "∀")
                 vals[i] = out if unit == wide else _widen(out, (1, (), (), True), sizes, full)
                 continue
-            mask = masks.get(span)  # an operation off the fast path has a span
-            if mask is None:
-                mask = masks[span] = (1 << (bits if wide else 1) * _count(sizes, tvs)) - 1
-            vals[i] = _SLICED[op](mask, [sizes[tv] for tv in dims], *args)
+            spanned = spans.get(span)  # an operation off the fast path has a span
+            if spanned is None:  # every carrier whole on each bit of the span
+                mask = (1 << (bits if wide else 1) * _count(sizes, tvs)) - 1
+                spanned = spans[span] = mask, {tv: [mask] * n for tv, n in sizes.items()}
+            vals[i] = _SLICED[op](spanned[0], [spanned[1][tv] for tv in dims], *args)
         return full & ~vals[-1]
+
+    @property
+    def binders(self) -> bool:
+        """Whether the statement binds letters, so that its planes span
+        member combinations, which depend on the carriers' sizes."""
+        return bool(self._folds)
 
     def combinations(self, sizes: dict[str, int]) -> int:
         """The most member combinations a plane of the statement spans, so
@@ -735,15 +767,22 @@ def _tokens(text: str, fail) -> list[tuple[str, int]]:
 #
 # A matrix value is a list of planes in code order (cell (i, j) of an n×k value
 # at index i*k + j); a truth value is one plane. Every operation takes the
-# batch mask and the sizes named by its instruction first.
+# batch mask and its instruction's carriers first, each a list of element
+# masks (see the module docstring), whose length is the carrier's size.
 
 
 def _any(planes) -> int:
     return reduce(or_, planes, 0)
 
 
+def _top(a, b) -> list[int]:
+    """The cells of an a×b value: cell (i, j) on the instances whose carriers
+    hold both elements."""
+    return [x & y for x in a for y in b]
+
+
 def _compose(full, d, x, y):
-    n, m, p = d
+    n, m, p = map(len, d)
     if not m:  # through an empty carrier nothing is related
         return [0] * (n * p)
     out = []
@@ -758,12 +797,12 @@ def _compose(full, d, x, y):
 
 
 def _converse(full, d, x):
-    n, k = d
+    k = len(d[1])
     return [v for j in range(k) for v in x[j::k]]
 
 
 def _complement(full, d, x):
-    return [full ^ v for v in x]
+    return list(map(xor, _top(*d), x))
 
 
 def _diagonal(n: int, cells) -> list[int]:
@@ -774,13 +813,14 @@ def _diagonal(n: int, cells) -> list[int]:
 
 def _same_rows(full, d, x, y):
     """Cell (a, b) is set where row a of x (n×k) equals row b of y (m×k),
-    for d = (n, m, k)."""
-    n, m, k = d
+    for carriers d of sizes (n, m, k). Cells outside both rows' carriers
+    are 0, and so compare equal."""
+    top, k = _top(d[0], d[1]), len(d[2])
     if not k:  # rows of no cells are all equal
-        return [full] * (n * m)
+        return top
     xs = [x[i:i + k] for i in range(0, len(x), k)]
     ys = [y[i:i + k] for i in range(0, len(y), k)]
-    return [full & ~_any(map(xor, r, s)) for r in xs for s in ys]
+    return [cell & ~_any(map(xor, r, s)) for cell, (r, s) in zip(top, product(xs, ys))]
 
 
 def _subset(full, d, x, y):
@@ -792,23 +832,19 @@ def _equal(full, d, x, y):
     return full & ~_any(map(xor, x, y))
 
 
-def _identity(full, d):
-    return _diagonal(d[0], [full] * d[0])
-
-
 def _ldom(full, d, x):
-    n, k = d
+    n, k = map(len, d)
     if not k:  # rows of no cells are all empty
         return [0] * (n * n)
     return _diagonal(n, [_any(x[i:i + k]) for i in range(0, n * k, k)])
 
 
 def _per_ldom(full, d, x):
-    n, k = d
+    n, k = map(len, d)
     if not k:
         return [0] * (n * n)
     nonempty = [_any(x[i:i + k]) for i in range(0, n * k, k)]
-    same = _same_rows(full, (n, n, k), x, x)
+    same = _same_rows(full, (d[0], d[0], d[1]), x, x)
     return [same[c] & nonempty[c // n] for c in range(n * n)]
 
 
@@ -819,36 +855,36 @@ def _index(full, d, x):
     def least(per, m):
         return [per[i * m + i] & ~_any(per[i:i * m:m]) for i in range(m)]
 
-    n, k = d
-    left, right = least(_per_ldom(full, d, x), n), least(_per_ldom(full, (k, n), _converse(full, d, x)), k)
+    n, k = map(len, d)
+    left, right = least(_per_ldom(full, d, x), n), least(_per_ldom(full, d[::-1], _converse(full, d, x)), k)
     return [left[i] & x[i * k + j] & right[j] for i in range(n) for j in range(k)]
 
 
 def _left_residual(full, d, r, s):  # R\S = ¬(R°∘¬S)
-    na, nb, nc = d
-    return _complement(full, d, _compose(full, (nb, na, nc), _converse(full, (na, nb), r),
-                                         _complement(full, d, s)))
+    a, b, c = d
+    return _complement(full, (b, c), _compose(full, (b, a, c), _converse(full, (a, b), r),
+                                              _complement(full, (a, c), s)))
 
 
 def _right_residual(full, d, r, s):  # R/S = ¬(¬R∘S°)
-    na, nb, nc = d
-    return _complement(full, d, _compose(full, (na, nc, nb), _complement(full, d, r),
-                                         _converse(full, (nb, nc), s)))
+    a, b, c = d
+    return _complement(full, (a, b), _compose(full, (a, c, b), _complement(full, (a, c), r),
+                                              _converse(full, (b, c), s)))
 
 
 _SLICED = {
-    "⊥": lambda full, d: [0] * (d[0] * d[1]),
-    "⊤": lambda full, d: [full] * (d[0] * d[1]),
-    "𝕀": _identity,
+    "⊥": lambda full, d: [0] * (len(d[0]) * len(d[1])),
+    "⊤": lambda full, d: _top(*d),
+    "𝕀": lambda full, d: _diagonal(len(d[0]), d[0]),
     "∘": _compose,
     "°": _converse,
     "¬": _complement,
     "∩": lambda full, d, x, y: list(map(and_, x, y)),
     "∪": lambda full, d, x, y: list(map(or_, x, y)),
     "<": _ldom,
-    ">": lambda full, d, x: _diagonal(d[1], [_any(x[j::d[1]]) for j in range(d[1])]),
+    ">": lambda full, d, x: _diagonal(len(d[1]), [_any(x[j::len(d[1])]) for j in range(len(d[1]))]),
     "≺": _per_ldom,
-    "≻": lambda full, d, x: _per_ldom(full, (d[1], d[0]), _converse(full, d, x)),
+    "≻": lambda full, d, x: _per_ldom(full, d[::-1], _converse(full, d, x)),
     "\\": _left_residual,
     "/": _right_residual,
     # columns (rows) of R and S that agree

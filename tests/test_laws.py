@@ -242,14 +242,14 @@ def test_every_term_tuple_within_the_budget_is_enumerated_at_criterion_2_setting
     heavy = ["compose-assoc", "compose-join-left", "compose-join-right", "meet-compose-sub", "dedekind-modular",
              "dedekind-modular-dual", "left-residual-galois", "right-residual-galois", "pair-irreducible"]
     seen = {}
-    scan = laws._scan_sliced
+    batches = laws._batches
 
     def recording(law, carriers, typed, pools, rng, samples):
         sizes = tuple(c.size for c in carriers.values())
         seen[law.id, sizes] = (prod(len(p) for p in pools), "exhaustive" if rng is None else "sampled")
-        return scan(law, carriers, typed, pools, rng, samples)
+        return batches(law, carriers, typed, pools, rng, samples)
 
-    monkeypatch.setattr(laws, "_scan_sliced", recording)
+    monkeypatch.setattr(laws, "_batches", recording)
     for law_id in heavy:
         law = REGISTRY[law_id]
         assert isinstance(law.check, Formula) and run_law(law, 3, 2000, 42).ok
@@ -358,7 +358,7 @@ def test_the_estimate_picks_the_pinned_modes_at_laws_size3_settings(monkeypatch)
         ("meet-join-absorption", (3, 3)): "sampled",  # 2^18 instances
     }
     seen = {}
-    scan = laws._scan_sliced
+    batches = laws._batches
 
     def recording(law, carriers, typed, pools, rng, samples):
         sizes = tuple(c.size for c in carriers.values())
@@ -367,9 +367,9 @@ def test_the_estimate_picks_the_pinned_modes_at_laws_size3_settings(monkeypatch)
                 or laws._scan_pays(law, {tv: c.size for tv, c in carriers.items()}, pools, samples))
         assert rule == (rng is None), (law.id, sizes)
         seen[law.id, sizes] = "exhaustive" if rng is None else "sampled"
-        return scan(law, carriers, typed, pools, rng, samples)
+        return batches(law, carriers, typed, pools, rng, samples)
 
-    monkeypatch.setattr(laws, "_scan_sliced", recording)
+    monkeypatch.setattr(laws, "_batches", recording)
     for law_id in sorted({law_id for law_id, _ in pinned}):
         assert run_law(REGISTRY[law_id], max_size=3, samples=128, seed=31, budget=4000).ok
     assert {key: seen[key] for key in pinned} == pinned
@@ -377,13 +377,13 @@ def test_the_estimate_picks_the_pinned_modes_at_laws_size3_settings(monkeypatch)
 
 def test_a_three_variable_term_law_samples_its_largest_size_three_tuple(monkeypatch):
     scanned = {}
-    scan = laws._scan_sliced
+    batches = laws._batches
 
     def recording(law, carriers, typed, pools, rng, samples):
         scanned[tuple(c.size for c in carriers.values())] = "exhaustive" if rng is None else "sampled"
-        return scan(law, carriers, typed, pools, rng, samples)
+        return batches(law, carriers, typed, pools, rng, samples)
 
-    monkeypatch.setattr(laws, "_scan_sliced", recording)
+    monkeypatch.setattr(laws, "_batches", recording)
     law = REGISTRY["dedekind-modular"]
     assert len(law.vars) == 3
     report = run_law(law, max_size=3, samples=128, seed=31, budget=4000)

@@ -14,9 +14,10 @@ import random
 import sys
 from collections import Counter
 from dataclasses import replace
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from itertools import product
 from math import prod
+from operator import or_
 from pathlib import Path
 
 import pytest
@@ -525,7 +526,7 @@ def test_the_estimate_counts_every_sliced_operation(law_id, sizes, monkeypatch):
     seen = Counter()
 
     def recording(op, full, d, *args):
-        seen[prod(d), full.bit_length()] += 1
+        seen[prod(map(len, d)), full.bit_length()] += 1
         return op(full, d, *args)
 
     def runs(bits, batches=1):  # the estimate for batches of `bits` instances
@@ -536,7 +537,7 @@ def test_the_estimate_counts_every_sliced_operation(law_id, sizes, monkeypatch):
 
     for name, op in list(_SLICED.items()):
         monkeypatch.setitem(_SLICED, name, partial(recording, op))
-    assert laws._scan_sliced(law, carriers, typed, pools, random.Random(5), 7) == (7, None)
+    assert laws._scan_sliced(law, [(carriers, typed, pools, random.Random(5))], 7) == (7, None)
     assert seen == runs(7) and seen
     seen.clear()
     monkeypatch.setattr(laws, "PLANE_BITS", 64)
@@ -549,18 +550,18 @@ def test_the_estimate_counts_every_sliced_operation(law_id, sizes, monkeypatch):
     binders = any(op in ("⋃", "∀", "∃") for op, _, _ in law.check._code)
     assert law.check.combinations(dict.fromkeys(named, 0)) == (0 if binders else 1)
     assert laws._geometry(pools, 0) == laws._geometry(pools, 1)
-    assert laws._scan_sliced(law, carriers, typed, pools, None, 7) == (space, None)
+    assert laws._scan_sliced(law, [(carriers, typed, pools, None)], 7) == (space, None)
     assert seen == runs(batch, batches)
     assert max(width for _, width in seen) <= 64  # no plane is wider than PLANE_BITS
     seen.clear()  # nor a sampled batch's, cut as narrow
-    assert laws._scan_sliced(law, carriers, typed, pools, random.Random(5), 7) == (7, None)
+    assert laws._scan_sliced(law, [(carriers, typed, pools, random.Random(5))], 7) == (7, None)
     assert max(width for _, width in seen) <= 64
 
 
 @pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 5) for k in range(1, 5) if n * k <= 12])
 def test_sliced_index_is_the_min_policy_index(n, k):
-    count = 1 << n * k
-    planes = _SLICED["index"]((1 << count) - 1, (n, k), range_planes(n * k, 1, count))
+    count, full = 1 << n * k, (1 << (1 << n * k)) - 1
+    planes = _SLICED["index"](full, ([full] * n, [full] * k), range_planes(n * k, 1, count))
     a, b = Carrier("A", n), Carrier("B", k)
     assert _plane_bits(planes, count) == [relation_index(_make(a, b, code)).index.code for code in range(count)]
 
@@ -747,6 +748,148 @@ def test_planted_statements_agree_with_their_python_checks(law_id):
     assert _disagreements(formula, law, _up_to(law, 2), reference=law.check) == []
 
 
+# -- carriers of different sizes in one batch ----------------------------------------------
+
+# each sliced operation's carriers: how many its instruction names, its
+# inputs' and its value's rows and columns among them, None for a truth plane
+_OP_SHAPES = {
+    "⊥": (2, (), (0, 1)), "⊤": (2, (), (0, 1)), "𝕀": (1, (), (0, 0)),
+    "∘": (3, ((0, 1), (1, 2)), (0, 2)), "°": (2, ((0, 1),), (1, 0)), "¬": (2, ((0, 1),), (0, 1)),
+    "∩": (2, ((0, 1), (0, 1)), (0, 1)), "∪": (2, ((0, 1), (0, 1)), (0, 1)),
+    "<": (2, ((0, 1),), (0, 0)), ">": (2, ((0, 1),), (1, 1)),
+    "≺": (2, ((0, 1),), (0, 0)), "≻": (2, ((0, 1),), (1, 1)), "index": (2, ((0, 1),), (0, 1)),
+    "\\": (3, ((0, 1), (0, 2)), (1, 2)), "/": (3, ((0, 2), (1, 2)), (0, 1)),
+    "\\\\": (3, ((0, 1), (0, 2)), (1, 2)), "//": (3, ((0, 2), (1, 2)), (0, 1)),
+    "⊆": (2, ((0, 1), (0, 1)), None), "=": (2, ((0, 1), (0, 1)), None), "≠": (2, ((0, 1), (0, 1)), None),
+    "≡": (0, (None, None), None), "⇒": (0, (None, None), None),
+    "and": (0, (None, None), None), "or": (0, (None, None), None),
+}
+# the largest carrier of a mixed batch
+MIXED = 3
+
+
+def _masks(sizes: list) -> list[int]:
+    """The element masks of one carrier of a batch: element e on the
+    instances whose carrier, of sizes[x] elements, holds it."""
+    return [sum(1 << x for x, n in enumerate(sizes) if n > e) for e in range(MIXED)]
+
+
+def _spread(codes: list, shapes: list) -> list[int]:
+    """The planes, MIXED×MIXED cells, of one code per instance of shape n×k."""
+    planes = [0] * MIXED * MIXED
+    for x, (code, (n, k)) in enumerate(zip(codes, shapes)):
+        for c in range(n * k):
+            if code >> c & 1:
+                planes[c // k * MIXED + c % k] |= 1 << x
+    return planes
+
+
+def _outside(value: list, rows: list, cols: list) -> int:
+    """The instances on which a value holds a cell outside their carriers."""
+    return reduce(or_, [v & ~(rows[c // len(cols)] & cols[c % len(cols)]) for c, v in enumerate(value)], 0)
+
+
+def test_every_sliced_operation_has_its_shape():
+    assert set(_OP_SHAPES) == set(_SLICED)
+
+
+@pytest.mark.parametrize("op", sorted(_OP_SHAPES))
+def test_an_operation_on_mixed_carriers_is_each_instance_alone(op):
+    """One batch whose instances have carriers of 1 to MIXED elements, each
+    carrier given as its element masks: on every instance the operation's
+    value is, bit for bit, its value on that instance alone at its own
+    sizes, and every cell outside the instance's carriers is 0."""
+    rank, ins, out = _OP_SHAPES[op]
+    rng = random.Random(op)
+    own = [sizes for sizes in product(range(1, MIXED + 1), repeat=rank) for _ in range(8)]
+    full = (1 << len(own)) - 1
+    d = [_masks([sizes[p] for sizes in own]) for p in range(rank)]
+    args = []  # per input, one code (or truth bit) per instance
+    for shape in ins:
+        if shape is None:
+            args.append([rng.getrandbits(1) for _ in own])
+        else:
+            args.append([rng.getrandbits(sizes[shape[0]] * sizes[shape[1]]) for sizes in own])
+    batch = [sum(b << x for x, b in enumerate(column)) if shape is None
+             else _spread(column, [(sizes[shape[0]], sizes[shape[1]]) for sizes in own])
+             for column, shape in zip(args, ins)]
+    value = _SLICED[op](full, d, *batch)
+    for x, sizes in enumerate(own):
+        alone = [column[x] if shape is None else fixed_planes(column[x], sizes[shape[0]] * sizes[shape[1]], 1)
+                 for column, shape in zip(args, ins)]
+        want = _SLICED[op](1, [[1] * n for n in sizes], *alone)
+        if out is None:
+            assert value >> x & 1 == want, (op, sizes)
+            continue
+        n, k = sizes[out[0]], sizes[out[1]]
+        got = [value[i * MIXED + j] >> x & 1 for i in range(n) for j in range(k)]
+        assert got == want, (op, sizes)
+    if out is not None:
+        assert len(value) == MIXED * MIXED and _outside(value, d[out[0]], d[out[1]]) == 0
+
+
+def _binder_free() -> list:
+    """(id, formula, variables) of every binder-free statement of the
+    registry, of the wrong statements and of the planted laws."""
+    out = [(law_id, law.check, law.vars) for law_id, law in sorted(REGISTRY.items())
+           if isinstance(law.check, Formula) and not law.check.binders]
+    for law_id, statement, vars in WRONG:
+        formula = parse(statement, vars or REGISTRY[law_id].vars, REGISTRY[law_id].check.letters, "zz-wrong")
+        if not formula.binders:
+            out.append((f"wrong {law_id}", formula, vars or REGISTRY[law_id].vars))
+    for law_id, law in sorted(_planted().items()):
+        out.append((law_id, _as_term(law).check, law.vars))
+    return out
+
+
+@pytest.mark.parametrize("name, formula, vars", _binder_free(), ids=[name for name, _, _ in _binder_free()])
+def test_a_statement_on_mixed_carriers_is_each_instance_alone(name, formula, vars, monkeypatch):
+    """Every binder-free statement on one batch of 96 instances whose type
+    variables have 1 to MIXED elements each, drawn from the pools of each
+    instance's own carriers: it fails, bit for bit, where each instance
+    alone at its own sizes fails, and no operation leaves a cell outside an
+    instance's carriers set."""
+    tvs = list(dict.fromkeys([tv for v in vars for tv in (v.src, v.dst)]
+                             + [tv for _, _, dims in formula._code for tv in dims]))
+    rng = random.Random(name)
+    instances = []
+    for _ in range(96):
+        carriers = {tv: Carrier(tv, rng.randint(1, MIXED)) for tv in tvs}
+        typed = [(carriers[v.src], carriers[v.dst]) for v in vars]
+        pools = [_pool(v.kind, src, dst) for v, (src, dst) in zip(vars, typed)]
+        instances.append((carriers, tuple(_make(src, dst, rng.choice(pool)) for (src, dst), pool in zip(typed, pools))))
+    masks = {tv: _masks([carriers[tv].size for carriers, _ in instances]) for tv in tvs}
+    planes = [_spread([args[k].code for _, args in instances],
+                      [(args[k].src.size, args[k].dst.size) for _, args in instances]) for k in range(len(vars))]
+    leaks = []
+
+    def checked(op, full, d, *args):
+        value = op(full, d, *args)
+        shape = _OP_SHAPES[name_of[op]][2]
+        if shape is not None:
+            leaks.append(_outside(value, d[shape[0]], d[shape[1]]))
+        return value
+
+    name_of = {op: key for key, op in _SLICED.items()}
+    for key, op in list(_SLICED.items()):
+        monkeypatch.setitem(_SLICED, key, partial(checked, op))
+    fails = formula.failures(planes, masks, (1 << len(instances)) - 1)
+    assert leaks and not any(leaks)
+    monkeypatch.undo()
+    alone = [not formula(args, carriers) for carriers, args in instances]
+    assert [bool(fails >> x & 1) for x in range(len(instances))] == alone
+    assert fails >> len(instances) == 0
+    # a wrong or planted statement fails on some instances, and a law on none
+    assert any(alone) == (name in PLANTED_LETTERS or name.startswith("wrong "))
+
+
+def test_a_statement_with_binders_refuses_element_masks():
+    law = REGISTRY["saturation-relation"]
+    assert law.check.binders
+    with pytest.raises(ValueError, match="binds letters"):
+        law.check.failures([[0] * 9], {"A": _masks([3, 1]), "B": _masks([2, 3])}, 0b11)
+
+
 # -- the runner -------------------------------------------------------------------------
 
 
@@ -812,16 +955,16 @@ def test_sliced_draws_are_the_pinned_draws(monkeypatch):
     monkeypatch.setattr(laws, "DRAW_COST", 0)
     law = Law("zz-planted-meet-is-compose", "R∩p = R∘p", vars, parse("R∩p = R∘p", vars, "Rp"), cost=10 ** 6)
     checked = []
-    original = Formula.failures
+    batches = laws._batches
 
-    def recording(self, planes, sizes, full):
-        count = full.bit_length()
-        checked.extend(zip(*(_plane_bits(p, count) for p in planes)))
-        return original(self, planes, sizes, full)
+    def recording(law, carriers, typed, pools, rng, samples):
+        for planes, count, codes in batches(law, carriers, typed, pools, rng, samples):
+            checked.extend(zip(*(_plane_bits(p, count) for p in planes)))
+            yield planes, count, codes
 
     started = []
     shrink = laws.shrink
-    monkeypatch.setattr(Formula, "failures", recording)
+    monkeypatch.setattr(laws, "_batches", recording)
     monkeypatch.setattr(laws, "shrink", lambda law, cs, args: started.append(args) or shrink(law, cs, args))
     report = run_law(law, max_size=3, samples=3, seed=5, budget=1)
     assert report.mode == "sampled" and not report.ok
