@@ -23,8 +23,9 @@ law in batches of instances, bit-sliced, with the order, draws and first
 failure the scalar scan has on the same tuple in the same mode, and evaluates
 consecutive batches of a binder-free statement together, whichever tuples
 they come from (_scan_sliced); the failure is then shrunk one instance at a
-time, each a batch of one of the same evaluator (terms has no other). The index laws that speak of
-the min-policy index J of R are terms too, through ``where J = index R``;
+time, each a batch of one of the same evaluator (terms has no other). The
+index laws that speak of the min-policy index J of R are terms too, through
+``where J = index R``;
 among them core-domains, the core lemma for the core C = λ∘R∘ρ° that the legs
 λ = J<∘R≺ and ρ = J>∘R≻ build, and core-decomposition-valid, the ten equations
 of CoreDecomposition.verify on that core and C = J. So are the per laws, since
